@@ -284,6 +284,14 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
         cfg, scene, method_override, nonneg_override
     )
     dims = (scene.n_v, scene.n_h, scene.n_t)
+    try:
+        if experiment == "radon-static-baseline":
+            spec = StaticTVSpec(n_v=scene.n_v, n_h=scene.n_h, epsilon=epsilon)
+        else:
+            spec = RegularizerSpec(method=method, dims=dims, epsilon=epsilon)
+        config = SolverConfig(regularizer=spec, **options)
+    except ValueError as exc:
+        raise ConfigError(f"invalid solver section: {exc}") from exc
 
     truth = vec(render_scene(scene))
     clean = forward_op.apply(truth)
@@ -305,15 +313,12 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
     }
 
     if experiment == "radon-static-baseline":
-        u, frames_info = _run_static_baseline(
-            scene, step_ops, data, clean, truth, epsilon, options, out_dir
-        )
+        u, frames_info = _run_static_baseline(scene, step_ops, data, clean, truth, config, out_dir)
         summary["frames"] = frames_info
         report = build_report(u, truth, dims)
         summary["iterations"] = sum(f["iterations"] for f in frames_info)
         summary["stop_reason"] = "per-frame"
     else:
-        spec = RegularizerSpec(method=method, dims=dims, epsilon=epsilon)
         problem = ReconstructionProblem(
             forward=forward_op,
             data=data,
@@ -321,7 +326,6 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
             delta=delta,
             truth=truth,
         )
-        config = SolverConfig(regularizer=spec, **options)
         try:
             result = mm_gks_solve(problem, config)
         except SolverError as exc:
@@ -348,11 +352,10 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
     return summary
 
 
-def _run_static_baseline(scene, step_ops, data, clean, truth, epsilon, options, out_dir):
+def _run_static_baseline(scene, step_ops, data, clean, truth, config, out_dir):
     """Solve each frame independently with spatial TV; one history per frame."""
-    n_v, n_h, n_t = scene.n_v, scene.n_h, scene.n_t
-    n_s = n_v * n_h
-    spec = StaticTVSpec(n_v=n_v, n_h=n_h, epsilon=epsilon)
+    n_s = scene.n_v * scene.n_h
+    n_t = scene.n_t
     noise_vec = data - clean
     row_splits = np.cumsum([op.rows for op in step_ops])[:-1]
     data_frames = np.split(data, row_splits)
@@ -368,7 +371,6 @@ def _run_static_baseline(scene, step_ops, data, clean, truth, epsilon, options, 
             delta=delta_t,
             truth=truth[t * n_s : (t + 1) * n_s],
         )
-        config = SolverConfig(regularizer=spec, **options)
         try:
             result = mm_gks_solve(problem, config)
         except SolverError as exc:

@@ -111,12 +111,27 @@ def select_lambda(pair, grid=None):
     Ties on the grid are broken toward the larger lambda, and the refined
     candidate is only kept when it strictly improves on the grid minimum, so
     a flat curve yields the largest grid point.
+
+    The search runs on a balanced pair: R_F and the data scaled by one power
+    of two, R_M by another, so that both factors have norms in [1/2, 1).
+    With R_F = 2^e_f F and R_M = 2^e_m M, G(lam) on the original pair is
+    2^(2 e_f) times G on (F, M) at lam * 2^(2 (e_m - e_f)), so the grid is
+    scaled by that power of two and the chosen lambda scaled back.  All of
+    these scalings are exact, which makes the choice exactly equivariant
+    under rescaling of the noise covariance.
     """
     if grid is None:
         grid = default_lambda_grid()
     grid = np.sort(np.asarray(grid, dtype=float).ravel())
-    c, s, beta = _pair_factors(pair)
-    values = _curve_from_factors(c, s, beta, grid)
+    e_f = np.frexp(np.linalg.norm(pair.r_f))[1]
+    e_m = np.frexp(np.linalg.norm(pair.r_m))[1]
+    balanced = ProjectedPair(
+        np.ldexp(pair.r_f, -e_f), np.ldexp(pair.r_m, -e_m), np.ldexp(pair.rhs, -e_f)
+    )
+    shift = 2 * (e_m - e_f)
+    scaled = np.ldexp(grid, shift)
+    c, s, beta = _pair_factors(balanced)
+    values = _curve_from_factors(c, s, beta, scaled)
     finite = np.isfinite(values)
     if not finite.any():
         raise SingularSystemError("GCV curve is undefined on the whole grid")
@@ -128,15 +143,15 @@ def select_lambda(pair, grid=None):
     if grid.size == 1:
         return best_grid
 
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, grid.size - 1)]
+    lo = scaled[max(idx - 1, 0)]
+    hi = scaled[min(idx + 1, grid.size - 1)]
     cand, cand_value = _golden_section(
         lambda t: _curve_from_factors(c, s, beta, [np.exp(t)])[0],
         np.log(lo),
         np.log(hi),
     )
     if np.isfinite(cand_value) and cand_value < best_value:
-        return float(np.exp(cand))
+        return float(np.ldexp(np.exp(cand), -shift))
     return best_grid
 
 

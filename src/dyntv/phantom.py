@@ -85,8 +85,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("noise level sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("noise level sigma must be finite and nonnegative")
 
 
 def linear_trajectory(start, velocity, n_t):

@@ -13,14 +13,20 @@ Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
 direction per iteration: the normal-equations residual of the current iterate,
 orthogonalized against the basis.  Thin QR factors of the projected operators
 keep every inner solve and the GCV parameter search at the cost of small dense
-linear algebra; the forward factor is updated one column at a time since the
-noise covariance is fixed, while the penalty factor is rebuilt each iteration
-because the weights change.
+linear algebra.  The forward factor is updated one column at a time, since the
+noise covariance is fixed.  The penalty factor is refactored every iteration,
+because the weights change: by CholeskyQR2 on row blocks of the weighted
+block W D V (two Gram products, no full-size temporary), falling back to
+Householder QR when the block is wide, rank deficient or too ill conditioned
+for the Gram route.  The n-row arrays that grow with the basis (the basis,
+its images under the whitened forward and D, and the forward Q factor) are
+written one column at a time into column-major buffers whose capacity
+doubles; the state's public fields are views of their filled columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,6 +165,8 @@ class SolverState:
     weights: np.ndarray | None = None
     r_m: np.ndarray | None = None  # square-padded R of (weights * dv), d x d
     y: np.ndarray | None = None
+    # field name -> (column-major buffer, the view of it last stored in the field)
+    _buffers: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self):
@@ -241,7 +249,7 @@ def refresh_penalty(state, spec, u_k):
     """Recompute the weights at u_k and the projected penalty factor."""
     w = update_weights(spec, u_k)
     state.weights = w.weights
-    state.r_m = _qr_r_square(w.weights[:, None] * state.dv, state.dim)
+    state.r_m = _penalty_r(w.weights, state.dv)
     return w
 
 
@@ -297,9 +305,9 @@ def expand_subspace(state, problem, d_op, lam):
     if np.linalg.norm(r) <= 1e-14 * max(1.0, u_scale):
         return False
     v_new = r / np.linalg.norm(r)
-    state.basis = np.column_stack([state.basis, v_new])
-    state.av = np.column_stack([state.av, problem.whiten_apply(v_new)])
-    state.dv = np.column_stack([state.dv, d_op.apply(v_new)])
+    _append_column(state, "basis", v_new)
+    _append_column(state, "av", problem.whiten_apply(v_new))
+    _append_column(state, "dv", d_op.apply(v_new))
     _append_forward_qr(state, problem)
     return True
 
@@ -385,6 +393,50 @@ def mm_gks_solve(problem, config):
 
 # --- projected QR bookkeeping --------------------------------------------------
 
+# CholeskyQR2 is as accurate as Householder QR while the block's condition
+# number stays below about u^(-1/2) in double precision; beyond that the Gram
+# matrix loses the smallest directions and the Householder path takes over.
+_CHOLQR_MAX_COND = 1e7
+# Elements per row block of the Gram products (256 KB).  Blocks this small
+# keep every temporary far below the size of the block itself, which keeps
+# peak memory flat on small problems, and cost no time on large ones.
+_GRAM_BLOCK_ELEMS = 1 << 15
+
+
+def _penalty_r(weights, dv):
+    """Square triangular factor R_M of (weights * dv) by CholeskyQR2.
+
+    R1 = chol(AᵀA) and R2 = chol(Q1ᵀQ1) with Q1 = A R1⁻¹ give R_M = R2 R1.
+    Both Gram matrices are accumulated over row blocks of A = weights * dv, so
+    neither A nor Q1 is ever held at full size.  Falls back to Householder on
+    the whole block when A is wide, a Cholesky factorization fails, or R1 is
+    too ill conditioned for the second pass to restore accuracy.
+    """
+    rows, d = dv.shape
+    if rows < d:
+        return _qr_r_square(weights[:, None] * dv, d)
+    try:
+        r1 = _gram_cholesky(weights, dv)
+        if not np.linalg.cond(r1) < _CHOLQR_MAX_COND:
+            raise np.linalg.LinAlgError("penalty block too ill conditioned")
+        r2 = _gram_cholesky(weights, dv, np.linalg.inv(r1))
+    except np.linalg.LinAlgError:
+        return _qr_r_square(weights[:, None] * dv, d)
+    return r2 @ r1
+
+
+def _gram_cholesky(weights, dv, right=None):
+    """Upper Cholesky factor of BᵀB, B = (weights * dv) @ right, by row blocks."""
+    rows, d = dv.shape
+    step = max(1, _GRAM_BLOCK_ELEMS // max(d, 1))
+    gram = np.zeros((d, d))
+    for i in range(0, rows, step):
+        b = weights[i : i + step, None] * dv[i : i + step]
+        if right is not None:
+            b = b @ right
+        gram += b.T @ b
+    return np.linalg.cholesky(gram).T
+
 
 def _qr_r_square(mat, d):
     """Square d x d triangular factor of a tall-or-wide matrix with d columns."""
@@ -404,6 +456,25 @@ def _pad_square(r_f, rhs_hat, d):
     )
 
 
+def _append_column(state, name, col):
+    """Append `col` to the rows x d field `name` of the state, in place.
+
+    The field is a view of the first d columns of a column-major buffer; the
+    buffer doubles its capacity when full, and is (re)created from the field
+    when the field was set from outside since the last append.
+    """
+    view = getattr(state, name)
+    rows, d = view.shape
+    buf, last = state._buffers.get(name, (None, None))
+    if last is not view or buf.shape[1] == d:
+        buf = np.empty((rows, max(2 * d, 1)), order="F")
+        buf[:, :d] = view
+    buf[:, d] = col
+    view = buf[:, : d + 1]
+    state._buffers[name] = (buf, view)
+    setattr(state, name, view)
+
+
 def _append_forward_qr(state, problem):
     """Grow the thin QR of the projected whitened forward by one column."""
     a = state.av[:, -1]
@@ -416,7 +487,7 @@ def _append_forward_qr(state, problem):
         rho = float(np.linalg.norm(q))
         q = q / rho if rho > 0 else np.zeros_like(q)
         col = r1 + r2
-        state.q_f = np.column_stack([state.q_f, q])
+        _append_column(state, "q_f", q)
         state.r_f = np.block(
             [[state.r_f, col[:, None]], [np.zeros((1, state.r_f.shape[1])), rho]]
         )

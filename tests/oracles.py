@@ -159,6 +159,15 @@ def gcv_dense(r_f, r_m, rhs, lam):
     return d * float(resid @ resid) / denom**2
 
 
+# --- penalty factor reference ------------------------------------------------------
+
+
+def householder_r(mat, d):
+    """Square d x d Householder R of a matrix with d columns (zero rows pad a wide one)."""
+    r = np.linalg.qr(mat, mode="r")
+    return np.vstack([r, np.zeros((d - r.shape[0], d))])
+
+
 # --- dense penalized solves -------------------------------------------------------
 
 

@@ -122,7 +122,29 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "badnoise.json",
     )
     assert cli.main_reconstruct(["--config", bad_noise, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.count("configuration error") == 4
+
+    nan_noise = write_config(
+        tmp_path,
+        {
+            "experiment": "deblur",
+            "scene": {"n_v": 8, "n_h": 8, "n_t": 2},
+            "noise": {"sigma": float("nan")},
+        },
+        "nannoise.json",
+    )
+    assert cli.main_reconstruct(["--config", nan_noise, "--out", str(tmp_path / "o")]) == 2
+
+    bad_lambda = write_config(
+        tmp_path,
+        {
+            "experiment": "deblur",
+            "scene": {"n_v": 8, "n_h": 8, "n_t": 2},
+            "solver": {"lambda": -1},
+        },
+        "badlambda.json",
+    )
+    assert cli.main_reconstruct(["--config", bad_lambda, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("configuration error") == 6
 
 
 def test_missing_output_dir_exit_2(tmp_path, capsys):

@@ -160,6 +160,70 @@ def test_projected_pair_pads_wide_factor_square():
     assert pair.rhs[2] == 0.0
 
 
+# --- penalty factor refresh --------------------------------------------------------
+
+
+def weighted_block_state(spec, cond, d, seed):
+    """State whose weighted block W(u) D V at a random u has condition number `cond`.
+
+    Returns the state and u; dv is set to A / w with A = U diag(s) Q^T, so the
+    weighted block the refresh factors is A up to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(spec.n)
+    w = dv.update_weights(spec, u).weights
+    left = np.linalg.qr(rng.standard_normal((w.size, d)))[0]
+    right = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    a = (left * np.logspace(0.0, -np.log10(cond), d)) @ right.T
+    state = manual_state(np.eye(d), np.eye(d), np.zeros(d))
+    state.dv = a / w[:, None]
+    return state, u
+
+
+@pytest.mark.parametrize("cond", [1e0, 1e2, 1e4, 1e6])
+def test_refresh_penalty_gram_matches_householder(cond):
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(6, 5, 4), epsilon=1e-3)
+    state, u = weighted_block_state(spec, cond, 12, seed=int(np.log10(cond)) + 50)
+    dv.refresh_penalty(state, spec, u)
+    r_hh = oracles.householder_r(state.weights[:, None] * state.dv, 12)
+    gram = r_hh.T @ r_hh
+    r = state.r_m
+    np.testing.assert_array_equal(np.tril(r, -1), np.zeros((12, 12)))
+    # CholeskyQR2, not the fallback: a positive diagonal, and not the Householder R
+    assert np.all(np.diag(r) > 0)
+    assert not np.array_equal(r, r_hh)
+    assert np.linalg.norm(r.T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+    # the second pass matters: R1 = chol(AᵀA) alone is off by about cond² u in
+    # the smallest singular values (8e-6 at cond 1e6)
+    np.testing.assert_allclose(
+        np.linalg.svd(r, compute_uv=False), np.linalg.svd(r_hh, compute_uv=False), rtol=1e-10
+    )
+
+
+@pytest.mark.parametrize("method", list(dv.Method))
+def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
+    # the full-space identity basis: D maps constants (or, for Aniso3DTV, a
+    # wider space) to zero, so W D V is rank deficient or wide
+    spec = dv.RegularizerSpec(method=method, dims=(4, 4, 3), epsilon=1e-3)
+    rng = np.random.default_rng(61)
+    problem = dv.ReconstructionProblem(
+        forward=random_forward(rng, 60, spec.n), data=rng.standard_normal(60)
+    )
+    state = dv.init_state(problem, dv.build_D(spec), np.eye(spec.n))
+    dv.refresh_penalty(state, spec, rng.standard_normal(spec.n))
+    want = oracles.householder_r(state.weights[:, None] * state.dv, spec.n)
+    np.testing.assert_array_equal(state.r_m, want)
+
+
+def test_refresh_penalty_duplicate_column_falls_back_to_householder():
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(6, 5, 4), epsilon=1e-3)
+    state, u = weighted_block_state(spec, 1e2, 8, seed=62)
+    state.dv = np.column_stack([state.dv, state.dv[:, 3]])
+    dv.refresh_penalty(state, spec, u)
+    want = oracles.householder_r(state.weights[:, None] * state.dv, 9)
+    np.testing.assert_array_equal(state.r_m, want)
+
+
 # --- subspace expansion ------------------------------------------------------------
 
 
@@ -195,23 +259,32 @@ def test_expand_stalls_when_solution_is_in_span():
     assert state.dim == 1
 
 
-def test_expand_keeps_basis_orthonormal_and_factors_consistent():
+@pytest.mark.parametrize(
+    "rows, dims, n_expand",
+    # the second input grows the basis from 4 to 24 columns, past two
+    # doublings of the column buffers (capacity 8 -> 16 -> 32)
+    [(30, (3, 3, 2), 6), (60, (3, 3, 4), 20)],
+    ids=["six-expansions", "past-two-doublings"],
+)
+def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_expand):
     rng = np.random.default_rng(23)
+    n = int(np.prod(dims))
     problem = dv.ReconstructionProblem(
-        forward=random_forward(rng, 30, 18), data=rng.standard_normal(30)
+        forward=random_forward(rng, rows, n), data=rng.standard_normal(rows)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(3, 3, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
     d_op = dv.build_D(spec)
     basis, _ = dv.seed_subspace(problem, 4)
     state = dv.init_state(problem, d_op, basis)
-    u = np.zeros(18)
-    for _ in range(6):
+    u = np.zeros(n)
+    for _ in range(n_expand):
         dv.refresh_penalty(state, spec, u)
         y = dv.solve_projected(state, 0.3)
         u = state.basis @ y
         assert dv.expand_subspace(state, problem, d_op, 0.3)
-    assert state.dim == 10
-    np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(10), atol=1e-10)
+    d = 4 + n_expand
+    assert state.dim == d
+    np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(d), atol=1e-10)
     aw = problem.whiten_apply(state.basis)
     np.testing.assert_allclose(state.av, aw, atol=1e-12)
     np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-10)
@@ -320,9 +393,12 @@ def test_full_space_matches_dense_mm_iterates():
         np.testing.assert_allclose(result.u, iterates[k - 1], rtol=1e-10, atol=1e-12)
 
 
-def test_whitening_consistency_under_covariance_rescaling():
+@pytest.mark.parametrize(
+    "method", [dv.Method.GROUP_SPARSITY, dv.Method.ANISO_TV, dv.Method.ANISO_3D_TV]
+)
+def test_whitening_consistency_under_covariance_rescaling(method):
     problem = blur_problem((8, 8, 3), 1.0, 3, 0.01, scene_seed=8, noise_seed=9)
-    spec = dv.RegularizerSpec(method=dv.Method.GROUP_SPARSITY, dims=(8, 8, 3), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=method, dims=(8, 8, 3), epsilon=1e-3)
     grid = dv.default_lambda_grid()
     base = dv.mm_gks_solve(
         problem, dv.SolverConfig(regularizer=spec, max_iters=40, lambda_grid=grid)
