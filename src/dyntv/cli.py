@@ -24,7 +24,7 @@ from .forward import (
     build_blur_operator,
     build_radon_operator,
 )
-from .metrics import build_report
+from .metrics import SSIM_WINDOW, build_report
 from .operators import vec
 from .paramselect import default_lambda_grid
 from .phantom import (
@@ -72,6 +72,9 @@ def _scene_from_config(cfg):
         n_v, n_h, n_t = int(scene["n_v"]), int(scene["n_h"]), int(scene["n_t"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"scene needs integer extents n_v, n_h, n_t: {exc}") from exc
+    if min(n_v, n_h) < SSIM_WINDOW:
+        # every run ends in a per-frame SSIM report, which needs a full window
+        raise ConfigError(f"scene frames must be at least {SSIM_WINDOW} pixels per side")
     try:
         if "objects" in scene:
             objects = tuple(

@@ -14,11 +14,14 @@ anchor for the dense oracles used in the tests.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "LinearOperator",
     "DenseOperator",
+    "SparseOperator",
     "DiffOperator",
     "IdentityOperator",
     "DiagonalOperator",
@@ -44,6 +47,10 @@ __all__ = [
 
 # Hard cap for materializing operators; beyond this, go matrix-free.
 MAX_DENSE_COLS = 4096
+
+# Elements of the nnz x k gather temporary in one SparseOperator product
+# (8 MB of float64); wider inputs are processed in column chunks.
+_SPARSE_BLOCK_ELEMS = 1 << 20
 
 
 class LinearOperator:
@@ -114,6 +121,9 @@ class LinearOperator:
                 f"refusing to densify an operator with {self.cols} columns "
                 f"(limit {MAX_DENSE_COLS})"
             )
+        return self._dense()
+
+    def _dense(self):
         return self._apply(np.eye(self.cols))
 
     def __matmul__(self, other):
@@ -153,6 +163,92 @@ class DenseOperator(LinearOperator):
 
     def _apply_adjoint(self, y):
         return self.mat.T @ y
+
+
+class SparseOperator(LinearOperator):
+    """Operator stored as compressed rows of its nonzero entries.
+
+    Built from (row, column, value) triples; a (row, column) pair may repeat,
+    and repeats add.  The entries are kept as compressed sparse rows (CSR)
+    for ``apply`` and, sorted stably by column once at construction, as
+    compressed rows of the transpose for ``apply_adjoint``.  Both products
+    gather the input rows named by the stored indices, scale them by the
+    values and sum each row's segment with ``np.add.reduceat``.
+    """
+
+    kind = "sparse"
+
+    def __init__(self, rows, cols, row_idx, col_idx, values):
+        super().__init__(rows, cols)
+        row_idx = np.asarray(row_idx, dtype=np.intp).ravel()
+        col_idx = np.asarray(col_idx, dtype=np.intp).ravel()
+        values = np.asarray(values, dtype=float).ravel()
+        if not row_idx.size == col_idx.size == values.size:
+            raise ValueError("sparse triples must have equal lengths")
+        if row_idx.size and (
+            row_idx.min() < 0 or row_idx.max() >= self.rows
+            or col_idx.min() < 0 or col_idx.max() >= self.cols
+        ):
+            raise ValueError(f"sparse indices out of range for shape {self.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sparse values must be finite")
+        order = np.argsort(row_idx, kind="stable")
+        self._fwd = _csr(row_idx[order], col_idx[order], values[order], self.rows)
+        order = np.argsort(col_idx, kind="stable")
+        self._adj = _csr(col_idx[order], row_idx[order], values[order], self.cols)
+
+    @property
+    def nnz(self):
+        return self._fwd.values.size
+
+    def _apply(self, x):
+        return _csr_product(self._fwd, x, self.rows)
+
+    def _apply_adjoint(self, y):
+        return _csr_product(self._adj, y, self.cols)
+
+    def _dense(self):
+        csr = self._fwd
+        mat = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.rows), np.diff(csr.indptr))
+        np.add.at(mat, (rows, csr.indices), csr.values)
+        return mat
+
+
+class _CSR(NamedTuple):
+    indptr: np.ndarray  # row r holds entries indptr[r]:indptr[r + 1]
+    indices: np.ndarray
+    values: np.ndarray
+    nonempty: np.ndarray  # rows with at least one entry
+    starts: np.ndarray  # indptr[nonempty]
+
+
+def _csr(sorted_rows, indices, values, n_rows):
+    """Compressed rows of triples already sorted by row."""
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(sorted_rows, minlength=n_rows), out=indptr[1:])
+    nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
+    return _CSR(indptr, indices, values, nonempty, indptr[nonempty])
+
+
+def _csr_product(csr, x, n_out):
+    """``M x`` for M in compressed rows, chunked over the columns of x.
+
+    ``np.add.reduceat`` returns the element at the start index for an empty
+    segment instead of 0, so it is given only the starts of nonempty rows
+    (each then runs to the next nonempty start, which is its own end) and
+    the empty rows stay zero.
+    """
+    k = x.shape[1]
+    out = np.zeros((n_out, k))
+    if csr.nonempty.size == 0:
+        return out
+    step = max(1, _SPARSE_BLOCK_ELEMS // csr.values.size)
+    for c in range(0, k, step):
+        gathered = x[csr.indices, c : c + step]  # a copy: fancy indexing
+        gathered *= csr.values[:, None]
+        out[csr.nonempty, c : c + step] = np.add.reduceat(gathered, csr.starts, axis=0)
+    return out
 
 
 class IdentityOperator(LinearOperator):

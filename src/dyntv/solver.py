@@ -78,12 +78,16 @@ class ReconstructionProblem:
             raise ValueError(
                 f"data length {self.data.size} does not match operator rows {self.forward.rows}"
             )
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("data must be finite (found NaN or infinity)")
         if self.noise_cov_diag is None:
             self.noise_cov_diag = np.ones(self.data.size)
         else:
             self.noise_cov_diag = np.asarray(self.noise_cov_diag, dtype=float).ravel()
             if self.noise_cov_diag.size != self.data.size:
                 raise ValueError("noise covariance diagonal must match the data length")
+            if not np.all(np.isfinite(self.noise_cov_diag)):
+                raise ValueError("noise covariance diagonal must be finite")
             if not np.all(self.noise_cov_diag > 0):
                 raise ValueError("noise covariance diagonal must be strictly positive")
         if self.delta < 0:

@@ -5,6 +5,8 @@ loops) rather than the package's operator classes, so tests that compare the
 two are genuine dual-route checks.
 """
 
+import math
+
 import numpy as np
 
 
@@ -205,6 +207,64 @@ def blur_matrix_1d(n, sigma, bandwidth):
         for off, weight in zip(offsets, kernel):
             mat[i, (i + off) % n] += weight
     return mat
+
+
+def radon_matrix(n, angles_deg, n_det):
+    """Dense ray-transform block, one ray at a time (the pre-sparse build).
+
+    Row a * n_det + j holds the intersection lengths of detector ray j at
+    angles_deg[a] with the n x n unit pixels, vectorized column-major.
+    """
+    offsets = np.arange(n_det) - (n_det - 1) / 2.0
+    mat = np.zeros((len(angles_deg) * n_det, n * n))
+    for a_idx, angle in enumerate(angles_deg):
+        phi = math.radians(angle)
+        mat[a_idx * n_det : (a_idx + 1) * n_det] = _radon_angle_block(n, phi, offsets)
+    return mat
+
+
+def _radon_angle_block(n, phi, offsets):
+    half = n / 2.0
+    nx, ny = math.cos(phi), math.sin(phi)
+    dx, dy = -math.sin(phi), math.cos(phi)
+    grid = np.arange(n + 1) - half
+    block = np.zeros((offsets.size, n * n))
+    for j, s in enumerate(offsets):
+        x0, y0 = s * nx, s * ny
+        taus = []
+        if abs(dx) > 1e-12:
+            tx = (grid - x0) / dx
+            taus.append(tx)
+            t_enter_x, t_exit_x = min(tx[0], tx[-1]), max(tx[0], tx[-1])
+        else:
+            if not -half <= x0 <= half:
+                continue
+            t_enter_x, t_exit_x = -np.inf, np.inf
+        if abs(dy) > 1e-12:
+            ty = (grid - y0) / dy
+            taus.append(ty)
+            t_enter_y, t_exit_y = min(ty[0], ty[-1]), max(ty[0], ty[-1])
+        else:
+            if not -half <= y0 <= half:
+                continue
+            t_enter_y, t_exit_y = -np.inf, np.inf
+        t_enter = max(t_enter_x, t_enter_y)
+        t_exit = min(t_exit_x, t_exit_y)
+        if t_exit <= t_enter:
+            continue
+        t_all = np.concatenate([np.concatenate(taus), [t_enter, t_exit]])
+        t_all = np.unique(t_all[(t_all >= t_enter) & (t_all <= t_exit)])
+        if t_all.size < 2:
+            continue
+        lengths = np.diff(t_all)
+        mids = 0.5 * (t_all[:-1] + t_all[1:])
+        xm = x0 + mids * dx
+        ym = y0 + mids * dy
+        cols_j = np.clip(np.floor(xm + half).astype(int), 0, n - 1)
+        rows_i = np.clip(np.floor(ym + half).astype(int), 0, n - 1)
+        keep = lengths > 1e-14
+        np.add.at(block[j], rows_i[keep] + n * cols_j[keep], lengths[keep])
+    return block
 
 
 # --- SSIM by explicit window loops ------------------------------------------------

@@ -144,7 +144,18 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "badlambda.json",
     )
     assert cli.main_reconstruct(["--config", bad_lambda, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.count("configuration error") == 6
+
+    # SSIM needs 11 x 11 frames; the run must stop before solving, not after
+    small_scene = write_config(
+        tmp_path,
+        {"experiment": "deblur", "scene": {"n_v": 8, "n_h": 8, "n_t": 2}},
+        "smallscene.json",
+    )
+    assert cli.main_reconstruct(["--config", small_scene, "--out", str(tmp_path / "small")]) == 2
+    assert not (tmp_path / "small").exists()
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 7
+    assert "at least 11 pixels" in err
 
 
 def test_missing_output_dir_exit_2(tmp_path, capsys):
@@ -158,7 +169,7 @@ def test_solver_failure_exit_1_flushes_partial_history(tmp_path, capsys):
         tmp_path,
         {
             "experiment": "deblur",
-            "scene": {"n_v": 8, "n_h": 8, "n_t": 2, "objects": []},
+            "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "objects": []},
             "noise": {"sigma": 0.0},
             "solver": {"method": "AnisoTV"},
         },

@@ -7,6 +7,7 @@ import pytest
 
 import dyntv as dv
 import oracles
+from dyntv.operators import _SPARSE_BLOCK_ELEMS
 
 
 def centered_disk_image(side, radius):
@@ -185,6 +186,98 @@ def test_radon_adjoint_identity():
     rng = np.random.default_rng(19)
     model = dv.RadonModel(image_side=12, n_time_steps=4, n_angles_per_step=3)
     op = dv.build_radon_operator(model, 2)
+    for _ in range(20):
+        x = rng.standard_normal(op.cols)
+        y = rng.standard_normal(op.rows)
+        np.testing.assert_allclose(
+            float(op.apply(x) @ y), float(x @ op.apply_adjoint(y)), rtol=1e-10, atol=1e-12
+        )
+
+
+# --- sparse ray transform against the per-ray dense oracle -------------------------
+
+# name -> (RadonModel arguments, time steps checked)
+RADON_GEOMETRIES = {
+    "odd-side": (dict(image_side=7, n_time_steps=3, n_angles_per_step=2), (1, 3)),
+    "even-side-64": (dict(image_side=64, n_time_steps=8, n_angles_per_step=9), (1, 4, 8)),
+    # step 180 sees 180, 135, 90, 45 and 0 degrees
+    "axis-and-diagonal-angles": (
+        dict(image_side=10, n_time_steps=180, n_angles_per_step=5, angle_stride_deg=-45.0),
+        (180,),
+    ),
+    # step 90 sees 90, 180, 270 and 360 degrees
+    "odd-side-right-angles": (
+        dict(image_side=9, n_time_steps=90, n_angles_per_step=4, angle_stride_deg=90.0),
+        (45, 90),
+    ),
+    "one-angle-per-step": (
+        dict(image_side=16, n_time_steps=180, n_angles_per_step=1), (1, 45, 90, 180)
+    ),
+    # detectors well past the image diagonal: the outer rays miss, giving
+    # empty rows at both ends of every angle's block
+    "wide-detector-even": (
+        dict(image_side=8, n_time_steps=4, n_angles_per_step=3, n_detectors=20), (1, 2)
+    ),
+    "wide-detector-odd": (
+        dict(image_side=11, n_time_steps=2, n_angles_per_step=2, n_detectors=31,
+             angle_stride_deg=90.0),
+        (1, 2),
+    ),
+}
+
+
+def radon_oracle(model, t):
+    return oracles.radon_matrix(model.image_side, dv.radon_angles(model, t), model.detectors)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(RADON_GEOMETRIES))
+def test_radon_entries_equal_per_ray_oracle(name):
+    kwargs, steps = RADON_GEOMETRIES[name]
+    model = dv.RadonModel(**kwargs)
+    for t in steps:
+        op = dv.build_radon_operator(model, t)
+        want = radon_oracle(model, t)
+        np.testing.assert_array_equal(op.to_dense(), want)
+
+
+@pytest.mark.parametrize("name", ["wide-detector-even", "wide-detector-odd"])
+def test_radon_missing_rays_give_zero_rows(name):
+    kwargs, steps = RADON_GEOMETRIES[name]
+    model = dv.RadonModel(**kwargs)
+    op = dv.build_radon_operator(model, steps[-1])
+    want = radon_oracle(model, steps[-1])
+    empty = ~want.any(axis=1)
+    assert empty[0] and empty[-1] and empty[1:-1].any()
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((op.cols, 3))
+    y = rng.standard_normal((op.rows, 3))
+    got = op.apply(x)
+    assert np.all(got[empty] == 0.0)
+    np.testing.assert_allclose(got, want @ x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(op.apply_adjoint(y), want.T @ y, rtol=1e-12, atol=1e-12)
+
+
+def test_radon_multicolumn_products_match_columnwise():
+    model = dv.RadonModel(image_side=64, n_time_steps=8, n_angles_per_step=9)
+    op = dv.build_radon_operator(model, 2)
+    chunk = _SPARSE_BLOCK_ELEMS // op.nnz
+    k = 2 * chunk + 3  # crosses two chunk boundaries
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((op.cols, k))
+    y = rng.standard_normal((op.rows, k))
+    np.testing.assert_array_equal(
+        op.apply(x), np.column_stack([op.apply(c) for c in x.T])
+    )
+    np.testing.assert_array_equal(
+        op.apply_adjoint(y), np.column_stack([op.apply_adjoint(c) for c in y.T])
+    )
+
+
+def test_radon_adjoint_identity_64():
+    rng = np.random.default_rng(27)
+    model = dv.RadonModel(image_side=64, n_time_steps=8, n_angles_per_step=9)
+    op = dv.build_radon_operator(model, 5)
     for _ in range(20):
         x = rng.standard_normal(op.cols)
         y = rng.standard_normal(op.rows)

@@ -5,6 +5,7 @@ import pytest
 
 import dyntv as dv
 import oracles
+from dyntv.operators import SparseOperator
 
 
 def test_build_diff_constant_nullspace():
@@ -270,6 +271,42 @@ def test_blockdiag_matches_dense_assembly():
 def test_diagonal_rejects_nonfinite():
     with pytest.raises(ValueError):
         dv.diagonal(np.array([1.0, np.inf]))
+
+
+def test_sparse_matches_dense_with_empty_and_repeated_rows():
+    # rows 0, 2 and 5 are empty (first, middle, last); (3, 1) is listed twice
+    rows = [4, 1, 3, 3, 1, 4, 3]
+    cols = [0, 2, 1, 1, 0, 3, 3]
+    vals = [1.5, -2.0, 0.25, 0.5, 3.0, -1.0, 4.0]
+    op = SparseOperator(6, 4, rows, cols, vals)
+    want = np.zeros((6, 4))
+    np.add.at(want, (rows, cols), vals)
+    np.testing.assert_array_equal(op.to_dense(), want)
+    assert op.nnz == 7
+    rng = np.random.default_rng(51)
+    x = rng.standard_normal((4, 3))
+    y = rng.standard_normal((6, 3))
+    np.testing.assert_allclose(op.apply(x), want @ x, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(op.apply_adjoint(y), want.T @ y, rtol=1e-14, atol=1e-14)
+    assert np.all(op.apply(x)[[0, 2, 5]] == 0.0)
+
+
+def test_sparse_without_entries_is_zero():
+    op = SparseOperator(3, 2, [], [], [])
+    np.testing.assert_array_equal(op.apply(np.ones(2)), np.zeros(3))
+    np.testing.assert_array_equal(op.apply_adjoint(np.ones(3)), np.zeros(2))
+    np.testing.assert_array_equal(op.to_dense(), np.zeros((3, 2)))
+
+
+def test_sparse_rejects_bad_triples():
+    with pytest.raises(ValueError):
+        SparseOperator(2, 2, [0, 1], [0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        SparseOperator(2, 2, [2], [0], [1.0])
+    with pytest.raises(ValueError):
+        SparseOperator(2, 2, [0], [-1], [1.0])
+    with pytest.raises(ValueError):
+        SparseOperator(2, 2, [0], [0], [np.nan])
 
 
 def test_to_dense_cap():

@@ -303,6 +303,17 @@ def test_expand_requires_solved_state():
         dv.expand_subspace(state, problem, d_op, 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_data_and_covariance(bad):
+    # a NaN datum used to pass here and fail much later, inside the GCV SVD
+    data = np.array([1.0, bad, 0.5])
+    with pytest.raises(ValueError, match="data must be finite"):
+        dv.ReconstructionProblem(forward=dv.identity(3), data=data)
+    cov = np.array([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="covariance"):
+        dv.ReconstructionProblem(forward=dv.identity(3), data=np.ones(3), noise_cov_diag=cov)
+
+
 # --- discrepancy principle ---------------------------------------------------------
 
 
