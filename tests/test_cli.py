@@ -99,63 +99,39 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     assert cli.main_reconstruct(["--config", str(bad_json), "--out", str(tmp_path / "o")]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
-    missing_exp = write_config(
-        tmp_path, {"scene": {"n_v": 8, "n_h": 8, "n_t": 2}}, "noexp.json"
-    )
-    assert cli.main_reconstruct(["--config", missing_exp, "--out", str(tmp_path / "o")]) == 2
-
-    bad_exp = write_config(
-        tmp_path,
-        {"experiment": "ct-scan", "scene": {"n_v": 8, "n_h": 8, "n_t": 2}},
-        "badexp.json",
-    )
-    assert cli.main_reconstruct(["--config", bad_exp, "--out", str(tmp_path / "o")]) == 2
-
-    bad_noise = write_config(
-        tmp_path,
-        {
-            "experiment": "deblur",
-            "scene": {"n_v": 8, "n_h": 8, "n_t": 2},
-            "noise": {"sigma": -0.5},
-        },
-        "badnoise.json",
-    )
-    assert cli.main_reconstruct(["--config", bad_noise, "--out", str(tmp_path / "o")]) == 2
-
-    nan_noise = write_config(
-        tmp_path,
-        {
-            "experiment": "deblur",
-            "scene": {"n_v": 8, "n_h": 8, "n_t": 2},
-            "noise": {"sigma": float("nan")},
-        },
-        "nannoise.json",
-    )
-    assert cli.main_reconstruct(["--config", nan_noise, "--out", str(tmp_path / "o")]) == 2
-
-    bad_lambda = write_config(
-        tmp_path,
-        {
-            "experiment": "deblur",
-            "scene": {"n_v": 8, "n_h": 8, "n_t": 2},
-            "solver": {"lambda": -1},
-        },
-        "badlambda.json",
-    )
-    assert cli.main_reconstruct(["--config", bad_lambda, "--out", str(tmp_path / "o")]) == 2
-
-    # SSIM needs 11 x 11 frames; the run must stop before solving, not after
-    small_scene = write_config(
-        tmp_path,
-        {"experiment": "deblur", "scene": {"n_v": 8, "n_h": 8, "n_t": 2}},
-        "smallscene.json",
-    )
-    assert cli.main_reconstruct(["--config", small_scene, "--out", str(tmp_path / "small")]) == 2
-    assert not (tmp_path / "small").exists()
-    err = capsys.readouterr().err
-    assert err.count("configuration error") == 7
-    assert "at least 11 pixels" in err
+    # 12 x 12 scenes clear the SSIM size check, so each config reaches its own error
+    scene = {"n_v": 12, "n_h": 12, "n_t": 2}
+    cases = [
+        ({"scene": scene}, "missing required key 'experiment'"),
+        ({"experiment": "ct-scan", "scene": scene}, "unknown experiment 'ct-scan'"),
+        (
+            {"experiment": "deblur", "scene": scene, "noise": {"sigma": -0.5}},
+            "invalid noise section",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "noise": {"sigma": float("nan")}},
+            "invalid noise section",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"lambda": -1}},
+            "invalid solver section",
+        ),
+        # SSIM needs 11 x 11 frames; the run must stop before solving, not after
+        (
+            {"experiment": "deblur", "scene": {"n_v": 8, "n_h": 8, "n_t": 2}},
+            "at least 11 pixels",
+        ),
+    ]
+    for i, (config, message) in enumerate(cases):
+        cfg = write_config(tmp_path, config, f"bad{i}.json")
+        out = tmp_path / f"out{i}"
+        assert cli.main_reconstruct(["--config", cfg, "--out", str(out)]) == 2, message
+        err = capsys.readouterr().err
+        assert err.count("configuration error") == 1, message
+        assert message in err, err
+        assert not out.exists(), message
 
 
 def test_missing_output_dir_exit_2(tmp_path, capsys):
