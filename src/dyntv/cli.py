@@ -66,6 +66,14 @@ def _require(cfg, key, section="config"):
     return cfg[key]
 
 
+def _section(cfg, key):
+    """Optional sub-object of the config; an empty one when absent."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"invalid {key} section: must be a JSON object")
+    return section
+
+
 def _scene_from_config(cfg):
     scene = _require(cfg, "scene")
     try:
@@ -95,14 +103,14 @@ def _scene_from_config(cfg):
             n_objects=int(scene.get("n_objects", 6)),
             seed=int(scene.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid scene section: {exc}") from exc
 
 
 def _noise_from_config(cfg, seed_override=None):
-    noise = cfg.get("noise", {})
+    noise = _section(cfg, "noise")
     try:
         spec = NoiseSpec(
             sigma=float(noise.get("sigma", 0.0)),
@@ -117,19 +125,21 @@ def _parse_lambda_grid(raw):
     if raw is None:
         return None
     if isinstance(raw, dict):
-        return default_lambda_grid(
-            n_points=int(raw.get("n_points", 40)),
-            low=float(raw.get("low", 1e-6)),
-            high=float(raw.get("high", 1e2)),
-        )
+        n_points = int(raw.get("n_points", 40))
+        ends = np.array([raw.get("low", 1e-6), raw.get("high", 1e2)], dtype=float)
+        if n_points < 1 or not np.all(np.isfinite(ends) & (ends > 0)):
+            raise ConfigError(
+                "lambda_grid needs n_points >= 1 and finite positive low and high"
+            )
+        return default_lambda_grid(n_points=n_points, low=ends[0], high=ends[1])
     grid = np.asarray(raw, dtype=float).ravel()
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ConfigError("lambda_grid must contain positive values")
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ConfigError("lambda_grid must be a non-empty list of finite positive values")
     return grid
 
 
 def _solver_from_config(cfg, scene, method_override=None, nonneg_override=False):
-    solver = cfg.get("solver", {})
+    solver = _section(cfg, "solver")
     method = method_override or solver.get("method", "AnisoTV")
     if method not in METHOD_NAMES:
         raise ConfigError(
@@ -159,7 +169,7 @@ def _forward_from_config(cfg, scene):
         raise ConfigError(
             f"unknown experiment {experiment!r}; valid experiments are {', '.join(EXPERIMENTS)}"
         )
-    fwd = cfg.get("forward", {})
+    fwd = _section(cfg, "forward")
     try:
         if experiment == "deblur":
             if scene.n_v != scene.n_h:

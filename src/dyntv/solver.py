@@ -15,13 +15,18 @@ orthogonalized against the basis.  Thin QR factors of the projected operators
 keep every inner solve and the GCV parameter search at the cost of small dense
 linear algebra.  The forward factor is updated one column at a time, since the
 noise covariance is fixed.  The penalty factor is refactored every iteration,
-because the weights change: by CholeskyQR2 on row blocks of the weighted
-block W D V (two Gram products, no full-size temporary), falling back to
-Householder QR when the block is wide, rank deficient or too ill conditioned
-for the Gram route.  The n-row arrays that grow with the basis (the basis,
-its images under the whitened forward and D, and the forward Q factor) are
-written one column at a time into column-major buffers whose capacity
-doubles; the state's public fields are views of their filled columns.
+because the weights change: by Gram sweeps over row blocks of the weighted
+block W D V (no full-size temporary).  One sweep (Cholesky of the Gram
+matrix) suffices while its factor has condition number at most 1e3, since the
+factor enters every later step only through RᵀR; up to 1e7 a second sweep
+makes it CholeskyQR2; a wide, rank deficient or more ill conditioned block
+falls back to Householder QR.  The expansion residual applies D to the
+current iterate, one stencil pass, instead of multiplying the whole
+projected block D V by the coefficients.  The n-row arrays that grow with
+the basis (the basis, its images under the whitened forward and D, and the
+forward Q factor) are written one column at a time into column-major
+buffers whose capacity doubles; the state's public fields are views of
+their filled columns.
 """
 
 from __future__ import annotations
@@ -298,14 +303,17 @@ def expand_subspace(state, problem, d_op, lam):
     if d >= n:
         return False
     y = state.y
+    x = state.basis @ y
     res_w = state.av @ y - problem.whitened_data
+    # D x is one stencil pass over a vector; dv @ y would sweep the whole
+    # rows(D) x d block
     r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(
-        state.weights**2 * (state.dv @ y)
+        state.weights**2 * d_op.apply(x)
     )
     # two orthogonalization passes keep the basis orthonormal to rounding
     r = r - state.basis @ (state.basis.T @ r)
     r = r - state.basis @ (state.basis.T @ r)
-    u_scale = float(np.linalg.norm(state.basis @ y))
+    u_scale = float(np.linalg.norm(x))
     if np.linalg.norm(r) <= 1e-14 * max(1.0, u_scale):
         return False
     v_new = r / np.linalg.norm(r)
@@ -397,9 +405,14 @@ def mm_gks_solve(problem, config):
 
 # --- projected QR bookkeeping --------------------------------------------------
 
-# CholeskyQR2 is as accurate as Householder QR while the block's condition
-# number stays below about u^(-1/2) in double precision; beyond that the Gram
-# matrix loses the smallest directions and the Householder path takes over.
+# One Gram sweep R1 = chol(AᵀA) gives R1ᵀR1 = AᵀA with a relative error of
+# about cond(R1)² u.  Every consumer of R_M (the stacked solve and the GSVD in
+# GCV) sees it only through R_MᵀR_M, so while cond(R1) <= 1e3 that error,
+# at most 1.1e-10, is already below the accuracy the refresh promises, and R1
+# is returned as it is.  Between 1e3 and 1e7 (about u^(-1/2)) a second sweep
+# over Q1 = A R1⁻¹ restores Householder accuracy (CholeskyQR2); beyond that
+# the Gram matrix loses the smallest directions and Householder takes over.
+_ONE_PASS_MAX_COND = 1e3
 _CHOLQR_MAX_COND = 1e7
 # Elements per row block of the Gram products (256 KB).  Blocks this small
 # keep every temporary far below the size of the block itself, which keeps
@@ -408,20 +421,25 @@ _GRAM_BLOCK_ELEMS = 1 << 15
 
 
 def _penalty_r(weights, dv):
-    """Square triangular factor R_M of (weights * dv) by CholeskyQR2.
+    """Square triangular factor R_M of A = weights * dv from row-block Gram sweeps.
 
-    R1 = chol(AᵀA) and R2 = chol(Q1ᵀQ1) with Q1 = A R1⁻¹ give R_M = R2 R1.
-    Both Gram matrices are accumulated over row blocks of A = weights * dv, so
-    neither A nor Q1 is ever held at full size.  Falls back to Householder on
-    the whole block when A is wide, a Cholesky factorization fails, or R1 is
-    too ill conditioned for the second pass to restore accuracy.
+    The first sweep gives R1 = chol(AᵀA).  When cond(R1) <= 1e3 that is R_M:
+    one pass over A.  Otherwise CholeskyQR2 takes a second sweep,
+    R2 = chol(Q1ᵀQ1) with Q1 = A R1⁻¹, and returns R_M = R2 R1.  Both Gram
+    matrices are accumulated over row blocks, so neither A nor Q1 is ever held
+    at full size.  Falls back to Householder on the whole block when A is
+    wide, a Cholesky factorization fails, or cond(R1) >= 1e7, where the second
+    sweep can no longer restore accuracy.
     """
     rows, d = dv.shape
     if rows < d:
         return _qr_r_square(weights[:, None] * dv, d)
     try:
         r1 = _gram_cholesky(weights, dv)
-        if not np.linalg.cond(r1) < _CHOLQR_MAX_COND:
+        cond = np.linalg.cond(r1)
+        if cond <= _ONE_PASS_MAX_COND:
+            return r1
+        if not cond < _CHOLQR_MAX_COND:
             raise np.linalg.LinAlgError("penalty block too ill conditioned")
         r2 = _gram_cholesky(weights, dv, np.linalg.inv(r1))
     except np.linalg.LinAlgError:

@@ -123,6 +123,41 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             {"experiment": "deblur", "scene": {"n_v": 8, "n_h": 8, "n_t": 2}},
             "at least 11 pixels",
         ),
+        # sections that are not JSON objects used to raise AttributeError
+        (
+            {"experiment": "deblur", "scene": scene, "solver": [1]},
+            "invalid solver section: must be a JSON object",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "noise": "loud"},
+            "invalid noise section: must be a JSON object",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "forward": 3},
+            "invalid forward section: must be a JSON object",
+        ),
+        (
+            {"experiment": "deblur", "scene": dict(scene, objects=[1])},
+            "invalid scene section",
+        ),
+        # bad grids used to pass parsing and fail inside the solve, after the
+        # output directory was created
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"lambda_grid": {"n_points": 0}}},
+            "lambda_grid needs n_points >= 1",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"lambda_grid": {"low": -1}}},
+            "finite positive low and high",
+        ),
+        (
+            {
+                "experiment": "deblur",
+                "scene": scene,
+                "solver": {"lambda_grid": [1.0, float("nan")]},
+            },
+            "lambda_grid must be a non-empty list of finite positive values",
+        ),
     ]
     for i, (config, message) in enumerate(cases):
         cfg = write_config(tmp_path, config, f"bad{i}.json")

@@ -189,12 +189,34 @@ def test_refresh_penalty_gram_matches_householder(cond):
     gram = r_hh.T @ r_hh
     r = state.r_m
     np.testing.assert_array_equal(np.tril(r, -1), np.zeros((12, 12)))
-    # CholeskyQR2, not the fallback: a positive diagonal, and not the Householder R
+    # Gram sweeps (one below cond 1e3, two above), not the fallback: a
+    # positive diagonal, and not the Householder R
     assert np.all(np.diag(r) > 0)
     assert not np.array_equal(r, r_hh)
     assert np.linalg.norm(r.T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
     # the second pass matters: R1 = chol(AᵀA) alone is off by about cond² u in
     # the smallest singular values (8e-6 at cond 1e6)
+    np.testing.assert_allclose(
+        np.linalg.svd(r, compute_uv=False), np.linalg.svd(r_hh, compute_uv=False), rtol=1e-10
+    )
+
+
+@pytest.mark.parametrize(
+    "cond, one_sweep", [(3e2, True), (9e2, True), (1.1e3, False), (3e3, False)]
+)
+def test_refresh_penalty_one_sweep_up_to_cond_1e3(cond, one_sweep):
+    # R1 = chol(AᵀA) is kept as it is while cond(R1) <= 1e3; above that the
+    # second CholeskyQR sweep runs.  Either way RᵀR and the singular values
+    # match Householder.
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(6, 5, 4), epsilon=1e-3)
+    state, u = weighted_block_state(spec, cond, 12, seed=int(cond) % 97 + 70)
+    dv.refresh_penalty(state, spec, u)
+    r1 = dv.solver._gram_cholesky(state.weights, state.dv)
+    assert np.array_equal(state.r_m, r1) == one_sweep
+    r_hh = oracles.householder_r(state.weights[:, None] * state.dv, 12)
+    gram = r_hh.T @ r_hh
+    r = state.r_m
+    assert np.linalg.norm(r.T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
     np.testing.assert_allclose(
         np.linalg.svd(r, compute_uv=False), np.linalg.svd(r_hh, compute_uv=False), rtol=1e-10
     )
@@ -289,6 +311,31 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     np.testing.assert_allclose(state.av, aw, atol=1e-12)
     np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-10)
     np.testing.assert_allclose(state.dv, d_op.apply(state.basis), atol=1e-12)
+
+
+def test_expand_appends_dense_normal_equations_residual():
+    # the new column is the normal-equations residual of the majorant at
+    # u = V y, A^T Γ^-1 (A u - d) + λ D^T W² D u, orthogonalized against V
+    rng = np.random.default_rng(25)
+    dims, rows, lam = (3, 3, 3), 40, 0.7
+    n = int(np.prod(dims))
+    gamma = rng.uniform(0.5, 2.0, rows)
+    problem = dv.ReconstructionProblem(
+        forward=random_forward(rng, rows, n), data=rng.standard_normal(rows), noise_cov_diag=gamma
+    )
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=dims, epsilon=1e-2)
+    d_op = dv.build_D(spec)
+    basis, _ = dv.seed_subspace(problem, 4)
+    state = dv.init_state(problem, d_op, basis)
+    dv.refresh_penalty(state, spec, rng.standard_normal(n))
+    y = dv.solve_projected(state, lam)
+    assert dv.expand_subspace(state, problem, d_op, lam)
+
+    a, d = problem.forward.to_dense(), d_op.to_dense()
+    u = basis @ y
+    r = a.T @ ((a @ u - problem.data) / gamma) + lam * d.T @ (state.weights**2 * (d @ u))
+    r -= basis @ (basis.T @ r)
+    np.testing.assert_allclose(state.basis[:, -1], r / np.linalg.norm(r), rtol=0, atol=1e-10)
 
 
 def test_expand_requires_solved_state():
@@ -433,6 +480,27 @@ def test_whitening_consistency_under_covariance_rescaling(method):
     lam_base = np.array([rec.lam for rec in base.history])
     lam_scaled = np.array([rec.lam for rec in scaled.history])
     np.testing.assert_allclose(lam_scaled * c**2, lam_base, rtol=1e-10)
+
+
+@pytest.mark.parametrize("method", list(dv.Method))
+def test_solve_matches_householder_refresh(method, monkeypatch):
+    # the Gram-sweep refresh changes R_M only up to a left orthogonal factor
+    # and rounding, so whole solves must track a Householder-only refresh
+    problem = blur_problem((16, 16, 3), 1.0, 2, 0.01, scene_seed=4, noise_seed=7)
+    spec = dv.RegularizerSpec(method=method, dims=(16, 16, 3))
+    config = dv.SolverConfig(regularizer=spec)
+    got = dv.mm_gks_solve(problem, config)
+    monkeypatch.setattr(
+        dv.solver,
+        "_penalty_r",
+        lambda weights, dv_block: oracles.householder_r(
+            weights[:, None] * dv_block, dv_block.shape[1]
+        ),
+    )
+    want = dv.mm_gks_solve(problem, config)
+    assert got.stop_reason == want.stop_reason
+    assert got.iterations == want.iterations
+    assert np.linalg.norm(got.u - want.u) <= 1e-7 * np.linalg.norm(want.u)
 
 
 def test_nonneg_iterates_are_nonnegative_exactly():
