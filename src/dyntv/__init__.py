@@ -18,13 +18,10 @@ from .operators import (
     build_diff,
     dense,
     diagonal,
-    fold,
     identity,
     kron,
     kron3,
-    mode_product,
     tensor,
-    unfold,
     vec,
     vstack,
 )
@@ -45,10 +42,7 @@ from .regularization import (
     StaticTVSpec,
     WeightOperator,
     build_D,
-    majorant_gradient,
-    majorant_value,
     regularizer_value,
-    smoothed_objective,
     update_weights,
 )
 from .solver import (

@@ -23,6 +23,7 @@ from .forward import (
     assemble_dynamic_forward,
     build_blur_operator,
     build_radon_operator,
+    medium_blur,
 )
 from .metrics import SSIM_WINDOW, build_report
 from .operators import vec
@@ -174,9 +175,10 @@ def _forward_from_config(cfg, scene):
         if experiment == "deblur":
             if scene.n_v != scene.n_h:
                 raise ConfigError("deblur scenes must be square")
+            default = medium_blur(scene.n_v)
             model = BlurModel(
-                sigma_psf=float(fwd.get("sigma_psf", 2.0 * scene.n_v / 128.0)),
-                bandwidth=int(fwd.get("bandwidth", max(1, round(6 * scene.n_v / 128.0)))),
+                sigma_psf=float(fwd.get("sigma_psf", default.sigma_psf)),
+                bandwidth=int(fwd.get("bandwidth", default.bandwidth)),
             )
             step_op = build_blur_operator(model, scene.n_v, scene.n_h)
             return experiment, [step_op] * scene.n_t, assemble_dynamic_forward(step_op, scene.n_t)
@@ -307,9 +309,16 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
         raise ConfigError(f"invalid solver section: {exc}") from exc
 
     truth = vec(render_scene(scene))
-    clean = forward_op.apply(truth)
-    data, noise_norm = add_noise(clean, noise)
-    gamma_diag, delta = _whitened_noise_model(data - clean)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        clean = forward_op.apply(truth)
+        data, noise_norm = add_noise(clean, noise)
+        gamma_diag, delta = _whitened_noise_model(data - clean)
+    finite = np.isfinite(data).all() and (gamma_diag is None or np.isfinite(gamma_diag).all())
+    if not finite:
+        raise ConfigError(
+            "simulated data or its noise variance is not finite; "
+            "lower the scene intensities or the noise sigma"
+        )
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -40,9 +40,6 @@ __all__ = [
     "build_Ls",
     "vec",
     "tensor",
-    "unfold",
-    "fold",
-    "mode_product",
 ]
 
 # Hard cap for materializing operators; beyond this, go matrix-free.
@@ -485,8 +482,7 @@ def build_Ls(n_v, n_h, alpha_v=1.0, alpha_h=1.0):
 #
 # A space-time volume is an array of shape (n_v, n_h, n_t) whose frontal
 # slices are the frames.  vec/tensor convert between the volume and the
-# stacked vector; unfold/fold expose the mode unfoldings used to express the
-# regularizers on tensors.
+# stacked vector.
 
 
 def vec(t):
@@ -501,56 +497,3 @@ def tensor(u, dims):
     if u.size != n_v * n_h * n_t:
         raise ValueError(f"vector of length {u.size} does not match dims {dims}")
     return u.reshape((n_v, n_h, n_t), order="F")
-
-
-def unfold(t, mode):
-    """Mode-``mode`` unfolding (modes are 1, 2, 3)."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 3:
-        raise ValueError("unfold expects a third-order tensor")
-    n1, n2, n3 = t.shape
-    if mode == 1:
-        return t.reshape(n1, n2 * n3, order="F")
-    if mode == 2:
-        return t.transpose(1, 0, 2).reshape(n2, n1 * n3, order="F")
-    if mode == 3:
-        return t.transpose(2, 0, 1).reshape(n3, n1 * n2, order="F")
-    raise ValueError("mode must be 1, 2 or 3")
-
-
-def fold(x, mode, dims):
-    """Inverse of :func:`unfold` into a tensor of shape ``dims``."""
-    x = np.asarray(x, dtype=float)
-    n1, n2, n3 = dims
-    if mode == 1:
-        return x.reshape(n1, n2, n3, order="F")
-    if mode == 2:
-        return x.reshape(n2, n1, n3, order="F").transpose(1, 0, 2)
-    if mode == 3:
-        return x.reshape(n3, n1, n2, order="F").transpose(1, 2, 0)
-    raise ValueError("mode must be 1, 2 or 3")
-
-
-def mode_product(t, m, mode):
-    """Multiply a tensor along one mode: unfold, apply, fold back.
-
-    ``m`` may be a LinearOperator or a 2-d array; its column count must match
-    the extent of the chosen mode.
-    """
-    t = np.asarray(t, dtype=float)
-    x = unfold(t, mode)
-    if isinstance(m, LinearOperator):
-        y = m.apply(x)
-        new_extent = m.rows
-    else:
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[1] != x.shape[0]:
-            raise ValueError(
-                f"mode-{mode} factor of shape {getattr(m, 'shape', None)} does not "
-                f"match extent {x.shape[0]}"
-            )
-        y = m @ x
-        new_extent = m.shape[0]
-    dims = list(t.shape)
-    dims[mode - 1] = new_extent
-    return fold(y, mode, tuple(dims))

@@ -52,6 +52,10 @@ class SceneObject:
             raise ValueError("centers and radii must have one entry per time step")
         if any(r <= 0 for r in radii):
             raise ValueError("radii must be positive")
+        intensity = float(self.intensity)
+        if not np.isfinite(intensity):
+            raise ValueError(f"intensity must be finite, got {intensity}")
+        object.__setattr__(self, "intensity", intensity)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
 

@@ -1,21 +1,37 @@
-"""Edge-preserving space-time regularizers and their quadratic majorants.
+"""Edge-preserving space-time regularizers as one table of difference blocks.
 
-Six variants are supported, all built from first differences of the
-space-time volume:
+Every penalty is a sum of smoothed 2-norms of groups of rows of z = D u,
 
-- ``AnisoTV``          anisotropic TV over vertical, horizontal and temporal
-                       differences (1-norm of the stacked gradient),
-- ``TVplusTikhonov``   anisotropic spatial TV plus a quadratic temporal term,
-- ``Aniso3DTV``        1-norm of the mixed third difference (one value per
-                       space-time corner),
-- ``Iso3DTV``          isotropic coupling of the three directions per voxel,
-- ``IsoTV``            isotropic spatial TV plus anisotropic temporal TV,
-- ``GS``               group sparsity of spatial gradient pixels across time.
+    R_eps(u) = sum_g sqrt(||z_g||^2 + eps^2) + (1/2) ||z_quad||^2,
 
-Each nonsmooth variant R is smoothed to R_eps by adding eps^2 under the
-square roots.  For the iteratively reweighted scheme every variant supplies
-diagonal weights W(u_k) at power -1/4 of the smoothed squared magnitudes, so
-that M = W D gives the quadratic tangent majorant
+and the variants differ only in D and in how its rows are grouped.  The table
+``_BLOCKS`` lists each method's D as a stack of blocks on a volume of shape
+dims = (n_v, n_h, n_t).  A block takes first differences along the axes it
+names (several axes: the mixed difference) and groups its rows one way:
+
+- ``row``    each row is its own group,
+- ``voxel``  the block is padded to n rows and row i joins group i, so the
+             directions at one voxel share a norm,
+- ``pixel``  the spatial gradient of every frame; its row i in each frame
+             joins group i, so one gradient pixel is grouped across time,
+- ``quad``   the rows join no group and enter quadratically (listed last).
+
+The six methods:
+
+- ``AnisoTV``          v, h and t differences, each row its own group,
+- ``TVplusTikhonov``   v and h rows each their own group, t rows quadratic,
+- ``Aniso3DTV``        the mixed vht difference, one row per space-time corner,
+- ``Iso3DTV``          v, h and t differences grouped per voxel,
+- ``IsoTV``            v and h grouped per voxel, t rows each their own group,
+- ``GS``               the spatial gradient grouped per pixel across time.
+
+An axis of extent 1 contributes no block, so ``StaticTVSpec`` (one frame) is
+``AnisoTV`` on dims (n_v, n_h, 1).  R is the value at eps = 0.
+
+For the iteratively reweighted scheme the diagonal weights W(u_k) are each
+group's smoothed squared norm at power -1/4, repeated on the group's rows,
+and 1 on the quadratic rows, so that M = W D gives the quadratic tangent
+majorant
 
     Q(u; u_k) = misfit(u) + (lam/2) * ||M u||^2 + c(u_k)
 
@@ -42,9 +58,6 @@ __all__ = [
     "build_D",
     "regularizer_value",
     "update_weights",
-    "majorant_value",
-    "majorant_gradient",
-    "smoothed_objective",
 ]
 
 
@@ -68,19 +81,24 @@ class Method(str, Enum):
 
 METHOD_NAMES = tuple(m.value for m in Method)
 
+# (axes, grouping) of each block of D, in row order.
+_BLOCKS = {
+    Method.ANISO_TV: (("v", "row"), ("h", "row"), ("t", "row")),
+    Method.TV_PLUS_TIKHONOV: (("v", "row"), ("h", "row"), ("t", "quad")),
+    Method.ANISO_3D_TV: (("vht", "row"),),
+    Method.ISO_3D_TV: (("v", "voxel"), ("h", "voxel"), ("t", "voxel")),
+    Method.ISO_TV: (("v", "voxel"), ("h", "voxel"), ("t", "row")),
+    Method.GROUP_SPARSITY: (("vh", "pixel"),),
+}
+
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """Which penalty to use on a volume of shape dims = (n_v, n_h, n_t).
-
-    ``alpha`` holds the per-direction scalings of the difference stencils
-    (exposed for completeness, never estimated; defaults to 1 everywhere).
-    """
+    """Which penalty to use on a volume of shape dims = (n_v, n_h, n_t)."""
 
     method: Method
     dims: tuple[int, int, int]
     epsilon: float = 1e-3
-    alpha: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method.from_name(self.method))
@@ -88,7 +106,6 @@ class RegularizerSpec:
         if len(dims) != 3 or any(d < 2 for d in dims):
             raise ValueError(f"dims must be three extents >= 2, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if not self.epsilon > 0:
             raise ValueError("smoothing parameter epsilon must be positive")
 
@@ -105,6 +122,7 @@ class StaticTVSpec:
     n_v: int
     n_h: int
     epsilon: float = 1e-3
+    method = Method.ANISO_TV
 
     def __post_init__(self):
         if self.n_v < 2 or self.n_h < 2:
@@ -123,10 +141,9 @@ class StaticTVSpec:
 
 @dataclass(eq=False)
 class WeightOperator:
-    """Expanded diagonal of W(u_k) plus a tag describing its block structure."""
+    """Expanded diagonal of W(u_k), one entry per row of D."""
 
     weights: np.ndarray
-    structure: str
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float).ravel()
@@ -134,209 +151,80 @@ class WeightOperator:
             raise ValueError("weights must be strictly positive")
 
 
-# --- cached building blocks ---------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _op_dir(dims, alpha, axis, padded):
-    """Difference along one axis of the volume, identity along the others."""
+def _block(axes, grouping, dims):
     n_v, n_h, n_t = dims
-    a_v, a_h, a_t = alpha
-    if axis == "v":
-        return kron3(identity(n_t), identity(n_h), build_diff(n_v, a_v, padded))
-    if axis == "h":
-        return kron3(identity(n_t), build_diff(n_h, a_h, padded), identity(n_v))
-    if axis == "t":
-        return kron3(build_diff(n_t, a_t, padded), identity(n_h), identity(n_v))
-    raise ValueError(axis)
+    if grouping == "pixel":
+        return kron(identity(n_t), build_Ls(n_v, n_h))
+    padded = grouping == "voxel"
+    return kron3(
+        *(build_diff(n, padded=padded) if a in axes else identity(n)
+          for a, n in (("t", n_t), ("h", n_h), ("v", n_v)))
+    )
 
 
 @lru_cache(maxsize=None)
-def _op_spatial_frames(dims, alpha):
-    """Per-frame spatial gradient applied to every frame: I_t (x) L_s."""
-    n_v, n_h, n_t = dims
-    a_v, a_h, _ = alpha
-    return kron(identity(n_t), build_Ls(n_v, n_h, a_v, a_h))
+def _penalty(method, dims):
+    """D of the method, the group of each non-quadratic row, the quadratic row count.
 
-
-@lru_cache(maxsize=None)
-def _build_d_cached(method, dims, alpha):
-    if method in (Method.ANISO_TV, Method.TV_PLUS_TIKHONOV):
-        return vstack(
-            [
-                _op_dir(dims, alpha, "v", False),
-                _op_dir(dims, alpha, "h", False),
-                _op_dir(dims, alpha, "t", False),
-            ]
-        )
-    if method is Method.ANISO_3D_TV:
-        n_v, n_h, n_t = dims
-        a_v, a_h, a_t = alpha
-        return kron3(
-            build_diff(n_t, a_t), build_diff(n_h, a_h), build_diff(n_v, a_v)
-        )
-    if method is Method.ISO_3D_TV:
-        return vstack(
-            [
-                _op_dir(dims, alpha, "v", True),
-                _op_dir(dims, alpha, "h", True),
-                _op_dir(dims, alpha, "t", True),
-            ]
-        )
-    if method is Method.ISO_TV:
-        return vstack(
-            [
-                _op_dir(dims, alpha, "v", True),
-                _op_dir(dims, alpha, "h", True),
-                _op_dir(dims, alpha, "t", False),
-            ]
-        )
-    if method is Method.GROUP_SPARSITY:
-        return _op_spatial_frames(dims, alpha)
-    raise ValueError(method)
+    The group index is None when every row is its own group.
+    """
+    extent = dict(zip("vht", dims))
+    blocks, groups, shared, n_groups, n_quad = [], [], {}, 0, 0
+    for axes, grouping in _BLOCKS[method]:
+        if any(extent[a] == 1 for a in axes):
+            continue
+        block = _block(axes, grouping, dims)
+        blocks.append(block)
+        if grouping == "quad":
+            n_quad += block.rows
+            continue
+        local = np.arange(block.rows)
+        if grouping == "pixel":
+            local %= block.rows // extent["t"]
+        # blocks of one voxel or pixel grouping share groups; row blocks do not
+        if grouping == "row" or grouping not in shared:
+            shared[grouping] = n_groups
+            n_groups += int(local.max()) + 1
+        groups.append(shared[grouping] + local)
+    group = np.concatenate(groups)
+    d_op = blocks[0] if len(blocks) == 1 else vstack(blocks)
+    return d_op, (None if n_groups == group.size else group), n_quad
 
 
 def build_D(spec):
     """Stacked difference operator D of the chosen penalty (built once, cached)."""
-    if isinstance(spec, StaticTVSpec):
-        return _static_ls(spec.n_v, spec.n_h)
-    return _build_d_cached(spec.method, spec.dims, spec.alpha)
+    return _penalty(spec.method, spec.dims)[0]
 
 
-@lru_cache(maxsize=None)
-def _static_ls(n_v, n_h):
-    return build_Ls(n_v, n_h)
-
-
-def _spatial_row_count(dims):
-    n_v, n_h, n_t = dims
-    return n_t * ((n_v - 1) * n_h + (n_h - 1) * n_v)
-
-
-def _check_u(spec, u):
+def _group_sums(spec, u):
+    """Squared group norms of the non-quadratic rows of z = D u, and (1/2)||z_quad||^2."""
     u = np.asarray(u, dtype=float).ravel()
     if u.size != spec.n:
         raise ValueError(f"iterate of length {u.size} does not match dims {spec.dims}")
-    return u
-
-
-def _directional(spec, u, padded):
-    """The three directional difference images of u (each of length n if padded)."""
-    zs = []
-    for axis, pad in zip("vht", padded):
-        zs.append(_op_dir(spec.dims, spec.alpha, axis, pad).apply(u))
-    return zs
-
-
-# --- values -------------------------------------------------------------------
+    _, group, n_quad = _penalty(spec.method, spec.dims)
+    z = build_D(spec).apply(u)
+    m = z.size - n_quad
+    s = z[:m] ** 2
+    if group is not None:
+        s = np.bincount(group, s)
+    # not z[m:] itself: that view would keep all of z alive in the caller
+    return s, 0.5 * (z[m:] @ z[m:])
 
 
 def regularizer_value(spec, u, smoothed=False):
     """Evaluate R(u), or its eps-smoothed companion R_eps(u)."""
-    u = _check_u(spec, u)
+    s, quad = _group_sums(spec, u)
     eps2 = spec.epsilon**2 if smoothed else 0.0
-
-    if isinstance(spec, StaticTVSpec):
-        z = build_D(spec).apply(u)
-        return float(np.sum(np.sqrt(z**2 + eps2)))
-
-    method = spec.method
-    if method is Method.ANISO_TV:
-        z = build_D(spec).apply(u)
-        return float(np.sum(np.sqrt(z**2 + eps2)))
-    if method is Method.TV_PLUS_TIKHONOV:
-        # Smoothing touches the 1-norm part only; the temporal term stays
-        # quadratic (with the 1/2 that makes the identity temporal weight
-        # block of the majorant tangent).
-        zv, zh, zt = _directional(spec, u, (False, False, False))
-        z_s = np.concatenate([zv, zh])
-        return float(np.sum(np.sqrt(z_s**2 + eps2)) + 0.5 * (zt @ zt))
-    if method is Method.ANISO_3D_TV:
-        z = build_D(spec).apply(u)
-        return float(np.sum(np.sqrt(z**2 + eps2)))
-    if method is Method.ISO_3D_TV:
-        zv, zh, zt = _directional(spec, u, (True, True, True))
-        return float(np.sum(np.sqrt(zv**2 + zh**2 + zt**2 + eps2)))
-    if method is Method.ISO_TV:
-        zv, zh, zt = _directional(spec, u, (True, True, False))
-        spatial = np.sum(np.sqrt(zv**2 + zh**2 + eps2))
-        temporal = np.sum(np.sqrt(zt**2 + eps2))
-        return float(spatial + temporal)
-    if method is Method.GROUP_SPARSITY:
-        g2 = _group_sq_norms(spec, u)
-        return float(np.sum(np.sqrt(g2 + eps2)))
-    raise ValueError(method)
-
-
-def _group_sq_norms(spec, u):
-    """Squared 2-norms of the groups: one spatial-gradient pixel across all frames."""
-    n_v, n_h, n_t = spec.dims
-    n_s_prime = (n_v - 1) * n_h + (n_h - 1) * n_v
-    z = _op_spatial_frames(spec.dims, spec.alpha).apply(u)
-    return np.sum(z.reshape(n_s_prime, n_t, order="F") ** 2, axis=1)
-
-
-# --- weights ------------------------------------------------------------------
+    return float(np.sum(np.sqrt(s + eps2)) + quad)
 
 
 def update_weights(spec, u_k):
     """Diagonal of W(u_k), expanded to one entry per row of D."""
-    u_k = _check_u(spec, u_k)
-    eps2 = spec.epsilon**2
-
-    if isinstance(spec, StaticTVSpec):
-        z = build_D(spec).apply(u_k)
-        return WeightOperator((z**2 + eps2) ** -0.25, "plain")
-
-    method = spec.method
-    if method in (Method.ANISO_TV, Method.ANISO_3D_TV):
-        z = build_D(spec).apply(u_k)
-        return WeightOperator((z**2 + eps2) ** -0.25, "plain")
-    if method is Method.TV_PLUS_TIKHONOV:
-        zv, zh, zt = _directional(spec, u_k, (False, False, False))
-        z_s = np.concatenate([zv, zh])
-        w = np.concatenate([(z_s**2 + eps2) ** -0.25, np.ones(zt.size)])
-        return WeightOperator(w, "block-identity-augmented")
-    if method is Method.ISO_3D_TV:
-        zv, zh, zt = _directional(spec, u_k, (True, True, True))
-        core = (zv**2 + zh**2 + zt**2 + eps2) ** -0.25
-        return WeightOperator(np.tile(core, 3), "replicated-by-3")
-    if method is Method.ISO_TV:
-        zv, zh, zt = _directional(spec, u_k, (True, True, False))
-        w_s = (zv**2 + zh**2 + eps2) ** -0.25
-        w_t = (zt**2 + eps2) ** -0.25
-        return WeightOperator(np.concatenate([w_s, w_s, w_t]), "replicated-by-2-plus-temporal")
-    if method is Method.GROUP_SPARSITY:
-        n_v, n_h, n_t = spec.dims
-        g = (_group_sq_norms(spec, u_k) + eps2) ** -0.25
-        return WeightOperator(np.tile(g, n_t), "group-replicated")
-    raise ValueError(method)
-
-
-# --- majorant -----------------------------------------------------------------
-
-
-def majorant_value(spec, u, u_k, lam, misfit):
-    """Quadratic tangent majorant Q(u; u_k) of misfit(u) + lam * R_eps(u)."""
-    u = _check_u(spec, u)
-    u_k = _check_u(spec, u_k)
-    d_op = build_D(spec)
-    w = update_weights(spec, u_k).weights
-    m_u = w * d_op.apply(u)
-    m_uk = w * d_op.apply(u_k)
-    c = lam * (regularizer_value(spec, u_k, smoothed=True) - 0.5 * (m_uk @ m_uk))
-    return float(misfit(u) + 0.5 * lam * (m_u @ m_u) + c)
-
-
-def majorant_gradient(spec, u, u_k, lam, misfit_gradient):
-    """Gradient of Q(.; u_k) at u; at u = u_k this equals the gradient of J_eps."""
-    u = _check_u(spec, u)
-    u_k = _check_u(spec, u_k)
-    d_op = build_D(spec)
-    w = update_weights(spec, u_k).weights
-    return misfit_gradient(u) + lam * d_op.apply_adjoint(w**2 * d_op.apply(u))
-
-
-def smoothed_objective(spec, u, lam, misfit):
-    """J_eps(u) = misfit(u) + lam * R_eps(u)."""
-    return float(misfit(u) + lam * regularizer_value(spec, u, smoothed=True))
+    _, group, n_quad = _penalty(spec.method, spec.dims)
+    s, _ = _group_sums(spec, u_k)
+    w = (s + spec.epsilon**2) ** -0.25
+    if group is not None:
+        w = w[group]
+    if n_quad:
+        w = np.concatenate([w, np.ones(n_quad)])
+    return WeightOperator(w)

@@ -2,12 +2,18 @@
 
 Everything here is built from numpy primitives (np.kron, np.diff, explicit
 loops) rather than the package's operator classes, so tests that compare the
-two are genuine dual-route checks.
+two are genuine dual-route checks.  The exceptions are test helpers that
+take package objects as they are: ``mode_product`` accepts a package
+operator, and the majorant helpers evaluate Q and J_eps from the package's
+D, weights and penalty, so that the tests can check the majorization
+conditions the solver relies on.
 """
 
 import math
 
 import numpy as np
+
+import dyntv as dv
 
 
 # --- dense operators ------------------------------------------------------------
@@ -57,6 +63,62 @@ def d_matrix(method, dims):
     if method == "GS":
         return np.kron(i_t, ls_matrix(n_v, n_h))
     raise ValueError(method)
+
+
+# --- mode unfoldings -----------------------------------------------------------
+
+
+def unfold(t, mode):
+    """Mode-``mode`` unfolding (modes are 1, 2, 3)."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 3:
+        raise ValueError("unfold expects a third-order tensor")
+    n1, n2, n3 = t.shape
+    if mode == 1:
+        return t.reshape(n1, n2 * n3, order="F")
+    if mode == 2:
+        return t.transpose(1, 0, 2).reshape(n2, n1 * n3, order="F")
+    if mode == 3:
+        return t.transpose(2, 0, 1).reshape(n3, n1 * n2, order="F")
+    raise ValueError("mode must be 1, 2 or 3")
+
+
+def fold(x, mode, dims):
+    """Inverse of :func:`unfold` into a tensor of shape ``dims``."""
+    x = np.asarray(x, dtype=float)
+    n1, n2, n3 = dims
+    if mode == 1:
+        return x.reshape(n1, n2, n3, order="F")
+    if mode == 2:
+        return x.reshape(n2, n1, n3, order="F").transpose(1, 0, 2)
+    if mode == 3:
+        return x.reshape(n3, n1, n2, order="F").transpose(1, 2, 0)
+    raise ValueError("mode must be 1, 2 or 3")
+
+
+def mode_product(t, m, mode):
+    """Multiply a tensor along one mode: unfold, apply, fold back.
+
+    ``m`` may be a LinearOperator or a 2-d array; its column count must match
+    the extent of the chosen mode.
+    """
+    t = np.asarray(t, dtype=float)
+    x = unfold(t, mode)
+    if isinstance(m, dv.LinearOperator):
+        y = m.apply(x)
+        new_extent = m.rows
+    else:
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 2 or m.shape[1] != x.shape[0]:
+            raise ValueError(
+                f"mode-{mode} factor of shape {getattr(m, 'shape', None)} does not "
+                f"match extent {x.shape[0]}"
+            )
+        y = m @ x
+        new_extent = m.shape[0]
+    dims = list(t.shape)
+    dims[mode - 1] = new_extent
+    return fold(y, mode, tuple(dims))
 
 
 # --- regularizer values from tensor differences ---------------------------------
@@ -140,6 +202,31 @@ def weights_vec(method, dims, eps, u):
         )
         return np.tile((g + e2) ** -0.25, dims[2])
     raise ValueError(method)
+
+
+# --- quadratic tangent majorant of the package's penalty --------------------------
+
+
+def majorant_value(spec, u, u_k, lam, misfit):
+    """Quadratic tangent majorant Q(u; u_k) of misfit(u) + lam * R_eps(u)."""
+    d_op = dv.build_D(spec)
+    w = dv.update_weights(spec, u_k).weights
+    m_u = w * d_op.apply(u)
+    m_uk = w * d_op.apply(u_k)
+    c = lam * (dv.regularizer_value(spec, u_k, smoothed=True) - 0.5 * (m_uk @ m_uk))
+    return float(misfit(u) + 0.5 * lam * (m_u @ m_u) + c)
+
+
+def majorant_gradient(spec, u, u_k, lam, misfit_gradient):
+    """Gradient of Q(.; u_k) at u; at u = u_k this equals the gradient of J_eps."""
+    d_op = dv.build_D(spec)
+    w = dv.update_weights(spec, u_k).weights
+    return misfit_gradient(u) + lam * d_op.apply_adjoint(w**2 * d_op.apply(u))
+
+
+def smoothed_objective(spec, u, lam, misfit):
+    """J_eps(u) = misfit(u) + lam * R_eps(u)."""
+    return float(misfit(u) + lam * dv.regularizer_value(spec, u, smoothed=True))
 
 
 # --- GCV, direct dense formula ---------------------------------------------------

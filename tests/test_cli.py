@@ -103,6 +103,10 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
 
     # 12 x 12 scenes clear the SSIM size check, so each config reaches its own error
     scene = {"n_v": 12, "n_h": 12, "n_t": 2}
+
+    def bright(intensity):
+        return {"intensity": intensity, "centers": [[6, 6], [6, 7]], "radii": [3, 3]}
+
     cases = [
         ({"scene": scene}, "missing required key 'experiment'"),
         ({"experiment": "ct-scan", "scene": scene}, "unknown experiment 'ct-scan'"),
@@ -157,6 +161,25 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
                 "solver": {"lambda_grid": [1.0, float("nan")]},
             },
             "lambda_grid must be a non-empty list of finite positive values",
+        ),
+        # non-finite or overflowing simulated data used to fail in
+        # ReconstructionProblem with a traceback, after the output directory
+        # was created
+        (
+            {"experiment": "deblur", "scene": dict(scene, objects=[bright(float("nan"))])},
+            "invalid scene section: intensity must be finite",
+        ),
+        (
+            {
+                "experiment": "deblur",
+                "scene": dict(scene, objects=[bright(1e200)]),
+                "noise": {"sigma": 0.01},
+            },
+            "simulated data or its noise variance is not finite",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "noise": {"sigma": 1e300}},
+            "simulated data or its noise variance is not finite",
         ),
     ]
     for i, (config, message) in enumerate(cases):

@@ -94,6 +94,12 @@ def test_linear_trajectory_worked_example():
     assert got == ((1.0, 2.0), (1.5, 1.0), (2.0, 0.0))
 
 
+@pytest.mark.parametrize("intensity", [float("nan"), float("inf"), -float("inf")])
+def test_scene_object_rejects_non_finite_intensity(intensity):
+    with pytest.raises(ValueError, match="intensity must be finite"):
+        dv.SceneObject(shape="disk", intensity=intensity, centers=((0, 0),), radii=(1.0,))
+
+
 def test_scene_validation():
     with pytest.raises(ValueError):
         dv.SceneObject(shape="triangle", intensity=1.0, centers=((0, 0),), radii=(1.0,))
