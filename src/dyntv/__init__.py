@@ -11,20 +11,7 @@ from .forward import (
     radon_angles,
 )
 from .metrics import QualityReport, build_report, rre, rre_per_frame, ssim
-from .operators import (
-    LinearOperator,
-    blockdiag,
-    build_Ls,
-    build_diff,
-    dense,
-    diagonal,
-    identity,
-    kron,
-    kron3,
-    tensor,
-    vec,
-    vstack,
-)
+from .operators import LinearOperator, tensor, vec
 from .paramselect import ProjectedPair, default_lambda_grid, gcv_curve, select_lambda
 from .phantom import (
     NoiseSpec,

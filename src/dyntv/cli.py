@@ -319,6 +319,17 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
             "simulated data or its noise variance is not finite; "
             "lower the scene intensities or the noise sigma"
         )
+    # built before any output exists, so that data the solver rejects is a config error
+    try:
+        problem = ReconstructionProblem(
+            forward=forward_op,
+            data=data,
+            noise_cov_diag=gamma_diag,
+            delta=delta,
+            truth=truth,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; lower the scene intensities") from exc
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,13 +352,6 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
         summary["iterations"] = sum(f["iterations"] for f in frames_info)
         summary["stop_reason"] = "per-frame"
     else:
-        problem = ReconstructionProblem(
-            forward=forward_op,
-            data=data,
-            noise_cov_diag=gamma_diag,
-            delta=delta,
-            truth=truth,
-        )
         try:
             result = mm_gks_solve(problem, config)
         except SolverError as exc:

@@ -8,8 +8,12 @@ tensor of shape ``(n_v, n_h, n_t)`` flattens frame by frame, so that
 
 Operators are immutable after construction and expose ``apply`` /
 ``apply_adjoint`` so that large Kronecker and block compositions never have
-to be materialized.  ``to_dense`` exists for small operators only and is the
-anchor for the dense oracles used in the tests.
+to be materialized.  The classes here are what the forward models are built
+from: dense and sparse matrices, the identity, Kronecker products and block
+diagonals.  The difference operator D of the regularizers is a stencil on the
+volume and lives in :mod:`dyntv.regularization`.  ``to_dense`` exists for
+small operators only and is the anchor for the dense oracles used in the
+tests.
 """
 
 from __future__ import annotations
@@ -22,22 +26,9 @@ __all__ = [
     "LinearOperator",
     "DenseOperator",
     "SparseOperator",
-    "DiffOperator",
     "IdentityOperator",
-    "DiagonalOperator",
     "KronOperator",
     "BlockDiagOperator",
-    "VStackOperator",
-    "ComposedOperator",
-    "dense",
-    "identity",
-    "diagonal",
-    "kron",
-    "kron3",
-    "blockdiag",
-    "vstack",
-    "build_diff",
-    "build_Ls",
     "vec",
     "tensor",
 ]
@@ -123,24 +114,8 @@ class LinearOperator:
     def _dense(self):
         return self._apply(np.eye(self.cols))
 
-    def __matmul__(self, other):
-        if isinstance(other, LinearOperator):
-            return ComposedOperator(self, other)
-        return self.apply(other)
-
-    def __mul__(self, scalar):
-        return _scaled(self, scalar)
-
-    def __rmul__(self, scalar):
-        return _scaled(self, scalar)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.rows}x{self.cols}>"
-
-
-def _scaled(op, scalar):
-    c = float(scalar)
-    return ComposedOperator(DiagonalOperator(np.full(op.rows, c)), op)
 
 
 class DenseOperator(LinearOperator):
@@ -261,62 +236,6 @@ class IdentityOperator(LinearOperator):
         return y
 
 
-class DiagonalOperator(LinearOperator):
-    """Multiplication by a fixed diagonal (used for weights and whitening)."""
-
-    kind = "diagonal"
-
-    def __init__(self, weights):
-        weights = np.asarray(weights, dtype=float).ravel()
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("diagonal weights must be finite")
-        super().__init__(weights.size, weights.size)
-        self.weights = weights
-
-    def _apply(self, x):
-        return self.weights[:, None] * x
-
-    def _apply_adjoint(self, y):
-        return self.weights[:, None] * y
-
-
-class DiffOperator(LinearOperator):
-    """Scaled first-difference stencil ``alpha * [1, -1]`` along one axis.
-
-    Maps x in R^n to alpha*(x_i - x_{i+1}), i = 1..n-1.  With ``padded=True``
-    one zero row is appended at the bottom so that the output length equals
-    the input length; the padded variant is what keeps the stacked operators
-    of the isotropic regularizers conformal.
-    """
-
-    kind = "diff"
-
-    def __init__(self, n, alpha=1.0, padded=False):
-        n = int(n)
-        if n < 2:
-            raise ValueError(f"difference operator needs at least 2 points, got {n}")
-        alpha = float(alpha)
-        if not alpha > 0:
-            raise ValueError("difference scaling alpha must be positive")
-        super().__init__(n if padded else n - 1, n)
-        self.alpha = alpha
-        self.padded = bool(padded)
-
-    def _apply(self, x):
-        d = self.alpha * (x[:-1] - x[1:])
-        if self.padded:
-            return np.vstack([d, np.zeros((1, x.shape[1]))])
-        return d
-
-    def _apply_adjoint(self, y):
-        if self.padded:
-            y = y[:-1]
-        out = np.zeros((self.cols, y.shape[1]))
-        out[:-1] += self.alpha * y
-        out[1:] -= self.alpha * y
-        return out
-
-
 class KronOperator(LinearOperator):
     """Kronecker product ``A (x) B`` acting matrix-free.
 
@@ -380,102 +299,6 @@ class BlockDiagOperator(LinearOperator):
         return np.concatenate(
             [b._apply_adjoint(p) for b, p in zip(self.blocks, pieces)], axis=0
         )
-
-
-class VStackOperator(LinearOperator):
-    """Vertical stack [A_1; A_2; ...] of operators sharing a domain."""
-
-    kind = "vstack"
-
-    def __init__(self, blocks):
-        blocks = tuple(blocks)
-        if not blocks:
-            raise ValueError("vstack requires at least one block")
-        cols = blocks[0].cols
-        for b in blocks:
-            if b.cols != cols:
-                raise ValueError("vstack blocks must share the column dimension")
-        super().__init__(sum(b.rows for b in blocks), cols)
-        self.blocks = blocks
-        self._row_splits = np.cumsum([b.rows for b in blocks])[:-1]
-
-    def _apply(self, x):
-        return np.concatenate([b._apply(x) for b in self.blocks], axis=0)
-
-    def _apply_adjoint(self, y):
-        pieces = np.split(y, self._row_splits, axis=0)
-        out = self.blocks[0]._apply_adjoint(pieces[0])
-        for b, p in zip(self.blocks[1:], pieces[1:]):
-            out = out + b._apply_adjoint(p)
-        return out
-
-
-class ComposedOperator(LinearOperator):
-    """Composition ``outer @ inner``."""
-
-    kind = "composed"
-
-    def __init__(self, outer, inner):
-        if outer.cols != inner.rows:
-            raise ValueError(
-                f"cannot compose {outer.rows}x{outer.cols} with {inner.rows}x{inner.cols}"
-            )
-        super().__init__(outer.rows, inner.cols)
-        self.outer = outer
-        self.inner = inner
-
-    def _apply(self, x):
-        return self.outer._apply(self.inner._apply(x))
-
-    def _apply_adjoint(self, y):
-        return self.inner._apply_adjoint(self.outer._apply_adjoint(y))
-
-
-def dense(mat):
-    return DenseOperator(mat)
-
-
-def identity(n):
-    return IdentityOperator(n)
-
-
-def diagonal(weights):
-    return DiagonalOperator(weights)
-
-
-def kron(a, b):
-    return KronOperator(a, b)
-
-
-def kron3(a, b, c):
-    return KronOperator(a, KronOperator(b, c))
-
-
-def blockdiag(blocks):
-    return BlockDiagOperator(blocks)
-
-
-def vstack(blocks):
-    return VStackOperator(blocks)
-
-
-def build_diff(n_d, alpha_d=1.0, padded=False):
-    """First-difference operator along one direction of extent ``n_d``."""
-    return DiffOperator(n_d, alpha=alpha_d, padded=padded)
-
-
-def build_Ls(n_v, n_h, alpha_v=1.0, alpha_h=1.0):
-    """Spatial gradient of one frame: vertical differences stacked over horizontal.
-
-    Shape is ((n_v-1)*n_h + (n_h-1)*n_v, n_v*n_h) for a frame vectorized
-    column-major.
-    """
-    return VStackOperator(
-        [
-            KronOperator(IdentityOperator(n_h), DiffOperator(n_v, alpha=alpha_v)),
-            KronOperator(DiffOperator(n_h, alpha=alpha_h), IdentityOperator(n_v)),
-        ]
-    )
 
 
 # --- third-order tensor utilities -------------------------------------------

@@ -6,8 +6,10 @@ Every penalty is a sum of smoothed 2-norms of groups of rows of z = D u,
 
 and the variants differ only in D and in how its rows are grouped.  The table
 ``_BLOCKS`` lists each method's D as a stack of blocks on a volume of shape
-dims = (n_v, n_h, n_t).  A block takes first differences along the axes it
-names (several axes: the mixed difference) and groups its rows one way:
+dims = (n_v, n_h, n_t).  D is a stencil: differences of slices of the volume,
+with its rows in the order of the paper's Kronecker form of D, which is never
+built.  A block takes first differences along the axes it names (several
+axes: the mixed difference) and groups its rows one way:
 
 - ``row``    each row is its own group,
 - ``voxel``  the block is padded to n rows and row i joins group i, so the
@@ -44,10 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .operators import build_diff, build_Ls, identity, kron, kron3, vstack
+from .operators import LinearOperator
 
 __all__ = [
     "Method",
@@ -151,15 +154,94 @@ class WeightOperator:
             raise ValueError("weights must be strictly positive")
 
 
-def _block(axes, grouping, dims):
-    n_v, n_h, n_t = dims
-    if grouping == "pixel":
-        return kron(identity(n_t), build_Ls(n_v, n_h))
-    padded = grouping == "voxel"
-    return kron3(
-        *(build_diff(n, padded=padded) if a in axes else identity(n)
-          for a, n in (("t", n_t), ("h", n_h), ("v", n_v)))
-    )
+class _Stencil(LinearOperator):
+    """D as first differences of slices of the (n_v, n_h, n_t, k) volume.
+
+    A block is one part, or for ``pixel`` one part per spatial axis.  A part
+    takes x[:-1] - x[1:] along each of its axes in the order v, h, t, as
+    kron3(t, h, v) does, so mixed differences round the same way; a
+    ``voxel`` part is padded back to full extent with a zero slice.  A
+    block's rows hold its parts frame by frame, each column-major, which is
+    the row order of the Kronecker form.  The adjoint sums parts in order.
+    """
+
+    kind = "stencil"
+
+    def __init__(self, blocks, dims):
+        self.dims = dims
+        self.blocks = []  # (first row, last row + 1, parts) per block of `blocks`
+        rows = 0
+        for axes, grouping in blocks:
+            parts, offset = [], 0
+            padded = grouping == "voxel"
+            for part_axes in axes if grouping == "pixel" else (axes,):
+                part_axes = tuple("vht".index(a) for a in part_axes)
+                shape = tuple(n - (i in part_axes and not padded) for i, n in enumerate(dims))
+                parts.append(_Part(part_axes, padded, shape, offset))
+                offset += shape[0] * shape[1]
+            size = offset * parts[0].shape[2]
+            self.blocks.append((rows, rows + size, parts))
+            rows += size
+        super().__init__(rows, dims[0] * dims[1] * dims[2])
+
+    def _parts(self, z):
+        """Each part's (shape + (k,)) view of the rows z of D."""
+        k = z.shape[1]
+        for start, stop, parts in self.blocks:
+            frames = z[start:stop].reshape((-1, parts[0].shape[2], k), order="F")
+            for p in parts:
+                rows = frames[p.offset : p.offset + p.shape[0] * p.shape[1]]
+                yield p, rows.reshape(p.shape + (k,), order="F")
+
+    def _apply(self, x):
+        k = x.shape[1]
+        vol = x.reshape(self.dims + (k,), order="F")
+        out = np.empty((self.rows, k), order="F")
+        for p, view in self._parts(out):
+            z = vol
+            for a in p.axes[:-1]:
+                z = _cut(z, a, slice(-1)) - _cut(z, a, slice(1, None))
+            a = p.axes[-1]
+            if p.padded:
+                _cut(view, a, -1)[...] = 0.0
+                view = _cut(view, a, slice(-1))
+            np.subtract(_cut(z, a, slice(-1)), _cut(z, a, slice(1, None)), out=view)
+        return out
+
+    def _apply_adjoint(self, y):
+        total = None
+        for p, z in self._parts(y):
+            if p.padded:
+                z = _cut(z, p.axes[0], slice(-1))
+            for a in p.axes:
+                z = _difference_adjoint(z, a)
+            total = z if total is None else np.add(total, z, out=total)
+        return total.reshape(self.cols, -1, order="F")
+
+
+class _Part(NamedTuple):
+    axes: tuple  # differenced axes (0 = v, 1 = h, 2 = t), in order
+    padded: bool
+    shape: tuple  # (n_v', n_h', n_t') of the part's array
+    offset: int  # first row of the part within a frame of its block
+
+
+def _cut(z, axis, part):
+    """The slice `part` of z along `axis` (a view)."""
+    return z[(slice(None),) * axis + (part,)]
+
+
+def _difference_adjoint(y, axis):
+    """Adjoint of x -> x[:-1] - x[1:] along `axis`, in one pass, into a new array."""
+    shape = list(y.shape)
+    shape[axis] += 1
+    out = np.empty(shape, order="F")
+    o, y = np.moveaxis(out, axis, 0), np.moveaxis(y, axis, 0)
+    o[0] = y[0]
+    np.subtract(y[1:], y[:-1], out=o[1:-1])
+    # not np.negative, which on numpy 2.4 misreads inputs strided by 8 elements
+    np.subtract(0.0, y[-1], out=o[-1])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -169,25 +251,23 @@ def _penalty(method, dims):
     The group index is None when every row is its own group.
     """
     extent = dict(zip("vht", dims))
-    blocks, groups, shared, n_groups, n_quad = [], [], {}, 0, 0
-    for axes, grouping in _BLOCKS[method]:
-        if any(extent[a] == 1 for a in axes):
-            continue
-        block = _block(axes, grouping, dims)
-        blocks.append(block)
+    blocks = [(axes, grouping) for axes, grouping in _BLOCKS[method]
+              if all(extent[a] > 1 for a in axes)]
+    d_op = _Stencil(blocks, dims)
+    groups, shared, n_groups, n_quad = [], {}, 0, 0
+    for (_, grouping), (start, stop, _) in zip(blocks, d_op.blocks):
         if grouping == "quad":
-            n_quad += block.rows
+            n_quad += stop - start
             continue
-        local = np.arange(block.rows)
+        local = np.arange(stop - start)
         if grouping == "pixel":
-            local %= block.rows // extent["t"]
+            local %= (stop - start) // extent["t"]
         # blocks of one voxel or pixel grouping share groups; row blocks do not
         if grouping == "row" or grouping not in shared:
             shared[grouping] = n_groups
             n_groups += int(local.max()) + 1
         groups.append(shared[grouping] + local)
     group = np.concatenate(groups)
-    d_op = blocks[0] if len(blocks) == 1 else vstack(blocks)
     return d_op, (None if n_groups == group.size else group), n_quad
 
 

@@ -102,6 +102,11 @@ class ReconstructionProblem:
             if self.truth.size != self.forward.cols:
                 raise ValueError("truth length must match operator columns")
         self._inv_sqrt_cov = 1.0 / np.sqrt(self.noise_cov_diag)
+        # the seed basis starts from b / ||b||, which an overflowing ||b||² leaves empty
+        with np.errstate(over="ignore"):
+            b = self.whitened_data
+            if not np.isfinite(b @ b):
+                raise ValueError("squared norm of the whitened data is not finite")
 
     # Whitened pieces: A = Gamma^{-1/2} F, b = Gamma^{-1/2} d.
     def whiten_apply(self, x):

@@ -1,12 +1,15 @@
 """Dense reference implementations used as independent oracles.
 
 Everything here is built from numpy primitives (np.kron, np.diff, explicit
-loops) rather than the package's operator classes, so tests that compare the
-two are genuine dual-route checks.  The exceptions are test helpers that
-take package objects as they are: ``mode_product`` accepts a package
-operator, and the majorant helpers evaluate Q and J_eps from the package's
-D, weights and penalty, so that the tests can check the majorization
-conditions the solver relies on.
+loops) rather than the package's code, so tests that compare the two are
+genuine dual-route checks: the package applies the difference operator D as
+a stencil on slices of the volume, while ``d_matrix`` and ``ls_matrix``
+assemble it from Kronecker products of one-dimensional difference matrices,
+as the paper writes it.  The exceptions are test helpers that take package
+objects as they are: ``mode_product`` accepts any package operator, and the
+majorant helpers evaluate Q and J_eps from the package's D, weights and
+penalty, so that the tests can check the majorization conditions the solver
+relies on.
 """
 
 import math
@@ -19,8 +22,8 @@ import dyntv as dv
 # --- dense operators ------------------------------------------------------------
 
 
-def diff_matrix(n, alpha=1.0, padded=False):
-    d = alpha * (np.eye(n - 1, n) - np.eye(n - 1, n, k=1))
+def diff_matrix(n, padded=False):
+    d = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
     if padded:
         d = np.vstack([d, np.zeros(n)])
     return d

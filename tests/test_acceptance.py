@@ -14,6 +14,7 @@ import pytest
 
 import dyntv as dv
 import oracles
+from dyntv.operators import BlockDiagOperator, DenseOperator, IdentityOperator, KronOperator
 
 METHODS = list(dv.METHOD_NAMES)
 
@@ -199,7 +200,7 @@ def test_full_subspace_matches_dense_weighted_solve():
     lam, eps = 0.05, 1e-3
     rng = np.random.default_rng(7)
     f_dense = rng.standard_normal((80, n)) / np.sqrt(n)
-    forward = dv.dense(f_dense)
+    forward = DenseOperator(f_dense)
     truth = dv.vec(dv.render_scene(dv.moving_disks_scene(6, 6, 2, n_objects=2, seed=1)))
     data, delta = dv.add_noise(forward.apply(truth), dv.NoiseSpec(sigma=0.01, seed=5))
     problem = dv.ReconstructionProblem(forward=forward, data=data, delta=delta)
@@ -392,25 +393,17 @@ def test_operator_algebra_identities():
     rng = np.random.default_rng(11)
 
     def leaf(rows, cols):
-        kind = rng.integers(3)
-        if kind == 0 and rows == cols:
-            return dv.identity(rows)
-        if kind == 1 and rows == cols:
-            return dv.diagonal(rng.uniform(0.5, 2.0, rows))
-        return dv.dense(rng.standard_normal((rows, cols)))
+        if rng.integers(2) == 0 and rows == cols:
+            return IdentityOperator(rows)
+        return DenseOperator(rng.standard_normal((rows, cols)))
 
     def build(depth):
         if depth == 0:
             return leaf(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        kind = rng.integers(4)
         a = build(depth - 1)
-        if kind == 0:
-            return dv.kron(a, build(depth - 1))
-        if kind == 1:
-            return dv.blockdiag([a, leaf(int(rng.integers(2, 4)), int(rng.integers(2, 4)))])
-        if kind == 2:
-            return dv.vstack([a, leaf(int(rng.integers(2, 4)), a.cols)])
-        return a @ leaf(a.cols, int(rng.integers(2, 5)))
+        if rng.integers(2) == 0:
+            return KronOperator(a, build(depth - 1))
+        return BlockDiagOperator([a, leaf(int(rng.integers(2, 4)), int(rng.integers(2, 4)))])
 
     worst_adj = 0.0
     for _ in range(60):
@@ -425,13 +418,13 @@ def test_operator_algebra_identities():
     b = rng.standard_normal((3, 2))
     c = rng.standard_normal((4, 2))
     x = rng.standard_normal(3 * 2 * 2)
-    got = dv.kron3(dv.dense(a), dv.dense(b), dv.dense(c)).apply(x)
+    got = KronOperator(DenseOperator(a), KronOperator(DenseOperator(b), DenseOperator(c))).apply(x)
     worst_kron = np.abs(got - oracles.kron3(a, b, c) @ x).max()
 
     t = rng.standard_normal((3, 4, 3))
-    out = oracles.mode_product(t, dv.dense(oracles.diff_matrix(3)), 1)
-    out = oracles.mode_product(out, dv.dense(oracles.diff_matrix(4)), 2)
-    out = oracles.mode_product(out, dv.dense(oracles.diff_matrix(3)), 3)
+    out = oracles.mode_product(t, DenseOperator(oracles.diff_matrix(3)), 1)
+    out = oracles.mode_product(out, DenseOperator(oracles.diff_matrix(4)), 2)
+    out = oracles.mode_product(out, DenseOperator(oracles.diff_matrix(3)), 3)
     mode_ref = oracles.kron3(
         oracles.diff_matrix(3), oracles.diff_matrix(4), oracles.diff_matrix(3)
     ) @ dv.vec(t)
@@ -454,6 +447,6 @@ def test_operator_algebra_identities():
         8, ok,
         f"operator algebra: adjoint pairing {worst_adj:.1e} (<=1e-10), "
         f"triple Kronecker {worst_kron:.1e}, mode-product chain {worst_mode:.1e}, "
-        f"difference-stack assembly {worst_d:.1e}, penalty tensor-vs-matrix "
+        f"difference stencil {worst_d:.1e}, penalty tensor-vs-matrix "
         f"{worst_reg:.1e} (<=1e-12)",
     )

@@ -181,6 +181,16 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             {"experiment": "deblur", "scene": scene, "noise": {"sigma": 1e300}},
             "simulated data or its noise variance is not finite",
         ),
+        # finite noiseless data whose squared norm overflows used to stop the
+        # solve with "seed basis is empty" (exit 1)
+        (
+            {
+                "experiment": "deblur",
+                "scene": dict(scene, objects=[bright(1e200)]),
+                "noise": {"sigma": 0.0},
+            },
+            "squared norm of the whitened data is not finite",
+        ),
     ]
     for i, (config, message) in enumerate(cases):
         cfg = write_config(tmp_path, config, f"bad{i}.json")

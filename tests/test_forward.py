@@ -7,7 +7,7 @@ import pytest
 
 import dyntv as dv
 import oracles
-from dyntv.operators import _SPARSE_BLOCK_ELEMS
+from dyntv.operators import _SPARSE_BLOCK_ELEMS, DenseOperator
 
 
 def centered_disk_image(side, radius):
@@ -291,7 +291,7 @@ def test_radon_adjoint_identity_64():
 
 def test_assemble_single_step_returns_operator_unchanged():
     rng = np.random.default_rng(20)
-    op = dv.dense(rng.standard_normal((5, 4)))
+    op = DenseOperator(rng.standard_normal((5, 4)))
     assert dv.assemble_dynamic_forward(op, 1) is op
     assert dv.assemble_dynamic_forward([op], 1) is op
 
@@ -299,7 +299,7 @@ def test_assemble_single_step_returns_operator_unchanged():
 def test_assemble_shared_operator_kronecker_lift():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((4, 4))
-    lifted = dv.assemble_dynamic_forward(dv.dense(a), 3)
+    lifted = dv.assemble_dynamic_forward(DenseOperator(a), 3)
     assert lifted.shape == (12, 12)
     x = rng.standard_normal(12)
     np.testing.assert_allclose(lifted.apply(x), np.kron(np.eye(3), a) @ x, atol=1e-12)
@@ -307,7 +307,7 @@ def test_assemble_shared_operator_kronecker_lift():
 
 def test_assemble_per_step_blockdiag_matches_per_step_applies():
     rng = np.random.default_rng(22)
-    ops = [dv.dense(rng.standard_normal((6, 4))) for _ in range(3)]
+    ops = [DenseOperator(rng.standard_normal((6, 4))) for _ in range(3)]
     dyn = dv.assemble_dynamic_forward(ops, 3)
     assert dyn.shape == (18, 12)
     x = rng.standard_normal(12)
@@ -317,8 +317,8 @@ def test_assemble_per_step_blockdiag_matches_per_step_applies():
 
 def test_assemble_validates_inputs():
     rng = np.random.default_rng(23)
-    a = dv.dense(rng.standard_normal((4, 4)))
-    b = dv.dense(rng.standard_normal((4, 5)))
+    a = DenseOperator(rng.standard_normal((4, 4)))
+    b = DenseOperator(rng.standard_normal((4, 5)))
     with pytest.raises(ValueError):
         dv.assemble_dynamic_forward(a, 0)
     with pytest.raises(ValueError):

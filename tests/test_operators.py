@@ -1,67 +1,38 @@
-"""Operator algebra: shapes, applies, adjoints, Kronecker and mode products."""
+"""Operator classes: shapes, applies, adjoints, Kronecker and mode products."""
 
 import numpy as np
 import pytest
 
 import dyntv as dv
 import oracles
-from dyntv.operators import SparseOperator
-
-
-def test_build_diff_constant_nullspace():
-    op = dv.build_diff(3)
-    assert op.shape == (2, 3)
-    np.testing.assert_array_equal(op.apply(np.ones(3)), np.zeros(2))
-
-
-def test_build_diff_stencil():
-    op = dv.build_diff(3)
-    np.testing.assert_array_equal(op.apply(np.array([3.0, 1.0, 0.0])), [2.0, 1.0])
-
-
-def test_build_diff_padded_appends_zero_row():
-    op = dv.build_diff(3, padded=True)
-    assert op.shape == (3, 3)
-    np.testing.assert_array_equal(op.apply(np.array([3.0, 1.0, 0.0])), [2.0, 1.0, 0.0])
-
-
-def test_build_diff_alpha_scales_rows():
-    op = dv.build_diff(4, alpha_d=0.5)
-    dense = op.to_dense()
-    np.testing.assert_allclose(dense, 0.5 * oracles.diff_matrix(4), atol=0)
-
-
-def test_build_diff_rejects_short_axis():
-    with pytest.raises(ValueError):
-        dv.build_diff(1)
-
-
-def test_diff_dense_matches_oracle():
-    for n in (2, 3, 5):
-        for padded in (False, True):
-            op = dv.build_diff(n, padded=padded)
-            np.testing.assert_array_equal(op.to_dense(), oracles.diff_matrix(n, padded=padded))
+from dyntv.operators import (
+    BlockDiagOperator,
+    DenseOperator,
+    IdentityOperator,
+    KronOperator,
+    SparseOperator,
+)
 
 
 def test_identity_apply():
-    op = dv.identity(4)
+    op = IdentityOperator(4)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(op.apply(x), x)
     np.testing.assert_array_equal(op.apply_adjoint(x), x)
 
 
 def test_kron_apply_worked_example():
-    op = dv.kron(dv.identity(2), dv.build_diff(2))
+    op = KronOperator(IdentityOperator(2), DenseOperator(oracles.diff_matrix(2)))
     np.testing.assert_array_equal(op.apply(np.array([3.0, 1.0, 5.0, 2.0])), [2.0, 3.0])
 
 
 def test_blockdiag_apply_worked_example():
-    op = dv.blockdiag([dv.identity(2), 2.0 * dv.identity(2)])
+    op = BlockDiagOperator([IdentityOperator(2), DenseOperator(2.0 * np.eye(2))])
     np.testing.assert_array_equal(op.apply(np.ones(4)), [1.0, 1.0, 2.0, 2.0])
 
 
 def test_apply_rejects_wrong_length():
-    op = dv.build_diff(4)
+    op = DenseOperator(oracles.diff_matrix(4))
     with pytest.raises(ValueError):
         op.apply(np.ones(5))
     with pytest.raises(ValueError):
@@ -73,7 +44,7 @@ def test_kron_matches_dense_kron():
     for _ in range(5):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((5, 2))
-        op = dv.kron(dv.dense(a), dv.dense(b))
+        op = KronOperator(DenseOperator(a), DenseOperator(b))
         x = rng.standard_normal(8)
         np.testing.assert_allclose(op.apply(x), np.kron(a, b) @ x, atol=1e-12)
         y = rng.standard_normal(15)
@@ -83,39 +54,28 @@ def test_kron_matches_dense_kron():
 def test_kron3_matches_dense():
     rng = np.random.default_rng(1)
     a, b, c = (rng.standard_normal((3, 2)) for _ in range(3))
-    op = dv.kron3(dv.dense(a), dv.dense(b), dv.dense(c))
+    op = KronOperator(DenseOperator(a), KronOperator(DenseOperator(b), DenseOperator(c)))
     x = rng.standard_normal(8)
     np.testing.assert_allclose(op.apply(x), oracles.kron3(a, b, c) @ x, atol=1e-12)
 
 
 def test_adjoint_consistency_random_compositions():
-    # depth <= 3 stacks of kron / blockdiag / vstack / compose / scale
+    # depth <= 3 trees of kron / blockdiag over identity and dense leaves
     rng = np.random.default_rng(7)
 
     def leaf(rows, cols):
-        kind = rng.integers(3)
-        if kind == 0 and rows == cols:
-            return dv.identity(rows)
-        if kind == 1 and rows == cols:
-            return dv.diagonal(rng.uniform(0.5, 2.0, rows))
-        return dv.dense(rng.standard_normal((rows, cols)))
+        if rng.integers(2) == 0 and rows == cols:
+            return IdentityOperator(rows)
+        return DenseOperator(rng.standard_normal((rows, cols)))
 
     def build(depth):
         if depth == 0:
             return leaf(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        kind = rng.integers(4)
         a = build(depth - 1)
-        if kind == 0:
-            b = build(depth - 1)
-            return dv.kron(a, b)
-        if kind == 1:
-            b = leaf(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-            return dv.blockdiag([a, b])
-        if kind == 2:
-            b = leaf(int(rng.integers(2, 4)), a.cols)
-            return dv.vstack([a, b])
-        b = leaf(a.cols, int(rng.integers(2, 5)))
-        return a @ b
+        if rng.integers(2) == 0:
+            return KronOperator(a, build(depth - 1))
+        b = leaf(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        return BlockDiagOperator([a, b])
 
     for _ in range(100):
         op = build(int(rng.integers(1, 4)))
@@ -125,16 +85,6 @@ def test_adjoint_consistency_random_compositions():
         rhs = float(np.dot(x, op.apply_adjoint(y)))
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) <= 1e-10 * scale
-
-
-def test_scalar_multiplication():
-    op = 3.0 * dv.build_diff(3)
-    np.testing.assert_allclose(op.to_dense(), 3.0 * oracles.diff_matrix(3), atol=0)
-
-
-def test_composition_shape_mismatch():
-    with pytest.raises(ValueError):
-        dv.build_diff(3) @ dv.build_diff(5)
 
 
 def test_vec_tensor_round_trip():
@@ -167,7 +117,7 @@ def test_unfold_shapes():
 def test_mode_product_identity_is_noop():
     rng = np.random.default_rng(4)
     t = rng.standard_normal((3, 4, 2))
-    np.testing.assert_allclose(oracles.mode_product(t, dv.identity(3), 1), t, atol=0)
+    np.testing.assert_allclose(oracles.mode_product(t, IdentityOperator(3), 1), t, atol=0)
 
 
 def test_mode_product_matches_unfolding_identity():
@@ -176,7 +126,7 @@ def test_mode_product_matches_unfolding_identity():
     mats = {1: rng.standard_normal((5, 3)), 2: rng.standard_normal((6, 4)),
             3: rng.standard_normal((2, 2))}
     for mode, mat in mats.items():
-        out = oracles.mode_product(t, dv.dense(mat), mode)
+        out = oracles.mode_product(t, DenseOperator(mat), mode)
         np.testing.assert_allclose(oracles.unfold(out, mode), mat @ oracles.unfold(t, mode), atol=1e-12)
 
 
@@ -186,9 +136,9 @@ def test_mode_product_all_three_matches_kron():
     l_v = oracles.diff_matrix(3)
     l_h = oracles.diff_matrix(3)
     l_t = oracles.diff_matrix(2)
-    out = oracles.mode_product(t, dv.dense(l_v), 1)
-    out = oracles.mode_product(out, dv.dense(l_h), 2)
-    out = oracles.mode_product(out, dv.dense(l_t), 3)
+    out = oracles.mode_product(t, DenseOperator(l_v), 1)
+    out = oracles.mode_product(out, DenseOperator(l_h), 2)
+    out = oracles.mode_product(out, DenseOperator(l_t), 3)
     expected = oracles.kron3(l_t, l_h, l_v) @ dv.vec(t)
     np.testing.assert_allclose(dv.vec(out), expected, atol=1e-12)
 
@@ -196,8 +146,8 @@ def test_mode_product_all_three_matches_kron():
 def test_mode_product_order_swap_commutes():
     rng = np.random.default_rng(8)
     t = rng.standard_normal((4, 3, 2))
-    a = dv.dense(rng.standard_normal((2, 4)))
-    b = dv.dense(rng.standard_normal((5, 3)))
+    a = DenseOperator(rng.standard_normal((2, 4)))
+    b = DenseOperator(rng.standard_normal((5, 3)))
     one_two = oracles.mode_product(oracles.mode_product(t, a, 1), b, 2)
     two_one = oracles.mode_product(oracles.mode_product(t, b, 2), a, 1)
     np.testing.assert_allclose(one_two, two_one, atol=1e-12)
@@ -206,59 +156,49 @@ def test_mode_product_order_swap_commutes():
 def test_mode_product_rejects_bad_mode():
     t = np.zeros((2, 2, 2))
     with pytest.raises(ValueError):
-        oracles.mode_product(t, dv.identity(2), 4)
+        oracles.mode_product(t, IdentityOperator(2), 4)
+
+
+def spatial_gradient(n_v, n_h):
+    """L_s, the spatial gradient of one frame: D of the static spec."""
+    return dv.build_D(dv.StaticTVSpec(n_v=n_v, n_h=n_h))
 
 
 def test_build_ls_shape():
-    op = dv.build_Ls(2, 2)
+    op = spatial_gradient(2, 2)
     assert op.shape == (4, 4)
-    op = dv.build_Ls(3, 4)
+    op = spatial_gradient(3, 4)
     assert op.shape == ((3 - 1) * 4 + (4 - 1) * 3, 12)
 
 
 def test_build_ls_worked_example():
     u = np.array([[1.0, 0.0], [1.0, 0.0]])
-    out = dv.build_Ls(2, 2).apply(u.ravel(order="F"))
+    out = spatial_gradient(2, 2).apply(u.ravel(order="F"))
     assert abs(np.abs(out).sum() - 2.0) < 1e-14
 
 
 def test_build_ls_constant_nullspace():
-    op = dv.build_Ls(3, 5)
+    op = spatial_gradient(3, 5)
     np.testing.assert_array_equal(op.apply(np.ones(15)), np.zeros(op.rows))
 
 
 def test_build_ls_matches_oracle():
     for n_v, n_h in ((2, 2), (3, 4), (4, 3)):
-        np.testing.assert_array_equal(dv.build_Ls(n_v, n_h).to_dense(),
+        np.testing.assert_array_equal(spatial_gradient(n_v, n_h).to_dense(),
                                       oracles.ls_matrix(n_v, n_h))
 
 
 def test_diff_rank_is_full_minus_one():
-    for n in (2, 4, 7):
-        dense = dv.build_diff(n).to_dense()
-        assert np.linalg.matrix_rank(dense) == n - 1
-
-
-def test_vstack_apply_and_adjoint():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((2, 4))
-    op = dv.vstack([dv.dense(a), dv.dense(b)])
-    x = rng.standard_normal(4)
-    np.testing.assert_allclose(op.apply(x), np.vstack([a, b]) @ x, atol=1e-12)
-    y = rng.standard_normal(5)
-    np.testing.assert_allclose(op.apply_adjoint(y), np.vstack([a, b]).T @ y, atol=1e-12)
-
-
-def test_vstack_requires_matching_cols():
-    with pytest.raises(ValueError):
-        dv.vstack([dv.identity(3), dv.identity(4)])
+    # the null space of the spatial differences is the constants
+    for n_v, n_h in ((2, 2), (4, 3), (7, 2)):
+        dense = spatial_gradient(n_v, n_h).to_dense()
+        assert np.linalg.matrix_rank(dense) == n_v * n_h - 1
 
 
 def test_blockdiag_matches_dense_assembly():
     rng = np.random.default_rng(10)
     blocks = [rng.standard_normal((2, 3)), rng.standard_normal((4, 2))]
-    op = dv.blockdiag([dv.dense(b) for b in blocks])
+    op = BlockDiagOperator([DenseOperator(b) for b in blocks])
     dense = np.zeros((6, 5))
     dense[:2, :3] = blocks[0]
     dense[2:, 3:] = blocks[1]
@@ -266,11 +206,6 @@ def test_blockdiag_matches_dense_assembly():
     np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
     y = rng.standard_normal(6)
     np.testing.assert_allclose(op.apply_adjoint(y), dense.T @ y, atol=1e-12)
-
-
-def test_diagonal_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        dv.diagonal(np.array([1.0, np.inf]))
 
 
 def test_sparse_matches_dense_with_empty_and_repeated_rows():
@@ -310,7 +245,7 @@ def test_sparse_rejects_bad_triples():
 
 
 def test_to_dense_cap():
-    op = dv.kron(dv.identity(100), dv.identity(100))
+    op = KronOperator(IdentityOperator(100), IdentityOperator(100))
     with pytest.raises(ValueError):
         op.to_dense()
 
@@ -318,6 +253,6 @@ def test_to_dense_cap():
 def test_apply_two_dimensional_blocks():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((4, 3))
-    op = dv.dense(a)
+    op = DenseOperator(a)
     x = rng.standard_normal((3, 5))
     np.testing.assert_allclose(op.apply(x), a @ x, atol=1e-12)

@@ -32,11 +32,29 @@ def test_unknown_method_lists_all_six():
         assert name in str(err.value)
 
 
-@pytest.mark.parametrize("dims", [(3, 4, 2), (4, 3, 3)])
+# (8, 3, 2): slices strided by 8 elements, which numpy 2.4's np.negative misreads
+@pytest.mark.parametrize("dims", [(3, 4, 2), (4, 3, 3), (5, 2, 3), (8, 3, 2)])
 @pytest.mark.parametrize("method", METHODS)
 def test_build_d_matches_dense_oracle(method, dims):
     op = dv.build_D(spec_for(method, dims))
-    np.testing.assert_array_equal(op.to_dense(), oracles.d_matrix(method, dims))
+    want = oracles.d_matrix(method, dims)
+    np.testing.assert_array_equal(op.to_dense(), want)
+    np.testing.assert_array_equal(op.apply_adjoint(np.eye(op.rows)), want.T)
+
+
+def test_build_d_maps_constants_to_zero():
+    specs = [spec_for(m, (4, 3, 2)) for m in METHODS] + [dv.StaticTVSpec(n_v=3, n_h=5)]
+    for spec in specs:
+        op = dv.build_D(spec)
+        np.testing.assert_array_equal(op.apply(np.full(spec.n, 2.5)), np.zeros(op.rows))
+
+
+def test_build_d_rejects_wrong_length():
+    op = dv.build_D(spec_for("AnisoTV", (3, 3, 2)))
+    with pytest.raises(ValueError):
+        op.apply(np.ones(17))
+    with pytest.raises(ValueError):
+        op.apply_adjoint(np.ones(op.rows + 1))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -229,7 +247,9 @@ def test_static_spec_builds_spatial_operator():
     spec = dv.StaticTVSpec(n_v=3, n_h=4)
     op = dv.build_D(spec)
     assert op.shape == ((3 - 1) * 4 + (4 - 1) * 3, 12)
-    np.testing.assert_array_equal(op.to_dense(), oracles.ls_matrix(3, 4))
+    want = oracles.ls_matrix(3, 4)
+    np.testing.assert_array_equal(op.to_dense(), want)
+    np.testing.assert_array_equal(op.apply_adjoint(np.eye(op.rows)), want.T)
 
 
 def test_static_spec_value_and_weights():

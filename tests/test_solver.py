@@ -5,10 +5,11 @@ import pytest
 
 import dyntv as dv
 import oracles
+from dyntv.operators import DenseOperator, IdentityOperator
 
 
 def random_forward(rng, rows, cols):
-    return dv.dense(rng.standard_normal((rows, cols)) / np.sqrt(cols))
+    return DenseOperator(rng.standard_normal((rows, cols)) / np.sqrt(cols))
 
 
 def blur_problem(dims, sigma_blur, bw, noise_sigma, scene_seed, noise_seed, objects=3):
@@ -49,7 +50,7 @@ def manual_state(r_f, r_m, rhs):
 
 
 def test_seed_identity_first_unit_vector():
-    problem = dv.ReconstructionProblem(forward=dv.identity(4), data=[1.0, 0, 0, 0])
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(4), data=[1.0, 0, 0, 0])
     basis, breakdown = dv.seed_subspace(problem, 1)
     np.testing.assert_array_equal(basis, np.array([[1.0], [0.0], [0.0], [0.0]]))
     assert not breakdown
@@ -57,7 +58,7 @@ def test_seed_identity_first_unit_vector():
 
 def test_seed_identity_breaks_down_after_one_vector():
     rng = np.random.default_rng(3)
-    problem = dv.ReconstructionProblem(forward=dv.identity(6), data=rng.standard_normal(6))
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(6), data=rng.standard_normal(6))
     basis, breakdown = dv.seed_subspace(problem, 3)
     assert basis.shape == (6, 1)
     assert breakdown
@@ -86,7 +87,7 @@ def test_seed_step_count_capped_by_dimension():
 
 
 def test_seed_zero_data_is_empty_with_breakdown():
-    problem = dv.ReconstructionProblem(forward=dv.identity(5), data=np.zeros(5))
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(5), data=np.zeros(5))
     basis, breakdown = dv.seed_subspace(problem, 4)
     assert basis.shape == (5, 0)
     assert breakdown
@@ -270,7 +271,7 @@ def test_expand_stalls_when_solution_is_in_span():
     n = 8
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = dv.build_D(spec)
-    problem = dv.ReconstructionProblem(forward=dv.identity(n), data=np.ones(n))
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=np.ones(n))
     basis, breakdown = dv.seed_subspace(problem, 5)
     assert breakdown and basis.shape == (n, 1)
     state = dv.init_state(problem, d_op, basis)
@@ -355,10 +356,23 @@ def test_problem_rejects_non_finite_data_and_covariance(bad):
     # a NaN datum used to pass here and fail much later, inside the GCV SVD
     data = np.array([1.0, bad, 0.5])
     with pytest.raises(ValueError, match="data must be finite"):
-        dv.ReconstructionProblem(forward=dv.identity(3), data=data)
+        dv.ReconstructionProblem(forward=IdentityOperator(3), data=data)
     cov = np.array([1.0, bad, 2.0])
     with pytest.raises(ValueError, match="covariance"):
-        dv.ReconstructionProblem(forward=dv.identity(3), data=np.ones(3), noise_cov_diag=cov)
+        dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.ones(3), noise_cov_diag=cov)
+
+
+def test_problem_rejects_data_whose_squared_norm_overflows():
+    # finite data of this size used to pass here and stop the solve with an
+    # empty seed basis; a small covariance can push the whitened data over too
+    with pytest.raises(ValueError, match="squared norm of the whitened data"):
+        dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.full(3, 1e200))
+    with pytest.raises(ValueError, match="squared norm of the whitened data"):
+        dv.ReconstructionProblem(
+            forward=IdentityOperator(3), data=np.full(3, 1e100), noise_cov_diag=np.full(3, 1e-250)
+        )
+    big = dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.full(3, 1e150))
+    assert np.isfinite(big.whitened_data @ big.whitened_data)
 
 
 # --- discrepancy principle ---------------------------------------------------------
@@ -366,22 +380,22 @@ def test_problem_rejects_non_finite_data_and_covariance(bad):
 
 def test_check_dp_exact_fit_passes_even_with_zero_delta():
     data = np.array([1.0, -2.0, 3.0])
-    problem = dv.ReconstructionProblem(forward=dv.identity(3), data=data, delta=0.0)
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(3), data=data, delta=0.0)
     assert dv.check_dp(problem, data)
 
 
 def test_check_dp_fails_on_misfit_with_zero_delta():
-    problem = dv.ReconstructionProblem(forward=dv.identity(3), data=[1.0, 0, 0], delta=0.0)
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(3), data=[1.0, 0, 0], delta=0.0)
     assert not dv.check_dp(problem, np.zeros(3))
 
 
 def test_check_dp_boundary_is_inclusive():
     data = np.array([0.3, -1.2, 0.7, 2.1])
     resid = float(np.linalg.norm(data))
-    problem = dv.ReconstructionProblem(forward=dv.identity(4), data=data, delta=resid)
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(4), data=data, delta=resid)
     assert dv.check_dp(problem, np.zeros(4), eta=1.0)
     tight = dv.ReconstructionProblem(
-        forward=dv.identity(4), data=data, delta=resid * (1 - 1e-12)
+        forward=IdentityOperator(4), data=data, delta=resid * (1 - 1e-12)
     )
     assert not dv.check_dp(tight, np.zeros(4), eta=1.0)
 
@@ -392,7 +406,7 @@ def test_check_dp_boundary_is_inclusive():
 def test_solve_identity_noiseless_recovers_truth():
     scene = dv.moving_disks_scene(6, 6, 2, n_objects=2, seed=1)
     truth = dv.vec(dv.render_scene(scene))
-    problem = dv.ReconstructionProblem(forward=dv.identity(72), data=truth, truth=truth)
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(72), data=truth, truth=truth)
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(6, 6, 2), epsilon=1e-3)
     config = dv.SolverConfig(regularizer=spec, lam=1e-8, max_iters=60)
     result = dv.mm_gks_solve(problem, config)
@@ -438,7 +452,7 @@ def test_full_space_matches_dense_mm_iterates():
     dims, lam = (2, 3, 2), 0.3
     f_dense = rng.standard_normal((14, 12)) / np.sqrt(12.0)
     data = rng.standard_normal(14)
-    problem = dv.ReconstructionProblem(forward=dv.dense(f_dense), data=data)
+    problem = dv.ReconstructionProblem(forward=DenseOperator(f_dense), data=data)
     spec = dv.RegularizerSpec(method=dv.Method.TV_PLUS_TIKHONOV, dims=dims, epsilon=1e-2)
     iterates = oracles.dense_mm_iterates(
         f_dense, data, np.ones(14), "TVplusTikhonov", dims, 1e-2, lam, 8
@@ -552,7 +566,7 @@ def test_solve_rejects_mismatched_regularizer_dims():
 def test_full_space_refuses_large_problems():
     n_v, n_h, n_t = 2, 2049, 2
     n = n_v * n_h * n_t
-    problem = dv.ReconstructionProblem(forward=dv.identity(n), data=np.ones(n))
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=np.ones(n))
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(n_v, n_h, n_t), epsilon=1e-3)
     with pytest.raises(ValueError):
         dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, full_space=True))
