@@ -164,6 +164,16 @@ def spatial_gradient(n_v, n_h):
     return dv.build_D(dv.StaticTVSpec(n_v=n_v, n_h=n_h))
 
 
+def test_build_diff_rejects_short_axis():
+    # a difference along an axis of one sample has no rows; every spec refuses it
+    for dims in ((1, 3, 2), (3, 1, 2), (3, 2, 1)):
+        with pytest.raises(ValueError):
+            dv.RegularizerSpec(method=dv.Method.ISO_3D_TV, dims=dims)
+    for n_v, n_h in ((1, 3), (3, 1)):
+        with pytest.raises(ValueError):
+            dv.StaticTVSpec(n_v=n_v, n_h=n_h)
+
+
 def test_build_ls_shape():
     op = spatial_gradient(2, 2)
     assert op.shape == (4, 4)
