@@ -27,7 +27,6 @@ from .regularization import (
     Method,
     RegularizerSpec,
     StaticTVSpec,
-    WeightOperator,
     build_D,
     regularizer_value,
     update_weights,

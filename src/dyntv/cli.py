@@ -146,13 +146,15 @@ def _solver_from_config(cfg, scene, method_override=None, nonneg_override=False)
         raise ConfigError(
             f"unknown method {method!r}; valid methods are {', '.join(METHOD_NAMES)}"
         )
+    if not isinstance(solver.get("nonneg", False), bool):
+        raise ConfigError("invalid solver section: nonneg must be true or false")
     try:
         options = {
             "eta": float(solver.get("eta", 1.01)),
             "max_iters": int(solver.get("max_iters", 150)),
             "gk_steps": int(solver.get("gk_steps", 5)),
             "rel_change_tol": float(solver.get("rel_change_tol", 1e-6)),
-            "nonneg": bool(solver.get("nonneg", False)) or bool(nonneg_override),
+            "nonneg": solver.get("nonneg", False) or bool(nonneg_override),
             "lam": None if solver.get("lambda") is None else float(solver["lambda"]),
             "lambda_grid": _parse_lambda_grid(solver.get("lambda_grid")),
         }

@@ -57,7 +57,6 @@ __all__ = [
     "METHOD_NAMES",
     "RegularizerSpec",
     "StaticTVSpec",
-    "WeightOperator",
     "build_D",
     "regularizer_value",
     "update_weights",
@@ -109,8 +108,8 @@ class RegularizerSpec:
         if len(dims) != 3 or any(d < 2 for d in dims):
             raise ValueError(f"dims must be three extents >= 2, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        if not self.epsilon > 0:
-            raise ValueError("smoothing parameter epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("smoothing parameter epsilon must be positive and finite")
 
     @property
     def n(self):
@@ -130,8 +129,8 @@ class StaticTVSpec:
     def __post_init__(self):
         if self.n_v < 2 or self.n_h < 2:
             raise ValueError("frame extents must be >= 2")
-        if not self.epsilon > 0:
-            raise ValueError("smoothing parameter epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("smoothing parameter epsilon must be positive and finite")
 
     @property
     def dims(self):
@@ -142,18 +141,6 @@ class StaticTVSpec:
         return self.n_v * self.n_h
 
 
-@dataclass(eq=False)
-class WeightOperator:
-    """Expanded diagonal of W(u_k), one entry per row of D."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if not np.all(self.weights > 0):
-            raise ValueError("weights must be strictly positive")
-
-
 class _Stencil(LinearOperator):
     """D as first differences of slices of the (n_v, n_h, n_t, k) volume.
 
@@ -162,7 +149,8 @@ class _Stencil(LinearOperator):
     kron3(t, h, v) does, so mixed differences round the same way; a
     ``voxel`` part is padded back to full extent with a zero slice.  A
     block's rows hold its parts frame by frame, each column-major, which is
-    the row order of the Kronecker form.  The adjoint sums parts in order.
+    the row order of the Kronecker form.  ``apply`` is ``row_blocks`` over
+    whole blocks.  The adjoint sums parts in order.
     """
 
     kind = "stencil"
@@ -184,38 +172,49 @@ class _Stencil(LinearOperator):
             rows += size
         super().__init__(rows, dims[0] * dims[1] * dims[2])
 
-    def _parts(self, z):
-        """Each part's (shape + (k,)) view of the rows z of D."""
-        k = z.shape[1]
-        for start, stop, parts in self.blocks:
-            frames = z[start:stop].reshape((-1, parts[0].shape[2], k), order="F")
-            for p in parts:
-                rows = frames[p.offset : p.offset + p.shape[0] * p.shape[1]]
-                yield p, rows.reshape(p.shape + (k,), order="F")
+    def row_blocks(self, x, elems=None, out=None):
+        """Yield (first row, D[rows] @ x) for consecutive frame ranges of each block.
 
-    def _apply(self, x):
+        A range holds as many frames t0..t1-1 as fit in `elems` elements (at
+        least one; all when None), reading frame t1 too for a t difference.
+        The rows go into views of `out` (rows(D) x k), or else new arrays.
+        """
         k = x.shape[1]
         vol = x.reshape(self.dims + (k,), order="F")
-        out = np.empty((self.rows, k), order="F")
-        for p, view in self._parts(out):
-            z = vol
-            for a in p.axes[:-1]:
-                z = _cut(z, a, slice(-1)) - _cut(z, a, slice(1, None))
-            a = p.axes[-1]
-            if p.padded:
-                _cut(view, a, -1)[...] = 0.0
-                view = _cut(view, a, slice(-1))
-            np.subtract(_cut(z, a, slice(-1)), _cut(z, a, slice(1, None)), out=view)
+        for start, stop, parts in self.blocks:
+            n_t = parts[0].shape[2]
+            per_frame = (stop - start) // n_t
+            step = n_t if elems is None else max(1, elems // (per_frame * k))
+            for t0 in range(0, n_t, step):
+                t1 = min(t0 + step, n_t)
+                first, last = start + t0 * per_frame, start + t1 * per_frame
+                z = np.empty((last - first, k), order="F") if out is None else out[first:last]
+                for p, view in _part_views(z, parts, t1 - t0):
+                    src = vol[:, :, t0 : t1 + (2 in p.axes)]
+                    for a in p.axes[:-1]:
+                        src = _cut(src, a, slice(-1)) - _cut(src, a, slice(1, None))
+                    a = p.axes[-1]
+                    if view.shape[a] == src.shape[a]:  # padded: the last slice is zero
+                        _cut(view, a, -1)[...] = 0.0
+                        view = _cut(view, a, slice(-1))
+                    np.subtract(_cut(src, a, slice(-1)), _cut(src, a, slice(1, None)), out=view)
+                yield first, z
+
+    def _apply(self, x):
+        out = np.empty((self.rows, x.shape[1]), order="F")
+        for _ in self.row_blocks(x, out=out):
+            pass
         return out
 
     def _apply_adjoint(self, y):
         total = None
-        for p, z in self._parts(y):
-            if p.padded:
-                z = _cut(z, p.axes[0], slice(-1))
-            for a in p.axes:
-                z = _difference_adjoint(z, a)
-            total = z if total is None else np.add(total, z, out=total)
+        for start, stop, parts in self.blocks:
+            for p, z in _part_views(y[start:stop], parts, parts[0].shape[2]):
+                if p.padded:
+                    z = _cut(z, p.axes[0], slice(-1))
+                for a in p.axes:
+                    z = _difference_adjoint(z, a)
+                total = z if total is None else np.add(total, z, out=total)
         return total.reshape(self.cols, -1, order="F")
 
 
@@ -224,6 +223,14 @@ class _Part(NamedTuple):
     padded: bool
     shape: tuple  # (n_v', n_h', n_t') of the part's array
     offset: int  # first row of the part within a frame of its block
+
+
+def _part_views(z, parts, n_frames):
+    """Each part's (n_v', n_h', n_frames, k) view of rows z, n_frames frames of a block."""
+    frames = z.reshape((-1, n_frames, z.shape[1]), order="F")
+    for p in parts:
+        rows = frames[p.offset : p.offset + p.shape[0] * p.shape[1]]
+        yield p, rows.reshape(p.shape[:2] + rows.shape[1:], order="F")
 
 
 def _cut(z, axis, part):
@@ -307,4 +314,4 @@ def update_weights(spec, u_k):
         w = w[group]
     if n_quad:
         w = np.concatenate([w, np.ones(n_quad)])
-    return WeightOperator(w)
+    return w

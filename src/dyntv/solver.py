@@ -15,18 +15,18 @@ orthogonalized against the basis.  Thin QR factors of the projected operators
 keep every inner solve and the GCV parameter search at the cost of small dense
 linear algebra.  The forward factor is updated one column at a time, since the
 noise covariance is fixed.  The penalty factor is refactored every iteration,
-because the weights change: by Gram sweeps over row blocks of the weighted
-block W D V (no full-size temporary).  One sweep (Cholesky of the Gram
-matrix) suffices while its factor has condition number at most 1e3, since the
-factor enters every later step only through RᵀR; up to 1e7 a second sweep
-makes it CholeskyQR2; a wide, rank deficient or more ill conditioned block
-falls back to Householder QR.  The expansion residual applies D to the
-current iterate, one stencil pass, instead of multiplying the whole
-projected block D V by the coefficients.  The n-row arrays that grow with
-the basis (the basis, its images under the whitened forward and D, and the
-forward Q factor) are written one column at a time into column-major
-buffers whose capacity doubles; the state's public fields are views of
-their filled columns.
+because the weights change, by Gram sweeps over row blocks of the weighted
+block W D V.  D V is never stored: each sweep applies the stencil of D to the
+basis one frame range at a time, so no array with a row per row of D and a
+column per basis vector outlives a block; only the Householder fallback stacks
+the blocks.  One sweep (Cholesky of the Gram matrix) suffices while its factor
+has condition number at most 1e3, since the factor enters every later step
+only through RᵀR; up to 1e7 a second sweep makes it CholeskyQR2; a wide, rank
+deficient or more ill conditioned block falls back to Householder QR.  The
+arrays that grow with the basis (the basis, its image under the whitened
+forward, and the forward Q factor) are written one column at a time into
+column-major buffers whose capacity doubles; the state's public fields are
+views of their filled columns.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class ReconstructionProblem:
                 raise ValueError("noise covariance diagonal must be finite")
             if not np.all(self.noise_cov_diag > 0):
                 raise ValueError("noise covariance diagonal must be strictly positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError("delta must be nonnegative and finite")
         if self.truth is not None:
             self.truth = np.asarray(self.truth, dtype=float).ravel()
             if self.truth.size != self.forward.cols:
@@ -154,16 +154,16 @@ class SolverConfig:
     full_space: bool = False
 
     def __post_init__(self):
-        if not self.eta > 1.0:
-            raise ValueError("discrepancy safety factor eta must be > 1")
+        if not 1.0 < self.eta < np.inf:
+            raise ValueError("discrepancy safety factor eta must be finite and > 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.gk_steps < 1:
             raise ValueError("gk_steps must be at least 1")
-        if self.rel_change_tol < 0:
-            raise ValueError("rel_change_tol must be nonnegative")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("fixed lam must be positive")
+        if not 0 <= self.rel_change_tol < np.inf:
+            raise ValueError("rel_change_tol must be nonnegative and finite")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError("fixed lam must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -172,12 +172,11 @@ class SolverState:
 
     basis: np.ndarray  # n x d, orthonormal columns
     av: np.ndarray  # whitened forward applied to the basis, m x d
-    dv: np.ndarray  # penalty differences applied to the basis, rows(D) x d
     q_f: np.ndarray  # thin Q of av, m x min(m, d)
     r_f: np.ndarray  # thin R of av, min(m, d) x d
     rhs_hat: np.ndarray  # q_f^T (whitened data)
-    weights: np.ndarray | None = None
-    r_m: np.ndarray | None = None  # square-padded R of (weights * dv), d x d
+    weights: np.ndarray | None = None  # diagonal of W(u_k), one entry per row of D
+    r_m: np.ndarray | None = None  # square-padded R of W D V, d x d; D V is not kept
     y: np.ndarray | None = None
     # field name -> (column-major buffer, the view of it last stored in the field)
     _buffers: dict = field(default_factory=dict, init=False, repr=False)
@@ -247,23 +246,29 @@ def seed_subspace(problem, n_steps):
     return np.column_stack(cols), False
 
 
-def init_state(problem, d_op, basis):
-    """Project the whitened forward operator and the differences onto a basis."""
+def init_state(problem, basis):
+    """Project the whitened forward operator onto a basis."""
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
         raise ValueError("basis must be n x d")
     av = problem.whiten_apply(basis)
-    dv = d_op.apply(basis)
     q_f, r_f = np.linalg.qr(av, mode="reduced")
     rhs_hat = q_f.T @ problem.whitened_data
-    return SolverState(basis=basis, av=av, dv=dv, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
+    return SolverState(basis=basis, av=av, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
 
 
 def refresh_penalty(state, spec, u_k):
     """Recompute the weights at u_k and the projected penalty factor."""
     w = update_weights(spec, u_k)
-    state.weights = w.weights
-    state.r_m = _penalty_r(w.weights, state.dv)
+    d_op = build_D(spec)
+
+    def weighted_rows():
+        for first, z in d_op.row_blocks(state.basis, _GRAM_BLOCK_ELEMS):
+            z *= w[first : first + z.shape[0], None]
+            yield z
+
+    state.weights = w
+    state.r_m = _penalty_r(weighted_rows, d_op.rows, state.dim)
     return w
 
 
@@ -310,8 +315,6 @@ def expand_subspace(state, problem, d_op, lam):
     y = state.y
     x = state.basis @ y
     res_w = state.av @ y - problem.whitened_data
-    # D x is one stencil pass over a vector; dv @ y would sweep the whole
-    # rows(D) x d block
     r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(
         state.weights**2 * d_op.apply(x)
     )
@@ -324,7 +327,6 @@ def expand_subspace(state, problem, d_op, lam):
     v_new = r / np.linalg.norm(r)
     _append_column(state, "basis", v_new)
     _append_column(state, "av", problem.whiten_apply(v_new))
-    _append_column(state, "dv", d_op.apply(v_new))
     _append_forward_qr(state, problem)
     return True
 
@@ -357,7 +359,7 @@ def mm_gks_solve(problem, config):
         basis, _ = seed_subspace(problem, config.gk_steps)
         if basis.shape[1] == 0:
             raise SolverError("seed basis is empty; data has no signal to start from")
-    state = init_state(problem, d_op, basis)
+    state = init_state(problem, basis)
     grid = config.lambda_grid if config.lambda_grid is not None else default_lambda_grid()
 
     u_prev = np.zeros(n)
@@ -419,58 +421,47 @@ def mm_gks_solve(problem, config):
 # the Gram matrix loses the smallest directions and Householder takes over.
 _ONE_PASS_MAX_COND = 1e3
 _CHOLQR_MAX_COND = 1e7
-# Elements per row block of the Gram products (256 KB).  Blocks this small
-# keep every temporary far below the size of the block itself, which keeps
-# peak memory flat on small problems, and cost no time on large ones.
+# Elements per row block of the Gram sweeps (256 KB).  A row block holds the
+# rows of one block of D for as many whole frames as fit, at least one, so
+# W D V is never held at full size.
 _GRAM_BLOCK_ELEMS = 1 << 15
 
 
-def _penalty_r(weights, dv):
-    """Square triangular factor R_M of A = weights * dv from row-block Gram sweeps.
+def _penalty_r(blocks, rows, d):
+    """Square triangular factor R_M of the rows x d matrix A given as row blocks.
 
-    The first sweep gives R1 = chol(AᵀA).  When cond(R1) <= 1e3 that is R_M:
-    one pass over A.  Otherwise CholeskyQR2 takes a second sweep,
-    R2 = chol(Q1ᵀQ1) with Q1 = A R1⁻¹, and returns R_M = R2 R1.  Both Gram
-    matrices are accumulated over row blocks, so neither A nor Q1 is ever held
-    at full size.  Falls back to Householder on the whole block when A is
-    wide, a Cholesky factorization fails, or cond(R1) >= 1e7, where the second
-    sweep can no longer restore accuracy.
+    Every call of ``blocks()`` yields the row blocks of A afresh, in order.
+    The first sweep over them gives R1 = chol(AᵀA).  When cond(R1) <= 1e3
+    that is R_M: one pass over A.  Otherwise CholeskyQR2 takes a second
+    sweep, R2 = chol(Q1ᵀQ1) with Q1 = A R1⁻¹, and returns R_M = R2 R1.
+    Falls back to Householder on the stacked blocks when A is wide, a
+    Cholesky factorization fails, or cond(R1) >= 1e7, where the second sweep
+    can no longer restore accuracy.
     """
-    rows, d = dv.shape
-    if rows < d:
-        return _qr_r_square(weights[:, None] * dv, d)
     try:
-        r1 = _gram_cholesky(weights, dv)
+        if rows < d:
+            raise np.linalg.LinAlgError("penalty block is wide")
+        r1 = _gram_cholesky(blocks, d)
         cond = np.linalg.cond(r1)
         if cond <= _ONE_PASS_MAX_COND:
             return r1
         if not cond < _CHOLQR_MAX_COND:
             raise np.linalg.LinAlgError("penalty block too ill conditioned")
-        r2 = _gram_cholesky(weights, dv, np.linalg.inv(r1))
+        r2 = _gram_cholesky(blocks, d, np.linalg.inv(r1))
     except np.linalg.LinAlgError:
-        return _qr_r_square(weights[:, None] * dv, d)
+        r = np.linalg.qr(np.vstack(list(blocks())), mode="r")
+        return np.vstack([r, np.zeros((d - r.shape[0], d))])  # square when A is wide
     return r2 @ r1
 
 
-def _gram_cholesky(weights, dv, right=None):
-    """Upper Cholesky factor of BᵀB, B = (weights * dv) @ right, by row blocks."""
-    rows, d = dv.shape
-    step = max(1, _GRAM_BLOCK_ELEMS // max(d, 1))
+def _gram_cholesky(blocks, d, right=None):
+    """Upper Cholesky factor of BᵀB, B = A @ right, summed over the row blocks of A."""
     gram = np.zeros((d, d))
-    for i in range(0, rows, step):
-        b = weights[i : i + step, None] * dv[i : i + step]
+    for b in blocks():
         if right is not None:
             b = b @ right
         gram += b.T @ b
     return np.linalg.cholesky(gram).T
-
-
-def _qr_r_square(mat, d):
-    """Square d x d triangular factor of a tall-or-wide matrix with d columns."""
-    r = np.linalg.qr(mat, mode="r")
-    if r.shape[0] < d:
-        r = np.vstack([r, np.zeros((d - r.shape[0], d))])
-    return r
 
 
 def _pad_square(r_f, rhs_hat, d):

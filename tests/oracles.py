@@ -213,7 +213,7 @@ def weights_vec(method, dims, eps, u):
 def majorant_value(spec, u, u_k, lam, misfit):
     """Quadratic tangent majorant Q(u; u_k) of misfit(u) + lam * R_eps(u)."""
     d_op = dv.build_D(spec)
-    w = dv.update_weights(spec, u_k).weights
+    w = dv.update_weights(spec, u_k)
     m_u = w * d_op.apply(u)
     m_uk = w * d_op.apply(u_k)
     c = lam * (dv.regularizer_value(spec, u_k, smoothed=True) - 0.5 * (m_uk @ m_uk))
@@ -223,7 +223,7 @@ def majorant_value(spec, u, u_k, lam, misfit):
 def majorant_gradient(spec, u, u_k, lam, misfit_gradient):
     """Gradient of Q(.; u_k) at u; at u = u_k this equals the gradient of J_eps."""
     d_op = dv.build_D(spec)
-    w = dv.update_weights(spec, u_k).weights
+    w = dv.update_weights(spec, u_k)
     return misfit_gradient(u) + lam * d_op.apply_adjoint(w**2 * d_op.apply(u))
 
 

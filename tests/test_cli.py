@@ -191,6 +191,25 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             },
             "squared norm of the whitened data is not finite",
         ),
+        # non-finite solver values used to fail inside the solve (lambda,
+        # epsilon) or to end it at iteration 1 (eta); a string nonneg, even
+        # "false", used to turn nonnegativity on
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"lambda": float("inf")}},
+            "fixed lam must be positive and finite",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"epsilon": float("inf")}},
+            "epsilon must be positive and finite",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"eta": float("inf")}},
+            "eta must be finite and > 1",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"nonneg": "false"}},
+            "nonneg must be true or false",
+        ),
     ]
     for i, (config, message) in enumerate(cases):
         cfg = write_config(tmp_path, config, f"bad{i}.json")

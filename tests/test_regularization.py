@@ -42,6 +42,23 @@ def test_build_d_matches_dense_oracle(method, dims):
     np.testing.assert_array_equal(op.apply_adjoint(np.eye(op.rows)), want.T)
 
 
+# frames per range: one (budget 1), all (None), and two on (16, 16, 4) for
+# every block but GS's at 1600 elements of k = 3 columns
+@pytest.mark.parametrize("elems", [1, 1600, None], ids=["one-frame", "some-frames", "whole"])
+@pytest.mark.parametrize("dims", [(8, 3, 2), (5, 2, 3), (2, 2, 2), (16, 16, 4)])
+@pytest.mark.parametrize("method", METHODS + ["static"])
+def test_row_blocks_concatenate_to_apply(method, dims, elems):
+    spec = dv.StaticTVSpec(*dims[:2]) if method == "static" else spec_for(method, dims)
+    op = dv.build_D(spec)
+    x = np.random.default_rng(18).standard_normal((spec.n, 3))
+    firsts, blocks = zip(*op.row_blocks(x, elems))
+    assert firsts == tuple(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+    np.testing.assert_array_equal(np.concatenate(blocks), op.apply(x))
+    if elems == 1:
+        frames = [parts[0].shape[2] for _, _, parts in op.blocks]
+        assert len(blocks) == sum(frames)
+
+
 def test_build_d_maps_constants_to_zero():
     specs = [spec_for(m, (4, 3, 2)) for m in METHODS] + [dv.StaticTVSpec(n_v=3, n_h=5)]
     for spec in specs:
@@ -130,15 +147,15 @@ def test_tv_plus_tikhonov_mixed_scaling():
 def test_weights_at_zero_anisotv():
     spec = spec_for("AnisoTV", (3, 3, 2))
     w = dv.update_weights(spec, np.zeros(18))
-    np.testing.assert_allclose(w.weights, 10.0**1.5, rtol=1e-14)
+    np.testing.assert_allclose(w, 10.0**1.5, rtol=1e-14)
 
 
 def test_weights_at_zero_tv_plus_tikhonov():
     spec = spec_for("TVplusTikhonov", (3, 3, 2))
     w = dv.update_weights(spec, np.zeros(18))
     n_spatial = 2 * ((3 - 1) * 3 + (3 - 1) * 3)
-    np.testing.assert_allclose(w.weights[:n_spatial], 10.0**1.5, rtol=1e-14)
-    np.testing.assert_array_equal(w.weights[n_spatial:], 1.0)
+    np.testing.assert_allclose(w[:n_spatial], 10.0**1.5, rtol=1e-14)
+    np.testing.assert_array_equal(w[n_spatial:], 1.0)
 
 
 def test_iso3dtv_weight_blocks_replicated():
@@ -146,7 +163,7 @@ def test_iso3dtv_weight_blocks_replicated():
     dims = (3, 3, 2)
     spec = spec_for("Iso3DTV", dims)
     u = rng.standard_normal(18)
-    w = dv.update_weights(spec, u).weights
+    w = dv.update_weights(spec, u)
     block = len(w) // 3
     np.testing.assert_array_equal(w[:block], w[block : 2 * block])
     np.testing.assert_array_equal(w[:block], w[2 * block :])
@@ -166,9 +183,9 @@ def test_weights_match_oracle_and_rows(method):
         u = rng.standard_normal(n)
         spec = spec_for(method, dims)
         w = dv.update_weights(spec, u)
-        assert w.weights.shape == (dv.build_D(spec).rows,)
-        assert np.all(w.weights > 0)
-        np.testing.assert_allclose(w.weights, oracles.weights_vec(method, dims, 1e-3, u),
+        assert w.shape == (dv.build_D(spec).rows,)
+        assert np.all(w > 0)
+        np.testing.assert_allclose(w, oracles.weights_vec(method, dims, 1e-3, u),
                                    rtol=1e-12)
 
 
@@ -236,7 +253,7 @@ def test_half_weighted_norm_reproduces_smoothed_value(method):
     spec = spec_for(method, dims)
     u_k = rng.standard_normal(24)
     d_op = dv.build_D(spec)
-    w = dv.update_weights(spec, u_k).weights
+    w = dv.update_weights(spec, u_k)
     m_u = w * d_op.apply(u_k)
     r_eps = dv.regularizer_value(spec, u_k, smoothed=True)
     c_tilde = r_eps - 0.5 * float(m_u @ m_u)
@@ -259,13 +276,23 @@ def test_static_spec_value_and_weights():
     z = oracles.ls_matrix(3, 3) @ u
     np.testing.assert_allclose(dv.regularizer_value(spec, u), np.abs(z).sum(), rtol=1e-12)
     w = dv.update_weights(spec, u)
-    np.testing.assert_allclose(w.weights, (z**2 + 1e-6) ** (-0.25), rtol=1e-12)
+    np.testing.assert_allclose(w, (z**2 + 1e-6) ** (-0.25), rtol=1e-12)
 
 
 def test_regularizer_value_rejects_wrong_length():
     spec = spec_for("AnisoTV", (3, 3, 2))
     with pytest.raises(ValueError):
         dv.regularizer_value(spec, np.zeros(17))
+
+
+@pytest.mark.parametrize("eps", [np.inf, np.nan])
+def test_epsilon_must_be_finite(eps):
+    # an infinite epsilon used to pass here and stop the solve with "weights
+    # must be strictly positive": its weights (eps²)^(-1/4) are all zero
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(3, 3, 2), epsilon=eps)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        dv.StaticTVSpec(n_v=3, n_h=3, epsilon=eps)
 
 
 def test_epsilon_must_be_positive():

@@ -1,5 +1,7 @@
 """Subspace seeding, projected solves, expansion, stopping rules, outer loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,6 @@ def manual_state(r_f, r_m, rhs):
     return dv.SolverState(
         basis=np.eye(d),
         av=np.zeros((r_f.shape[0], d)),
-        dv=np.zeros((r_m.shape[0], d)),
         q_f=np.eye(r_f.shape[0]),
         r_f=r_f,
         rhs_hat=np.asarray(rhs, dtype=float),
@@ -141,7 +142,7 @@ def test_solve_projected_requires_penalty_factor():
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    state = dv.init_state(problem, dv.build_D(spec), np.eye(8)[:, :3])
+    state = dv.init_state(problem, np.eye(8)[:, :3])
     with pytest.raises(ValueError):
         dv.solve_projected(state, 1.0)
 
@@ -152,7 +153,7 @@ def test_projected_pair_pads_wide_factor_square():
         forward=random_forward(rng, 2, 8), data=rng.standard_normal(2)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    state = dv.init_state(problem, dv.build_D(spec), np.linalg.qr(rng.standard_normal((8, 3)))[0])
+    state = dv.init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0])
     dv.refresh_penalty(state, spec, np.zeros(8))
     pair = dv.projected_pair(state)
     assert pair.r_f.shape == (3, 3)
@@ -164,31 +165,25 @@ def test_projected_pair_pads_wide_factor_square():
 # --- penalty factor refresh --------------------------------------------------------
 
 
-def weighted_block_state(spec, cond, d, seed):
-    """State whose weighted block W(u) D V at a random u has condition number `cond`.
-
-    Returns the state and u; dv is set to A / w with A = U diag(s) Q^T, so the
-    weighted block the refresh factors is A up to rounding.
-    """
+def crafted_block(rows, cond, d, seed):
+    """rows x d matrix A = U diag(s) Qᵀ with condition number `cond`."""
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(spec.n)
-    w = dv.update_weights(spec, u).weights
-    left = np.linalg.qr(rng.standard_normal((w.size, d)))[0]
+    left = np.linalg.qr(rng.standard_normal((rows, d)))[0]
     right = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    a = (left * np.logspace(0.0, -np.log10(cond), d)) @ right.T
-    state = manual_state(np.eye(d), np.eye(d), np.zeros(d))
-    state.dv = a / w[:, None]
-    return state, u
+    return (left * np.logspace(0.0, -np.log10(cond), d)) @ right.T
+
+
+def row_blocks(a, n_blocks=7):
+    """A as the source of row blocks that the penalty factor sweeps over."""
+    return lambda: np.array_split(a, n_blocks)
 
 
 @pytest.mark.parametrize("cond", [1e0, 1e2, 1e4, 1e6])
 def test_refresh_penalty_gram_matches_householder(cond):
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(6, 5, 4), epsilon=1e-3)
-    state, u = weighted_block_state(spec, cond, 12, seed=int(np.log10(cond)) + 50)
-    dv.refresh_penalty(state, spec, u)
-    r_hh = oracles.householder_r(state.weights[:, None] * state.dv, 12)
+    a = crafted_block(286, cond, 12, seed=int(np.log10(cond)) + 50)
+    r = dv.solver._penalty_r(row_blocks(a), *a.shape)
+    r_hh = oracles.householder_r(a, 12)
     gram = r_hh.T @ r_hh
-    r = state.r_m
     np.testing.assert_array_equal(np.tril(r, -1), np.zeros((12, 12)))
     # Gram sweeps (one below cond 1e3, two above), not the fallback: a
     # positive diagonal, and not the Householder R
@@ -209,14 +204,12 @@ def test_refresh_penalty_one_sweep_up_to_cond_1e3(cond, one_sweep):
     # R1 = chol(AᵀA) is kept as it is while cond(R1) <= 1e3; above that the
     # second CholeskyQR sweep runs.  Either way RᵀR and the singular values
     # match Householder.
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(6, 5, 4), epsilon=1e-3)
-    state, u = weighted_block_state(spec, cond, 12, seed=int(cond) % 97 + 70)
-    dv.refresh_penalty(state, spec, u)
-    r1 = dv.solver._gram_cholesky(state.weights, state.dv)
-    assert np.array_equal(state.r_m, r1) == one_sweep
-    r_hh = oracles.householder_r(state.weights[:, None] * state.dv, 12)
+    a = crafted_block(286, cond, 12, seed=int(cond) % 97 + 70)
+    r = dv.solver._penalty_r(row_blocks(a), *a.shape)
+    r1 = dv.solver._gram_cholesky(row_blocks(a), 12)
+    assert np.array_equal(r, r1) == one_sweep
+    r_hh = oracles.householder_r(a, 12)
     gram = r_hh.T @ r_hh
-    r = state.r_m
     assert np.linalg.norm(r.T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
     np.testing.assert_allclose(
         np.linalg.svd(r, compute_uv=False), np.linalg.svd(r_hh, compute_uv=False), rtol=1e-10
@@ -229,22 +222,24 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     # wider space) to zero, so W D V is rank deficient or wide
     spec = dv.RegularizerSpec(method=method, dims=(4, 4, 3), epsilon=1e-3)
     rng = np.random.default_rng(61)
+    u = rng.standard_normal(spec.n)
+    a = dv.update_weights(spec, u)[:, None] * dv.build_D(spec).to_dense()
+    want = oracles.householder_r(a, spec.n)
+    np.testing.assert_array_equal(dv.solver._penalty_r(row_blocks(a), *a.shape), want)
+    # the refresh builds the same W D V from the stencil, frame range by range
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 60, spec.n), data=rng.standard_normal(60)
     )
-    state = dv.init_state(problem, dv.build_D(spec), np.eye(spec.n))
-    dv.refresh_penalty(state, spec, rng.standard_normal(spec.n))
-    want = oracles.householder_r(state.weights[:, None] * state.dv, spec.n)
+    state = dv.init_state(problem, np.eye(spec.n))
+    dv.refresh_penalty(state, spec, u)
     np.testing.assert_array_equal(state.r_m, want)
 
 
 def test_refresh_penalty_duplicate_column_falls_back_to_householder():
-    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(6, 5, 4), epsilon=1e-3)
-    state, u = weighted_block_state(spec, 1e2, 8, seed=62)
-    state.dv = np.column_stack([state.dv, state.dv[:, 3]])
-    dv.refresh_penalty(state, spec, u)
-    want = oracles.householder_r(state.weights[:, None] * state.dv, 9)
-    np.testing.assert_array_equal(state.r_m, want)
+    a = crafted_block(286, 1e2, 8, seed=62)
+    a = np.column_stack([a, a[:, 3]])
+    want = oracles.householder_r(a, 9)
+    np.testing.assert_array_equal(dv.solver._penalty_r(row_blocks(a), *a.shape), want)
 
 
 # --- subspace expansion ------------------------------------------------------------
@@ -257,7 +252,7 @@ def test_expand_full_basis_returns_false():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = dv.build_D(spec)
-    state = dv.init_state(problem, d_op, np.eye(8))
+    state = dv.init_state(problem, np.eye(8))
     dv.refresh_penalty(state, spec, np.zeros(8))
     dv.solve_projected(state, 0.5)
     assert not dv.expand_subspace(state, problem, d_op, 0.5)
@@ -274,7 +269,7 @@ def test_expand_stalls_when_solution_is_in_span():
     problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=np.ones(n))
     basis, breakdown = dv.seed_subspace(problem, 5)
     assert breakdown and basis.shape == (n, 1)
-    state = dv.init_state(problem, d_op, basis)
+    state = dv.init_state(problem, basis)
     dv.refresh_penalty(state, spec, np.zeros(n))
     y = dv.solve_projected(state, 1e-3)
     np.testing.assert_allclose(state.basis @ y, problem.data, rtol=1e-12)
@@ -298,7 +293,7 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
     d_op = dv.build_D(spec)
     basis, _ = dv.seed_subspace(problem, 4)
-    state = dv.init_state(problem, d_op, basis)
+    state = dv.init_state(problem, basis)
     u = np.zeros(n)
     for _ in range(n_expand):
         dv.refresh_penalty(state, spec, u)
@@ -311,7 +306,6 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     aw = problem.whiten_apply(state.basis)
     np.testing.assert_allclose(state.av, aw, atol=1e-12)
     np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-10)
-    np.testing.assert_allclose(state.dv, d_op.apply(state.basis), atol=1e-12)
 
 
 def test_expand_appends_dense_normal_equations_residual():
@@ -327,7 +321,7 @@ def test_expand_appends_dense_normal_equations_residual():
     spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=dims, epsilon=1e-2)
     d_op = dv.build_D(spec)
     basis, _ = dv.seed_subspace(problem, 4)
-    state = dv.init_state(problem, d_op, basis)
+    state = dv.init_state(problem, basis)
     dv.refresh_penalty(state, spec, rng.standard_normal(n))
     y = dv.solve_projected(state, lam)
     assert dv.expand_subspace(state, problem, d_op, lam)
@@ -346,7 +340,7 @@ def test_expand_requires_solved_state():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = dv.build_D(spec)
-    state = dv.init_state(problem, d_op, np.eye(8)[:, :2])
+    state = dv.init_state(problem, np.eye(8)[:, :2])
     with pytest.raises(ValueError):
         dv.expand_subspace(state, problem, d_op, 0.5)
 
@@ -360,6 +354,12 @@ def test_problem_rejects_non_finite_data_and_covariance(bad):
     cov = np.array([1.0, bad, 2.0])
     with pytest.raises(ValueError, match="covariance"):
         dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.ones(3), noise_cov_diag=cov)
+
+
+@pytest.mark.parametrize("delta", [np.inf, np.nan])
+def test_problem_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+        dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.ones(3), delta=delta)
 
 
 def test_problem_rejects_data_whose_squared_norm_overflows():
@@ -507,14 +507,44 @@ def test_solve_matches_householder_refresh(method, monkeypatch):
     monkeypatch.setattr(
         dv.solver,
         "_penalty_r",
-        lambda weights, dv_block: oracles.householder_r(
-            weights[:, None] * dv_block, dv_block.shape[1]
-        ),
+        lambda blocks, rows, d: oracles.householder_r(np.vstack(list(blocks())), d),
     )
     want = dv.mm_gks_solve(problem, config)
     assert got.stop_reason == want.stop_reason
     assert got.iterations == want.iterations
     assert np.linalg.norm(got.u - want.u) <= 1e-7 * np.linalg.norm(want.u)
+
+
+def test_solve_peak_memory_holds_no_copy_of_d_v():
+    # Tomography with m << n, so the projected forward is small and the
+    # penalty rows dominate: rows(D) is 2.7 n here.  The solve keeps the
+    # n-row basis and the m-row av and q_f in buffers of at most 2d columns,
+    # and while one doubles its old d-column buffer is still alive:
+    # 3 (n + 2m) d values.  The refresh and the expansion add a few
+    # rows(D)-vectors (weights, D u, W² D u, one frame range of W D V):
+    # 16 rows(D) values leave room for them.  A stored D V of rows(D) x d
+    # alone exceeds what is left under that bound: with one the peak was
+    # 14.6 MB against a bound of 7.7 MB, without it 5.0 MB.
+    n_v, n_t = 32, 4
+    model = dv.RadonModel(image_side=n_v, n_time_steps=n_t, n_angles_per_step=5)
+    forward = dv.assemble_dynamic_forward(
+        [dv.build_radon_operator(model, t) for t in range(1, n_t + 1)], n_t
+    )
+    truth = dv.vec(dv.render_scene(dv.moving_disks_scene(n_v, n_v, n_t, n_objects=3, seed=1)))
+    data, _ = dv.add_noise(forward.apply(truth), dv.NoiseSpec(sigma=0.01, seed=2))
+    problem = dv.ReconstructionProblem(forward=forward, data=data)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(n_v, n_v, n_t))
+    config = dv.SolverConfig(regularizer=spec, lam=1.0, max_iters=40, rel_change_tol=0.0)
+    rows = dv.build_D(spec).rows  # also builds the cached stencil outside the trace
+    tracemalloc.start()
+    try:
+        result = dv.mm_gks_solve(problem, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, n, d = forward.rows, forward.cols, result.history[-1].subspace_dim
+    assert result.iterations == 40 and d == 44
+    assert peak <= 8 * (3 * (n + 2 * m) * d + 16 * rows)
 
 
 def test_nonneg_iterates_are_nonnegative_exactly():
@@ -584,6 +614,16 @@ def test_config_validation():
         dv.SolverConfig(regularizer=spec, rel_change_tol=-1e-6)
     with pytest.raises(ValueError):
         dv.SolverConfig(regularizer=spec, lam=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("field", ["lam", "eta", "rel_change_tol"])
+def test_config_rejects_non_finite_values(field, bad):
+    # an infinite lam used to fail inside the projected least-squares solve,
+    # and an infinite eta made every iterate meet the discrepancy principle
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        dv.SolverConfig(regularizer=spec, **{field: bad})
 
 
 def test_history_records_are_well_formed():
