@@ -67,6 +67,14 @@ def _require(cfg, key, section="config"):
     return cfg[key]
 
 
+def _integer(value, key, section):
+    """An integral JSON number as an int; booleans and fractions are refused."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"invalid {section} section: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _section(cfg, key):
     """Optional sub-object of the config; an empty one when absent."""
     section = cfg.get(key, {})
@@ -78,8 +86,8 @@ def _section(cfg, key):
 def _scene_from_config(cfg):
     scene = _require(cfg, "scene")
     try:
-        n_v, n_h, n_t = int(scene["n_v"]), int(scene["n_h"]), int(scene["n_t"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n_v, n_h, n_t = (_integer(scene[key], key, "scene") for key in ("n_v", "n_h", "n_t"))
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"scene needs integer extents n_v, n_h, n_t: {exc}") from exc
     if min(n_v, n_h) < SSIM_WINDOW:
         # every run ends in a per-frame SSIM report, which needs a full window
@@ -101,8 +109,8 @@ def _scene_from_config(cfg):
             raise ConfigError(f"unknown scene preset {preset!r}")
         return moving_disks_scene(
             n_v, n_h, n_t,
-            n_objects=int(scene.get("n_objects", 6)),
-            seed=int(scene.get("seed", 0)),
+            n_objects=_integer(scene.get("n_objects", 6), "n_objects", "scene"),
+            seed=_integer(scene.get("seed", 0), "seed", "scene"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -112,11 +120,13 @@ def _scene_from_config(cfg):
 
 def _noise_from_config(cfg, seed_override=None):
     noise = _section(cfg, "noise")
+    seed = seed_override
+    if seed is None:
+        seed = _integer(noise.get("seed", 0), "seed", "noise")
+    if seed < 0:
+        raise ConfigError(f"noise seed must be nonnegative, got {seed}")
     try:
-        spec = NoiseSpec(
-            sigma=float(noise.get("sigma", 0.0)),
-            seed=int(seed_override if seed_override is not None else noise.get("seed", 0)),
-        )
+        spec = NoiseSpec(sigma=float(noise.get("sigma", 0.0)), seed=seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise section: {exc}") from exc
     return spec
@@ -126,7 +136,7 @@ def _parse_lambda_grid(raw):
     if raw is None:
         return None
     if isinstance(raw, dict):
-        n_points = int(raw.get("n_points", 40))
+        n_points = _integer(raw.get("n_points", 40), "lambda_grid n_points", "solver")
         ends = np.array([raw.get("low", 1e-6), raw.get("high", 1e2)], dtype=float)
         if n_points < 1 or not np.all(np.isfinite(ends) & (ends > 0)):
             raise ConfigError(
@@ -151,8 +161,8 @@ def _solver_from_config(cfg, scene, method_override=None, nonneg_override=False)
     try:
         options = {
             "eta": float(solver.get("eta", 1.01)),
-            "max_iters": int(solver.get("max_iters", 150)),
-            "gk_steps": int(solver.get("gk_steps", 5)),
+            "max_iters": _integer(solver.get("max_iters", 150), "max_iters", "solver"),
+            "gk_steps": _integer(solver.get("gk_steps", 5), "gk_steps", "solver"),
             "rel_change_tol": float(solver.get("rel_change_tol", 1e-6)),
             "nonneg": solver.get("nonneg", False) or bool(nonneg_override),
             "lam": None if solver.get("lambda") is None else float(solver["lambda"]),
@@ -180,18 +190,25 @@ def _forward_from_config(cfg, scene):
             default = medium_blur(scene.n_v)
             model = BlurModel(
                 sigma_psf=float(fwd.get("sigma_psf", default.sigma_psf)),
-                bandwidth=int(fwd.get("bandwidth", default.bandwidth)),
+                bandwidth=_integer(
+                    fwd.get("bandwidth", default.bandwidth), "bandwidth", "forward"
+                ),
             )
             step_op = build_blur_operator(model, scene.n_v, scene.n_h)
             return experiment, [step_op] * scene.n_t, assemble_dynamic_forward(step_op, scene.n_t)
         if scene.n_v != scene.n_h:
             raise ConfigError("tomography scenes must be square")
+        n_detectors = fwd.get("n_detectors")  # None: enough to cover the image
+        if n_detectors is not None:
+            n_detectors = _integer(n_detectors, "n_detectors", "forward")
         model = RadonModel(
             image_side=scene.n_v,
             n_time_steps=scene.n_t,
-            n_angles_per_step=int(fwd.get("n_angles_per_step", 9)),
+            n_angles_per_step=_integer(
+                fwd.get("n_angles_per_step", 9), "n_angles_per_step", "forward"
+            ),
             angle_stride_deg=fwd.get("angle_stride_deg"),
-            n_detectors=fwd.get("n_detectors"),
+            n_detectors=n_detectors,
         )
         step_ops = [build_radon_operator(model, t) for t in range(1, scene.n_t + 1)]
         return experiment, step_ops, assemble_dynamic_forward(step_ops, scene.n_t)
@@ -313,6 +330,16 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
     truth = vec(render_scene(scene))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         clean = forward_op.apply(truth)
+        if not np.any(clean):
+            reason = (
+                f"noise sigma {noise.sigma} has no scale"
+                if noise.sigma > 0
+                else "there is nothing to reconstruct"
+            )
+            raise ConfigError(
+                f"the scene renders to all-zero data, so {reason}; "
+                "give it an object of nonzero intensity"
+            )
         data, noise_norm = add_noise(clean, noise)
         gamma_diag, delta = _whitened_noise_model(data - clean)
     finite = np.isfinite(data).all() and (gamma_diag is None or np.isfinite(gamma_diag).all())

@@ -13,20 +13,21 @@ Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
 direction per iteration: the normal-equations residual of the current iterate,
 orthogonalized against the basis.  Thin QR factors of the projected operators
 keep every inner solve and the GCV parameter search at the cost of small dense
-linear algebra.  The forward factor is updated one column at a time, since the
-noise covariance is fixed.  The penalty factor is refactored every iteration,
-because the weights change, by Gram sweeps over row blocks of the weighted
-block W D V.  D V is never stored: each sweep applies the stencil of D to the
-basis one frame range at a time, so no array with a row per row of D and a
-column per basis vector outlives a block; only the Householder fallback stacks
-the blocks.  One sweep (Cholesky of the Gram matrix) suffices while its factor
-has condition number at most 1e3, since the factor enters every later step
-only through RᵀR; up to 1e7 a second sweep makes it CholeskyQR2; a wide, rank
-deficient or more ill conditioned block falls back to Householder QR.  The
-arrays that grow with the basis (the basis, its image under the whitened
-forward, and the forward Q factor) are written one column at a time into
-column-major buffers whose capacity doubles; the state's public fields are
-views of their filled columns.
+linear algebra.  The whitened forward applied to the basis, A V, enters only
+through its thin QR factors Q_F, R_F and is not kept; the factors grow by one
+column at a time, since the noise covariance is fixed.  The penalty factor is
+refactored every iteration, because the weights change, by Gram sweeps over row
+blocks of the weighted block W D V.  D V is never stored: each sweep applies
+the stencil of D to the basis one frame range at a time, so no array with a row
+per row of D and a column per basis vector outlives a block; only the
+Householder fallback stacks the blocks.  One sweep (Cholesky of the Gram
+matrix) suffices while its factor has condition number at most 1e3, since the
+factor enters every later step only through RᵀR; up to 1e7 a second sweep makes
+it CholeskyQR2; a wide, rank deficient or more ill conditioned block falls back
+to Householder QR.  The two arrays that grow with the basis, the basis V and
+the forward factor Q_F, are written one column at a time into column-major
+buffers whose capacity doubles; the state's public fields are views of their
+filled columns.
 """
 
 from __future__ import annotations
@@ -126,12 +127,6 @@ class ReconstructionProblem:
         """Whitened data misfit ||F u - d||_{Gamma^{-1}}."""
         return float(np.linalg.norm(self.whiten_apply(u) - self.whitened_data))
 
-    def misfit(self, u):
-        return 0.5 * self.residual_norm(u) ** 2
-
-    def misfit_gradient(self, u):
-        return self.whiten_adjoint(self.whiten_apply(u) - self.whitened_data)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -171,9 +166,8 @@ class SolverState:
     """Search basis and the projected factors kept in sync with it."""
 
     basis: np.ndarray  # n x d, orthonormal columns
-    av: np.ndarray  # whitened forward applied to the basis, m x d
-    q_f: np.ndarray  # thin Q of av, m x min(m, d)
-    r_f: np.ndarray  # thin R of av, min(m, d) x d
+    q_f: np.ndarray  # thin Q of the whitened forward applied to the basis, m x min(m, d)
+    r_f: np.ndarray  # thin R of the same, min(m, d) x d; A V itself is not kept
     rhs_hat: np.ndarray  # q_f^T (whitened data)
     weights: np.ndarray | None = None  # diagonal of W(u_k), one entry per row of D
     r_m: np.ndarray | None = None  # square-padded R of W D V, d x d; D V is not kept
@@ -247,14 +241,15 @@ def seed_subspace(problem, n_steps):
 
 
 def init_state(problem, basis):
-    """Project the whitened forward operator onto a basis."""
+    """Project the whitened forward operator onto a basis; only the thin QR of A V is kept."""
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
         raise ValueError("basis must be n x d")
-    av = problem.whiten_apply(basis)
-    q_f, r_f = np.linalg.qr(av, mode="reduced")
+    if basis.shape[1] == 0:
+        raise ValueError("basis must have at least one column")
+    q_f, r_f = np.linalg.qr(problem.whiten_apply(basis), mode="reduced")
     rhs_hat = q_f.T @ problem.whitened_data
-    return SolverState(basis=basis, av=av, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
+    return SolverState(basis=basis, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
 
 
 def refresh_penalty(state, spec, u_k):
@@ -276,9 +271,10 @@ def projected_pair(state):
     """Square-padded projected factors for parameter selection."""
     if state.r_m is None:
         raise ValueError("penalty factor missing; call refresh_penalty first")
-    d = state.dim
-    r_f, rhs = _pad_square(state.r_f, state.rhs_hat, d)
-    return ProjectedPair(r_f, state.r_m, rhs)
+    p, d = state.r_f.shape
+    # R_F has fewer rows than columns once the basis outgrows the data
+    r_f = np.vstack([state.r_f, np.zeros((d - p, d))])
+    return ProjectedPair(r_f, state.r_m, np.concatenate([state.rhs_hat, np.zeros(d - p)]))
 
 
 def solve_projected(state, lam):
@@ -288,9 +284,8 @@ def solve_projected(state, lam):
     if state.r_m is None:
         raise ValueError("penalty factor missing; call refresh_penalty first")
     d = state.dim
-    r_f, rhs = _pad_square(state.r_f, state.rhs_hat, d)
-    stacked = np.vstack([r_f, np.sqrt(lam) * state.r_m])
-    target = np.concatenate([rhs, np.zeros(d)])
+    stacked = np.vstack([state.r_f, np.sqrt(lam) * state.r_m])
+    target = np.concatenate([state.rhs_hat, np.zeros(d)])
     y, _, rank, _ = np.linalg.lstsq(stacked, target, rcond=None)
     if rank < d:
         raise SingularSystemError(
@@ -314,7 +309,7 @@ def expand_subspace(state, problem, d_op, lam):
         return False
     y = state.y
     x = state.basis @ y
-    res_w = state.av @ y - problem.whitened_data
+    res_w = state.q_f @ (state.r_f @ y) - problem.whitened_data  # A V y from its factors
     r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(
         state.weights**2 * d_op.apply(x)
     )
@@ -326,8 +321,7 @@ def expand_subspace(state, problem, d_op, lam):
         return False
     v_new = r / np.linalg.norm(r)
     _append_column(state, "basis", v_new)
-    _append_column(state, "av", problem.whiten_apply(v_new))
-    _append_forward_qr(state, problem)
+    _append_forward_qr(state, problem, problem.whiten_apply(v_new))
     return True
 
 
@@ -464,18 +458,8 @@ def _gram_cholesky(blocks, d, right=None):
     return np.linalg.cholesky(gram).T
 
 
-def _pad_square(r_f, rhs_hat, d):
-    p = r_f.shape[0]
-    if p == d:
-        return r_f, rhs_hat
-    return (
-        np.vstack([r_f, np.zeros((d - p, d))]),
-        np.concatenate([rhs_hat, np.zeros(d - p)]),
-    )
-
-
 def _append_column(state, name, col):
-    """Append `col` to the rows x d field `name` of the state, in place.
+    """Append `col` to the rows x d field `name` (basis or q_f), in place.
 
     The field is a view of the first d columns of a column-major buffer; the
     buffer doubles its capacity when full, and is (re)created from the field
@@ -493,9 +477,8 @@ def _append_column(state, name, col):
     setattr(state, name, view)
 
 
-def _append_forward_qr(state, problem):
-    """Grow the thin QR of the projected whitened forward by one column."""
-    a = state.av[:, -1]
+def _append_forward_qr(state, problem, a):
+    """Grow the thin QR of the projected whitened forward by its new column `a`."""
     m, p = state.q_f.shape
     if p < m:
         r1 = state.q_f.T @ a

@@ -1,11 +1,13 @@
 """End-to-end runs of the reconstruct and compare entry points."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import dyntv as dv
 from dyntv import cli
 
 
@@ -210,6 +212,74 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             {"experiment": "deblur", "scene": scene, "solver": {"nonneg": "false"}},
             "nonneg must be true or false",
         ),
+        # a scene that renders to zero data used to fail in add_noise with a
+        # traceback (sigma > 0) or to exit 1 after writing history.csv (sigma 0)
+        (
+            {"experiment": "deblur", "scene": dict(scene, n_objects=0), "noise": {"sigma": 0.01}},
+            "all-zero data, so noise sigma 0.01 has no scale",
+        ),
+        (
+            {"experiment": "deblur", "scene": dict(scene, objects=[]), "noise": {"sigma": 0.0}},
+            "all-zero data, so there is nothing to reconstruct",
+        ),
+        # integer fields used to be truncated (12.9 ran as 12) or to fail
+        # with a misleading message (gk_steps 0.5: "must be at least 1")
+        (
+            {"experiment": "deblur", "scene": dict(scene, n_v=12.9)},
+            "invalid scene section: n_v must be an integer, got 12.9",
+        ),
+        (
+            {"experiment": "deblur", "scene": dict(scene, n_t=True)},
+            "invalid scene section: n_t must be an integer, got True",
+        ),
+        (
+            {"experiment": "deblur", "scene": dict(scene, n_objects=2.5)},
+            "invalid scene section: n_objects must be an integer, got 2.5",
+        ),
+        (
+            {"experiment": "deblur", "scene": dict(scene, seed="3")},
+            "invalid scene section: seed must be an integer, got '3'",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "noise": {"seed": 1.5}},
+            "invalid noise section: seed must be an integer, got 1.5",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "noise": {"sigma": 0.01, "seed": -1}},
+            "noise seed must be nonnegative, got -1",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"max_iters": 1.9}},
+            "invalid solver section: max_iters must be an integer, got 1.9",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"gk_steps": 0.5}},
+            "invalid solver section: gk_steps must be an integer, got 0.5",
+        ),
+        (
+            {
+                "experiment": "deblur",
+                "scene": scene,
+                "solver": {"lambda_grid": {"n_points": False}},
+            },
+            "invalid solver section: lambda_grid n_points must be an integer, got False",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "forward": {"bandwidth": 2.5}},
+            "invalid forward section: bandwidth must be an integer, got 2.5",
+        ),
+        (
+            {
+                "experiment": "radon-dynamic",
+                "scene": scene,
+                "forward": {"n_angles_per_step": 4.5},
+            },
+            "invalid forward section: n_angles_per_step must be an integer, got 4.5",
+        ),
+        (
+            {"experiment": "radon-dynamic", "scene": scene, "forward": {"n_detectors": 17.2}},
+            "invalid forward section: n_detectors must be an integer, got 17.2",
+        ),
     ]
     for i, (config, message) in enumerate(cases):
         cfg = write_config(tmp_path, config, f"bad{i}.json")
@@ -227,21 +297,22 @@ def test_missing_output_dir_exit_2(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
-def test_solver_failure_exit_1_flushes_partial_history(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        {
-            "experiment": "deblur",
-            "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "objects": []},
-            "noise": {"sigma": 0.0},
-            "solver": {"method": "AnisoTV"},
-        },
-    )
+def test_solver_failure_exit_1_flushes_partial_history(tmp_path, capsys, monkeypatch):
+    # a valid config reaches no SolverError, so the solve is made to abort
+    # after two iterations
+    def aborting_solve(problem, config):
+        result = dv.mm_gks_solve(problem, dataclasses.replace(config, max_iters=2))
+        raise dv.SolverError("non-finite iterate at iteration 3", history=result.history)
+
+    monkeypatch.setattr(cli, "mm_gks_solve", aborting_solve)
+    # noiseless, so no discrepancy stop ends the two iterations early
+    cfg = write_config(tmp_path, deblur_config(n_v=12, n_h=12, sigma=0.0))
     out = tmp_path / "fail"
     assert cli.main_reconstruct(["--config", cfg, "--out", str(out)]) == 1
-    assert "solver failure" in capsys.readouterr().err
+    assert "solver failure: non-finite iterate" in capsys.readouterr().err
     rows = read_history(out / "history.csv")
-    assert rows == [list(cli.HISTORY_COLUMNS)]
+    assert rows[0] == list(cli.HISTORY_COLUMNS)
+    assert [row[0] for row in rows[1:]] == ["1", "2"]
     assert not (out / "summary.json").exists()
 
 

@@ -38,7 +38,6 @@ def manual_state(r_f, r_m, rhs):
     d = r_f.shape[1]
     return dv.SolverState(
         basis=np.eye(d),
-        av=np.zeros((r_f.shape[0], d)),
         q_f=np.eye(r_f.shape[0]),
         r_f=r_f,
         rhs_hat=np.asarray(rhs, dtype=float),
@@ -92,6 +91,14 @@ def test_seed_zero_data_is_empty_with_breakdown():
     basis, breakdown = dv.seed_subspace(problem, 4)
     assert basis.shape == (5, 0)
     assert breakdown
+
+
+def test_init_state_rejects_empty_basis():
+    # refused up front; accepted, it would fail later inside the stencil of
+    # the first penalty refresh
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(8), data=np.ones(8))
+    with pytest.raises(ValueError, match="at least one column"):
+        dv.init_state(problem, np.zeros((8, 0)))
 
 
 # --- projected solves --------------------------------------------------------------
@@ -160,6 +167,12 @@ def test_projected_pair_pads_wide_factor_square():
     assert pair.r_m.shape == (3, 3)
     np.testing.assert_array_equal(pair.r_f[2], np.zeros(3))
     assert pair.rhs[2] == 0.0
+    # the stacked solve takes the 2 x 3 factor unpadded
+    y = dv.solve_projected(state, 0.5)
+    want = np.linalg.solve(
+        pair.r_f.T @ pair.r_f + 0.5 * (pair.r_m.T @ pair.r_m), pair.r_f.T @ pair.rhs
+    )
+    np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
 
 
 # --- penalty factor refresh --------------------------------------------------------
@@ -304,7 +317,6 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     assert state.dim == d
     np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(d), atol=1e-10)
     aw = problem.whiten_apply(state.basis)
-    np.testing.assert_allclose(state.av, aw, atol=1e-12)
     np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-10)
 
 
@@ -515,26 +527,37 @@ def test_solve_matches_householder_refresh(method, monkeypatch):
     assert np.linalg.norm(got.u - want.u) <= 1e-7 * np.linalg.norm(want.u)
 
 
-def test_solve_peak_memory_holds_no_copy_of_d_v():
-    # Tomography with m << n, so the projected forward is small and the
-    # penalty rows dominate: rows(D) is 2.7 n here.  The solve keeps the
-    # n-row basis and the m-row av and q_f in buffers of at most 2d columns,
-    # and while one doubles its old d-column buffer is still alive:
-    # 3 (n + 2m) d values.  The refresh and the expansion add a few
-    # rows(D)-vectors (weights, D u, W² D u, one frame range of W D V):
-    # 16 rows(D) values leave room for them.  A stored D V of rows(D) x d
-    # alone exceeds what is left under that bound: with one the peak was
-    # 14.6 MB against a bound of 7.7 MB, without it 5.0 MB.
+@pytest.mark.parametrize(
+    "experiment, max_iters, want_d",
+    # tomography has m << n, so the penalty rows dominate (rows(D) is 2.7 n);
+    # blurring has m = n, so the m-row forward arrays weigh as much as the basis
+    [("tomography", 40, 44), ("blur", 37, 41)],
+    ids=["tomography", "blur"],
+)
+def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
+    # The solve keeps two tall arrays, the n-row basis and the m-row q_f, in
+    # buffers of at most 2d columns, and while one doubles its old d-column
+    # buffer is still alive: 3 (n + m) d values.  The refresh and the
+    # expansion add a few rows(D)-vectors (weights, D u, W² D u, one frame
+    # range of W D V): 4 rows(D) values leave room for them.  Neither a stored
+    # D V of rows(D) x d nor a stored A V of m x d fits under that bound: the
+    # blur case peaked at about 9.7 MB against 8.4 MB while A V was kept.
     n_v, n_t = 32, 4
-    model = dv.RadonModel(image_side=n_v, n_time_steps=n_t, n_angles_per_step=5)
-    forward = dv.assemble_dynamic_forward(
-        [dv.build_radon_operator(model, t) for t in range(1, n_t + 1)], n_t
-    )
+    if experiment == "tomography":
+        model = dv.RadonModel(image_side=n_v, n_time_steps=n_t, n_angles_per_step=5)
+        forward = dv.assemble_dynamic_forward(
+            [dv.build_radon_operator(model, t) for t in range(1, n_t + 1)], n_t
+        )
+    else:
+        blur = dv.build_blur_operator(dv.BlurModel(sigma_psf=1.0, bandwidth=2), n_v, n_v)
+        forward = dv.assemble_dynamic_forward(blur, n_t)
     truth = dv.vec(dv.render_scene(dv.moving_disks_scene(n_v, n_v, n_t, n_objects=3, seed=1)))
     data, _ = dv.add_noise(forward.apply(truth), dv.NoiseSpec(sigma=0.01, seed=2))
     problem = dv.ReconstructionProblem(forward=forward, data=data)
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(n_v, n_v, n_t))
-    config = dv.SolverConfig(regularizer=spec, lam=1.0, max_iters=40, rel_change_tol=0.0)
+    config = dv.SolverConfig(
+        regularizer=spec, lam=1.0, max_iters=max_iters, rel_change_tol=0.0
+    )
     rows = dv.build_D(spec).rows  # also builds the cached stencil outside the trace
     tracemalloc.start()
     try:
@@ -543,8 +566,8 @@ def test_solve_peak_memory_holds_no_copy_of_d_v():
     finally:
         tracemalloc.stop()
     m, n, d = forward.rows, forward.cols, result.history[-1].subspace_dim
-    assert result.iterations == 40 and d == 44
-    assert peak <= 8 * (3 * (n + 2 * m) * d + 16 * rows)
+    assert result.iterations == max_iters and d == want_d
+    assert peak <= 8 * (3 * (n + m) * d + 4 * rows)
 
 
 def test_nonneg_iterates_are_nonnegative_exactly():
