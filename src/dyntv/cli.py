@@ -359,6 +359,8 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
         )
     except ValueError as exc:
         raise ConfigError(f"{exc}; lower the scene intensities") from exc
+    if experiment == "radon-static-baseline":
+        frame_problems = _frame_problems(step_ops, data, clean, truth)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -375,7 +377,7 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
     }
 
     if experiment == "radon-static-baseline":
-        u, frames_info = _run_static_baseline(scene, step_ops, data, clean, truth, config, out_dir)
+        u, frames_info = _run_static_baseline(frame_problems, config, out_dir)
         summary["frames"] = frames_info
         report = build_report(u, truth, dims)
         summary["iterations"] = sum(f["iterations"] for f in frames_info)
@@ -407,41 +409,59 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
     return summary
 
 
-def _run_static_baseline(scene, step_ops, data, clean, truth, config, out_dir):
-    """Solve each frame independently with spatial TV; one history per frame."""
-    n_s = scene.n_v * scene.n_h
-    n_t = scene.n_t
-    noise_vec = data - clean
+def _frame_problems(step_ops, data, clean, truth):
+    """One problem per frame for the static baseline, each with its own noise model.
+
+    Built before any output exists: a frame with all-zero data leaves its
+    solve nothing to start from, which is a config error naming the frame.
+    """
     row_splits = np.cumsum([op.rows for op in step_ops])[:-1]
-    data_frames = np.split(data, row_splits)
-    noise_frames = np.split(noise_vec, row_splits)
-    u = np.zeros(n_s * n_t)
-    frames_info = []
-    for t in range(n_t):
-        gamma_t, delta_t = _whitened_noise_model(noise_frames[t])
-        problem = ReconstructionProblem(
-            forward=step_ops[t],
-            data=data_frames[t],
-            noise_cov_diag=gamma_t,
-            delta=delta_t,
-            truth=truth[t * n_s : (t + 1) * n_s],
-        )
+    n_s = step_ops[0].cols
+    problems = []
+    for t, (op, data_t, noise_t) in enumerate(
+        zip(step_ops, np.split(data, row_splits), np.split(data - clean, row_splits))
+    ):
+        if not np.any(data_t):
+            raise ConfigError(
+                f"frame {t + 1} of the static baseline has all-zero data, so there is "
+                "nothing to reconstruct in it; keep an object in view at every step"
+            )
+        gamma_t, delta_t = _whitened_noise_model(noise_t)
+        try:
+            problems.append(
+                ReconstructionProblem(
+                    forward=op,
+                    data=data_t,
+                    noise_cov_diag=gamma_t,
+                    delta=delta_t,
+                    truth=truth[t * n_s : (t + 1) * n_s],
+                )
+            )
+        except ValueError as exc:
+            raise ConfigError(f"frame {t + 1} of the static baseline: {exc}") from exc
+    return problems
+
+
+def _run_static_baseline(problems, config, out_dir):
+    """Solve each frame independently with spatial TV; one history per frame."""
+    u, frames_info = [], []
+    for t, problem in enumerate(problems, start=1):
         try:
             result = mm_gks_solve(problem, config)
         except SolverError as exc:
-            _write_history(out_dir / f"history_t{t + 1:02d}.csv", exc.history)
+            _write_history(out_dir / f"history_t{t:02d}.csv", exc.history)
             raise
-        _write_history(out_dir / f"history_t{t + 1:02d}.csv", result.history)
-        u[t * n_s : (t + 1) * n_s] = result.u
+        _write_history(out_dir / f"history_t{t:02d}.csv", result.history)
+        u.append(result.u)
         frames_info.append(
             {
-                "step": t + 1,
+                "step": t,
                 "iterations": result.iterations,
                 "stop_reason": result.stop_reason,
                 "lambda_final": result.history[-1].lam,
             }
         )
-    return u, frames_info
+    return np.concatenate(u), frames_info
 
 
 # --- comparing -----------------------------------------------------------------

@@ -80,29 +80,42 @@ def _pair_factors(pair):
     return c, s, beta
 
 
-def _curve_from_factors(c, s, beta, lambdas):
+def _candidates(lambdas):
+    """Candidate lambdas as a flat array; raises unless all are positive and finite."""
     lambdas = np.asarray(lambdas, dtype=float).ravel()
     if lambdas.size == 0:
         raise ValueError("need at least one candidate lambda")
     if np.any(lambdas <= 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("candidate lambdas must be positive and finite")
-    d = c.size
-    lam = lambdas[:, None]
+    return lambdas
+
+
+def _squared_factors(pair):
+    """c², s² and β² of the pair, squared once for every evaluation of G."""
+    c, s, beta = _pair_factors(pair)
+    return c**2, s**2, beta**2
+
+
+def _gcv(c2, s2, beta2, lam):
+    """G at lam, a positive scalar or a column of them, from the squared factors.
+
+    Unchecked, and run under the callers' errstate: they validate the
+    candidates once.  Each value depends only on its own lam, so a scalar and
+    the same lam inside a column give bitwise equal results.
+    """
     # 1 - filter factor: lam*s^2 / (c^2 + lam*s^2), written to stay finite
     # for every positive lambda.
-    denom = c[None, :] ** 2 + lam * s[None, :] ** 2
-    one_minus_f = lam * s[None, :] ** 2 / denom
-    num = d * np.sum(one_minus_f**2 * beta[None, :] ** 2, axis=1)
-    tr = np.sum(one_minus_f, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = num / tr**2
-    return values
+    ls2 = lam * s2
+    one_minus_f = ls2 / (c2 + ls2)
+    num = c2.size * (one_minus_f**2 * beta2).sum(axis=-1)
+    return num / one_minus_f.sum(axis=-1) ** 2
 
 
 def gcv_curve(pair, lambdas):
     """Evaluate G on the given positive candidates (ascending or not)."""
-    c, s, beta = _pair_factors(pair)
-    return _curve_from_factors(c, s, beta, lambdas)
+    factors = _squared_factors(pair)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _gcv(*factors, _candidates(lambdas)[:, None])
 
 
 def select_lambda(pair, grid=None):
@@ -122,7 +135,7 @@ def select_lambda(pair, grid=None):
     """
     if grid is None:
         grid = default_lambda_grid()
-    grid = np.sort(np.asarray(grid, dtype=float).ravel())
+    grid = np.sort(_candidates(grid))
     e_f = np.frexp(np.linalg.norm(pair.r_f))[1]
     e_m = np.frexp(np.linalg.norm(pair.r_m))[1]
     balanced = ProjectedPair(
@@ -130,8 +143,9 @@ def select_lambda(pair, grid=None):
     )
     shift = 2 * (e_m - e_f)
     scaled = np.ldexp(grid, shift)
-    c, s, beta = _pair_factors(balanced)
-    values = _curve_from_factors(c, s, beta, scaled)
+    factors = _squared_factors(balanced)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _gcv(*factors, scaled[:, None])
     finite = np.isfinite(values)
     if not finite.any():
         raise SingularSystemError("GCV curve is undefined on the whole grid")
@@ -145,11 +159,10 @@ def select_lambda(pair, grid=None):
 
     lo = scaled[max(idx - 1, 0)]
     hi = scaled[min(idx + 1, grid.size - 1)]
-    cand, cand_value = _golden_section(
-        lambda t: _curve_from_factors(c, s, beta, [np.exp(t)])[0],
-        np.log(lo),
-        np.log(hi),
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cand, cand_value = _golden_section(
+            lambda t: _gcv(*factors, np.exp(t)), np.log(lo), np.log(hi)
+        )
     if np.isfinite(cand_value) and cand_value < best_value:
         return float(np.ldexp(np.exp(cand), -shift))
     return best_grid

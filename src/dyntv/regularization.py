@@ -283,13 +283,17 @@ def build_D(spec):
     return _penalty(spec.method, spec.dims)[0]
 
 
-def _group_sums(spec, u):
-    """Squared group norms of the non-quadratic rows of z = D u, and (1/2)||z_quad||^2."""
+def _group_sums(spec, u, z=None):
+    """Squared group norms of the non-quadratic rows of z = D u, and (1/2)||z_quad||^2.
+
+    ``z`` is D u when the caller already holds it; otherwise D is applied here.
+    """
     u = np.asarray(u, dtype=float).ravel()
     if u.size != spec.n:
         raise ValueError(f"iterate of length {u.size} does not match dims {spec.dims}")
     _, group, n_quad = _penalty(spec.method, spec.dims)
-    z = build_D(spec).apply(u)
+    if z is None:
+        z = build_D(spec).apply(u)
     m = z.size - n_quad
     s = z[:m] ** 2
     if group is not None:
@@ -298,17 +302,17 @@ def _group_sums(spec, u):
     return s, 0.5 * (z[m:] @ z[m:])
 
 
-def regularizer_value(spec, u, smoothed=False):
-    """Evaluate R(u), or its eps-smoothed companion R_eps(u)."""
-    s, quad = _group_sums(spec, u)
+def regularizer_value(spec, u, smoothed=False, z=None):
+    """Evaluate R(u), or its eps-smoothed companion R_eps(u); ``z`` = D u if known."""
+    s, quad = _group_sums(spec, u, z)
     eps2 = spec.epsilon**2 if smoothed else 0.0
     return float(np.sum(np.sqrt(s + eps2)) + quad)
 
 
-def update_weights(spec, u_k):
-    """Diagonal of W(u_k), expanded to one entry per row of D."""
+def update_weights(spec, u_k, z=None):
+    """Diagonal of W(u_k), expanded to one entry per row of D; ``z`` = D u_k if known."""
     _, group, n_quad = _penalty(spec.method, spec.dims)
-    s, _ = _group_sums(spec, u_k)
+    s, _ = _group_sums(spec, u_k, z)
     w = (s + spec.epsilon**2) ** -0.25
     if group is not None:
         w = w[group]

@@ -28,6 +28,16 @@ to Householder QR.  The two arrays that grow with the basis, the basis V and
 the forward factor Q_F, are written one column at a time into column-major
 buffers whose capacity doubles; the state's public fields are views of their
 filled columns.
+
+Each iterate x = V y is formed once, and so are the two vectors that several
+steps share.  Its whitened residual A x - b comes from the kept factors as
+Q_F R_F y - b, without a forward apply, and serves the discrepancy test, the
+objective and the expansion.  z = D u serves the objective, the weights of the
+next refresh (taken at the same u) and the expansion's D x.  Only with
+nonnegativity, where u = max(x, 0) differs from x, does the residual of u take
+a forward apply and the expansion its own D x.  Past the seed, the forward is
+thus applied once per expansion and D once per iterate, besides the stencil
+passes of the Gram sweeps.
 """
 
 from __future__ import annotations
@@ -252,9 +262,9 @@ def init_state(problem, basis):
     return SolverState(basis=basis, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
 
 
-def refresh_penalty(state, spec, u_k):
-    """Recompute the weights at u_k and the projected penalty factor."""
-    w = update_weights(spec, u_k)
+def refresh_penalty(state, spec, u_k, z=None):
+    """Recompute the weights at u_k and the projected penalty factor; ``z`` = D u_k if known."""
+    w = update_weights(spec, u_k, z=z)
     d_op = build_D(spec)
 
     def weighted_rows():
@@ -296,23 +306,20 @@ def solve_projected(state, lam):
     return y
 
 
-def expand_subspace(state, problem, d_op, lam):
-    """Append the orthogonalized normal-equations residual to the basis.
+def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
+    """Append the orthogonalized normal-equations residual at x to the basis.
 
-    Returns True when a direction was added; False when the basis already
-    spans the whole space or the residual has converged to zero.
+    x = V y is the iterate of the last projected solve, ``res_w`` its whitened
+    residual A x - b and ``dx`` = D x, all as the outer loop already holds
+    them.  Returns True when a direction was added; False when the basis
+    already spans the whole space or the residual has converged to zero.
     """
     if state.y is None or state.weights is None:
         raise ValueError("expand_subspace needs a solved state")
     n, d = state.basis.shape
     if d >= n:
         return False
-    y = state.y
-    x = state.basis @ y
-    res_w = state.q_f @ (state.r_f @ y) - problem.whitened_data  # A V y from its factors
-    r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(
-        state.weights**2 * d_op.apply(x)
-    )
+    r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(state.weights**2 * dx)
     # two orthogonalization passes keep the basis orthonormal to rounding
     r = r - state.basis @ (state.basis.T @ r)
     r = r - state.basis @ (state.basis.T @ r)
@@ -356,24 +363,31 @@ def mm_gks_solve(problem, config):
     state = init_state(problem, basis)
     grid = config.lambda_grid if config.lambda_grid is not None else default_lambda_grid()
 
+    b = problem.whitened_data
     u_prev = np.zeros(n)
     u = u_prev
+    z = None  # D u_prev; the first weights, at u = 0, apply D themselves
     history = []
     stop_reason = "max_iters"
     for k in range(1, config.max_iters + 1):
-        refresh_penalty(state, spec, u_prev)
+        refresh_penalty(state, spec, u_prev, z)
         if config.lam is not None:
             lam = float(config.lam)
         else:
             lam = select_lambda(projected_pair(state), grid)
         y = solve_projected(state, lam)
-        u = state.basis @ y
-        if config.nonneg:
-            u = np.maximum(u, 0.0)
-        if not np.all(np.isfinite(u)):
+        x = state.basis @ y
+        if not np.all(np.isfinite(x)):
             raise SolverError(f"non-finite iterate at iteration {k}", history=history)
-        dp_residual = problem.residual_norm(u)
-        objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, u, smoothed=True)
+        res_w = state.q_f @ (state.r_f @ y) - b
+        if config.nonneg:
+            u = np.maximum(x, 0.0)
+            dp_residual = problem.residual_norm(u)
+        else:
+            u = x
+            dp_residual = float(np.linalg.norm(res_w))
+        z = d_op.apply(u)
+        objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, u, smoothed=True, z=z)
         rre = None
         if problem.truth is not None:
             rre = float(np.linalg.norm(u - problem.truth) / np.linalg.norm(problem.truth))
@@ -400,7 +414,8 @@ def mm_gks_solve(problem, config):
             break
         u_prev = u
         if not config.full_space and k < config.max_iters:
-            expand_subspace(state, problem, d_op, lam)
+            dx = d_op.apply(x) if config.nonneg else z
+            expand_subspace(state, problem, d_op, lam, x, res_w, dx)
     return SolveResult(u=u, history=history, stop_reason=stop_reason)
 
 

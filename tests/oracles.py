@@ -9,7 +9,8 @@ as the paper writes it.  The exceptions are test helpers that take package
 objects as they are: ``mode_product`` accepts any package operator, and the
 majorant helpers evaluate Q and J_eps from the package's D, weights and
 penalty, so that the tests can check the majorization conditions the solver
-relies on.
+relies on, and ``expand_at_solve`` hands the solver's expansion the inputs
+its outer loop would.
 """
 
 import math
@@ -230,6 +231,18 @@ def majorant_gradient(spec, u, u_k, lam, misfit_gradient):
 def smoothed_objective(spec, u, lam, misfit):
     """J_eps(u) = misfit(u) + lam * R_eps(u)."""
     return float(misfit(u) + lam * dv.regularizer_value(spec, u, smoothed=True))
+
+
+def expand_at_solve(state, problem, d_op, lam):
+    """``expand_subspace`` at x = V y of the last projected solve.
+
+    Forms x, its whitened residual from the kept factors and D x as the
+    outer loop of ``mm_gks_solve`` does, for tests that drive the solver's
+    steps one by one.
+    """
+    x = state.basis @ state.y
+    res_w = state.q_f @ (state.r_f @ state.y) - problem.whitened_data
+    return dv.expand_subspace(state, problem, d_op, lam, x, res_w, d_op.apply(x))
 
 
 # --- GCV, direct dense formula ---------------------------------------------------

@@ -222,6 +222,19 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             {"experiment": "deblur", "scene": dict(scene, objects=[]), "noise": {"sigma": 0.0}},
             "all-zero data, so there is nothing to reconstruct",
         ),
+        # a static-baseline frame with all-zero data used to be solved after
+        # the earlier frames, writing their histories, and to exit 1 with
+        # "seed basis is empty"; here the only disk leaves the frame at step 2
+        (
+            {
+                "experiment": "radon-static-baseline",
+                "scene": dict(
+                    scene, objects=[{"centers": [[6, 6], [40, 40]], "radii": [3, 3]}]
+                ),
+                "noise": {"sigma": 0.0},
+            },
+            "frame 2 of the static baseline has all-zero data",
+        ),
         # integer fields used to be truncated (12.9 ran as 12) or to fail
         # with a misleading message (gk_steps 0.5: "must be at least 1")
         (

@@ -5,6 +5,7 @@ import pytest
 
 import dyntv as dv
 import oracles
+from dyntv import paramselect
 from dyntv.paramselect import ProjectedPair, default_lambda_grid, gcv_curve, select_lambda
 
 
@@ -133,6 +134,22 @@ def test_selected_lambda_orthogonal_invariance():
         np.testing.assert_allclose(c1, c2, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(select_lambda(pair, grid), select_lambda(rotated, grid),
                                    rtol=1e-6)
+
+
+def test_gcv_formula_gives_a_scalar_the_value_of_its_grid_entry():
+    # the golden-section steps evaluate G at one scalar lambda and the grid
+    # sweep at a column of them, through one formula; each value must not
+    # depend on which, down to the last bit (d past 128 also crosses a block
+    # of numpy's pairwise summation)
+    rng = np.random.default_rng(38)
+    for d in (1, 2, 7, 8, 9, 25, 64, 130, 200):
+        factors = paramselect._squared_factors(random_pair(rng, d))
+        lambdas = np.exp(rng.uniform(-16.0, 6.0, 24))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            column = paramselect._gcv(*factors, lambdas[:, None])
+            scalars = np.array([paramselect._gcv(*factors, lam) for lam in lambdas])
+        assert column.shape == scalars.shape == (24,)
+        np.testing.assert_array_equal(scalars, column)
 
 
 def test_gcv_rejects_nonpositive_lambda():

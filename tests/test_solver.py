@@ -1,6 +1,7 @@
 """Subspace seeding, projected solves, expansion, stopping rules, outer loop."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_expand_full_basis_returns_false():
     state = dv.init_state(problem, np.eye(8))
     dv.refresh_penalty(state, spec, np.zeros(8))
     dv.solve_projected(state, 0.5)
-    assert not dv.expand_subspace(state, problem, d_op, 0.5)
+    assert not oracles.expand_at_solve(state, problem, d_op, 0.5)
     assert state.dim == 8
 
 
@@ -286,7 +287,7 @@ def test_expand_stalls_when_solution_is_in_span():
     dv.refresh_penalty(state, spec, np.zeros(n))
     y = dv.solve_projected(state, 1e-3)
     np.testing.assert_allclose(state.basis @ y, problem.data, rtol=1e-12)
-    assert not dv.expand_subspace(state, problem, d_op, 1e-3)
+    assert not oracles.expand_at_solve(state, problem, d_op, 1e-3)
     assert state.dim == 1
 
 
@@ -312,7 +313,7 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
         dv.refresh_penalty(state, spec, u)
         y = dv.solve_projected(state, 0.3)
         u = state.basis @ y
-        assert dv.expand_subspace(state, problem, d_op, 0.3)
+        assert oracles.expand_at_solve(state, problem, d_op, 0.3)
     d = 4 + n_expand
     assert state.dim == d
     np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(d), atol=1e-10)
@@ -336,7 +337,7 @@ def test_expand_appends_dense_normal_equations_residual():
     state = dv.init_state(problem, basis)
     dv.refresh_penalty(state, spec, rng.standard_normal(n))
     y = dv.solve_projected(state, lam)
-    assert dv.expand_subspace(state, problem, d_op, lam)
+    assert oracles.expand_at_solve(state, problem, d_op, lam)
 
     a, d = problem.forward.to_dense(), d_op.to_dense()
     u = basis @ y
@@ -353,8 +354,10 @@ def test_expand_requires_solved_state():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = dv.build_D(spec)
     state = dv.init_state(problem, np.eye(8)[:, :2])
-    with pytest.raises(ValueError):
-        dv.expand_subspace(state, problem, d_op, 0.5)
+    with pytest.raises(ValueError, match="needs a solved state"):
+        dv.expand_subspace(
+            state, problem, d_op, 0.5, np.zeros(8), np.zeros(10), np.zeros(d_op.rows)
+        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -568,6 +571,82 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
     m, n, d = forward.rows, forward.cols, result.history[-1].subspace_dim
     assert result.iterations == max_iters and d == want_d
     assert peak <= 8 * (3 * (n + m) * d + 4 * rows)
+
+
+class CountingOperator:
+    """Proxy that counts the applies, adjoints and row-block passes of an operator."""
+
+    def __init__(self, op, counts, name):
+        self._op, self._counts, self._name = op, counts, name
+
+    def __getattr__(self, attr):
+        return getattr(self._op, attr)
+
+    def apply(self, x):
+        self._counts[self._name + ".apply"] += 1
+        return self._op.apply(x)
+
+    def apply_adjoint(self, y):
+        self._counts[self._name + ".adjoint"] += 1
+        return self._op.apply_adjoint(y)
+
+    def row_blocks(self, *args, **kwargs):
+        self._counts[self._name + ".row_blocks"] += 1
+        return self._op.row_blocks(*args, **kwargs)
+
+
+def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeypatch):
+    # Without nonnegativity the residual of u = V y comes from the kept
+    # factors Q_F R_F y, so past the seed and init_state the forward is
+    # applied only to each new basis vector.  z = D u is formed once per
+    # iterate and serves the objective, the next weights and the expansion;
+    # the first weights, at u = 0, apply D themselves.  The Gram sweeps of the
+    # refresh reach D through row_blocks, counted apart.
+    counts = Counter()
+    build_d = dv.regularization.build_D
+    for module in (dv.solver, dv.regularization):
+        monkeypatch.setattr(
+            module, "build_D", lambda spec: CountingOperator(build_d(spec), counts, "D")
+        )
+    blurred = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
+    problem = dv.ReconstructionProblem(
+        forward=CountingOperator(blurred.forward, counts, "F"), data=blurred.data
+    )
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    gk_steps, iters = 4, 10
+    config = dv.SolverConfig(
+        regularizer=spec, lam=0.1, max_iters=iters, gk_steps=gk_steps, rel_change_tol=0.0
+    )
+    result = dv.mm_gks_solve(problem, config)
+    expansions = iters - 1
+    assert result.iterations == iters
+    assert result.history[-1].subspace_dim == gk_steps + expansions
+    assert counts["F.apply"] == (gk_steps - 1) + 1 + expansions  # seed, init_state, expansions
+    assert counts["F.adjoint"] == gk_steps + expansions
+    assert counts["D.apply"] == 1 + iters
+    assert counts["D.adjoint"] == expansions
+    assert counts["D.row_blocks"] >= iters  # one Gram sweep or more per refresh
+
+
+def test_history_dp_residual_is_the_residual_of_each_iterate():
+    # the k-th iterate is the final one of a run cut at k iterations
+    problem = blur_problem((8, 8, 2), 1.0, 3, 0.01, scene_seed=9, noise_seed=5)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_3D_TV, dims=(8, 8, 2), epsilon=1e-3)
+    for nonneg, max_iters in ((False, 40), (True, 10)):
+        result = dv.mm_gks_solve(
+            problem, dv.SolverConfig(regularizer=spec, nonneg=nonneg, max_iters=max_iters)
+        )
+        if not nonneg:
+            # from the kept factors; the DP stop must hold for the iterate itself
+            assert result.stop_reason == "discrepancy"
+            assert dv.check_dp(problem, result.u, 1.01)
+        for rec in result.history:
+            config = dv.SolverConfig(regularizer=spec, nonneg=nonneg, max_iters=rec.iteration)
+            want = problem.residual_norm(dv.mm_gks_solve(problem, config).u)
+            if nonneg:
+                assert rec.dp_residual == want
+            else:
+                assert abs(rec.dp_residual - want) <= 1e-12 * want
 
 
 def test_nonneg_iterates_are_nonnegative_exactly():
