@@ -36,10 +36,6 @@ __all__ = [
 # Hard cap for materializing operators; beyond this, go matrix-free.
 MAX_DENSE_COLS = 4096
 
-# Elements of the nnz x k gather temporary in one SparseOperator product
-# (8 MB of float64); wider inputs are processed in column chunks.
-_SPARSE_BLOCK_ELEMS = 1 << 20
-
 
 class LinearOperator:
     """Abstract linear map R^cols -> R^rows with an exact adjoint.
@@ -204,22 +200,22 @@ def _csr(sorted_rows, indices, values, n_rows):
 
 
 def _csr_product(csr, x, n_out):
-    """``M x`` for M in compressed rows, chunked over the columns of x.
+    """``M x`` for M in compressed rows, one column of x at a time.
 
+    Each column is one 1-D gather of nnz entries, scaled in place and summed
+    per row, so the temporary never exceeds one nnz vector.
     ``np.add.reduceat`` returns the element at the start index for an empty
     segment instead of 0, so it is given only the starts of nonempty rows
     (each then runs to the next nonempty start, which is its own end) and
     the empty rows stay zero.
     """
-    k = x.shape[1]
-    out = np.zeros((n_out, k))
+    out = np.zeros((n_out, x.shape[1]))
     if csr.nonempty.size == 0:
         return out
-    step = max(1, _SPARSE_BLOCK_ELEMS // csr.values.size)
-    for c in range(0, k, step):
-        gathered = x[csr.indices, c : c + step]  # a copy: fancy indexing
-        gathered *= csr.values[:, None]
-        out[csr.nonempty, c : c + step] = np.add.reduceat(gathered, csr.starts, axis=0)
+    for c in range(x.shape[1]):
+        gathered = x[csr.indices, c]  # a copy: fancy indexing
+        gathered *= csr.values
+        out[csr.nonempty, c] = np.add.reduceat(gathered, csr.starts)
     return out
 
 

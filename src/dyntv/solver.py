@@ -26,8 +26,10 @@ factor enters every later step only through RᵀR; up to 1e7 a second sweep make
 it CholeskyQR2; a wide, rank deficient or more ill conditioned block falls back
 to Householder QR.  The two arrays that grow with the basis, the basis V and
 the forward factor Q_F, are written one column at a time into column-major
-buffers whose capacity doubles; the state's public fields are views of their
-filled columns.
+buffers that ``init_state`` sizes once for the run's largest subspace,
+min(n, gk_steps + max_iters - 1) columns, since each outer iteration adds at
+most one; the state's public fields are views of their filled columns, and no
+buffer is ever copied or regrown.
 
 Each iterate x = V y is formed once, and so are the two vectors that several
 steps share.  Its whitened residual A x - b comes from the kept factors as
@@ -115,9 +117,11 @@ class ReconstructionProblem:
         self._inv_sqrt_cov = 1.0 / np.sqrt(self.noise_cov_diag)
         # the seed basis starts from b / ||b||, which an overflowing ||b||² leaves empty
         with np.errstate(over="ignore"):
-            b = self.whitened_data
+            b = self._inv_sqrt_cov * self.data
             if not np.isfinite(b @ b):
                 raise ValueError("squared norm of the whitened data is not finite")
+        b.flags.writeable = False
+        self._whitened_data = b
 
     # Whitened pieces: A = Gamma^{-1/2} F, b = Gamma^{-1/2} d.
     def whiten_apply(self, x):
@@ -131,7 +135,8 @@ class ReconstructionProblem:
 
     @property
     def whitened_data(self):
-        return self._inv_sqrt_cov * self.data
+        """b = Gamma^{-1/2} d, formed once (read-only)."""
+        return self._whitened_data
 
     def residual_norm(self, u):
         """Whitened data misfit ||F u - d||_{Gamma^{-1}}."""
@@ -182,12 +187,18 @@ class SolverState:
     weights: np.ndarray | None = None  # diagonal of W(u_k), one entry per row of D
     r_m: np.ndarray | None = None  # square-padded R of W D V, d x d; D V is not kept
     y: np.ndarray | None = None
-    # field name -> (column-major buffer, the view of it last stored in the field)
+    # field name (basis, q_f) -> the column-major buffer, sized once by
+    # init_state, whose first columns the field views
     _buffers: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self):
         return self.basis.shape[1]
+
+    @property
+    def max_dim(self):
+        """Columns the basis can grow to: the width of its buffer."""
+        return self._buffers.get("basis", self.basis).shape[1]
 
 
 @dataclass(frozen=True)
@@ -250,16 +261,39 @@ def seed_subspace(problem, n_steps):
     return np.column_stack(cols), False
 
 
-def init_state(problem, basis):
-    """Project the whitened forward operator onto a basis; only the thin QR of A V is kept."""
+def init_state(problem, basis, max_dim):
+    """Project the whitened forward operator onto a basis; only the thin QR of A V is kept.
+
+    ``max_dim`` is the most columns the basis will hold (capped at n); the
+    basis and Q_F are copied once into column-major buffers of min(n, max_dim)
+    and min(m, max_dim) columns, which expansions fill in place.  A basis or
+    Q_F that is already column-major with all its columns is kept as it is.
+    Either way both are column-major from the start, so an iterate does not
+    depend on how far the run may grow.  Columns an early-stopping run never
+    fills are never written, so they never become resident; numpy's huge-page
+    advice adds at most one partly filled 2 MB page per buffer.
+    """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
         raise ValueError("basis must be n x d")
-    if basis.shape[1] == 0:
+    n, d = basis.shape
+    if d == 0:
         raise ValueError("basis must have at least one column")
+    if max_dim < d:
+        raise ValueError(f"max_dim {max_dim} is below the basis's {d} columns")
+    max_dim = min(int(max_dim), n)
     q_f, r_f = np.linalg.qr(problem.whiten_apply(basis), mode="reduced")
     rhs_hat = q_f.T @ problem.whitened_data
-    return SolverState(basis=basis, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
+    state = SolverState(basis=basis, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
+    for name, cols in (("basis", max_dim), ("q_f", min(q_f.shape[0], max_dim))):
+        view = getattr(state, name)
+        buf = view
+        if view.shape[1] < cols or not view.flags.f_contiguous:
+            buf = np.empty((view.shape[0], cols), order="F")
+            buf[:, : view.shape[1]] = view
+            setattr(state, name, buf[:, : view.shape[1]])
+        state._buffers[name] = buf
+    return state
 
 
 def refresh_penalty(state, spec, u_k, z=None):
@@ -312,12 +346,12 @@ def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
     x = V y is the iterate of the last projected solve, ``res_w`` its whitened
     residual A x - b and ``dx`` = D x, all as the outer loop already holds
     them.  Returns True when a direction was added; False when the basis
-    already spans the whole space or the residual has converged to zero.
+    already has ``state.max_dim`` columns (at most n) or the residual has
+    converged to zero.
     """
     if state.y is None or state.weights is None:
         raise ValueError("expand_subspace needs a solved state")
-    n, d = state.basis.shape
-    if d >= n:
+    if state.dim >= state.max_dim:
         return False
     r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(state.weights**2 * dx)
     # two orthogonalization passes keep the basis orthonormal to rounding
@@ -355,12 +389,15 @@ def mm_gks_solve(problem, config):
     if config.full_space:
         if n > MAX_DENSE_COLS:
             raise ValueError("full_space mode is limited to small problems")
-        basis = np.eye(n)
+        basis, max_dim = np.eye(n, order="F"), n
     else:
         basis, _ = seed_subspace(problem, config.gk_steps)
         if basis.shape[1] == 0:
             raise SolverError("seed basis is empty; data has no signal to start from")
-    state = init_state(problem, basis)
+        # the seed has at most gk_steps columns, and every iteration but the
+        # last adds at most one
+        max_dim = config.gk_steps + config.max_iters - 1
+    state = init_state(problem, basis, max_dim)
     grid = config.lambda_grid if config.lambda_grid is not None else default_lambda_grid()
 
     b = problem.whitened_data
@@ -476,20 +513,14 @@ def _gram_cholesky(blocks, d, right=None):
 def _append_column(state, name, col):
     """Append `col` to the rows x d field `name` (basis or q_f), in place.
 
-    The field is a view of the first d columns of a column-major buffer; the
-    buffer doubles its capacity when full, and is (re)created from the field
-    when the field was set from outside since the last append.
+    The field is a view of the first d columns of the column-major buffer
+    that ``init_state`` sized for the run; the column is written into the
+    buffer and the view widened by one, with no copy.
     """
-    view = getattr(state, name)
-    rows, d = view.shape
-    buf, last = state._buffers.get(name, (None, None))
-    if last is not view or buf.shape[1] == d:
-        buf = np.empty((rows, max(2 * d, 1)), order="F")
-        buf[:, :d] = view
+    d = getattr(state, name).shape[1]
+    buf = state._buffers[name]
     buf[:, d] = col
-    view = buf[:, : d + 1]
-    state._buffers[name] = (buf, view)
-    setattr(state, name, view)
+    setattr(state, name, buf[:, : d + 1])
 
 
 def _append_forward_qr(state, problem, a):

@@ -210,7 +210,7 @@ def test_full_subspace_matches_dense_weighted_solve():
         spec = spec_for(name, dims, eps)
         d_op = dv.build_D(spec)
         basis, _ = dv.seed_subspace(problem, 5)
-        state = dv.init_state(problem, basis)
+        state = dv.init_state(problem, basis, n)
         u_prev = np.zeros(n)
         for _ in range(200):
             dv.refresh_penalty(state, spec, u_prev)

@@ -99,7 +99,7 @@ def test_init_state_rejects_empty_basis():
     # the first penalty refresh
     problem = dv.ReconstructionProblem(forward=IdentityOperator(8), data=np.ones(8))
     with pytest.raises(ValueError, match="at least one column"):
-        dv.init_state(problem, np.zeros((8, 0)))
+        dv.init_state(problem, np.zeros((8, 0)), 8)
 
 
 # --- projected solves --------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_solve_projected_requires_penalty_factor():
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    state = dv.init_state(problem, np.eye(8)[:, :3])
+    state = dv.init_state(problem, np.eye(8)[:, :3], 8)
     with pytest.raises(ValueError):
         dv.solve_projected(state, 1.0)
 
@@ -161,7 +161,7 @@ def test_projected_pair_pads_wide_factor_square():
         forward=random_forward(rng, 2, 8), data=rng.standard_normal(2)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    state = dv.init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0])
+    state = dv.init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0], 8)
     dv.refresh_penalty(state, spec, np.zeros(8))
     pair = dv.projected_pair(state)
     assert pair.r_f.shape == (3, 3)
@@ -244,7 +244,7 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 60, spec.n), data=rng.standard_normal(60)
     )
-    state = dv.init_state(problem, np.eye(spec.n))
+    state = dv.init_state(problem, np.eye(spec.n), spec.n)
     dv.refresh_penalty(state, spec, u)
     np.testing.assert_array_equal(state.r_m, want)
 
@@ -266,7 +266,7 @@ def test_expand_full_basis_returns_false():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = dv.build_D(spec)
-    state = dv.init_state(problem, np.eye(8))
+    state = dv.init_state(problem, np.eye(8), 8)
     dv.refresh_penalty(state, spec, np.zeros(8))
     dv.solve_projected(state, 0.5)
     assert not oracles.expand_at_solve(state, problem, d_op, 0.5)
@@ -283,7 +283,7 @@ def test_expand_stalls_when_solution_is_in_span():
     problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=np.ones(n))
     basis, breakdown = dv.seed_subspace(problem, 5)
     assert breakdown and basis.shape == (n, 1)
-    state = dv.init_state(problem, basis)
+    state = dv.init_state(problem, basis, n)
     dv.refresh_penalty(state, spec, np.zeros(n))
     y = dv.solve_projected(state, 1e-3)
     np.testing.assert_allclose(state.basis @ y, problem.data, rtol=1e-12)
@@ -291,12 +291,46 @@ def test_expand_stalls_when_solution_is_in_span():
     assert state.dim == 1
 
 
+def test_expansions_fill_the_buffers_init_state_allocated():
+    # init_state sizes the basis and q_f buffers once for max_dim columns;
+    # every expansion writes into them, so the fields keep sharing memory
+    # with the first views, and a full basis stops growing.  Five data rows:
+    # q_f fills its five columns after two expansions and then stays put.
+    rng = np.random.default_rng(26)
+    dims, rows, lam, max_dim = (3, 3, 2), 5, 0.3, 7
+    n = int(np.prod(dims))
+    problem = dv.ReconstructionProblem(
+        forward=random_forward(rng, rows, n), data=rng.standard_normal(rows)
+    )
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
+    d_op = dv.build_D(spec)
+    basis, _ = dv.seed_subspace(problem, 3)
+    assert basis.shape == (n, 3)
+    with pytest.raises(ValueError, match="max_dim 2 is below the basis's 3 columns"):
+        dv.init_state(problem, basis, 2)
+    assert dv.init_state(problem, basis, 10 * n).max_dim == n
+    state = dv.init_state(problem, basis, max_dim)
+    first_basis, first_q_f = state.basis, state.q_f
+    assert state.max_dim == max_dim and first_q_f.shape == (rows, 3)
+    u = np.zeros(n)
+    for d in range(4, max_dim + 2):
+        dv.refresh_penalty(state, spec, u)
+        u = state.basis @ dv.solve_projected(state, lam)
+        assert oracles.expand_at_solve(state, problem, d_op, lam) == (d <= max_dim)
+        assert state.dim == min(d, max_dim)
+        assert np.shares_memory(state.basis, first_basis)
+        assert np.shares_memory(state.q_f, first_q_f)
+    assert state.q_f.shape == (rows, rows)
+    np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(max_dim), atol=1e-10)
+    np.testing.assert_allclose(
+        state.q_f @ state.r_f, problem.whiten_apply(state.basis), atol=1e-10
+    )
+
+
 @pytest.mark.parametrize(
     "rows, dims, n_expand",
-    # the second input grows the basis from 4 to 24 columns, past two
-    # doublings of the column buffers (capacity 8 -> 16 -> 32)
     [(30, (3, 3, 2), 6), (60, (3, 3, 4), 20)],
-    ids=["six-expansions", "past-two-doublings"],
+    ids=["six-expansions", "twenty-expansions"],
 )
 def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_expand):
     rng = np.random.default_rng(23)
@@ -307,7 +341,7 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
     d_op = dv.build_D(spec)
     basis, _ = dv.seed_subspace(problem, 4)
-    state = dv.init_state(problem, basis)
+    state = dv.init_state(problem, basis, n)
     u = np.zeros(n)
     for _ in range(n_expand):
         dv.refresh_penalty(state, spec, u)
@@ -334,7 +368,7 @@ def test_expand_appends_dense_normal_equations_residual():
     spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=dims, epsilon=1e-2)
     d_op = dv.build_D(spec)
     basis, _ = dv.seed_subspace(problem, 4)
-    state = dv.init_state(problem, basis)
+    state = dv.init_state(problem, basis, n)
     dv.refresh_penalty(state, spec, rng.standard_normal(n))
     y = dv.solve_projected(state, lam)
     assert oracles.expand_at_solve(state, problem, d_op, lam)
@@ -353,7 +387,7 @@ def test_expand_requires_solved_state():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = dv.build_D(spec)
-    state = dv.init_state(problem, np.eye(8)[:, :2])
+    state = dv.init_state(problem, np.eye(8)[:, :2], 8)
     with pytest.raises(ValueError, match="needs a solved state"):
         dv.expand_subspace(
             state, problem, d_op, 0.5, np.zeros(8), np.zeros(10), np.zeros(d_op.rows)
@@ -388,6 +422,19 @@ def test_problem_rejects_data_whose_squared_norm_overflows():
         )
     big = dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.full(3, 1e150))
     assert np.isfinite(big.whitened_data @ big.whitened_data)
+
+
+def test_whitened_data_is_formed_once_and_read_only():
+    # every expansion, the seed, init_state and residual_norm read b; it is
+    # the one array formed at construction, with the values of Γ^{-1/2} d
+    rng = np.random.default_rng(27)
+    data, cov = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(6), data=data, noise_cov_diag=cov)
+    b = problem.whitened_data
+    assert problem.whitened_data is b
+    np.testing.assert_array_equal(b, (1.0 / np.sqrt(cov)) * data)
+    with pytest.raises(ValueError, match="read-only"):
+        b[0] = 0.0
 
 
 # --- discrepancy principle ---------------------------------------------------------
@@ -539,12 +586,13 @@ def test_solve_matches_householder_refresh(method, monkeypatch):
 )
 def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
     # The solve keeps two tall arrays, the n-row basis and the m-row q_f, in
-    # buffers of at most 2d columns, and while one doubles its old d-column
-    # buffer is still alive: 3 (n + m) d values.  The refresh and the
-    # expansion add a few rows(D)-vectors (weights, D u, W² D u, one frame
-    # range of W D V): 4 rows(D) values leave room for them.  Neither a stored
-    # D V of rows(D) x d nor a stored A V of m x d fits under that bound: the
-    # blur case peaked at about 9.7 MB against 8.4 MB while A V was kept.
+    # buffers that init_state sizes once for the run's d columns and that
+    # are never copied: (n + m) d values.  The refresh and the expansion add
+    # rows(D)-vectors (weights, D u, W² D u) and the 256 KB row blocks of the
+    # Gram sweep: 20 rows(D) values leave room for them.  A second copy of
+    # either tall array does not fit: with buffers that doubled, the old one
+    # alive during the copy, the peaks were 4.7 MB (tomography, bound 3.5 MB)
+    # and 7.2 MB (blur, bound 4.4 MB); a stored D V or A V fits even less.
     n_v, n_t = 32, 4
     if experiment == "tomography":
         model = dv.RadonModel(image_side=n_v, n_time_steps=n_t, n_angles_per_step=5)
@@ -570,7 +618,7 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
         tracemalloc.stop()
     m, n, d = forward.rows, forward.cols, result.history[-1].subspace_dim
     assert result.iterations == max_iters and d == want_d
-    assert peak <= 8 * (3 * (n + m) * d + 4 * rows)
+    assert peak <= 8 * ((n + m) * d + 20 * rows)
 
 
 class CountingOperator:
