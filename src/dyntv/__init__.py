@@ -12,7 +12,7 @@ from .forward import (
 )
 from .metrics import QualityReport, build_report, rre, rre_per_frame, ssim
 from .operators import LinearOperator, tensor, vec
-from .paramselect import ProjectedPair, default_lambda_grid, gcv_curve, select_lambda
+from .paramselect import default_lambda_grid
 from .phantom import (
     NoiseSpec,
     SceneObject,
@@ -22,29 +22,13 @@ from .phantom import (
     moving_disks_scene,
     render_scene,
 )
-from .regularization import (
-    METHOD_NAMES,
-    Method,
-    RegularizerSpec,
-    StaticTVSpec,
-    build_D,
-    regularizer_value,
-    update_weights,
-)
+from .regularization import METHOD_NAMES, Method, RegularizerSpec, StaticTVSpec
 from .solver import (
     IterationRecord,
     ReconstructionProblem,
     SolveResult,
     SolverConfig,
-    SolverState,
-    check_dp,
-    expand_subspace,
-    init_state,
     mm_gks_solve,
-    projected_pair,
-    refresh_penalty,
-    seed_subspace,
-    solve_projected,
 )
 
 __version__ = "0.1.0"

@@ -12,13 +12,14 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ConfigError, SingularSystemError, SolverError
 from .forward import (
-    BlurModel,
     RadonModel,
     assemble_dynamic_forward,
     build_blur_operator,
@@ -36,15 +37,77 @@ from .phantom import (
     moving_disks_scene,
     render_scene,
 )
-from .regularization import METHOD_NAMES, RegularizerSpec, StaticTVSpec
+from .regularization import Method, RegularizerSpec, StaticTVSpec
 from .solver import ReconstructionProblem, SolverConfig, mm_gks_solve
-
-EXPERIMENTS = ("deblur", "radon-dynamic", "radon-static-baseline")
 
 HISTORY_COLUMNS = ("iter", "lambda", "objective", "dp_residual", "rre", "subspace_dim")
 
 
 # --- configuration -------------------------------------------------------------
+
+# The JSON kind of every key a config may give, section by section.  A dict is
+# an object read with that table, [table] a list of such objects, and a tuple
+# the kinds a value may take; "null" stands for the library's own None.  Only
+# the keys a config gives reach the library, whose defaults fill in the rest.
+_SCENE_OBJECT = {"shape": "string", "intensity": "number", "centers": "list", "radii": "list"}
+_LAMBDA_GRID = {"n_points": "integer", "low": "number", "high": "number"}
+_BLUR = {"sigma_psf": "number", "bandwidth": "integer"}
+_RADON = {
+    "n_angles_per_step": "integer",
+    "angle_stride_deg": ("number", "null"),
+    "n_detectors": ("integer", "null"),
+}
+FORWARD_KEYS = {"deblur": _BLUR, "radon-dynamic": _RADON, "radon-static-baseline": _RADON}
+EXPERIMENTS = tuple(FORWARD_KEYS)
+CONFIG_KEYS = {
+    "experiment": "string",
+    "scene": {
+        "n_v": "integer",
+        "n_h": "integer",
+        "n_t": "integer",
+        "preset": "string",
+        "n_objects": "integer",
+        "seed": "integer",
+        "objects": [_SCENE_OBJECT],
+    },
+    "noise": {"sigma": "number", "seed": "integer"},
+    "forward": {**_BLUR, **_RADON},  # narrowed to FORWARD_KEYS[experiment]
+    "solver": {
+        "method": "string",
+        "eta": "number",
+        "max_iters": "integer",
+        "gk_steps": "integer",
+        "rel_change_tol": "number",
+        "epsilon": "number",
+        "nonneg": "boolean",
+        "lambda": ("number", "null"),
+        "lambda_grid": ("list", _LAMBDA_GRID, "null"),
+    },
+    "output_dir": ("string", "null"),
+}
+
+
+def _number(value):
+    """A JSON number that a float can hold; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _numbers(value):
+    """A number or a list, nested or not, of numbers."""
+    return _number(value) or isinstance(value, list) and all(map(_numbers, value))
+
+
+# name in messages, test and conversion of each scalar kind
+_KINDS = {
+    "integer": ("an integer", lambda v: _number(v) and v % 1 == 0, int),
+    "number": ("a number", _number, float),
+    "boolean": ("true or false", lambda v: isinstance(v, bool), bool),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "list": ("a list of numbers", lambda v: isinstance(v, list) and _numbers(v), list),
+    "null": ("null", lambda v: v is None, lambda v: v),
+}
 
 
 def load_config(path):
@@ -61,161 +124,141 @@ def load_config(path):
     return cfg
 
 
-def _require(cfg, key, section="config"):
-    if key not in cfg:
-        raise ConfigError(f"{section} is missing required key {key!r}")
-    return cfg[key]
+def _invalid(section, label, problem):
+    return ConfigError(f"invalid {section} section: {' '.join((*label, problem))}")
 
 
-def _integer(value, key, section):
-    """An integral JSON number as an int; booleans and fractions are refused."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"invalid {section} section: {key} must be an integer, got {value!r}")
-    return int(value)
+def _read(obj, table, section, label=()):
+    """A config object's entries, each checked against its kind in ``table``.
 
-
-def _section(cfg, key):
-    """Optional sub-object of the config; an empty one when absent."""
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"invalid {key} section: must be a JSON object")
-    return section
-
-
-def _scene_from_config(cfg):
-    scene = _require(cfg, "scene")
-    try:
-        n_v, n_h, n_t = (_integer(scene[key], key, "scene") for key in ("n_v", "n_h", "n_t"))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"scene needs integer extents n_v, n_h, n_t: {exc}") from exc
-    if min(n_v, n_h) < SSIM_WINDOW:
-        # every run ends in a per-frame SSIM report, which needs a full window
-        raise ConfigError(f"scene frames must be at least {SSIM_WINDOW} pixels per side")
-    try:
-        if "objects" in scene:
-            objects = tuple(
-                SceneObject(
-                    shape=obj.get("shape", "disk"),
-                    intensity=float(obj.get("intensity", 1.0)),
-                    centers=tuple(tuple(c) for c in obj["centers"]),
-                    radii=tuple(obj["radii"]),
-                )
-                for obj in scene["objects"]
-            )
-            return SceneSpec(n_v=n_v, n_h=n_h, n_t=n_t, objects=objects)
-        preset = scene.get("preset", "moving-disks")
-        if preset != "moving-disks":
-            raise ConfigError(f"unknown scene preset {preset!r}")
-        return moving_disks_scene(
-            n_v, n_h, n_t,
-            n_objects=_integer(scene.get("n_objects", 6), "n_objects", "scene"),
-            seed=_integer(scene.get("seed", 0), "seed", "scene"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid scene section: {exc}") from exc
-
-
-def _noise_from_config(cfg, seed_override=None):
-    noise = _section(cfg, "noise")
-    seed = seed_override
-    if seed is None:
-        seed = _integer(noise.get("seed", 0), "seed", "noise")
-    if seed < 0:
-        raise ConfigError(f"noise seed must be nonnegative, got {seed}")
-    try:
-        spec = NoiseSpec(sigma=float(noise.get("sigma", 0.0)), seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise section: {exc}") from exc
-    return spec
-
-
-def _parse_lambda_grid(raw):
-    if raw is None:
-        return None
-    if isinstance(raw, dict):
-        n_points = _integer(raw.get("n_points", 40), "lambda_grid n_points", "solver")
-        ends = np.array([raw.get("low", 1e-6), raw.get("high", 1e2)], dtype=float)
-        if n_points < 1 or not np.all(np.isfinite(ends) & (ends > 0)):
+    ``label`` holds the keys from ``section`` down to ``obj``, for messages;
+    every object at the top level is a section of its own.
+    """
+    if not isinstance(obj, dict):
+        raise _invalid(section, label, f"must be a JSON object, got {obj!r}")
+    out = {}
+    for key, value in obj.items():
+        if key not in table:
             raise ConfigError(
-                "lambda_grid needs n_points >= 1 and finite positive low and high"
+                f"unknown key {key!r} in {' '.join((section, *label))}; "
+                f"valid keys are {', '.join(table)}"
             )
-        return default_lambda_grid(n_points=n_points, low=ends[0], high=ends[1])
-    grid = np.asarray(raw, dtype=float).ravel()
-    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ConfigError("lambda_grid must be a non-empty list of finite positive values")
-    return grid
+        kinds = table[key] if isinstance(table[key], tuple) else (table[key],)
+        top = section == "config" and isinstance(kinds[0], dict)
+        out[key] = _value(value, kinds, *((key, ()) if top else (section, (*label, key))))
+    return out
 
 
-def _solver_from_config(cfg, scene, method_override=None, nonneg_override=False):
-    solver = _section(cfg, "solver")
-    method = method_override or solver.get("method", "AnisoTV")
-    if method not in METHOD_NAMES:
-        raise ConfigError(
-            f"unknown method {method!r}; valid methods are {', '.join(METHOD_NAMES)}"
-        )
-    if not isinstance(solver.get("nonneg", False), bool):
-        raise ConfigError("invalid solver section: nonneg must be true or false")
+def _value(value, kinds, section, label):
+    for kind in kinds:
+        if isinstance(kind, dict) and isinstance(value, dict):
+            return _read(value, kind, section, label)
+        if isinstance(kind, list) and isinstance(value, list):
+            return [_read(item, kind[0], section, label) for item in value]
+        if isinstance(kind, str) and _KINDS[kind][1](value):
+            return _KINDS[kind][2](value)
+    names = " or ".join(
+        _KINDS[kind][0] if isinstance(kind, str)
+        else "a JSON object" if isinstance(kind, dict) else "a list of JSON objects"
+        for kind in kinds
+        if kind != "null"
+    )
+    raise _invalid(section, label, f"must be {names}, got {value!r}")
+
+
+def _require(obj, keys, where):
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(f"{where} is missing required key {key!r}")
+
+
+@contextmanager
+def _config_errors(section):
+    """What a library constructor refuses becomes a config error in ``section``."""
     try:
-        options = {
-            "eta": float(solver.get("eta", 1.01)),
-            "max_iters": _integer(solver.get("max_iters", 150), "max_iters", "solver"),
-            "gk_steps": _integer(solver.get("gk_steps", 5), "gk_steps", "solver"),
-            "rel_change_tol": float(solver.get("rel_change_tol", 1e-6)),
-            "nonneg": solver.get("nonneg", False) or bool(nonneg_override),
-            "lam": None if solver.get("lambda") is None else float(solver["lambda"]),
-            "lambda_grid": _parse_lambda_grid(solver.get("lambda_grid")),
-        }
-        epsilon = float(solver.get("epsilon", 1e-3))
+        yield
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid solver section: {exc}") from exc
-    return method, epsilon, options
+        raise ConfigError(f"invalid {section} section: {exc}") from exc
 
 
-def _forward_from_config(cfg, scene):
-    experiment = _require(cfg, "experiment")
+def build_run(cfg, seed_override=None, method_override=None, nonneg_override=False):
+    """Experiment, scene, per-step and space-time forward, noise and solver config."""
+    _require(cfg, ("experiment", "scene"), "config")
+    experiment = cfg["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; valid experiments are {', '.join(EXPERIMENTS)}"
         )
-    fwd = _section(cfg, "forward")
-    try:
-        if experiment == "deblur":
-            if scene.n_v != scene.n_h:
-                raise ConfigError("deblur scenes must be square")
-            default = medium_blur(scene.n_v)
-            model = BlurModel(
-                sigma_psf=float(fwd.get("sigma_psf", default.sigma_psf)),
-                bandwidth=_integer(
-                    fwd.get("bandwidth", default.bandwidth), "bandwidth", "forward"
-                ),
+    values = _read(cfg, {**CONFIG_KEYS, "forward": FORWARD_KEYS[experiment]}, "config")
+    scene = _scene(values["scene"])
+    with _config_errors("forward"):
+        step_ops, forward_op = _forward(experiment, scene, values.get("forward", {}))
+    noise = values.get("noise", {})
+    if seed_override is not None:
+        noise["seed"] = seed_override
+    with _config_errors("noise"):
+        noise = NoiseSpec(**noise)
+    solver = values.get("solver", {})
+    if method_override:
+        solver["method"] = method_override
+    if nonneg_override:
+        solver["nonneg"] = True
+    with _config_errors("solver"):
+        config = _solver_config(experiment, scene, solver)
+    return experiment, scene, step_ops, forward_op, noise, config
+
+
+def _scene(scene):
+    _require(scene, ("n_v", "n_h", "n_t"), "scene")
+    n_v, n_h, n_t = (scene.pop(key) for key in ("n_v", "n_h", "n_t"))
+    if min(n_v, n_h) < SSIM_WINDOW:
+        # every run ends in a per-frame SSIM report, which needs a full window
+        raise ConfigError(f"scene frames must be at least {SSIM_WINDOW} pixels per side")
+    with _config_errors("scene"):
+        if "objects" not in scene:
+            preset = scene.pop("preset", "moving-disks")
+            if preset != "moving-disks":
+                raise ConfigError(f"unknown scene preset {preset!r}")
+            return moving_disks_scene(n_v, n_h, n_t, **scene)
+        objects = scene.pop("objects")
+        if scene:
+            raise ConfigError(
+                f"scene objects cannot be given with {', '.join(scene)}; "
+                "with objects the valid keys are n_v, n_h, n_t, objects"
             )
-            step_op = build_blur_operator(model, scene.n_v, scene.n_h)
-            return experiment, [step_op] * scene.n_t, assemble_dynamic_forward(step_op, scene.n_t)
-        if scene.n_v != scene.n_h:
-            raise ConfigError("tomography scenes must be square")
-        n_detectors = fwd.get("n_detectors")  # None: enough to cover the image
-        if n_detectors is not None:
-            n_detectors = _integer(n_detectors, "n_detectors", "forward")
-        model = RadonModel(
-            image_side=scene.n_v,
-            n_time_steps=scene.n_t,
-            n_angles_per_step=_integer(
-                fwd.get("n_angles_per_step", 9), "n_angles_per_step", "forward"
-            ),
-            angle_stride_deg=fwd.get("angle_stride_deg"),
-            n_detectors=n_detectors,
-        )
-        step_ops = [build_radon_operator(model, t) for t in range(1, scene.n_t + 1)]
-        return experiment, step_ops, assemble_dynamic_forward(step_ops, scene.n_t)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid forward section: {exc}") from exc
+        for obj in objects:
+            _require(obj, ("centers", "radii"), "scene object")
+        objects = tuple(SceneObject(**obj) for obj in objects)
+        return SceneSpec(n_v=n_v, n_h=n_h, n_t=n_t, objects=objects)
+
+
+def _forward(experiment, scene, fwd):
+    if scene.n_v != scene.n_h:
+        kind = "deblur" if experiment == "deblur" else "tomography"
+        raise ConfigError(f"{kind} scenes must be square")
+    if experiment == "deblur":
+        step_op = build_blur_operator(replace(medium_blur(scene.n_v), **fwd), scene.n_v, scene.n_h)
+        return [step_op] * scene.n_t, assemble_dynamic_forward(step_op, scene.n_t)
+    model = RadonModel(image_side=scene.n_v, n_time_steps=scene.n_t, **fwd)
+    step_ops = [build_radon_operator(model, t) for t in range(1, scene.n_t + 1)]
+    return step_ops, assemble_dynamic_forward(step_ops, scene.n_t)
+
+
+def _solver_config(experiment, scene, solver):
+    regularizer = {key: solver.pop(key) for key in ("method", "epsilon") if key in solver}
+    if "lambda" in solver:
+        solver["lam"] = solver.pop("lambda")
+    if isinstance(solver.get("lambda_grid"), dict):
+        solver["lambda_grid"] = default_lambda_grid(**solver["lambda_grid"])
+    if experiment == "radon-static-baseline":
+        if "method" in regularizer:  # every frame takes spatial TV, but the name must exist
+            Method.from_name(regularizer.pop("method"))
+        spec = StaticTVSpec(n_v=scene.n_v, n_h=scene.n_h, **regularizer)
+    else:
+        spec = RegularizerSpec(dims=(scene.n_v, scene.n_h, scene.n_t), **regularizer)
+    return SolverConfig(regularizer=spec, **solver)
 
 
 # --- outputs -------------------------------------------------------------------
@@ -229,31 +272,8 @@ def _write_pgm16(path, img):
         fh.write(img.astype(">u2").tobytes())
 
 
-def read_pgm16(path):
-    """Read back a 16-bit binary PGM written by this tool."""
-    raw = Path(path).read_bytes()
-    fields, pos = [], 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"{path} is not a binary PGM")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 65535:
-        raise ValueError("expected a 16-bit PGM")
-    data = np.frombuffer(raw[pos + 1 :], dtype=">u2", count=width * height)
-    return data.reshape(height, width).astype(np.uint16)
-
-
 def _scale_to_uint16(frame, vmin, vmax):
-    if vmax > vmin:
-        scaled = (frame - vmin) / (vmax - vmin)
-    else:
-        scaled = np.zeros_like(frame)
+    scaled = (frame - vmin) / (vmax - vmin) if vmax > vmin else np.zeros_like(frame)
     return np.round(np.clip(scaled, 0.0, 1.0) * 65535.0).astype(np.uint16)
 
 
@@ -263,14 +283,11 @@ def _write_frames(out_dir, u, u_true, dims):
     truth = np.asarray(u_true, dtype=float).reshape(dims, order="F")
     vmin = float(min(recon.min(), truth.min()))
     vmax = float(max(recon.max(), truth.max()))
-    meta = {"vmin": vmin, "vmax": vmax, "maxval": 65535, "reconstruction": [], "truth": []}
-    for t in range(n_t):
-        name = f"frame_{t:03d}.pgm"
-        _write_pgm16(out_dir / name, _scale_to_uint16(recon[:, :, t], vmin, vmax))
-        meta["reconstruction"].append(name)
-        name = f"truth_{t:03d}.pgm"
-        _write_pgm16(out_dir / name, _scale_to_uint16(truth[:, :, t], vmin, vmax))
-        meta["truth"].append(name)
+    meta = {"vmin": vmin, "vmax": vmax, "maxval": 65535}
+    for key, prefix, vol in (("reconstruction", "frame", recon), ("truth", "truth", truth)):
+        meta[key] = [f"{prefix}_{t:03d}.pgm" for t in range(n_t)]
+        for t, name in enumerate(meta[key]):
+            _write_pgm16(out_dir / name, _scale_to_uint16(vol[:, :, t], vmin, vmax))
     with open(out_dir / "frames_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
 
@@ -311,31 +328,19 @@ def _whitened_noise_model(noise_vec):
 
 def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=False):
     """Execute one configured reconstruction; writes all artifacts to out_dir."""
-    scene = _scene_from_config(cfg)
-    experiment, step_ops, forward_op = _forward_from_config(cfg, scene)
-    noise = _noise_from_config(cfg, seed_override)
-    method, epsilon, options = _solver_from_config(
-        cfg, scene, method_override, nonneg_override
+    experiment, scene, step_ops, forward_op, noise, config = build_run(
+        cfg, seed_override, method_override, nonneg_override
     )
+    static = experiment == "radon-static-baseline"
     dims = (scene.n_v, scene.n_h, scene.n_t)
-    try:
-        if experiment == "radon-static-baseline":
-            spec = StaticTVSpec(n_v=scene.n_v, n_h=scene.n_h, epsilon=epsilon)
-        else:
-            spec = RegularizerSpec(method=method, dims=dims, epsilon=epsilon)
-        config = SolverConfig(regularizer=spec, **options)
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver section: {exc}") from exc
 
     truth = vec(render_scene(scene))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         clean = forward_op.apply(truth)
         if not np.any(clean):
-            reason = (
-                f"noise sigma {noise.sigma} has no scale"
-                if noise.sigma > 0
-                else "there is nothing to reconstruct"
-            )
+            reason = "there is nothing to reconstruct"
+            if noise.sigma > 0:
+                reason = f"noise sigma {noise.sigma} has no scale"
             raise ConfigError(
                 f"the scene renders to all-zero data, so {reason}; "
                 "give it an object of nonzero intensity"
@@ -359,54 +364,62 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
         )
     except ValueError as exc:
         raise ConfigError(f"{exc}; lower the scene intensities") from exc
-    if experiment == "radon-static-baseline":
-        frame_problems = _frame_problems(step_ops, data, clean, truth)
+    if static:  # each frame solved on its own with spatial TV, one history each
+        problems = _frame_problems(step_ops, data, clean, truth)
+        histories = [f"history_t{t:02d}.csv" for t in range(1, len(problems) + 1)]
+    else:
+        problems, histories = [problem], ["history.csv"]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results = [_solve(p, config, out_dir / name) for p, name in zip(problems, histories)]
+    u = np.concatenate([result.u for result in results])
+    last, lam = results[-1], results[-1].history[-1].lam
+    at_dp = not static and last.stop_reason == "discrepancy"
+    report = build_report(
+        u,
+        truth,
+        dims,
+        iters_at_dp=last.iterations if at_dp else None,
+        lambda_at_dp=lam if at_dp else None,
+    )
 
     summary = {
         "experiment": experiment,
-        "method": method if experiment != "radon-static-baseline" else "static-TV",
+        "method": "static-TV" if static else config.regularizer.method.value,
         "dims": list(dims),
         "noise_sigma": noise.sigma,
         "noise_seed": noise.seed,
         "noise_norm": noise_norm,
         "delta": delta,
-        "eta": options["eta"],
+        "eta": config.eta,
     }
-
-    if experiment == "radon-static-baseline":
-        u, frames_info = _run_static_baseline(frame_problems, config, out_dir)
-        summary["frames"] = frames_info
-        report = build_report(u, truth, dims)
-        summary["iterations"] = sum(f["iterations"] for f in frames_info)
-        summary["stop_reason"] = "per-frame"
-    else:
-        try:
-            result = mm_gks_solve(problem, config)
-        except SolverError as exc:
-            _write_history(out_dir / "history.csv", exc.history)
-            raise
-        _write_history(out_dir / "history.csv", result.history)
-        u = result.u
-        at_dp = result.stop_reason == "discrepancy"
-        report = build_report(
-            u,
-            truth,
-            dims,
-            iters_at_dp=result.iterations if at_dp else None,
-            lambda_at_dp=result.history[-1].lam if at_dp else None,
-        )
-        summary["iterations"] = result.iterations
-        summary["stop_reason"] = result.stop_reason
-        summary["lambda_final"] = result.history[-1].lam
-
+    if static:
+        summary["frames"] = [
+            {"step": t, "iterations": r.iterations, "stop_reason": r.stop_reason,
+             "lambda_final": r.history[-1].lam}
+            for t, r in enumerate(results, start=1)
+        ]
+    summary["iterations"] = sum(result.iterations for result in results)
+    summary["stop_reason"] = "per-frame" if static else last.stop_reason
+    if not static:
+        summary["lambda_final"] = lam
     summary["report"] = report.as_dict()
     _write_frames(out_dir, u, truth, dims)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary
+
+
+def _solve(problem, config, history_path):
+    """Solve; the iteration history is written even when the solve aborts."""
+    try:
+        result = mm_gks_solve(problem, config)
+    except SolverError as exc:
+        _write_history(history_path, exc.history)
+        raise
+    _write_history(history_path, result.history)
+    return result
 
 
 def _frame_problems(step_ops, data, clean, truth):
@@ -442,36 +455,13 @@ def _frame_problems(step_ops, data, clean, truth):
     return problems
 
 
-def _run_static_baseline(problems, config, out_dir):
-    """Solve each frame independently with spatial TV; one history per frame."""
-    u, frames_info = [], []
-    for t, problem in enumerate(problems, start=1):
-        try:
-            result = mm_gks_solve(problem, config)
-        except SolverError as exc:
-            _write_history(out_dir / f"history_t{t:02d}.csv", exc.history)
-            raise
-        _write_history(out_dir / f"history_t{t:02d}.csv", result.history)
-        u.append(result.u)
-        frames_info.append(
-            {
-                "step": t,
-                "iterations": result.iterations,
-                "stop_reason": result.stop_reason,
-                "lambda_final": result.history[-1].lam,
-            }
-        )
-    return np.concatenate(u), frames_info
-
-
 # --- comparing -----------------------------------------------------------------
 
 
 def compare(run_dirs):
     """Text table of finished runs, sorted by total RRE (best first)."""
-    rows = []
-    for run_dir in run_dirs:
-        run_dir = Path(run_dir)
+    rows = []  # (total RRE, table line) per run
+    for run_dir in map(Path, run_dirs):
         summary_path = run_dir / "summary.json"
         if not summary_path.is_file():
             raise FileNotFoundError(f"no summary.json in {run_dir}")
@@ -480,30 +470,20 @@ def compare(run_dirs):
         with open(summary_path) as fh:
             summary = json.load(fh)
         report = summary.get("report", {})
-        rows.append(
-            {
-                "run": str(run_dir),
-                "method": summary.get("method", "?"),
-                "rre_total": float(report.get("rre_total", np.nan)),
-                "iters_at_dp": report.get("iters_at_dp"),
-                "rre_per_frame": report.get("rre_per_frame", []),
-                "ssim_per_frame": report.get("ssim_per_frame", []),
-            }
-        )
-    rows.sort(key=lambda r: r["rre_total"])
-    lines = [
+        rre_total = float(report.get("rre_total", np.nan))
+        iters = report.get("iters_at_dp")
+        rre_s = " ".join(f"{v:.4f}" for v in report.get("rre_per_frame", []))
+        ssim_s = " ".join(f"{v:.4f}" for v in report.get("ssim_per_frame", []))
+        rows.append((rre_total, (
+            f"{str(run_dir):<28} {summary.get('method', '?'):<16} {rre_total:>10.5f} "
+            f"{'-' if iters is None else str(iters):>9}  {rre_s:<40} {ssim_s:<40}"
+        )))
+    rows.sort(key=lambda row: row[0])
+    header = (
         f"{'run':<28} {'method':<16} {'rre_total':>10} {'iters_dp':>9}  "
         f"{'rre/frame':<40} {'ssim/frame':<40}"
-    ]
-    for r in rows:
-        rre_s = " ".join(f"{v:.4f}" for v in r["rre_per_frame"])
-        ssim_s = " ".join(f"{v:.4f}" for v in r["ssim_per_frame"])
-        iters = "-" if r["iters_at_dp"] is None else str(r["iters_at_dp"])
-        lines.append(
-            f"{r['run']:<28} {r['method']:<16} {r['rre_total']:>10.5f} {iters:>9}  "
-            f"{rre_s:<40} {ssim_s:<40}"
-        )
-    return "\n".join(lines)
+    )
+    return "\n".join([header] + [line for _, line in rows])
 
 
 # --- entry points ----------------------------------------------------------------
@@ -526,13 +506,7 @@ def main_reconstruct(argv=None):
         out_dir = args.out if args.out is not None else cfg.get("output_dir")
         if out_dir is None:
             raise ConfigError("no output directory (use --out or set output_dir)")
-        summary = run(
-            cfg,
-            out_dir,
-            seed_override=args.seed,
-            method_override=args.method,
-            nonneg_override=args.nonneg,
-        )
+        summary = run(cfg, out_dir, args.seed, args.method, args.nonneg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

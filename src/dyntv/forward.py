@@ -96,16 +96,16 @@ class RadonModel:
     """Parallel-beam geometry with a rotating per-step angle schedule.
 
     Step t (1-based) is measured along the angles
-    ``t, t + stride, ..., t + (n_angles_per_step - 1) * stride`` degrees;
-    the stride defaults to the number of time steps so consecutive steps
-    interleave and the union of all steps covers a dense fan.  Detectors are
-    unit-spaced and centered; their count defaults to ceil(sqrt(2) * side)
-    so the full image diagonal is covered.
+    ``t, t + stride, ..., t + (n_angles_per_step - 1) * stride`` degrees,
+    nine per step by default; the stride defaults to the number of time
+    steps so consecutive steps interleave and the union of all steps covers
+    a dense fan.  Detectors are unit-spaced and centered; their count
+    defaults to ceil(sqrt(2) * side) so the full image diagonal is covered.
     """
 
     image_side: int
     n_time_steps: int
-    n_angles_per_step: int
+    n_angles_per_step: int = 9
     angle_stride_deg: float | None = None
     n_detectors: int | None = None
 

@@ -30,6 +30,8 @@ _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 def default_lambda_grid(n_points=40, low=1e-6, high=1e2):
     """Logarithmic default search grid for the regularization parameter."""
+    if int(n_points) < 1 or not (0 < low < np.inf and 0 < high < np.inf):
+        raise ValueError("lambda_grid needs n_points >= 1 and finite positive low and high")
     return np.logspace(np.log10(low), np.log10(high), int(n_points))
 
 

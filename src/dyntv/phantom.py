@@ -32,16 +32,16 @@ _SHAPES = ("disk", "rectangle")
 
 @dataclass(frozen=True)
 class SceneObject:
-    """One object: shape, intensity and a per-step (center, radius) trajectory.
+    """One object: a per-step (center, radius) trajectory, shape and intensity.
 
     Centers are (row, col) pixel coordinates; the radius of a rectangle is
     its half side.
     """
 
-    shape: str
-    intensity: float
     centers: tuple
     radii: tuple
+    shape: str = "disk"
+    intensity: float = 1.0
 
     def __post_init__(self):
         if self.shape not in _SHAPES:
@@ -85,12 +85,14 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    sigma: float
+    sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("noise level sigma must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be nonnegative, got {self.seed}")
 
 
 def linear_trajectory(start, velocity, n_t):

@@ -98,8 +98,8 @@ _BLOCKS = {
 class RegularizerSpec:
     """Which penalty to use on a volume of shape dims = (n_v, n_h, n_t)."""
 
-    method: Method
     dims: tuple[int, int, int]
+    method: Method = Method.ANISO_TV
     epsilon: float = 1e-3
 
     def __post_init__(self):

@@ -69,7 +69,6 @@ __all__ = [
     "projected_pair",
     "solve_projected",
     "expand_subspace",
-    "check_dp",
     "mm_gks_solve",
 ]
 
@@ -174,6 +173,11 @@ class SolverConfig:
             raise ValueError("rel_change_tol must be nonnegative and finite")
         if self.lam is not None and not 0 < self.lam < np.inf:
             raise ValueError("fixed lam must be positive and finite")
+        if self.lambda_grid is not None:
+            grid = np.asarray(self.lambda_grid, dtype=float).ravel()
+            if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+                raise ValueError("lambda_grid must be a non-empty list of finite positive values")
+            object.__setattr__(self, "lambda_grid", grid)
 
 
 @dataclass(eq=False)
@@ -228,7 +232,9 @@ def seed_subspace(problem, n_steps):
     Returns ``(V, breakdown)``: up to ``n_steps`` orthonormal columns spanning
     the Krylov space generated by F^T Gamma^{-1} d, with one
     reorthogonalization pass per step.  ``breakdown`` flags an early stop
-    (the space is invariant before ``n_steps`` vectors were produced).
+    (the space is invariant before ``n_steps`` vectors were produced).  V is
+    a view of the filled columns of one column-major array, each column
+    written in place as its step makes it.
     """
     n = problem.forward.cols
     b = problem.whitened_data
@@ -241,24 +247,22 @@ def seed_subspace(problem, n_steps):
     tol = 1e-12 * max(alpha, 1e-300)
     if alpha <= tol:
         return np.zeros((n, 0)), True
-    v = v / alpha
-    cols = [v]
-    n_steps = min(int(n_steps), n)
-    for _ in range(n_steps - 1):
+    basis = np.empty((n, max(min(int(n_steps), n), 1)), order="F")
+    basis[:, 0] = v / alpha
+    for j in range(1, basis.shape[1]):
+        v = basis[:, j - 1]
         p = problem.whiten_apply(v) - alpha * u
         beta = np.linalg.norm(p)
         if beta <= tol:
-            return np.column_stack(cols), True
+            return basis[:, :j], True
         u = p / beta
         w = problem.whiten_adjoint(u) - beta * v
-        basis = np.column_stack(cols)
-        w = w - basis @ (basis.T @ w)
+        w -= basis[:, :j] @ (basis[:, :j].T @ w)
         alpha = np.linalg.norm(w)
         if alpha <= tol:
-            return np.column_stack(cols), True
-        v = w / alpha
-        cols.append(v)
-    return np.column_stack(cols), False
+            return basis[:, :j], True
+        basis[:, j] = w / alpha
+    return basis, False
 
 
 def init_state(problem, basis, max_dim):
@@ -364,11 +368,6 @@ def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
     _append_column(state, "basis", v_new)
     _append_forward_qr(state, problem, problem.whiten_apply(v_new))
     return True
-
-
-def check_dp(problem, u, eta=1.01):
-    """Discrepancy principle: whitened residual within eta * delta (inclusive)."""
-    return problem.residual_norm(u) <= eta * problem.delta
 
 
 def mm_gks_solve(problem, config):

@@ -10,14 +10,18 @@ objects as they are: ``mode_product`` accepts any package operator, and the
 majorant helpers evaluate Q and J_eps from the package's D, weights and
 penalty, so that the tests can check the majorization conditions the solver
 relies on, and ``expand_at_solve`` hands the solver's expansion the inputs
-its outer loop would.
+its outer loop would.  ``check_dp`` states the discrepancy principle on a
+package problem, and ``read_pgm16`` reads back the frames the CLI writes.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 import dyntv as dv
+from dyntv.regularization import build_D, regularizer_value, update_weights
+from dyntv.solver import expand_subspace
 
 
 # --- dense operators ------------------------------------------------------------
@@ -213,24 +217,24 @@ def weights_vec(method, dims, eps, u):
 
 def majorant_value(spec, u, u_k, lam, misfit):
     """Quadratic tangent majorant Q(u; u_k) of misfit(u) + lam * R_eps(u)."""
-    d_op = dv.build_D(spec)
-    w = dv.update_weights(spec, u_k)
+    d_op = build_D(spec)
+    w = update_weights(spec, u_k)
     m_u = w * d_op.apply(u)
     m_uk = w * d_op.apply(u_k)
-    c = lam * (dv.regularizer_value(spec, u_k, smoothed=True) - 0.5 * (m_uk @ m_uk))
+    c = lam * (regularizer_value(spec, u_k, smoothed=True) - 0.5 * (m_uk @ m_uk))
     return float(misfit(u) + 0.5 * lam * (m_u @ m_u) + c)
 
 
 def majorant_gradient(spec, u, u_k, lam, misfit_gradient):
     """Gradient of Q(.; u_k) at u; at u = u_k this equals the gradient of J_eps."""
-    d_op = dv.build_D(spec)
-    w = dv.update_weights(spec, u_k)
+    d_op = build_D(spec)
+    w = update_weights(spec, u_k)
     return misfit_gradient(u) + lam * d_op.apply_adjoint(w**2 * d_op.apply(u))
 
 
 def smoothed_objective(spec, u, lam, misfit):
     """J_eps(u) = misfit(u) + lam * R_eps(u)."""
-    return float(misfit(u) + lam * dv.regularizer_value(spec, u, smoothed=True))
+    return float(misfit(u) + lam * regularizer_value(spec, u, smoothed=True))
 
 
 def expand_at_solve(state, problem, d_op, lam):
@@ -242,7 +246,7 @@ def expand_at_solve(state, problem, d_op, lam):
     """
     x = state.basis @ state.y
     res_w = state.q_f @ (state.r_f @ state.y) - problem.whitened_data
-    return dv.expand_subspace(state, problem, d_op, lam, x, res_w, d_op.apply(x))
+    return expand_subspace(state, problem, d_op, lam, x, res_w, d_op.apply(x))
 
 
 # --- GCV, direct dense formula ---------------------------------------------------
@@ -295,6 +299,11 @@ def dense_mm_iterates(f_dense, data, gamma_diag, method, dims, eps, lam, n_iters
         u = dense_penalized_solve(f_dense, data, gamma_diag, d_dense, w, lam)
         iterates.append(u.copy())
     return iterates
+
+
+def check_dp(problem, u, eta=1.01):
+    """Discrepancy principle: whitened residual within eta * delta (inclusive)."""
+    return problem.residual_norm(u) <= eta * problem.delta
 
 
 # --- forward-model references -----------------------------------------------------
@@ -397,3 +406,26 @@ def ssim_brute(a, b, dynamic_range, window=11, sigma=1.5):
                 / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
             )
     return float(np.mean(vals))
+
+
+# --- 16-bit binary PGM reader ---------------------------------------------------
+
+
+def read_pgm16(path):
+    """Read back a 16-bit binary PGM written by the reconstruct command."""
+    raw = Path(path).read_bytes()
+    fields, pos = [], 0
+    while len(fields) < 4:
+        while pos < len(raw) and raw[pos : pos + 1].isspace():
+            pos += 1
+        start = pos
+        while pos < len(raw) and not raw[pos : pos + 1].isspace():
+            pos += 1
+        fields.append(raw[start:pos])
+    if fields[0] != b"P5":
+        raise ValueError(f"{path} is not a binary PGM")
+    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if maxval != 65535:
+        raise ValueError("expected a 16-bit PGM")
+    data = np.frombuffer(raw[pos + 1 :], dtype=">u2", count=width * height)
+    return data.reshape(height, width).astype(np.uint16)

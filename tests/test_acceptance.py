@@ -15,6 +15,9 @@ import pytest
 import dyntv as dv
 import oracles
 from dyntv.operators import BlockDiagOperator, DenseOperator, IdentityOperator, KronOperator
+from dyntv.paramselect import ProjectedPair, gcv_curve
+from dyntv.regularization import build_D, regularizer_value
+from dyntv.solver import init_state, refresh_penalty, seed_subspace, solve_projected
 
 METHODS = list(dv.METHOD_NAMES)
 
@@ -208,21 +211,21 @@ def test_full_subspace_matches_dense_weighted_solve():
     worst, dims_reached = 0.0, []
     for name in METHODS:
         spec = spec_for(name, dims, eps)
-        d_op = dv.build_D(spec)
-        basis, _ = dv.seed_subspace(problem, 5)
-        state = dv.init_state(problem, basis, n)
+        d_op = build_D(spec)
+        basis, _ = seed_subspace(problem, 5)
+        state = init_state(problem, basis, n)
         u_prev = np.zeros(n)
         for _ in range(200):
-            dv.refresh_penalty(state, spec, u_prev)
-            y = dv.solve_projected(state, lam)
+            refresh_penalty(state, spec, u_prev)
+            y = solve_projected(state, lam)
             u_prev = state.basis @ y
             if state.dim >= n:
                 break
             oracles.expand_at_solve(state, problem, d_op, lam)
         # one more sweep at full dimension, then compare against the dense
         # solve of the same weighted system (weights frozen at u_prev)
-        dv.refresh_penalty(state, spec, u_prev)
-        u_gks = state.basis @ dv.solve_projected(state, lam)
+        refresh_penalty(state, spec, u_prev)
+        u_gks = state.basis @ solve_projected(state, lam)
         w = oracles.weights_vec(name, dims, eps, u_prev)
         u_dense = oracles.dense_penalized_solve(
             f_dense, data, np.ones(forward.rows), oracles.d_matrix(name, dims), w, lam,
@@ -337,8 +340,8 @@ def test_gcv_matches_dense_formula_and_selects_moderate_lambda(deblur_example):
         d = int(rng.integers(2, 21))
         r_f = np.linalg.qr(rng.standard_normal((d + 4, d)), mode="r")
         r_m = np.linalg.qr(rng.standard_normal((d + 4, d)), mode="r")
-        pair = dv.ProjectedPair(r_f=r_f, r_m=r_m, rhs=rng.standard_normal(d))
-        curve = dv.gcv_curve(pair, probe)
+        pair = ProjectedPair(r_f=r_f, r_m=r_m, rhs=rng.standard_normal(d))
+        curve = gcv_curve(pair, probe)
         for got, lam in zip(curve, probe):
             ref = oracles.gcv_dense(pair.r_f, pair.r_m, pair.rhs, lam)
             worst = max(worst, abs(got - ref) / abs(ref))
@@ -441,9 +444,9 @@ def test_operator_algebra_identities():
     worst_d, worst_reg = 0.0, 0.0
     for name in METHODS:
         spec = spec_for(name, dims)
-        d_dense = dv.build_D(spec).to_dense()
+        d_dense = build_D(spec).to_dense()
         worst_d = max(worst_d, np.abs(d_dense - oracles.d_matrix(name, dims)).max())
-        got_r = dv.regularizer_value(spec, u, smoothed=True)
+        got_r = regularizer_value(spec, u, smoothed=True)
         ref_r = oracles.reg_value(name, dims, 1e-3, u, smoothed=True)
         worst_reg = max(worst_reg, abs(got_r - ref_r) / max(1.0, abs(ref_r)))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dyntv as dv
+import oracles
 from dyntv import cli
 
 
@@ -293,6 +294,55 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             {"experiment": "radon-dynamic", "scene": scene, "forward": {"n_detectors": 17.2}},
             "invalid forward section: n_detectors must be an integer, got 17.2",
         ),
+        # misspelled or misplaced keys used to be ignored, so each run went on
+        # with the library default in its place
+        (
+            {"experiment": "deblur", "scene": scene, "sovler": {"lambda": 5}},
+            "unknown key 'sovler' in config; valid keys are experiment, scene, noise, "
+            "forward, solver, output_dir",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "noise": {"sigam": 0.05}},
+            "unknown key 'sigam' in noise; valid keys are sigma, seed",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"lamda": 5}},
+            "unknown key 'lamda' in solver; valid keys are method, eta, max_iters, gk_steps, "
+            "rel_change_tol, epsilon, nonneg, lambda, lambda_grid",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "forward": {"n_detectors": 20}},
+            "unknown key 'n_detectors' in forward; valid keys are sigma_psf, bandwidth",
+        ),
+        (
+            {"experiment": "radon-dynamic", "scene": scene, "forward": {"sigma_psf": 1.0}},
+            "unknown key 'sigma_psf' in forward; valid keys are n_angles_per_step, "
+            "angle_stride_deg, n_detectors",
+        ),
+        # booleans and strings used to pass as numbers: true ran as sigma 1.0
+        (
+            {"experiment": "deblur", "scene": scene, "noise": {"sigma": True}},
+            "invalid noise section: sigma must be a number, got True",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"eta": "1.5"}},
+            "invalid solver section: eta must be a number, got '1.5'",
+        ),
+        # an integer beyond the float range used to end in an OverflowError
+        (
+            {"experiment": "deblur", "scene": scene, "noise": {"sigma": 10**400}},
+            "invalid noise section: sigma must be a number, got 1000",
+        ),
+        # listed objects used to win silently over the preset's keys
+        *(
+            (
+                {"experiment": "deblur", "scene": dict(scene, objects=[bright(1.0)], **extra)},
+                f"scene objects cannot be given with {key}; "
+                "with objects the valid keys are n_v, n_h, n_t, objects",
+            )
+            for extra in ({"n_objects": 2}, {"seed": 1}, {"preset": "moving-disks"})
+            for key in extra
+        ),
     ]
     for i, (config, message) in enumerate(cases):
         cfg = write_config(tmp_path, config, f"bad{i}.json")
@@ -302,6 +352,13 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         assert err.count("configuration error") == 1, message
         assert message in err, err
         assert not out.exists(), message
+
+
+def test_empty_sections_take_the_library_defaults():
+    cfg = {"experiment": "deblur", "scene": {"n_v": 12, "n_h": 12, "n_t": 2}}
+    _, _, _, _, noise, config = cli.build_run(dict(cfg, noise={}, solver={}))
+    assert noise == dv.NoiseSpec()
+    assert config == dv.SolverConfig(regularizer=dv.RegularizerSpec(dims=(12, 12, 2)))
 
 
 def test_missing_output_dir_exit_2(tmp_path, capsys):
@@ -373,7 +430,7 @@ def test_pgm_roundtrip_is_bit_exact(tmp_path):
     img = rng.integers(0, 65536, size=(9, 13), dtype=np.uint16)
     path = tmp_path / "img.pgm"
     cli._write_pgm16(path, img)
-    back = cli.read_pgm16(path)
+    back = oracles.read_pgm16(path)
     np.testing.assert_array_equal(back, img)
     header = path.read_bytes()[:20]
     assert header.startswith(b"P5\n13 9\n65535\n")
@@ -383,7 +440,7 @@ def test_read_pgm16_rejects_other_formats(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
     with pytest.raises(ValueError):
-        cli.read_pgm16(path)
+        oracles.read_pgm16(path)
 
 
 # --- compare -----------------------------------------------------------------------

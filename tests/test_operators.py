@@ -12,6 +12,7 @@ from dyntv.operators import (
     KronOperator,
     SparseOperator,
 )
+from dyntv.regularization import build_D
 
 
 def test_identity_apply():
@@ -161,7 +162,7 @@ def test_mode_product_rejects_bad_mode():
 
 def spatial_gradient(n_v, n_h):
     """L_s, the spatial gradient of one frame: D of the static spec."""
-    return dv.build_D(dv.StaticTVSpec(n_v=n_v, n_h=n_h))
+    return build_D(dv.StaticTVSpec(n_v=n_v, n_h=n_h))
 
 
 def test_build_diff_rejects_short_axis():

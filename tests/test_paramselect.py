@@ -88,6 +88,14 @@ def test_all_nan_curve_raises_in_selection():
         select_lambda(pair, default_lambda_grid())
 
 
+@pytest.mark.parametrize(
+    "bad", [{"n_points": 0}, {"low": 0.0}, {"low": np.nan}, {"high": np.inf}]
+)
+def test_default_lambda_grid_validation(bad):
+    with pytest.raises(ValueError, match="n_points >= 1 and finite positive low and high"):
+        default_lambda_grid(**bad)
+
+
 def test_select_lambda_single_element_grid():
     rng = np.random.default_rng(34)
     pair = random_pair(rng, 4)

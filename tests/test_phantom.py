@@ -114,6 +114,8 @@ def test_scene_validation():
         dv.SceneSpec(n_v=0, n_h=4, n_t=1, objects=())
     with pytest.raises(ValueError):
         dv.NoiseSpec(sigma=-0.1)
+    with pytest.raises(ValueError, match="noise seed must be nonnegative"):
+        dv.NoiseSpec(sigma=0.1, seed=-1)
 
 
 def test_moving_disks_scene_reproducible_and_inside_frame():

@@ -5,6 +5,7 @@ import pytest
 
 import dyntv as dv
 import oracles
+from dyntv.regularization import build_D, regularizer_value, update_weights
 
 METHODS = list(dv.METHOD_NAMES)
 
@@ -14,10 +15,10 @@ def spec_for(method, dims, eps=1e-3):
 
 
 def test_build_d_shapes_2x2x2():
-    assert dv.build_D(spec_for("AnisoTV", (2, 2, 2))).shape == (12, 8)
-    assert dv.build_D(spec_for("TVplusTikhonov", (2, 2, 2))).shape == (12, 8)
-    assert dv.build_D(spec_for("Aniso3DTV", (2, 2, 2))).shape == (1, 8)
-    assert dv.build_D(spec_for("Iso3DTV", (2, 2, 2))).shape == (24, 8)
+    assert build_D(spec_for("AnisoTV", (2, 2, 2))).shape == (12, 8)
+    assert build_D(spec_for("TVplusTikhonov", (2, 2, 2))).shape == (12, 8)
+    assert build_D(spec_for("Aniso3DTV", (2, 2, 2))).shape == (1, 8)
+    assert build_D(spec_for("Iso3DTV", (2, 2, 2))).shape == (24, 8)
 
 
 def test_build_d_rejects_short_axis():
@@ -36,7 +37,7 @@ def test_unknown_method_lists_all_six():
 @pytest.mark.parametrize("dims", [(3, 4, 2), (4, 3, 3), (5, 2, 3), (8, 3, 2)])
 @pytest.mark.parametrize("method", METHODS)
 def test_build_d_matches_dense_oracle(method, dims):
-    op = dv.build_D(spec_for(method, dims))
+    op = build_D(spec_for(method, dims))
     want = oracles.d_matrix(method, dims)
     np.testing.assert_array_equal(op.to_dense(), want)
     np.testing.assert_array_equal(op.apply_adjoint(np.eye(op.rows)), want.T)
@@ -49,7 +50,7 @@ def test_build_d_matches_dense_oracle(method, dims):
 @pytest.mark.parametrize("method", METHODS + ["static"])
 def test_row_blocks_concatenate_to_apply(method, dims, elems):
     spec = dv.StaticTVSpec(*dims[:2]) if method == "static" else spec_for(method, dims)
-    op = dv.build_D(spec)
+    op = build_D(spec)
     x = np.random.default_rng(18).standard_normal((spec.n, 3))
     firsts, blocks = zip(*op.row_blocks(x, elems))
     assert firsts == tuple(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
@@ -62,12 +63,12 @@ def test_row_blocks_concatenate_to_apply(method, dims, elems):
 def test_build_d_maps_constants_to_zero():
     specs = [spec_for(m, (4, 3, 2)) for m in METHODS] + [dv.StaticTVSpec(n_v=3, n_h=5)]
     for spec in specs:
-        op = dv.build_D(spec)
+        op = build_D(spec)
         np.testing.assert_array_equal(op.apply(np.full(spec.n, 2.5)), np.zeros(op.rows))
 
 
 def test_build_d_rejects_wrong_length():
-    op = dv.build_D(spec_for("AnisoTV", (3, 3, 2)))
+    op = build_D(spec_for("AnisoTV", (3, 3, 2)))
     with pytest.raises(ValueError):
         op.apply(np.ones(17))
     with pytest.raises(ValueError):
@@ -77,7 +78,7 @@ def test_build_d_rejects_wrong_length():
 @pytest.mark.parametrize("method", METHODS)
 def test_regularizer_value_zero_at_zero(method):
     spec = spec_for(method, (3, 3, 2))
-    assert dv.regularizer_value(spec, np.zeros(18)) == 0.0
+    assert regularizer_value(spec, np.zeros(18)) == 0.0
 
 
 def test_anisotv_two_frame_worked_example():
@@ -85,13 +86,13 @@ def test_anisotv_two_frame_worked_example():
     # temporal differences
     u = np.tile(np.array([1.0, 1.0, 0.0, 0.0]), 2)
     spec = spec_for("AnisoTV", (2, 2, 2))
-    assert abs(dv.regularizer_value(spec, u) - 4.0) < 1e-14
+    assert abs(regularizer_value(spec, u) - 4.0) < 1e-14
 
 
 def test_gs_two_frame_worked_example():
     u = np.tile(np.array([1.0, 1.0, 0.0, 0.0]), 2)
     spec = spec_for("GS", (2, 2, 2))
-    assert abs(dv.regularizer_value(spec, u) - 2.0 * np.sqrt(2.0)) < 1e-14
+    assert abs(regularizer_value(spec, u) - 2.0 * np.sqrt(2.0)) < 1e-14
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -102,7 +103,7 @@ def test_regularizer_value_matches_oracle(method):
         for _ in range(3):
             u = rng.standard_normal(n)
             for smoothed in (False, True):
-                got = dv.regularizer_value(spec_for(method, dims), u, smoothed=smoothed)
+                got = regularizer_value(spec_for(method, dims), u, smoothed=smoothed)
                 want = oracles.reg_value(method, dims, 1e-3, u, smoothed)
                 np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -112,10 +113,10 @@ def test_smoothing_monotonicity(method):
     rng = np.random.default_rng(13)
     dims = (4, 4, 3)
     u = rng.standard_normal(48)
-    exact = dv.regularizer_value(spec_for(method, dims), u)
+    exact = regularizer_value(spec_for(method, dims), u)
     gaps = []
     for eps in (1e-1, 1e-2, 1e-3):
-        smoothed = dv.regularizer_value(spec_for(method, dims, eps), u, smoothed=True)
+        smoothed = regularizer_value(spec_for(method, dims, eps), u, smoothed=True)
         assert smoothed >= exact
         gaps.append(smoothed - exact)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -128,7 +129,7 @@ def test_one_homogeneous_scaling_exact(method):
     u = rng.standard_normal(27)
     spec = spec_for(method, dims)
     # power-of-two scalar keeps the identity exact in floating point
-    assert dv.regularizer_value(spec, 4.0 * u) == 4.0 * dv.regularizer_value(spec, u)
+    assert regularizer_value(spec, 4.0 * u) == 4.0 * regularizer_value(spec, u)
 
 
 def test_tv_plus_tikhonov_mixed_scaling():
@@ -139,20 +140,20 @@ def test_tv_plus_tikhonov_mixed_scaling():
     l_t = oracles.diff_matrix(3)
     z_t = oracles.kron3(l_t, np.eye(3), np.eye(3)) @ u
     tik = 0.5 * float(z_t @ z_t)
-    tv = dv.regularizer_value(spec, u) - tik
-    got = dv.regularizer_value(spec, 4.0 * u)
+    tv = regularizer_value(spec, u) - tik
+    got = regularizer_value(spec, 4.0 * u)
     np.testing.assert_allclose(got, 4.0 * tv + 16.0 * tik, rtol=1e-12)
 
 
 def test_weights_at_zero_anisotv():
     spec = spec_for("AnisoTV", (3, 3, 2))
-    w = dv.update_weights(spec, np.zeros(18))
+    w = update_weights(spec, np.zeros(18))
     np.testing.assert_allclose(w, 10.0**1.5, rtol=1e-14)
 
 
 def test_weights_at_zero_tv_plus_tikhonov():
     spec = spec_for("TVplusTikhonov", (3, 3, 2))
-    w = dv.update_weights(spec, np.zeros(18))
+    w = update_weights(spec, np.zeros(18))
     n_spatial = 2 * ((3 - 1) * 3 + (3 - 1) * 3)
     np.testing.assert_allclose(w[:n_spatial], 10.0**1.5, rtol=1e-14)
     np.testing.assert_array_equal(w[n_spatial:], 1.0)
@@ -163,7 +164,7 @@ def test_iso3dtv_weight_blocks_replicated():
     dims = (3, 3, 2)
     spec = spec_for("Iso3DTV", dims)
     u = rng.standard_normal(18)
-    w = dv.update_weights(spec, u)
+    w = update_weights(spec, u)
     block = len(w) // 3
     np.testing.assert_array_equal(w[:block], w[block : 2 * block])
     np.testing.assert_array_equal(w[:block], w[2 * block :])
@@ -182,8 +183,8 @@ def test_weights_match_oracle_and_rows(method):
         n = dims[0] * dims[1] * dims[2]
         u = rng.standard_normal(n)
         spec = spec_for(method, dims)
-        w = dv.update_weights(spec, u)
-        assert w.shape == (dv.build_D(spec).rows,)
+        w = update_weights(spec, u)
+        assert w.shape == (build_D(spec).rows,)
         assert np.all(w > 0)
         np.testing.assert_allclose(w, oracles.weights_vec(method, dims, 1e-3, u),
                                    rtol=1e-12)
@@ -252,17 +253,17 @@ def test_half_weighted_norm_reproduces_smoothed_value(method):
     dims = (3, 4, 2)
     spec = spec_for(method, dims)
     u_k = rng.standard_normal(24)
-    d_op = dv.build_D(spec)
-    w = dv.update_weights(spec, u_k)
+    d_op = build_D(spec)
+    w = update_weights(spec, u_k)
     m_u = w * d_op.apply(u_k)
-    r_eps = dv.regularizer_value(spec, u_k, smoothed=True)
+    r_eps = regularizer_value(spec, u_k, smoothed=True)
     c_tilde = r_eps - 0.5 * float(m_u @ m_u)
     np.testing.assert_allclose(0.5 * float(m_u @ m_u) + c_tilde, r_eps, rtol=1e-12)
 
 
 def test_static_spec_builds_spatial_operator():
     spec = dv.StaticTVSpec(n_v=3, n_h=4)
-    op = dv.build_D(spec)
+    op = build_D(spec)
     assert op.shape == ((3 - 1) * 4 + (4 - 1) * 3, 12)
     want = oracles.ls_matrix(3, 4)
     np.testing.assert_array_equal(op.to_dense(), want)
@@ -274,15 +275,15 @@ def test_static_spec_value_and_weights():
     spec = dv.StaticTVSpec(n_v=3, n_h=3)
     u = rng.standard_normal(9)
     z = oracles.ls_matrix(3, 3) @ u
-    np.testing.assert_allclose(dv.regularizer_value(spec, u), np.abs(z).sum(), rtol=1e-12)
-    w = dv.update_weights(spec, u)
+    np.testing.assert_allclose(regularizer_value(spec, u), np.abs(z).sum(), rtol=1e-12)
+    w = update_weights(spec, u)
     np.testing.assert_allclose(w, (z**2 + 1e-6) ** (-0.25), rtol=1e-12)
 
 
 def test_regularizer_value_rejects_wrong_length():
     spec = spec_for("AnisoTV", (3, 3, 2))
     with pytest.raises(ValueError):
-        dv.regularizer_value(spec, np.zeros(17))
+        regularizer_value(spec, np.zeros(17))
 
 
 @pytest.mark.parametrize("eps", [np.inf, np.nan])

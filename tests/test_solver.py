@@ -9,6 +9,16 @@ import pytest
 import dyntv as dv
 import oracles
 from dyntv.operators import DenseOperator, IdentityOperator
+from dyntv.regularization import build_D, update_weights
+from dyntv.solver import (
+    SolverState,
+    expand_subspace,
+    init_state,
+    projected_pair,
+    refresh_penalty,
+    seed_subspace,
+    solve_projected,
+)
 
 
 def random_forward(rng, rows, cols):
@@ -37,7 +47,7 @@ def blur_problem(dims, sigma_blur, bw, noise_sigma, scene_seed, noise_seed, obje
 def manual_state(r_f, r_m, rhs):
     """State with prescribed projected factors (basis fields are placeholders)."""
     d = r_f.shape[1]
-    return dv.SolverState(
+    return SolverState(
         basis=np.eye(d),
         q_f=np.eye(r_f.shape[0]),
         r_f=r_f,
@@ -52,7 +62,7 @@ def manual_state(r_f, r_m, rhs):
 
 def test_seed_identity_first_unit_vector():
     problem = dv.ReconstructionProblem(forward=IdentityOperator(4), data=[1.0, 0, 0, 0])
-    basis, breakdown = dv.seed_subspace(problem, 1)
+    basis, breakdown = seed_subspace(problem, 1)
     np.testing.assert_array_equal(basis, np.array([[1.0], [0.0], [0.0], [0.0]]))
     assert not breakdown
 
@@ -60,7 +70,7 @@ def test_seed_identity_first_unit_vector():
 def test_seed_identity_breaks_down_after_one_vector():
     rng = np.random.default_rng(3)
     problem = dv.ReconstructionProblem(forward=IdentityOperator(6), data=rng.standard_normal(6))
-    basis, breakdown = dv.seed_subspace(problem, 3)
+    basis, breakdown = seed_subspace(problem, 3)
     assert basis.shape == (6, 1)
     assert breakdown
     np.testing.assert_allclose(np.linalg.norm(basis[:, 0]), 1.0, rtol=1e-14)
@@ -71,8 +81,9 @@ def test_seed_random_operator_orthonormal_columns():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 20, 12), data=rng.standard_normal(20)
     )
-    basis, breakdown = dv.seed_subspace(problem, 5)
+    basis, breakdown = seed_subspace(problem, 5)
     assert basis.shape == (12, 5)
+    assert basis.flags.f_contiguous  # the layout of the solver's basis buffer
     assert not breakdown
     np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-12)
 
@@ -82,14 +93,14 @@ def test_seed_step_count_capped_by_dimension():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 8, 6), data=rng.standard_normal(8)
     )
-    basis, _ = dv.seed_subspace(problem, 40)
+    basis, _ = seed_subspace(problem, 40)
     assert basis.shape[1] <= 6
     np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
 
 
 def test_seed_zero_data_is_empty_with_breakdown():
     problem = dv.ReconstructionProblem(forward=IdentityOperator(5), data=np.zeros(5))
-    basis, breakdown = dv.seed_subspace(problem, 4)
+    basis, breakdown = seed_subspace(problem, 4)
     assert basis.shape == (5, 0)
     assert breakdown
 
@@ -99,7 +110,7 @@ def test_init_state_rejects_empty_basis():
     # the first penalty refresh
     problem = dv.ReconstructionProblem(forward=IdentityOperator(8), data=np.ones(8))
     with pytest.raises(ValueError, match="at least one column"):
-        dv.init_state(problem, np.zeros((8, 0)), 8)
+        init_state(problem, np.zeros((8, 0)), 8)
 
 
 # --- projected solves --------------------------------------------------------------
@@ -108,14 +119,14 @@ def test_init_state_rejects_empty_basis():
 def test_solve_projected_identity_pair_halves_rhs():
     rhs = np.array([2.0, -4.0, 6.0])
     state = manual_state(np.eye(3), np.eye(3), rhs)
-    y = dv.solve_projected(state, 1.0)
+    y = solve_projected(state, 1.0)
     np.testing.assert_allclose(y, rhs / 2.0, atol=1e-14)
 
 
 def test_solve_projected_zero_penalty_factor_returns_rhs():
     rhs = np.array([1.0, 3.0])
     state = manual_state(np.eye(2), np.zeros((2, 2)), rhs)
-    y = dv.solve_projected(state, 1.0)
+    y = solve_projected(state, 1.0)
     np.testing.assert_allclose(y, rhs, atol=1e-14)
 
 
@@ -127,7 +138,7 @@ def test_solve_projected_matches_dense_normal_equations():
         r_m = np.linalg.qr(rng.standard_normal((d + 3, d)), mode="r")
         rhs = rng.standard_normal(d)
         lam = float(rng.uniform(0.05, 5.0))
-        y = dv.solve_projected(manual_state(r_f, r_m, rhs), lam)
+        y = solve_projected(manual_state(r_f, r_m, rhs), lam)
         want = np.linalg.solve(r_f.T @ r_f + lam * (r_m.T @ r_m), r_f.T @ rhs)
         np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
 
@@ -135,13 +146,13 @@ def test_solve_projected_matches_dense_normal_equations():
 def test_solve_projected_shared_null_direction_raises():
     state = manual_state(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2))
     with pytest.raises(dv.SingularSystemError):
-        dv.solve_projected(state, 0.7)
+        solve_projected(state, 0.7)
 
 
 def test_solve_projected_rejects_negative_lam():
     state = manual_state(np.eye(2), np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
-        dv.solve_projected(state, -1.0)
+        solve_projected(state, -1.0)
 
 
 def test_solve_projected_requires_penalty_factor():
@@ -150,9 +161,9 @@ def test_solve_projected_requires_penalty_factor():
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    state = dv.init_state(problem, np.eye(8)[:, :3], 8)
+    state = init_state(problem, np.eye(8)[:, :3], 8)
     with pytest.raises(ValueError):
-        dv.solve_projected(state, 1.0)
+        solve_projected(state, 1.0)
 
 
 def test_projected_pair_pads_wide_factor_square():
@@ -161,15 +172,15 @@ def test_projected_pair_pads_wide_factor_square():
         forward=random_forward(rng, 2, 8), data=rng.standard_normal(2)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    state = dv.init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0], 8)
-    dv.refresh_penalty(state, spec, np.zeros(8))
-    pair = dv.projected_pair(state)
+    state = init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0], 8)
+    refresh_penalty(state, spec, np.zeros(8))
+    pair = projected_pair(state)
     assert pair.r_f.shape == (3, 3)
     assert pair.r_m.shape == (3, 3)
     np.testing.assert_array_equal(pair.r_f[2], np.zeros(3))
     assert pair.rhs[2] == 0.0
     # the stacked solve takes the 2 x 3 factor unpadded
-    y = dv.solve_projected(state, 0.5)
+    y = solve_projected(state, 0.5)
     want = np.linalg.solve(
         pair.r_f.T @ pair.r_f + 0.5 * (pair.r_m.T @ pair.r_m), pair.r_f.T @ pair.rhs
     )
@@ -237,15 +248,15 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     spec = dv.RegularizerSpec(method=method, dims=(4, 4, 3), epsilon=1e-3)
     rng = np.random.default_rng(61)
     u = rng.standard_normal(spec.n)
-    a = dv.update_weights(spec, u)[:, None] * dv.build_D(spec).to_dense()
+    a = update_weights(spec, u)[:, None] * build_D(spec).to_dense()
     want = oracles.householder_r(a, spec.n)
     np.testing.assert_array_equal(dv.solver._penalty_r(row_blocks(a), *a.shape), want)
     # the refresh builds the same W D V from the stencil, frame range by range
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 60, spec.n), data=rng.standard_normal(60)
     )
-    state = dv.init_state(problem, np.eye(spec.n), spec.n)
-    dv.refresh_penalty(state, spec, u)
+    state = init_state(problem, np.eye(spec.n), spec.n)
+    refresh_penalty(state, spec, u)
     np.testing.assert_array_equal(state.r_m, want)
 
 
@@ -265,10 +276,10 @@ def test_expand_full_basis_returns_false():
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    d_op = dv.build_D(spec)
-    state = dv.init_state(problem, np.eye(8), 8)
-    dv.refresh_penalty(state, spec, np.zeros(8))
-    dv.solve_projected(state, 0.5)
+    d_op = build_D(spec)
+    state = init_state(problem, np.eye(8), 8)
+    refresh_penalty(state, spec, np.zeros(8))
+    solve_projected(state, 0.5)
     assert not oracles.expand_at_solve(state, problem, d_op, 0.5)
     assert state.dim == 8
 
@@ -279,13 +290,13 @@ def test_expand_stalls_when_solution_is_in_span():
     # residual is zero to rounding and no direction is added
     n = 8
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    d_op = dv.build_D(spec)
+    d_op = build_D(spec)
     problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=np.ones(n))
-    basis, breakdown = dv.seed_subspace(problem, 5)
+    basis, breakdown = seed_subspace(problem, 5)
     assert breakdown and basis.shape == (n, 1)
-    state = dv.init_state(problem, basis, n)
-    dv.refresh_penalty(state, spec, np.zeros(n))
-    y = dv.solve_projected(state, 1e-3)
+    state = init_state(problem, basis, n)
+    refresh_penalty(state, spec, np.zeros(n))
+    y = solve_projected(state, 1e-3)
     np.testing.assert_allclose(state.basis @ y, problem.data, rtol=1e-12)
     assert not oracles.expand_at_solve(state, problem, d_op, 1e-3)
     assert state.dim == 1
@@ -303,19 +314,19 @@ def test_expansions_fill_the_buffers_init_state_allocated():
         forward=random_forward(rng, rows, n), data=rng.standard_normal(rows)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
-    d_op = dv.build_D(spec)
-    basis, _ = dv.seed_subspace(problem, 3)
+    d_op = build_D(spec)
+    basis, _ = seed_subspace(problem, 3)
     assert basis.shape == (n, 3)
     with pytest.raises(ValueError, match="max_dim 2 is below the basis's 3 columns"):
-        dv.init_state(problem, basis, 2)
-    assert dv.init_state(problem, basis, 10 * n).max_dim == n
-    state = dv.init_state(problem, basis, max_dim)
+        init_state(problem, basis, 2)
+    assert init_state(problem, basis, 10 * n).max_dim == n
+    state = init_state(problem, basis, max_dim)
     first_basis, first_q_f = state.basis, state.q_f
     assert state.max_dim == max_dim and first_q_f.shape == (rows, 3)
     u = np.zeros(n)
     for d in range(4, max_dim + 2):
-        dv.refresh_penalty(state, spec, u)
-        u = state.basis @ dv.solve_projected(state, lam)
+        refresh_penalty(state, spec, u)
+        u = state.basis @ solve_projected(state, lam)
         assert oracles.expand_at_solve(state, problem, d_op, lam) == (d <= max_dim)
         assert state.dim == min(d, max_dim)
         assert np.shares_memory(state.basis, first_basis)
@@ -339,13 +350,13 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
         forward=random_forward(rng, rows, n), data=rng.standard_normal(rows)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
-    d_op = dv.build_D(spec)
-    basis, _ = dv.seed_subspace(problem, 4)
-    state = dv.init_state(problem, basis, n)
+    d_op = build_D(spec)
+    basis, _ = seed_subspace(problem, 4)
+    state = init_state(problem, basis, n)
     u = np.zeros(n)
     for _ in range(n_expand):
-        dv.refresh_penalty(state, spec, u)
-        y = dv.solve_projected(state, 0.3)
+        refresh_penalty(state, spec, u)
+        y = solve_projected(state, 0.3)
         u = state.basis @ y
         assert oracles.expand_at_solve(state, problem, d_op, 0.3)
     d = 4 + n_expand
@@ -366,11 +377,11 @@ def test_expand_appends_dense_normal_equations_residual():
         forward=random_forward(rng, rows, n), data=rng.standard_normal(rows), noise_cov_diag=gamma
     )
     spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=dims, epsilon=1e-2)
-    d_op = dv.build_D(spec)
-    basis, _ = dv.seed_subspace(problem, 4)
-    state = dv.init_state(problem, basis, n)
-    dv.refresh_penalty(state, spec, rng.standard_normal(n))
-    y = dv.solve_projected(state, lam)
+    d_op = build_D(spec)
+    basis, _ = seed_subspace(problem, 4)
+    state = init_state(problem, basis, n)
+    refresh_penalty(state, spec, rng.standard_normal(n))
+    y = solve_projected(state, lam)
     assert oracles.expand_at_solve(state, problem, d_op, lam)
 
     a, d = problem.forward.to_dense(), d_op.to_dense()
@@ -386,10 +397,10 @@ def test_expand_requires_solved_state():
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    d_op = dv.build_D(spec)
-    state = dv.init_state(problem, np.eye(8)[:, :2], 8)
+    d_op = build_D(spec)
+    state = init_state(problem, np.eye(8)[:, :2], 8)
     with pytest.raises(ValueError, match="needs a solved state"):
-        dv.expand_subspace(
+        expand_subspace(
             state, problem, d_op, 0.5, np.zeros(8), np.zeros(10), np.zeros(d_op.rows)
         )
 
@@ -443,23 +454,23 @@ def test_whitened_data_is_formed_once_and_read_only():
 def test_check_dp_exact_fit_passes_even_with_zero_delta():
     data = np.array([1.0, -2.0, 3.0])
     problem = dv.ReconstructionProblem(forward=IdentityOperator(3), data=data, delta=0.0)
-    assert dv.check_dp(problem, data)
+    assert oracles.check_dp(problem, data)
 
 
 def test_check_dp_fails_on_misfit_with_zero_delta():
     problem = dv.ReconstructionProblem(forward=IdentityOperator(3), data=[1.0, 0, 0], delta=0.0)
-    assert not dv.check_dp(problem, np.zeros(3))
+    assert not oracles.check_dp(problem, np.zeros(3))
 
 
 def test_check_dp_boundary_is_inclusive():
     data = np.array([0.3, -1.2, 0.7, 2.1])
     resid = float(np.linalg.norm(data))
     problem = dv.ReconstructionProblem(forward=IdentityOperator(4), data=data, delta=resid)
-    assert dv.check_dp(problem, np.zeros(4), eta=1.0)
+    assert oracles.check_dp(problem, np.zeros(4), eta=1.0)
     tight = dv.ReconstructionProblem(
         forward=IdentityOperator(4), data=data, delta=resid * (1 - 1e-12)
     )
-    assert not dv.check_dp(tight, np.zeros(4), eta=1.0)
+    assert not oracles.check_dp(tight, np.zeros(4), eta=1.0)
 
 
 # --- outer loop --------------------------------------------------------------------
@@ -609,7 +620,7 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
     config = dv.SolverConfig(
         regularizer=spec, lam=1.0, max_iters=max_iters, rel_change_tol=0.0
     )
-    rows = dv.build_D(spec).rows  # also builds the cached stencil outside the trace
+    rows = build_D(spec).rows  # also builds the cached stencil outside the trace
     tracemalloc.start()
     try:
         result = dv.mm_gks_solve(problem, config)
@@ -687,7 +698,7 @@ def test_history_dp_residual_is_the_residual_of_each_iterate():
         if not nonneg:
             # from the kept factors; the DP stop must hold for the iterate itself
             assert result.stop_reason == "discrepancy"
-            assert dv.check_dp(problem, result.u, 1.01)
+            assert oracles.check_dp(problem, result.u, 1.01)
         for rec in result.history:
             config = dv.SolverConfig(regularizer=spec, nonneg=nonneg, max_iters=rec.iteration)
             want = problem.residual_norm(dv.mm_gks_solve(problem, config).u)
@@ -764,6 +775,11 @@ def test_config_validation():
         dv.SolverConfig(regularizer=spec, rel_change_tol=-1e-6)
     with pytest.raises(ValueError):
         dv.SolverConfig(regularizer=spec, lam=0.0)
+    for grid in ([], [1.0, -1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="lambda_grid must be a non-empty list"):
+            dv.SolverConfig(regularizer=spec, lambda_grid=grid)
+    config = dv.SolverConfig(regularizer=spec, lambda_grid=[[1, 2], [3, 4]])
+    np.testing.assert_array_equal(config.lambda_grid, [1.0, 2.0, 3.0, 4.0])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
