@@ -1,21 +1,25 @@
-"""Automatic choice of the regularization parameter on the projected problem.
+"""The projected pair, factored once per iteration for the λ search and the solve.
 
 At every outer iteration the solver holds small triangular factors R_F and
 R_M of the projected forward and regularization operators, plus the projected
-whitened data.  The generalized cross validation functional
+whitened data.  ``ProjectedPair`` factors that pair once, by its generalized
+SVD obtained from the CS decomposition of the stacked QR factor,
+
+    [F; M] = [Q1; Q2] R,   Q1 = U C W^T,   Q2 W = V S,
+
+and both consumers read that one factorization.  The generalized cross
+validation functional
 
     G(lam) = d * || (I - R_F T_lam) rhs ||^2 / trace(I - R_F T_lam)^2,
     T_lam  = (R_F^T R_F + lam R_M^T R_M)^{-1} R_F^T,
 
-is evaluated in closed form through the generalized SVD of the pair
-(R_F, R_M), obtained from the CS decomposition of the stacked QR factor.
-That reduces every evaluation to O(d) once the pair is factored, so a grid
-sweep plus a local refinement is cheap even inside the outer loop.
+costs O(d) per evaluation, so a grid sweep plus a golden-section refinement
+is cheap even inside the outer loop.  The minimizer of
+||R_F y - rhs||^2 + lam ||R_M y||^2 at the chosen lam is
+y = R^{-1} W c beta / (c^2 + lam s^2), beta = U^T rhs: one triangular solve.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,51 +39,54 @@ def default_lambda_grid(n_points=40, low=1e-6, high=1e2):
     return np.logspace(np.log10(low), np.log10(high), int(n_points))
 
 
-@dataclass(eq=False)
 class ProjectedPair:
-    """Projected triangular pair (R_F, R_M) and projected whitened data."""
+    """Projected pair (R_F, R_M) and projected whitened data, factored once.
 
-    r_f: np.ndarray
-    r_m: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        self.r_f = np.atleast_2d(np.asarray(self.r_f, dtype=float))
-        self.r_m = np.atleast_2d(np.asarray(self.r_m, dtype=float))
-        self.rhs = np.asarray(self.rhs, dtype=float).ravel()
-        d = self.r_f.shape[1]
-        if self.r_f.shape[0] != d or self.r_m.shape != (d, d):
-            raise ValueError("projected factors must be square and of equal size")
-        if self.rhs.size != d:
-            raise ValueError("projected data length must match the factors")
-
-    @property
-    def dim(self):
-        return self.r_f.shape[1]
-
-
-def _pair_factors(pair):
-    """Generalized singular values of (R_F, R_M) via the CS decomposition.
-
-    Returns (c, s, beta): cosines, sines with c^2 + s^2 = 1, and the data
-    rotated into the left basis of the forward part.  Raises when the stacked
-    pair is rank deficient, i.e. the two operators share a null direction.
+    R_F is p x d with p <= d (p < d once the basis outgrows the data) and is
+    padded square with zero rows, rhs with zeros.  The factorization is of a
+    balanced copy: R_F and rhs scaled by 2^-e_f, R_M by 2^-e_m, so that both
+    factors have norms in [1/2, 1).  On that copy lam reads lam * 2^shift,
+    shift = 2 (e_m - e_f), and G is 2^(-2 e_f) times G of the original pair.
+    All of these scalings are exact, which makes the choice of lam and the
+    solve exactly equivariant under rescaling of the noise covariance.
+    Raises SingularSystemError when the stacked pair is rank deficient, i.e.
+    the two operators share a null direction.
     """
-    d = pair.dim
-    stacked = np.vstack([pair.r_f, pair.r_m])
-    q, r = np.linalg.qr(stacked)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag.min() <= 2 * d * np.finfo(float).eps * diag.max():
-        raise SingularSystemError(
-            "projected forward and regularization operators share a null direction"
-        )
-    u, c, wt = np.linalg.svd(q[:d])
-    c = np.clip(c, 0.0, 1.0)
-    # Sines computed from the lower block directly; sqrt(1 - c^2) would lose
-    # all accuracy for generalized singular values near 1.
-    s = np.linalg.norm(q[d:] @ wt.T, axis=0)
-    beta = u.T @ pair.rhs
-    return c, s, beta
+
+    def __init__(self, r_f, r_m, rhs):
+        self.r_f = np.atleast_2d(np.asarray(r_f, dtype=float))
+        self.r_m = np.atleast_2d(np.asarray(r_m, dtype=float))
+        self.rhs = np.asarray(rhs, dtype=float).ravel()
+        p, d = self.r_f.shape
+        if p > d or self.r_m.shape != (d, d):
+            raise ValueError("R_F must be p x d with p <= d, and R_M d x d")
+        if self.rhs.size != p:
+            raise ValueError("projected data length must match the rows of R_F")
+        r_f = np.vstack([self.r_f, np.zeros((d - p, d))])
+        e_f = np.frexp(np.linalg.norm(r_f))[1]
+        e_m = np.frexp(np.linalg.norm(self.r_m))[1]
+        self.dim, self.e_f, self.shift = d, e_f, 2 * (e_m - e_f)
+        q, self._r = np.linalg.qr(np.vstack([np.ldexp(r_f, -e_f), np.ldexp(self.r_m, -e_m)]))
+        diag = np.abs(np.diag(self._r))
+        if diag.size == 0 or diag.min() <= 2 * d * np.finfo(float).eps * diag.max():
+            raise SingularSystemError(
+                "projected forward and regularization operators share a null direction"
+            )
+        u, c, self._wt = np.linalg.svd(q[:d])
+        c = np.clip(c, 0.0, 1.0)
+        # Sines computed from the lower block directly; sqrt(1 - c^2) would lose
+        # all accuracy for generalized singular values near 1.
+        s = np.linalg.norm(q[d:] @ self._wt.T, axis=0)
+        beta = u.T @ np.ldexp(np.concatenate([self.rhs, np.zeros(d - p)]), -e_f)
+        self._c_beta = c * beta
+        # c², s² and β², squared once for every evaluation of G
+        self.factors = c**2, s**2, beta**2
+
+    def solve(self, lam):
+        """Minimizer y of ||R_F y - rhs||^2 + lam ||R_M y||^2; lam >= 0 is not checked."""
+        c2, s2, _ = self.factors
+        z = self._c_beta / (c2 + np.ldexp(lam, self.shift) * s2)
+        return np.linalg.solve(self._r, self._wt.T @ z)
 
 
 def _candidates(lambdas):
@@ -90,12 +97,6 @@ def _candidates(lambdas):
     if np.any(lambdas <= 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("candidate lambdas must be positive and finite")
     return lambdas
-
-
-def _squared_factors(pair):
-    """c², s² and β² of the pair, squared once for every evaluation of G."""
-    c, s, beta = _pair_factors(pair)
-    return c**2, s**2, beta**2
 
 
 def _gcv(c2, s2, beta2, lam):
@@ -114,10 +115,10 @@ def _gcv(c2, s2, beta2, lam):
 
 
 def gcv_curve(pair, lambdas):
-    """Evaluate G on the given positive candidates (ascending or not)."""
-    factors = _squared_factors(pair)
+    """Evaluate G of the pair on the given positive candidates (ascending or not)."""
+    scaled = np.ldexp(_candidates(lambdas), pair.shift)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _gcv(*factors, _candidates(lambdas)[:, None])
+        return np.ldexp(_gcv(*pair.factors, scaled[:, None]), 2 * pair.e_f)
 
 
 def select_lambda(pair, grid=None):
@@ -125,29 +126,16 @@ def select_lambda(pair, grid=None):
 
     Ties on the grid are broken toward the larger lambda, and the refined
     candidate is only kept when it strictly improves on the grid minimum, so
-    a flat curve yields the largest grid point.
-
-    The search runs on a balanced pair: R_F and the data scaled by one power
-    of two, R_M by another, so that both factors have norms in [1/2, 1).
-    With R_F = 2^e_f F and R_M = 2^e_m M, G(lam) on the original pair is
-    2^(2 e_f) times G on (F, M) at lam * 2^(2 (e_m - e_f)), so the grid is
-    scaled by that power of two and the chosen lambda scaled back.  All of
-    these scalings are exact, which makes the choice exactly equivariant
-    under rescaling of the noise covariance.
+    a flat curve yields the largest grid point.  The search runs on the
+    balanced factors: the grid is scaled by 2^shift and the chosen lambda
+    scaled back.
     """
     if grid is None:
         grid = default_lambda_grid()
     grid = np.sort(_candidates(grid))
-    e_f = np.frexp(np.linalg.norm(pair.r_f))[1]
-    e_m = np.frexp(np.linalg.norm(pair.r_m))[1]
-    balanced = ProjectedPair(
-        np.ldexp(pair.r_f, -e_f), np.ldexp(pair.r_m, -e_m), np.ldexp(pair.rhs, -e_f)
-    )
-    shift = 2 * (e_m - e_f)
-    scaled = np.ldexp(grid, shift)
-    factors = _squared_factors(balanced)
+    scaled = np.ldexp(grid, pair.shift)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = _gcv(*factors, scaled[:, None])
+        values = _gcv(*pair.factors, scaled[:, None])
     finite = np.isfinite(values)
     if not finite.any():
         raise SingularSystemError("GCV curve is undefined on the whole grid")
@@ -163,10 +151,10 @@ def select_lambda(pair, grid=None):
     hi = scaled[min(idx + 1, grid.size - 1)]
     with np.errstate(divide="ignore", invalid="ignore"):
         cand, cand_value = _golden_section(
-            lambda t: _gcv(*factors, np.exp(t)), np.log(lo), np.log(hi)
+            lambda t: _gcv(*pair.factors, np.exp(t)), np.log(lo), np.log(hi)
         )
     if np.isfinite(cand_value) and cand_value < best_value:
-        return float(np.ldexp(np.exp(cand), -shift))
+        return float(np.ldexp(np.exp(cand), -pair.shift))
     return best_grid
 
 

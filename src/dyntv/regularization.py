@@ -43,6 +43,7 @@ everywhere.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -83,6 +84,14 @@ class Method(str, Enum):
 
 METHOD_NAMES = tuple(m.value for m in Method)
 
+
+def as_int(value, name):
+    """``value`` as an int; ValueError for a bool or anything not a whole number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # (axes, grouping) of each block of D, in row order.
 _BLOCKS = {
     Method.ANISO_TV: (("v", "row"), ("h", "row"), ("t", "row")),
@@ -104,7 +113,7 @@ class RegularizerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method.from_name(self.method))
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(as_int(d, "each of dims") for d in self.dims)
         if len(dims) != 3 or any(d < 2 for d in dims):
             raise ValueError(f"dims must be three extents >= 2, got {self.dims}")
         object.__setattr__(self, "dims", dims)
@@ -127,6 +136,8 @@ class StaticTVSpec:
     method = Method.ANISO_TV
 
     def __post_init__(self):
+        for name in ("n_v", "n_h"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n_v < 2 or self.n_h < 2:
             raise ValueError("frame extents must be >= 2")
         if not 0 < self.epsilon < np.inf:

@@ -12,8 +12,11 @@ restricted to a low-dimensional search space.  The space is seeded with a few
 Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
 direction per iteration: the normal-equations residual of the current iterate,
 orthogonalized against the basis.  Thin QR factors of the projected operators
-keep every inner solve and the GCV parameter search at the cost of small dense
-linear algebra.  The whitened forward applied to the basis, A V, enters only
+keep every inner step at the cost of small dense linear algebra.  Each refresh
+factors the projected pair once, by its generalized SVD
+(``paramselect.ProjectedPair``), and both the GCV search for lam and the
+projected solve read that one factorization; a fixed lam takes the same path.
+The whitened forward applied to the basis, A V, enters only
 through its thin QR factors Q_F, R_F and is not kept; the factors grow by one
 column at a time, since the noise covariance is fixed.  The penalty factor is
 refactored every iteration, because the weights change, by Gram sweeps over row
@@ -26,10 +29,10 @@ factor enters every later step only through RᵀR; up to 1e7 a second sweep make
 it CholeskyQR2; a wide, rank deficient or more ill conditioned block falls back
 to Householder QR.  The two arrays that grow with the basis, the basis V and
 the forward factor Q_F, are written one column at a time into column-major
-buffers that ``init_state`` sizes once for the run's largest subspace,
-min(n, gk_steps + max_iters - 1) columns, since each outer iteration adds at
-most one; the state's public fields are views of their filled columns, and no
-buffer is ever copied or regrown.
+buffers sized once for the run's largest subspace, min(n, gk_steps +
+max_iters - 1) columns, since each outer iteration adds at most one; the seed
+is written straight into the basis buffer, the state's public fields are
+views of their filled columns, and no buffer is ever regrown.
 
 Each iterate x = V y is formed once, and so are the two vectors that several
 steps share.  Its whitened residual A x - b comes from the kept factors as
@@ -48,14 +51,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import SingularSystemError, SolverError
+from .exceptions import SolverError
 from .operators import MAX_DENSE_COLS
 from .paramselect import ProjectedPair, default_lambda_grid, select_lambda
-from .regularization import (
-    build_D,
-    regularizer_value,
-    update_weights,
-)
+from .regularization import as_int, build_D, regularizer_value, update_weights
 
 __all__ = [
     "ReconstructionProblem",
@@ -66,7 +65,6 @@ __all__ = [
     "seed_subspace",
     "init_state",
     "refresh_penalty",
-    "projected_pair",
     "solve_projected",
     "expand_subspace",
     "mm_gks_solve",
@@ -147,9 +145,11 @@ class SolverConfig:
     """Knobs of the outer iteration.
 
     ``lam`` fixes the regularization parameter; when None it is chosen by GCV
-    on the projected problem at every iteration.  ``full_space`` replaces the
-    adaptive basis by the identity, so every inner solve is exact (test and
-    reference use; small problems only).
+    on the projected problem at every iteration, over ``lambda_grid``
+    (``default_lambda_grid()`` when None), which is kept as a tuple of floats
+    so that configs compare and hash.  ``full_space`` replaces the adaptive
+    basis by the identity, so every inner solve is exact (test and reference
+    use; small problems only).
     """
 
     regularizer: object
@@ -159,10 +159,12 @@ class SolverConfig:
     rel_change_tol: float = 1e-6
     nonneg: bool = False
     lam: float | None = None
-    lambda_grid: np.ndarray | None = None
+    lambda_grid: tuple[float, ...] | None = None
     full_space: bool = False
 
     def __post_init__(self):
+        for name in ("max_iters", "gk_steps"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 1.0 < self.eta < np.inf:
             raise ValueError("discrepancy safety factor eta must be finite and > 1")
         if self.max_iters < 1:
@@ -177,7 +179,7 @@ class SolverConfig:
             grid = np.asarray(self.lambda_grid, dtype=float).ravel()
             if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
                 raise ValueError("lambda_grid must be a non-empty list of finite positive values")
-            object.__setattr__(self, "lambda_grid", grid)
+            object.__setattr__(self, "lambda_grid", tuple(grid.tolist()))
 
 
 @dataclass(eq=False)
@@ -189,7 +191,9 @@ class SolverState:
     r_f: np.ndarray  # thin R of the same, min(m, d) x d; A V itself is not kept
     rhs_hat: np.ndarray  # q_f^T (whitened data)
     weights: np.ndarray | None = None  # diagonal of W(u_k), one entry per row of D
-    r_m: np.ndarray | None = None  # square-padded R of W D V, d x d; D V is not kept
+    # (r_f, R_M, rhs_hat) as factored by the last refresh; R_M is the square
+    # R of W D V, d x d, and D V is not kept
+    pair: ProjectedPair | None = None
     y: np.ndarray | None = None
     # field name (basis, q_f) -> the column-major buffer, sized once by
     # init_state, whose first columns the field views
@@ -226,15 +230,17 @@ class SolveResult:
         return len(self.history)
 
 
-def seed_subspace(problem, n_steps):
+def seed_subspace(problem, n_steps, max_dim=0):
     """Golub-Kahan bidiagonalization basis for the whitened normal equations.
 
     Returns ``(V, breakdown)``: up to ``n_steps`` orthonormal columns spanning
     the Krylov space generated by F^T Gamma^{-1} d, with one
     reorthogonalization pass per step.  ``breakdown`` flags an early stop
     (the space is invariant before ``n_steps`` vectors were produced).  V is
-    a view of the filled columns of one column-major array, each column
-    written in place as its step makes it.
+    a view of the filled columns of one column-major array of
+    min(n, max(n_steps, max_dim)) columns, each column written in place as its
+    step makes it; given the run's ``max_dim``, ``init_state`` keeps that
+    array as the basis buffer.
     """
     n = problem.forward.cols
     b = problem.whitened_data
@@ -247,9 +253,10 @@ def seed_subspace(problem, n_steps):
     tol = 1e-12 * max(alpha, 1e-300)
     if alpha <= tol:
         return np.zeros((n, 0)), True
-    basis = np.empty((n, max(min(int(n_steps), n), 1)), order="F")
+    steps = max(min(int(n_steps), n), 1)
+    basis = np.empty((n, max(steps, min(int(max_dim), n))), order="F")
     basis[:, 0] = v / alpha
-    for j in range(1, basis.shape[1]):
+    for j in range(1, steps):
         v = basis[:, j - 1]
         p = problem.whiten_apply(v) - alpha * u
         beta = np.linalg.norm(p)
@@ -262,16 +269,17 @@ def seed_subspace(problem, n_steps):
         if alpha <= tol:
             return basis[:, :j], True
         basis[:, j] = w / alpha
-    return basis, False
+    return basis[:, :steps], False
 
 
 def init_state(problem, basis, max_dim):
     """Project the whitened forward operator onto a basis; only the thin QR of A V is kept.
 
     ``max_dim`` is the most columns the basis will hold (capped at n); the
-    basis and Q_F are copied once into column-major buffers of min(n, max_dim)
-    and min(m, max_dim) columns, which expansions fill in place.  A basis or
-    Q_F that is already column-major with all its columns is kept as it is.
+    basis and Q_F live in column-major buffers of min(n, max_dim) and
+    min(m, max_dim) columns, which expansions fill in place.  A basis or Q_F
+    that already is, or leads, such a buffer (the seed of ``seed_subspace``
+    given the same max_dim) is kept as it is; otherwise it is copied once.
     Either way both are column-major from the start, so an iterate does not
     depend on how far the run may grow.  Columns an early-stopping run never
     fills are never written, so they never become resident; numpy's huge-page
@@ -291,8 +299,13 @@ def init_state(problem, basis, max_dim):
     state = SolverState(basis=basis, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
     for name, cols in (("basis", max_dim), ("q_f", min(q_f.shape[0], max_dim))):
         view = getattr(state, name)
-        buf = view
-        if view.shape[1] < cols or not view.flags.f_contiguous:
+        buf = view if view.base is None else view.base
+        if not (
+            isinstance(buf, np.ndarray)
+            and buf.flags.f_contiguous
+            and buf.shape == (view.shape[0], cols)
+            and (buf.ctypes.data, buf.strides) == (view.ctypes.data, view.strides)
+        ):
             buf = np.empty((view.shape[0], cols), order="F")
             buf[:, : view.shape[1]] = view
             setattr(state, name, buf[:, : view.shape[1]])
@@ -301,7 +314,7 @@ def init_state(problem, basis, max_dim):
 
 
 def refresh_penalty(state, spec, u_k, z=None):
-    """Recompute the weights at u_k and the projected penalty factor; ``z`` = D u_k if known."""
+    """Recompute the weights at u_k, R_M and the factored pair; ``z`` = D u_k if known."""
     w = update_weights(spec, u_k, z=z)
     d_op = build_D(spec)
 
@@ -311,37 +324,19 @@ def refresh_penalty(state, spec, u_k, z=None):
             yield z
 
     state.weights = w
-    state.r_m = _penalty_r(weighted_rows, d_op.rows, state.dim)
+    r_m = _penalty_r(weighted_rows, d_op.rows, state.dim)
+    state.pair = ProjectedPair(state.r_f, r_m, state.rhs_hat)
     return w
 
 
-def projected_pair(state):
-    """Square-padded projected factors for parameter selection."""
-    if state.r_m is None:
-        raise ValueError("penalty factor missing; call refresh_penalty first")
-    p, d = state.r_f.shape
-    # R_F has fewer rows than columns once the basis outgrows the data
-    r_f = np.vstack([state.r_f, np.zeros((d - p, d))])
-    return ProjectedPair(r_f, state.r_m, np.concatenate([state.rhs_hat, np.zeros(d - p)]))
-
-
 def solve_projected(state, lam):
-    """Exact minimizer of the projected majorant via a stacked least-squares solve."""
+    """Exact minimizer of the projected majorant, from the pair the last refresh factored."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if state.r_m is None:
-        raise ValueError("penalty factor missing; call refresh_penalty first")
-    d = state.dim
-    stacked = np.vstack([state.r_f, np.sqrt(lam) * state.r_m])
-    target = np.concatenate([state.rhs_hat, np.zeros(d)])
-    y, _, rank, _ = np.linalg.lstsq(stacked, target, rcond=None)
-    if rank < d:
-        raise SingularSystemError(
-            "projected system is rank deficient; forward and regularization "
-            "operators share a null direction"
-        )
-    state.y = y
-    return y
+    if state.pair is None or state.pair.dim != state.dim:
+        raise ValueError("projected pair not factored at this basis; call refresh_penalty first")
+    state.y = state.pair.solve(lam)
+    return state.y
 
 
 def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
@@ -390,14 +385,14 @@ def mm_gks_solve(problem, config):
             raise ValueError("full_space mode is limited to small problems")
         basis, max_dim = np.eye(n, order="F"), n
     else:
-        basis, _ = seed_subspace(problem, config.gk_steps)
-        if basis.shape[1] == 0:
-            raise SolverError("seed basis is empty; data has no signal to start from")
         # the seed has at most gk_steps columns, and every iteration but the
         # last adds at most one
         max_dim = config.gk_steps + config.max_iters - 1
+        basis, _ = seed_subspace(problem, config.gk_steps, max_dim)
+        if basis.shape[1] == 0:
+            raise SolverError("seed basis is empty; data has no signal to start from")
     state = init_state(problem, basis, max_dim)
-    grid = config.lambda_grid if config.lambda_grid is not None else default_lambda_grid()
+    grid = config.lambda_grid or default_lambda_grid()  # a validated grid is not empty
 
     b = problem.whitened_data
     u_prev = np.zeros(n)
@@ -410,7 +405,7 @@ def mm_gks_solve(problem, config):
         if config.lam is not None:
             lam = float(config.lam)
         else:
-            lam = select_lambda(projected_pair(state), grid)
+            lam = select_lambda(state.pair, grid)
         y = solve_projected(state, lam)
         x = state.basis @ y
         if not np.all(np.isfinite(x)):
@@ -458,12 +453,13 @@ def mm_gks_solve(problem, config):
 # --- projected QR bookkeeping --------------------------------------------------
 
 # One Gram sweep R1 = chol(AᵀA) gives R1ᵀR1 = AᵀA with a relative error of
-# about cond(R1)² u.  Every consumer of R_M (the stacked solve and the GSVD in
-# GCV) sees it only through R_MᵀR_M, so while cond(R1) <= 1e3 that error,
-# at most 1.1e-10, is already below the accuracy the refresh promises, and R1
-# is returned as it is.  Between 1e3 and 1e7 (about u^(-1/2)) a second sweep
-# over Q1 = A R1⁻¹ restores Householder accuracy (CholeskyQR2); beyond that
-# the Gram matrix loses the smallest directions and Householder takes over.
+# about cond(R1)² u.  The one consumer of R_M, the generalized SVD of the
+# projected pair that GCV and the solve share, sees it only through R_MᵀR_M,
+# so while cond(R1) <= 1e3 that error, at most 1.1e-10, is already below the
+# accuracy the refresh promises, and R1 is returned as it is.  Between 1e3 and
+# 1e7 (about u^(-1/2)) a second sweep over Q1 = A R1⁻¹ restores Householder
+# accuracy (CholeskyQR2); beyond that the Gram matrix loses the smallest
+# directions and Householder takes over.
 _ONE_PASS_MAX_COND = 1e3
 _CHOLQR_MAX_COND = 1e7
 # Elements per row block of the Gram sweeps (256 KB).  A row block holds the

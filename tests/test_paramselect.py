@@ -72,10 +72,10 @@ def test_curve_nonnegative():
 
 
 def test_shared_null_space_raises():
+    # refused when the pair is factored, before any lambda is tried
     r = np.diag([1.0, 0.0])
-    pair = ProjectedPair(r_f=r, r_m=r.copy(), rhs=np.array([1.0, 1.0]))
     with pytest.raises(dv.SingularSystemError):
-        gcv_curve(pair, default_lambda_grid())
+        ProjectedPair(r_f=r, r_m=r.copy(), rhs=np.array([1.0, 1.0]))
 
 
 def test_all_nan_curve_raises_in_selection():
@@ -151,13 +151,31 @@ def test_gcv_formula_gives_a_scalar_the_value_of_its_grid_entry():
     # of numpy's pairwise summation)
     rng = np.random.default_rng(38)
     for d in (1, 2, 7, 8, 9, 25, 64, 130, 200):
-        factors = paramselect._squared_factors(random_pair(rng, d))
+        factors = random_pair(rng, d).factors
         lambdas = np.exp(rng.uniform(-16.0, 6.0, 24))
         with np.errstate(divide="ignore", invalid="ignore"):
             column = paramselect._gcv(*factors, lambdas[:, None])
             scalars = np.array([paramselect._gcv(*factors, lam) for lam in lambdas])
         assert column.shape == scalars.shape == (24,)
         np.testing.assert_array_equal(scalars, column)
+
+
+@pytest.mark.parametrize("k, j", [(1, 0), (3, 2), (-2, 5)])
+def test_lambda_choice_and_solve_are_exactly_equivariant(k, j):
+    # R_F and rhs scaled by 2^-k and R_M by 2^j move only the balancing
+    # exponents: the pair at lam is the scaled pair at lam / 4^(j + k), so the
+    # search on the scaled grid picks exactly that and the solves agree bitwise
+    rng = np.random.default_rng(40)
+    grid = default_lambda_grid()
+    for _ in range(10):
+        pair = random_pair(rng, int(rng.integers(2, 12)))
+        scaled = ProjectedPair(
+            np.ldexp(pair.r_f, -k), np.ldexp(pair.r_m, j), np.ldexp(pair.rhs, -k)
+        )
+        lam = select_lambda(pair, grid)
+        lam_scaled = select_lambda(scaled, np.ldexp(grid, -2 * (j + k)))
+        assert lam_scaled == np.ldexp(lam, -2 * (j + k))
+        np.testing.assert_array_equal(scaled.solve(lam_scaled), pair.solve(lam))
 
 
 def test_gcv_rejects_nonpositive_lambda():
@@ -167,10 +185,19 @@ def test_gcv_rejects_nonpositive_lambda():
 
 
 def test_pair_requires_square_matching_factors():
+    # R_M square and as wide as R_F; R_F no taller than wide, and the data as
+    # long as R_F is tall.  A wide R_F is padded square with zero rows.
     with pytest.raises(ValueError):
         ProjectedPair(r_f=np.eye(3), r_m=np.eye(2), rhs=np.ones(3))
     with pytest.raises(ValueError):
-        ProjectedPair(r_f=np.ones((2, 3)), r_m=np.eye(3), rhs=np.ones(3))
+        ProjectedPair(r_f=np.ones((4, 3)), r_m=np.eye(3), rhs=np.ones(4))
+    with pytest.raises(ValueError):
+        ProjectedPair(r_f=np.eye(2, 3), r_m=np.eye(3), rhs=np.ones(3))
+    wide = ProjectedPair(r_f=np.eye(2, 3), r_m=np.eye(3), rhs=np.ones(2))
+    padded = ProjectedPair(r_f=np.eye(3) - np.diag([0, 0, 1.0]), r_m=np.eye(3),
+                           rhs=np.array([1.0, 1.0, 0.0]))
+    for got, want in zip(wide.factors, padded.factors):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_default_grid_shape():

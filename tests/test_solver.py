@@ -9,12 +9,12 @@ import pytest
 import dyntv as dv
 import oracles
 from dyntv.operators import DenseOperator, IdentityOperator
+from dyntv.paramselect import ProjectedPair
 from dyntv.regularization import build_D, update_weights
 from dyntv.solver import (
     SolverState,
     expand_subspace,
     init_state,
-    projected_pair,
     refresh_penalty,
     seed_subspace,
     solve_projected,
@@ -45,7 +45,8 @@ def blur_problem(dims, sigma_blur, bw, noise_sigma, scene_seed, noise_seed, obje
 
 
 def manual_state(r_f, r_m, rhs):
-    """State with prescribed projected factors (basis fields are placeholders)."""
+    """State with prescribed projected factors, factored as a refresh would
+    factor them (basis fields are placeholders)."""
     d = r_f.shape[1]
     return SolverState(
         basis=np.eye(d),
@@ -53,7 +54,7 @@ def manual_state(r_f, r_m, rhs):
         r_f=r_f,
         rhs_hat=np.asarray(rhs, dtype=float),
         weights=np.ones(r_m.shape[0]),
-        r_m=r_m,
+        pair=ProjectedPair(r_f, r_m, rhs),
     )
 
 
@@ -105,6 +106,23 @@ def test_seed_zero_data_is_empty_with_breakdown():
     assert breakdown
 
 
+def test_init_state_keeps_the_seed_buffer():
+    # given the run's max_dim, the seed is written into a buffer already that
+    # wide, which init_state keeps as the basis buffer instead of copying it;
+    # a seed only as wide as its steps is still copied once
+    rng = np.random.default_rng(7)
+    problem = dv.ReconstructionProblem(
+        forward=random_forward(rng, 20, 12), data=rng.standard_normal(20)
+    )
+    basis, breakdown = seed_subspace(problem, 3, 7)
+    assert basis.shape == (12, 3) and not breakdown
+    np.testing.assert_array_equal(basis, seed_subspace(problem, 3)[0])
+    state = init_state(problem, basis, 7)
+    assert np.shares_memory(state.basis, basis) and state.max_dim == 7
+    narrow, _ = seed_subspace(problem, 3)
+    assert not np.shares_memory(init_state(problem, narrow, 7).basis, narrow)
+
+
 def test_init_state_rejects_empty_basis():
     # refused up front; accepted, it would fail later inside the stencil of
     # the first penalty refresh
@@ -144,9 +162,9 @@ def test_solve_projected_matches_dense_normal_equations():
 
 
 def test_solve_projected_shared_null_direction_raises():
-    state = manual_state(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2))
+    # the factorization refuses the pair, before any lam is tried
     with pytest.raises(dv.SingularSystemError):
-        solve_projected(state, 0.7)
+        solve_projected(manual_state(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2)), 0.7)
 
 
 def test_solve_projected_rejects_negative_lam():
@@ -174,16 +192,11 @@ def test_projected_pair_pads_wide_factor_square():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     state = init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0], 8)
     refresh_penalty(state, spec, np.zeros(8))
-    pair = projected_pair(state)
-    assert pair.r_f.shape == (3, 3)
-    assert pair.r_m.shape == (3, 3)
-    np.testing.assert_array_equal(pair.r_f[2], np.zeros(3))
-    assert pair.rhs[2] == 0.0
-    # the stacked solve takes the 2 x 3 factor unpadded
+    # the refresh factors the 2 x 3 R_F, padded square inside the pair
+    r_f, r_m, rhs = state.r_f, state.pair.r_m, state.rhs_hat
+    assert r_f.shape == (2, 3) and r_m.shape == (3, 3) and state.pair.dim == 3
     y = solve_projected(state, 0.5)
-    want = np.linalg.solve(
-        pair.r_f.T @ pair.r_f + 0.5 * (pair.r_m.T @ pair.r_m), pair.r_f.T @ pair.rhs
-    )
+    want = np.linalg.solve(r_f.T @ r_f + 0.5 * (r_m.T @ r_m), r_f.T @ rhs)
     np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
 
 
@@ -257,7 +270,7 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     )
     state = init_state(problem, np.eye(spec.n), spec.n)
     refresh_penalty(state, spec, u)
-    np.testing.assert_array_equal(state.r_m, want)
+    np.testing.assert_array_equal(state.pair.r_m, want)
 
 
 def test_refresh_penalty_duplicate_column_falls_back_to_householder():
@@ -569,6 +582,35 @@ def test_whitening_consistency_under_covariance_rescaling(method):
     np.testing.assert_allclose(lam_scaled * c**2, lam_base, rtol=1e-10)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("rule", ["gcv", "fixed-lambda"])
+def test_solve_is_exactly_equivariant_under_noise_rescaling(rule, k):
+    # Γ -> 4^k Γ, δ -> δ / 2^k and λ (or its grid) -> λ / 4^k scale the
+    # whitened data and R_F by 2^-k, which the balanced pair absorbs exactly:
+    # every λ is divided by 4^k and the iterates do not move by one bit
+    problem = blur_problem((16, 16, 3), 1.2, 4, 0.01, scene_seed=2, noise_seed=4)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(16, 16, 3), epsilon=1e-3)
+    scaled_problem = dv.ReconstructionProblem(
+        forward=problem.forward,
+        data=problem.data,
+        noise_cov_diag=problem.noise_cov_diag * 4.0**k,
+        delta=problem.delta / 2.0**k,
+        truth=problem.truth,
+    )
+    runs = []
+    for prob, scale in ((problem, 1.0), (scaled_problem, 4.0**-k)):
+        if rule == "gcv":
+            options = {"lambda_grid": dv.default_lambda_grid() * scale}
+        else:
+            options = {"lam": 0.05 * scale}
+        config = dv.SolverConfig(regularizer=spec, max_iters=40, **options)
+        runs.append(dv.mm_gks_solve(prob, config))
+    base, scaled = runs
+    assert scaled.stop_reason == base.stop_reason
+    assert [rec.lam for rec in scaled.history] == [rec.lam / 4.0**k for rec in base.history]
+    np.testing.assert_array_equal(scaled.u, base.u)
+
+
 @pytest.mark.parametrize("method", list(dv.Method))
 def test_solve_matches_householder_refresh(method, monkeypatch):
     # the Gram-sweep refresh changes R_M only up to a left orthogonal factor
@@ -687,6 +729,32 @@ def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeyp
     assert counts["D.row_blocks"] >= iters  # one Gram sweep or more per refresh
 
 
+@pytest.mark.parametrize("lam", [None, 0.1], ids=["gcv", "fixed-lambda"])
+def test_solve_factors_the_projected_pair_once_per_iteration(lam, monkeypatch):
+    # the refresh factors the pair once; the GCV search and the projected
+    # solve both read that factorization, and no stacked least-squares solve
+    # is left
+    counts = Counter()
+    pair_cls = dv.paramselect.ProjectedPair
+
+    def counted(*args, **kwargs):
+        counts["factor"] += 1
+        return pair_cls(*args, **kwargs)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    for module in (dv.solver, dv.paramselect):
+        monkeypatch.setattr(module, "ProjectedPair", counted)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    problem = blur_problem((8, 8, 2), 1.0, 3, 0.01, scene_seed=9, noise_seed=5)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    config = dv.SolverConfig(regularizer=spec, lam=lam, max_iters=12, rel_change_tol=0.0)
+    result = dv.mm_gks_solve(problem, config)
+    assert result.iterations > 1
+    assert counts["factor"] == result.iterations
+
+
 def test_history_dp_residual_is_the_residual_of_each_iterate():
     # the k-th iterate is the final one of a run cut at k iterations
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.01, scene_seed=9, noise_seed=5)
@@ -780,6 +848,42 @@ def test_config_validation():
             dv.SolverConfig(regularizer=spec, lambda_grid=grid)
     config = dv.SolverConfig(regularizer=spec, lambda_grid=[[1, 2], [3, 4]])
     np.testing.assert_array_equal(config.lambda_grid, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_config_with_a_grid_compares_and_hashes():
+    # the grid is kept as a tuple of floats, with the values an array gave
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    config = dv.SolverConfig(spec, lambda_grid=[1, 2])
+    same = dv.SolverConfig(spec, lambda_grid=np.array([1.0, 2.0]))
+    assert config == same and hash(config) == hash(same)
+    assert config != dv.SolverConfig(spec, lambda_grid=[1, 3])
+    assert config.lambda_grid == (1.0, 2.0)
+    grid = dv.default_lambda_grid()
+    assert dv.SolverConfig(spec, lambda_grid=grid).lambda_grid == tuple(grid.tolist())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spec: dv.SolverConfig(spec, max_iters=2.5),
+        lambda spec: dv.SolverConfig(spec, max_iters=True),
+        lambda spec: dv.SolverConfig(spec, gk_steps=2.5),
+        lambda spec: dv.SolverConfig(spec, gk_steps=True),
+        lambda spec: dv.RegularizerSpec(dims=(4.7, 4, 2)),
+        lambda spec: dv.RegularizerSpec(dims=(4, 4, "3")),
+        lambda spec: dv.StaticTVSpec(n_v=4.5, n_h=4),
+        lambda spec: dv.StaticTVSpec(n_v=4, n_h=np.float64(3.5)),
+    ],
+    ids=["max_iters-2.5", "max_iters-True", "gk_steps-2.5", "gk_steps-True",
+         "dims-4.7", "dims-string", "n_v-4.5", "n_h-3.5"],
+)
+def test_integer_fields_refuse_bools_and_fractions(build):
+    # each was accepted: a fractional max_iters failed later inside the
+    # solve, gk_steps 2.5 ran 2 seed steps, max_iters True ran 1 iteration,
+    # and dims (4.7, 4, 2) became (4, 4, 2)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(spec)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
