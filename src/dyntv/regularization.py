@@ -92,6 +92,23 @@ def as_int(value, name):
     return int(value)
 
 
+def as_float(value, name):
+    """``value`` as a float; ValueError for a bool or anything not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+
+
+def as_bool(value, name):
+    """``value`` as a bool; ValueError for anything but True or False."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
 # (axes, grouping) of each block of D, in row order.
 _BLOCKS = {
     Method.ANISO_TV: (("v", "row"), ("h", "row"), ("t", "row")),
@@ -117,6 +134,7 @@ class RegularizerSpec:
         if len(dims) != 3 or any(d < 2 for d in dims):
             raise ValueError(f"dims must be three extents >= 2, got {self.dims}")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
         if not 0 < self.epsilon < np.inf:
             raise ValueError("smoothing parameter epsilon must be positive and finite")
 
@@ -138,6 +156,7 @@ class StaticTVSpec:
     def __post_init__(self):
         for name in ("n_v", "n_h"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
         if self.n_v < 2 or self.n_h < 2:
             raise ValueError("frame extents must be >= 2")
         if not 0 < self.epsilon < np.inf:

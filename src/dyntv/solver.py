@@ -11,7 +11,14 @@ by repeatedly solving the quadratic majorant's normal equations
 restricted to a low-dimensional search space.  The space is seeded with a few
 Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
 direction per iteration: the normal-equations residual of the current iterate,
-orthogonalized against the basis.  Thin QR factors of the projected operators
+orthogonalized against the basis.  Where n allows, the basis is capped at 30
+columns: an expansion that would pass the cap first restarts the basis on the
+span of the last 10 iterates, the current one included, as in restarted and
+recycled GKS (Buccini & Reichel 2023; Pasha, de Sturler & Kilmer 2023), so the
+subspace drops to 11 columns and grows again.  The current iterate stays in
+the span, so under a fixed lam the objective still cannot rise, and the
+forward factors follow from the kept ones without a forward apply.  Thin QR
+factors of the projected operators
 keep every inner step at the cost of small dense linear algebra.  Each refresh
 factors the projected pair once, by its generalized SVD
 (``paramselect.ProjectedPair``), and both the GCV search for lam and the
@@ -30,9 +37,11 @@ it CholeskyQR2; a wide, rank deficient or more ill conditioned block falls back
 to Householder QR.  The two arrays that grow with the basis, the basis V and
 the forward factor Q_F, are written one column at a time into column-major
 buffers sized once for the run's largest subspace, min(n, gk_steps +
-max_iters - 1) columns, since each outer iteration adds at most one; the seed
-is written straight into the basis buffer, the state's public fields are
-views of their filled columns, and no buffer is ever regrown.
+max_iters - 1, 30) columns (gk_steps + 1 if the seed alone is wider), since
+each outer iteration adds at most one; the seed is written straight into the
+basis buffer, a restart writes its columns back into the same buffers, the
+state's public fields are views of their filled columns, and no buffer is
+ever regrown.
 
 Each iterate x = V y is formed once, and so are the two vectors that several
 steps share.  Its whitened residual A x - b comes from the kept factors as
@@ -47,6 +56,7 @@ passes of the Gram sweeps.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +64,7 @@ import numpy as np
 from .exceptions import SolverError
 from .operators import MAX_DENSE_COLS
 from .paramselect import ProjectedPair, default_lambda_grid, select_lambda
-from .regularization import as_int, build_D, regularizer_value, update_weights
+from .regularization import as_bool, as_float, as_int, build_D, regularizer_value, update_weights
 
 __all__ = [
     "ReconstructionProblem",
@@ -163,8 +173,13 @@ class SolverConfig:
     full_space: bool = False
 
     def __post_init__(self):
-        for name in ("max_iters", "gk_steps"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        kinds = {"eta": as_float, "max_iters": as_int, "gk_steps": as_int,
+                 "rel_change_tol": as_float, "nonneg": as_bool, "lam": as_float,
+                 "full_space": as_bool}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if name != "lam" or value is not None:
+                object.__setattr__(self, name, kind(value, name))
         if not 1.0 < self.eta < np.inf:
             raise ValueError("discrepancy safety factor eta must be finite and > 1")
         if self.max_iters < 1:
@@ -385,9 +400,14 @@ def mm_gks_solve(problem, config):
             raise ValueError("full_space mode is limited to small problems")
         basis, max_dim = np.eye(n, order="F"), n
     else:
-        # the seed has at most gk_steps columns, and every iteration but the
-        # last adds at most one
-        max_dim = config.gk_steps + config.max_iters - 1
+        # the seed has at most gk_steps columns and every iteration but the
+        # last adds at most one; past the cap a restart makes room, and the
+        # cap leaves room for the seed and one expansion
+        max_dim = min(
+            n,
+            config.gk_steps + config.max_iters - 1,
+            max(_MAX_BASIS_COLS, config.gk_steps + 1),
+        )
         basis, _ = seed_subspace(problem, config.gk_steps, max_dim)
         if basis.shape[1] == 0:
             raise SolverError("seed basis is empty; data has no signal to start from")
@@ -395,6 +415,7 @@ def mm_gks_solve(problem, config):
     grid = config.lambda_grid or default_lambda_grid()  # a validated grid is not empty
 
     b = problem.whitened_data
+    iterates = deque(maxlen=_RESTART_ITERATES)  # coefficients of the last iterates
     u_prev = np.zeros(n)
     u = u_prev
     z = None  # D u_prev; the first weights, at u = 0, apply D themselves
@@ -445,6 +466,9 @@ def mm_gks_solve(problem, config):
             break
         u_prev = u
         if not config.full_space and k < config.max_iters:
+            iterates.append(y)
+            if state.dim == state.max_dim < n:
+                _restart(state, problem, iterates)
             dx = d_op.apply(x) if config.nonneg else z
             expand_subspace(state, problem, d_op, lam, x, res_w, dx)
     return SolveResult(u=u, history=history, stop_reason=stop_reason)
@@ -466,6 +490,10 @@ _CHOLQR_MAX_COND = 1e7
 # rows of one block of D for as many whole frames as fit, at least one, so
 # W D V is never held at full size.
 _GRAM_BLOCK_ELEMS = 1 << 15
+# Columns the basis may reach before a restart (where n is larger), and the
+# number of last iterates whose span the restart keeps.
+_MAX_BASIS_COLS = 30
+_RESTART_ITERATES = 10
 
 
 def _penalty_r(blocks, rows, d):
@@ -503,6 +531,37 @@ def _gram_cholesky(blocks, d, right=None):
             b = b @ right
         gram += b.T @ b
     return np.linalg.cholesky(gram).T
+
+
+def _restart(state, problem, iterates):
+    """Shrink the basis to the span of the kept iterates, in the same buffers.
+
+    ``iterates`` holds the coefficient vectors of the last iterates, the
+    current one last, each as long as the basis was when it was solved; C is
+    the thin Q of them, zero-padded to the basis's d columns.  V C replaces
+    V and, since A V C = Q_F (R_F C), the QR Q'R' of R_F C gives the forward
+    factors Q_F Q' and R' without a forward apply.  The kept coefficients,
+    the current y among them, become Cᵀ y_j: every iterate V y_j stays in
+    the span, so under a fixed λ the next majorant cannot raise the
+    objective.  The pair must be refactored.
+    """
+    ys = np.zeros((state.dim, len(iterates)))
+    for j, y in enumerate(iterates):
+        ys[: y.size, j] = y
+    c = np.linalg.qr(ys)[0]
+    q, state.r_f = np.linalg.qr(state.r_f @ c)
+    for name, right in (("basis", c), ("q_f", q)):
+        # the product reads the columns it replaces, so it goes through a temporary
+        new = getattr(state, name) @ right
+        buf = state._buffers[name]
+        buf[:, : new.shape[1]] = new
+        setattr(state, name, buf[:, : new.shape[1]])
+    state.rhs_hat = state.q_f.T @ problem.whitened_data
+    kept = c.T @ ys
+    iterates.clear()
+    iterates.extend(kept.T)
+    state.y = iterates[-1]
+    state.pair = None
 
 
 def _append_column(state, name, col):

@@ -533,6 +533,62 @@ def test_solve_fixed_lambda_objective_never_increases():
     assert np.all(np.diff(objectives) <= 1e-12)
 
 
+def restarting_run():
+    """Fixed-λ 8×8×2 deblur whose 60 iterations pass the 30-column cap twice."""
+    problem = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    config = dv.SolverConfig(regularizer=spec, lam=0.2, max_iters=60, rel_change_tol=0.0)
+    return dv.mm_gks_solve(problem, config)
+
+
+def test_restart_bounds_the_basis_and_the_objective_keeps_descending():
+    # from the 5 seed columns the basis grows by one per iteration to the
+    # 30-column cap; the next expansion restarts on the last 10 iterates and
+    # appends one direction, so the dimension drops to 11
+    result = restarting_run()
+    dims = np.array([rec.subspace_dim for rec in result.history])
+    cap, keep = dv.solver._MAX_BASIS_COLS, dv.solver._RESTART_ITERATES
+    assert result.iterations == 60 and dims.max() == cap
+    drops = np.flatnonzero(np.diff(dims) != 1)
+    assert drops.size == 2 and np.all(dims[drops] == cap) and np.all(dims[drops + 1] == keep + 1)
+    objectives = np.array([rec.objective for rec in result.history])
+    assert np.all(np.diff(objectives) <= 1e-12 * objectives[1:])
+
+
+def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypatch):
+    # V C and Q_F Q' are written into the buffers init_state allocated; the
+    # iterate V y is unchanged, the last iterates stay in the span, V stays
+    # orthonormal and Q_F R_F = A V holds without a forward apply
+    first, restarts = {}, []
+    init_state_fn, restart_fn = dv.solver.init_state, dv.solver._restart
+
+    def init_state(*args):
+        state = init_state_fn(*args)
+        first.update(basis=state.basis, q_f=state.q_f)
+        return state
+
+    def restart(state, problem, iterates):
+        x = state.basis @ state.y
+        kept = [state.basis[:, : y.size] @ y for y in iterates]
+        restart_fn(state, problem, iterates)
+        restarts.append(state.dim)
+        np.testing.assert_allclose(state.basis @ state.y, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+        for x_j in kept:
+            in_span = state.basis @ (state.basis.T @ x_j)
+            np.testing.assert_allclose(in_span, x_j, rtol=0, atol=1e-12 * np.linalg.norm(x_j))
+        np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(state.dim), atol=1e-12)
+        aw = problem.whiten_apply(state.basis)
+        np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-12 * np.linalg.norm(aw))
+        for name, view in first.items():
+            assert np.shares_memory(getattr(state, name), view)
+        assert state.pair is None
+
+    monkeypatch.setattr(dv.solver, "init_state", init_state)
+    monkeypatch.setattr(dv.solver, "_restart", restart)
+    restarting_run()
+    assert restarts == [dv.solver._RESTART_ITERATES] * 2
+
+
 def test_full_space_matches_dense_mm_iterates():
     rng = np.random.default_rng(31)
     dims, lam = (2, 3, 2), 0.3
@@ -634,18 +690,20 @@ def test_solve_matches_householder_refresh(method, monkeypatch):
     "experiment, max_iters, want_d",
     # tomography has m << n, so the penalty rows dominate (rows(D) is 2.7 n);
     # blurring has m = n, so the m-row forward arrays weigh as much as the basis
-    [("tomography", 40, 44), ("blur", 37, 41)],
+    [("tomography", 40, 24), ("blur", 37, 21)],
     ids=["tomography", "blur"],
 )
 def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
     # The solve keeps two tall arrays, the n-row basis and the m-row q_f, in
-    # buffers that init_state sizes once for the run's d columns and that
-    # are never copied: (n + m) d values.  The refresh and the expansion add
+    # buffers that init_state sizes once at the 30-column cap and that are
+    # never copied: (n + m) 30 values.  Both runs pass the cap, so each
+    # restart shrinks the basis back to 10 columns and d ends below it.  The
+    # refresh, the expansion and the restart's 10-column products add
     # rows(D)-vectors (weights, D u, W² D u) and the 256 KB row blocks of the
     # Gram sweep: 20 rows(D) values leave room for them.  A second copy of
-    # either tall array does not fit: with buffers that doubled, the old one
-    # alive during the copy, the peaks were 4.7 MB (tomography, bound 3.5 MB)
-    # and 7.2 MB (blur, bound 4.4 MB); a stored D V or A V fits even less.
+    # the basis buffer does not fit: it would take the peaks of 2.1 MB
+    # (tomography, bound 3.0 MB) and 3.0 MB (blur, bound 3.7 MB) to 3.1 and
+    # 4.0 MB; a stored D V or A V fits even less.
     n_v, n_t = 32, 4
     if experiment == "tomography":
         model = dv.RadonModel(image_side=n_v, n_time_steps=n_t, n_angles_per_step=5)
@@ -671,7 +729,7 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
         tracemalloc.stop()
     m, n, d = forward.rows, forward.cols, result.history[-1].subspace_dim
     assert result.iterations == max_iters and d == want_d
-    assert peak <= 8 * ((n + m) * d + 20 * rows)
+    assert peak <= 8 * ((n + m) * 30 + 20 * rows)
 
 
 class CountingOperator:
@@ -886,6 +944,38 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         build(spec)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda spec: dv.SolverConfig(spec, lam=True), "lam"),
+        (lambda spec: dv.SolverConfig(spec, rel_change_tol=True), "rel_change_tol"),
+        (lambda spec: dv.SolverConfig(spec, eta="1.5"), "eta"),
+        (lambda spec: dv.SolverConfig(spec, nonneg="no"), "nonneg"),
+        (lambda spec: dv.SolverConfig(spec, nonneg=1), "nonneg"),
+        (lambda spec: dv.SolverConfig(spec, full_space="no"), "full_space"),
+        (lambda spec: dv.RegularizerSpec(dims=(2, 2, 2), epsilon=True), "epsilon"),
+        (lambda spec: dv.StaticTVSpec(n_v=4, n_h=4, epsilon="0.1"), "epsilon"),
+    ],
+    ids=["lam-True", "rel_change_tol-True", "eta-string", "nonneg-string", "nonneg-1",
+         "full_space-string", "epsilon-True", "static-epsilon-string"],
+)
+def test_float_and_flag_fields_refuse_other_kinds(build, field):
+    # each was accepted or failed deep inside: lam True ran with λ = 1,
+    # nonneg "no" turned clipping on, epsilon True gave ε = 1, and eta "1.5"
+    # raised a bare TypeError from the range check
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        build(spec)
+
+
+def test_float_and_flag_fields_keep_numpy_scalars():
+    spec = dv.RegularizerSpec(dims=(2, 2, 2), epsilon=np.float32(0.5))
+    config = dv.SolverConfig(spec, lam=np.int64(2), nonneg=np.True_, eta=2)
+    assert (spec.epsilon, config.lam, config.nonneg, config.eta) == (0.5, 2.0, True, 2.0)
+    assert all(type(v) is float for v in (spec.epsilon, config.lam, config.eta))
+    assert config.nonneg is True and config.full_space is False
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("field", ["lam", "eta", "rel_change_tol"])
 def test_config_rejects_non_finite_values(field, bad):
@@ -902,8 +992,11 @@ def test_history_records_are_well_formed():
     result = dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, max_iters=20))
     iters = [rec.iteration for rec in result.history]
     assert iters == list(range(1, len(iters) + 1))
+    # the dimension grows by at most one, or drops to one past the kept
+    # iterates at a restart
     dims = [rec.subspace_dim for rec in result.history]
-    assert all(b >= a for a, b in zip(dims, dims[1:]))
+    restarted = dv.solver._RESTART_ITERATES + 1
+    assert all(a <= b <= a + 1 or b == restarted for a, b in zip(dims, dims[1:]))
     assert all(rec.rre is not None for rec in result.history)
     assert all(rec.dp_residual >= 0 for rec in result.history)
 
