@@ -335,17 +335,18 @@ def _group_sums(spec, u, z=None):
 def regularizer_value(spec, u, smoothed=False, z=None):
     """Evaluate R(u), or its eps-smoothed companion R_eps(u); ``z`` = D u if known."""
     s, quad = _group_sums(spec, u, z)
-    eps2 = spec.epsilon**2 if smoothed else 0.0
-    return float(np.sum(np.sqrt(s + eps2)) + quad)
+    s += spec.epsilon**2 if smoothed else 0.0  # s is a new array, so in place
+    return float(np.sum(np.sqrt(s, out=s)) + quad)
 
 
 def update_weights(spec, u_k, z=None):
     """Diagonal of W(u_k), expanded to one entry per row of D; ``z`` = D u_k if known."""
     _, group, n_quad = _penalty(spec.method, spec.dims)
     s, _ = _group_sums(spec, u_k, z)
-    w = (s + spec.epsilon**2) ** -0.25
+    s += spec.epsilon**2  # s is a new array, so in place
+    w = np.power(s, -0.25, out=s)
     if group is not None:
         w = w[group]
     if n_quad:
-        w = np.concatenate([w, np.ones(n_quad)])
+        w = np.pad(w, (0, n_quad), constant_values=1.0)
     return w

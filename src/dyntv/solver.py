@@ -39,8 +39,9 @@ the forward factor Q_F, are written one column at a time into column-major
 buffers sized once for the run's largest subspace, min(n, gk_steps +
 max_iters - 1, 30) columns (gk_steps + 1 if the seed alone is wider), since
 each outer iteration adds at most one; the seed is written straight into the
-basis buffer, a restart writes its columns back into the same buffers, the
-state's public fields are views of their filled columns, and no buffer is
+basis buffer, a restart writes V C and Q_F Q' over the first columns of the
+same buffers one row block at a time, with no temporary as tall as a column,
+the state's public fields are views of their filled columns, and no buffer is
 ever regrown.
 
 Each iterate x = V y is formed once, and so are the two vectors that several
@@ -51,7 +52,10 @@ next refresh (taken at the same u) and the expansion's D x.  Only with
 nonnegativity, where u = max(x, 0) differs from x, does the residual of u take
 a forward apply and the expansion its own D x.  Past the seed, the forward is
 thus applied once per expansion and D once per iterate, besides the stencil
-passes of the Gram sweeps.
+passes of the Gram sweeps.  The value and the weights work in place on their
+squared group norms, the old weights are dropped before the new ones are
+formed, and W² D x takes one buffer, so none of these steps holds more than
+one rows(D) temporary besides z and the weights.
 """
 
 from __future__ import annotations
@@ -330,6 +334,7 @@ def init_state(problem, basis, max_dim):
 
 def refresh_penalty(state, spec, u_k, z=None):
     """Recompute the weights at u_k, R_M and the factored pair; ``z`` = D u_k if known."""
+    state.weights = None  # the old weights are not read again; free them first
     w = update_weights(spec, u_k, z=z)
     d_op = build_D(spec)
 
@@ -367,7 +372,10 @@ def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
         raise ValueError("expand_subspace needs a solved state")
     if state.dim >= state.max_dim:
         return False
-    r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(state.weights**2 * dx)
+    w2dx = np.square(state.weights)  # W² D x in one rows(D) buffer
+    w2dx *= dx
+    r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(w2dx)
+    del w2dx
     # two orthogonalization passes keep the basis orthonormal to rounding
     r = r - state.basis @ (state.basis.T @ r)
     r = r - state.basis @ (state.basis.T @ r)
@@ -488,7 +496,8 @@ _ONE_PASS_MAX_COND = 1e3
 _CHOLQR_MAX_COND = 1e7
 # Elements per row block of the Gram sweeps (256 KB).  A row block holds the
 # rows of one block of D for as many whole frames as fit, at least one, so
-# W D V is never held at full size.
+# W D V is never held at full size.  The restart reads the basis and Q_F in
+# row blocks of the same size.
 _GRAM_BLOCK_ELEMS = 1 << 15
 # Columns the basis may reach before a restart (where n is larger), and the
 # number of last iterates whose span the restart keeps.
@@ -540,7 +549,10 @@ def _restart(state, problem, iterates):
     current one last, each as long as the basis was when it was solved; C is
     the thin Q of them, zero-padded to the basis's d columns.  V C replaces
     V and, since A V C = Q_F (R_F C), the QR Q'R' of R_F C gives the forward
-    factors Q_F Q' and R' without a forward apply.  The kept coefficients,
+    factors Q_F Q' and R' without a forward apply.  Both products are written
+    over the first columns of their own buffers one row block of at most
+    ``_GRAM_BLOCK_ELEMS`` read elements at a time, so no temporary of a full
+    column's length is made.  The kept coefficients,
     the current y among them, become Cᵀ y_j: every iterate V y_j stays in
     the span, so under a fixed λ the next majorant cannot raise the
     objective.  The pair must be refactored.
@@ -551,11 +563,13 @@ def _restart(state, problem, iterates):
     c = np.linalg.qr(ys)[0]
     q, state.r_f = np.linalg.qr(state.r_f @ c)
     for name, right in (("basis", c), ("q_f", q)):
-        # the product reads the columns it replaces, so it goes through a temporary
-        new = getattr(state, name) @ right
-        buf = state._buffers[name]
-        buf[:, : new.shape[1]] = new
-        setattr(state, name, buf[:, : new.shape[1]])
+        # a row block of the product reads only its own rows, so each block
+        # is written over the rows it was formed from
+        old, buf, k = getattr(state, name), state._buffers[name], right.shape[1]
+        step = max(1, _GRAM_BLOCK_ELEMS // old.shape[1])
+        for first in range(0, old.shape[0], step):
+            buf[first : first + step, :k] = old[first : first + step] @ right
+        setattr(state, name, buf[:, :k])
     state.rhs_hat = state.q_f.T @ problem.whitened_data
     kept = c.T @ ys
     iterates.clear()

@@ -1,5 +1,7 @@
 """Regularizer operators, functional values, IRLS weights and majorants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,49 @@ def test_weights_match_oracle_and_rows(method):
         assert np.all(w > 0)
         np.testing.assert_allclose(w, oracles.weights_vec(method, dims, 1e-3, u),
                                    rtol=1e-12)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("smoothed", [False, True], ids=["plain", "smoothed"])
+@pytest.mark.parametrize("method", METHODS)
+def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed):
+    # both take the squared group norms s and work on them in place: the value
+    # sum sqrt(s + eps²) and the weights (s + eps²)^(-1/4) are bitwise those
+    # of the out-of-place formulas, the caller's z = D u is left as it was, and
+    # neither allocates more than the group sums themselves and the weights
+    spec = spec_for(method, (32, 32, 4))
+    _, group, n_quad = dv.regularization._penalty(spec.method, spec.dims)
+    u = np.random.default_rng(19).standard_normal(spec.n)
+    z = build_D(spec).apply(u)
+    z_before = z.copy()
+    m = z.size - n_quad
+    s = z[:m] ** 2
+    if group is not None:
+        s = np.bincount(group, s)
+    eps2 = spec.epsilon**2
+    want_value = float(np.sum(np.sqrt(s + (eps2 if smoothed else 0.0))) + 0.5 * (z[m:] @ z[m:]))
+    want_w = (s + eps2) ** -0.25
+    if group is not None:
+        want_w = want_w[group]
+    want_w = np.concatenate([want_w, np.ones(n_quad)])
+
+    _, sums_peak = traced_peak(dv.regularization._group_sums, spec, u, z)
+    value, value_peak = traced_peak(regularizer_value, spec, u, smoothed=smoothed, z=z)
+    w, w_peak = traced_peak(update_weights, spec, u, z=z)
+    assert value == want_value
+    assert w.tobytes() == want_w.tobytes()
+    assert z.tobytes() == z_before.tobytes()
+    slack = 4096  # array headers and views
+    assert value_peak <= sums_peak + slack
+    assert w_peak <= sums_peak + w.nbytes + slack
 
 
 def quadratic_misfit(f_dense, data):

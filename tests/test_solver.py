@@ -589,6 +589,31 @@ def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypa
     assert restarts == [dv.solver._RESTART_ITERATES] * 2
 
 
+def test_restart_writes_its_products_one_row_block_at_a_time(monkeypatch):
+    # V C and Q_F Q' are formed a row block of at most _GRAM_BLOCK_ELEMS read
+    # elements at a time and written over the rows they were read from, so the
+    # restart allocates a fraction of one n x 10 product; on this 32x32x4
+    # deblur the 30-column basis splits into four row blocks
+    problem = blur_problem((32, 32, 4), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(32, 32, 4))
+    config = dv.SolverConfig(regularizer=spec, lam=0.2, max_iters=27, rel_change_tol=0.0)
+    peaks, restart_fn = [], dv.solver._restart
+
+    def restart(state, problem, iterates):
+        tracemalloc.start()
+        try:
+            restart_fn(state, problem, iterates)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(dv.solver, "_restart", restart)
+    dv.mm_gks_solve(problem, config)
+    n, keep = problem.forward.cols, dv.solver._RESTART_ITERATES
+    assert n > 3 * (dv.solver._GRAM_BLOCK_ELEMS // dv.solver._MAX_BASIS_COLS)
+    assert len(peaks) == 1 and peaks[0] <= 8 * n * keep // 2
+
+
 def test_full_space_matches_dense_mm_iterates():
     rng = np.random.default_rng(31)
     dims, lam = (2, 3, 2), 0.3
@@ -688,7 +713,7 @@ def test_solve_matches_householder_refresh(method, monkeypatch):
 
 @pytest.mark.parametrize(
     "experiment, max_iters, want_d",
-    # tomography has m << n, so the penalty rows dominate (rows(D) is 2.7 n);
+    # tomography has m << n, so the penalty rows dominate (rows(D) is 2.8 n);
     # blurring has m = n, so the m-row forward arrays weigh as much as the basis
     [("tomography", 40, 24), ("blur", 37, 21)],
     ids=["tomography", "blur"],
@@ -698,13 +723,16 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
     # buffers that init_state sizes once at the 30-column cap and that are
     # never copied: (n + m) 30 values.  Both runs pass the cap, so each
     # restart shrinks the basis back to 10 columns and d ends below it.  The
-    # refresh, the expansion and the restart's 10-column products add
-    # rows(D)-vectors (weights, D u, W² D u) and the 256 KB row blocks of the
-    # Gram sweep: 20 rows(D) values leave room for them.  A second copy of
-    # the basis buffer does not fit: it would take the peaks of 2.1 MB
-    # (tomography, bound 3.0 MB) and 3.0 MB (blur, bound 3.7 MB) to 3.1 and
-    # 4.0 MB; a stored D V or A V fits even less.
-    n_v, n_t = 32, 4
+    # refresh, the objective and the expansion add rows(D)-vectors (D u of
+    # this iterate and the last, the weights, the squared group norms, W² D x)
+    # and the one-frame row blocks of the Gram sweep: 6.5 rows(D) values leave
+    # room for them, and the peaks sit at 5.3 (tomography) and 5.6 (blur).  A
+    # value, weight or expansion step that kept two more temporaries, or a
+    # restart that formed its products whole, does not fit: those took the
+    # excess to 7.4 and 10.8.  A second copy of the basis buffer fits even
+    # less: it would take the peaks of 12.7 MB (tomography, bound 13.6 MB) and
+    # 19.9 MB (blur, bound 20.6 MB) to 20.5 and 27.7 MB.
+    n_v, n_t = 64, 8
     if experiment == "tomography":
         model = dv.RadonModel(image_side=n_v, n_time_steps=n_t, n_angles_per_step=5)
         forward = dv.assemble_dynamic_forward(
@@ -729,7 +757,7 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
         tracemalloc.stop()
     m, n, d = forward.rows, forward.cols, result.history[-1].subspace_dim
     assert result.iterations == max_iters and d == want_d
-    assert peak <= 8 * ((n + m) * 30 + 20 * rows)
+    assert peak <= 8 * ((n + m) * 30 + 6.5 * rows)
 
 
 class CountingOperator:
