@@ -376,15 +376,12 @@ def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
     w2dx *= dx
     r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(w2dx)
     del w2dx
-    # two orthogonalization passes keep the basis orthonormal to rounding
-    r = r - state.basis @ (state.basis.T @ r)
-    r = r - state.basis @ (state.basis.T @ r)
-    u_scale = float(np.linalg.norm(x))
-    if np.linalg.norm(r) <= 1e-14 * max(1.0, u_scale):
+    _, norm = _orthogonalize(state.basis, r)
+    if norm <= 1e-14 * max(1.0, float(np.linalg.norm(x))):
         return False
-    v_new = r / np.linalg.norm(r)
-    _append_column(state, "basis", v_new)
-    _append_forward_qr(state, problem, problem.whiten_apply(v_new))
+    r /= norm
+    _append_column(state, "basis", r)
+    _append_forward_qr(state, problem, problem.whiten_apply(r))
     return True
 
 
@@ -591,17 +588,32 @@ def _append_column(state, name, col):
     setattr(state, name, buf[:, : d + 1])
 
 
+def _orthogonalize(q, a):
+    """Remove from `a`, in place, its part in the span of q's orthonormal columns.
+
+    Returns (qᵀa, ‖a‖ after).  One Gram-Schmidt pass suffices while it leaves
+    at least 1/√2 of the norm; below that, its rounding may weigh in what is
+    left, and a second pass restores orthogonality to rounding (the DGKS rule
+    of Daniel, Gragg, Kaufman & Stewart 1976).
+    """
+    norm0 = np.linalg.norm(a)
+    coef = q.T @ a
+    a -= q @ coef
+    norm = np.linalg.norm(a)
+    if norm < norm0 / np.sqrt(2):
+        again = q.T @ a
+        a -= q @ again
+        coef += again
+        norm = np.linalg.norm(a)
+    return coef, float(norm)
+
+
 def _append_forward_qr(state, problem, a):
-    """Grow the thin QR of the projected whitened forward by its new column `a`."""
+    """Grow the thin QR of the projected whitened forward by its new column `a` (overwritten)."""
     m, p = state.q_f.shape
     if p < m:
-        r1 = state.q_f.T @ a
-        q = a - state.q_f @ r1
-        r2 = state.q_f.T @ q
-        q = q - state.q_f @ r2
-        rho = float(np.linalg.norm(q))
-        q = q / rho if rho > 0 else np.zeros_like(q)
-        col = r1 + r2
+        col, rho = _orthogonalize(state.q_f, a)
+        q = a / rho if rho > 0 else np.zeros_like(a)
         _append_column(state, "q_f", q)
         state.r_f = np.block(
             [[state.r_f, col[:, None]], [np.zeros((1, state.r_f.shape[1])), rho]]

@@ -614,6 +614,55 @@ def test_restart_writes_its_products_one_row_block_at_a_time(monkeypatch):
     assert len(peaks) == 1 and peaks[0] <= 8 * n * keep // 2
 
 
+def test_restarting_run_keeps_the_basis_orthonormal(monkeypatch):
+    # the expansion takes a second Gram-Schmidt pass only when the first
+    # leaves less than 1/√2 of the norm; across 60 iterations and two
+    # restarts the basis stays orthonormal to rounding all the same
+    errors, expand_fn = [], dv.solver.expand_subspace
+
+    def expand_subspace(state, *args):
+        added = expand_fn(state, *args)
+        v = state.basis
+        errors.append(np.linalg.norm(v.T @ v - np.eye(state.dim), 2))
+        return added
+
+    monkeypatch.setattr(dv.solver, "expand_subspace", expand_subspace)
+    result = restarting_run()
+    dims = [rec.subspace_dim for rec in result.history]
+    assert len(errors) == 59 and sum(b < a for a, b in zip(dims, dims[1:])) == 2
+    assert max(errors) <= 1e-13
+
+
+def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
+    # a new direction that lies mostly in the span of the basis (or of Q_F)
+    # loses all but 1e-8 of its norm to the first pass, whose rounding is
+    # then 1e-8 of what is left; the second pass makes it orthogonal again
+    rng = np.random.default_rng(29)
+    dims = (4, 4, 2)
+    n = int(np.prod(dims))
+    problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=rng.standard_normal(n))
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
+    d_op = build_D(spec)
+    state = init_state(problem, np.linalg.qr(rng.standard_normal((n, 5)))[0], n)
+    refresh_penalty(state, spec, np.zeros(n))
+    solve_projected(state, 0.5)
+    basis, q_f = state.basis.copy(), state.q_f.copy()
+    nearly_in_span = basis @ rng.standard_normal(5) + 1e-8 * rng.standard_normal(n)
+    # under the identity and with D x = 0 the expansion's residual is res_w itself
+    assert expand_subspace(
+        state, problem, d_op, 0.5, np.zeros(n), nearly_in_span, np.zeros(d_op.rows)
+    )
+    v_new = state.basis[:, -1]
+    assert np.abs(basis.T @ v_new).max() <= 1e-14
+    assert abs(np.linalg.norm(v_new) - 1) <= 1e-14
+
+    a = q_f @ rng.standard_normal(5) + 1e-8 * rng.standard_normal(n)
+    state = init_state(problem, basis, n)
+    dv.solver._append_forward_qr(state, problem, a.copy())
+    assert np.abs(q_f.T @ state.q_f[:, -1]).max() <= 1e-14
+    np.testing.assert_allclose(state.q_f @ state.r_f[:, -1], a, rtol=0, atol=1e-15)
+
+
 def test_full_space_matches_dense_mm_iterates():
     rng = np.random.default_rng(31)
     dims, lam = (2, 3, 2), 0.3
