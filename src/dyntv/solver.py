@@ -11,7 +11,8 @@ by repeatedly solving the quadratic majorant's normal equations
 restricted to a low-dimensional search space.  The space is seeded with a few
 Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
 direction per iteration: the normal-equations residual of the current iterate,
-orthogonalized against the basis.  Where n allows, the basis is capped at 30
+orthogonalized against the basis, with a second Gram-Schmidt pass only where
+the first cancels most of it.  Where n allows, the basis is capped at 30
 columns: an expansion that would pass the cap first restarts the basis on the
 span of the last 10 iterates, the current one included, as in restarted and
 recycled GKS (Buccini & Reichel 2023; Pasha, de Sturler & Kilmer 2023), so the
