@@ -11,9 +11,9 @@ Two families are provided:
   angle at once, as a compressed-row ``SparseOperator``: a few views touch
   about 1% of the (ray, pixel) pairs, and the dense block is never formed.
 
-``assemble_dynamic_forward`` lifts either family to the space-time problem:
-a shared operator becomes I_{n_t} (x) A, per-step operators become a block
-diagonal.
+``assemble_dynamic_forward`` lifts either family to the space-time problem
+as a stack of frames: frame t of the volume goes through the shared operator
+or through step t's own, and its result is frame t of the data.
 """
 
 from __future__ import annotations
@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    BlockDiagOperator,
-    DenseOperator,
-    IdentityOperator,
-    KronOperator,
-    LinearOperator,
-    SparseOperator,
-)
+from .operators import LinearOperator, SparseOperator
+from .regularization import as_float, as_int
 
 __all__ = [
     "BlurModel",
@@ -49,15 +43,14 @@ class BlurModel:
 
     sigma_psf: float
     bandwidth: int
-    boundary: str = "periodic"
 
     def __post_init__(self):
-        if not self.sigma_psf > 0:
-            raise ValueError("sigma_psf must be positive")
+        object.__setattr__(self, "sigma_psf", as_float(self.sigma_psf, "sigma_psf"))
+        object.__setattr__(self, "bandwidth", as_int(self.bandwidth, "bandwidth"))
+        if not 0 < self.sigma_psf < np.inf:
+            raise ValueError("sigma_psf must be positive and finite")
         if self.bandwidth < 0:
             raise ValueError("bandwidth must be nonnegative")
-        if self.boundary != "periodic":
-            raise ValueError("only periodic boundary conditions are supported")
 
 
 def medium_blur(side):
@@ -66,17 +59,12 @@ def medium_blur(side):
     return BlurModel(sigma_psf=2.0 * scale, bandwidth=max(1, round(6 * scale)))
 
 
-def _gaussian_kernel(sigma, bandwidth):
-    offsets = np.arange(-bandwidth, bandwidth + 1)
-    k = np.exp(-(offsets.astype(float) ** 2) / (2.0 * sigma**2))
-    return offsets, k / k.sum()
-
-
 def _circulant_blur(n, model):
-    offsets, k = _gaussian_kernel(model.sigma_psf, model.bandwidth)
+    offsets = np.arange(-model.bandwidth, model.bandwidth + 1)
+    k = np.exp(-(offsets.astype(float) ** 2) / (2.0 * model.sigma_psf**2))
     a = np.zeros((n, n))
     rows = np.arange(n)
-    for off, weight in zip(offsets, k):
+    for off, weight in zip(offsets, k / k.sum()):
         a[rows, (rows + off) % n] += weight
     return a
 
@@ -85,10 +73,33 @@ def build_blur_operator(model, n_v, n_h):
     """Separable blur acting on one vectorized frame: A_h (x) A_v."""
     if n_v < 1 or n_h < 1:
         raise ValueError("frame extents must be positive")
-    return KronOperator(
-        DenseOperator(_circulant_blur(n_h, model)),
-        DenseOperator(_circulant_blur(n_v, model)),
-    )
+    return _SeparableBlur(_circulant_blur(n_h, model), _circulant_blur(n_v, model))
+
+
+class _SeparableBlur(LinearOperator):
+    """(A_h (x) A_v) vec(X) = vec(A_v X A_h^T) for an (n_v, n_h) frame X.
+
+    A_v acts along v on the (n_v, n_h k) reshape of k frames, then A_h along
+    h on the (n_h, n_v k) transpose: one GEMM per factor for all k columns.
+    """
+
+    kind = "blur"
+
+    def __init__(self, a_h, a_v):
+        super().__init__(a_h.shape[0] * a_v.shape[0], a_h.shape[1] * a_v.shape[1])
+        self.a_h, self.a_v = a_h, a_v
+
+    def _apply(self, x, transpose=False):
+        a_h, a_v = (self.a_h.T, self.a_v.T) if transpose else (self.a_h, self.a_v)
+        n_v, n_h, k = a_v.shape[0], a_h.shape[0], x.shape[1]
+        z = a_v @ x.reshape(n_v, n_h * k, order="F")
+        z = z.reshape(n_v, n_h, k, order="F").transpose(1, 0, 2)
+        z = a_h @ z.reshape(n_h, n_v * k, order="F")
+        z = z.reshape(n_h, n_v, k, order="F").transpose(1, 0, 2)
+        return z.reshape(n_v * n_h, k, order="F")
+
+    def _apply_adjoint(self, y):
+        return self._apply(y, transpose=True)
 
 
 @dataclass(frozen=True)
@@ -110,25 +121,27 @@ class RadonModel:
     n_detectors: int | None = None
 
     def __post_init__(self):
+        optional = {"angle_stride_deg": as_float, "n_detectors": as_int}
+        kinds = {"image_side": as_int, "n_time_steps": as_int, "n_angles_per_step": as_int}
+        for name, kind in {**kinds, **optional}.items():
+            value = getattr(self, name)
+            if value is not None or name not in optional:
+                object.__setattr__(self, name, kind(value, name))
         if self.image_side < 2:
             raise ValueError("image_side must be at least 2")
         if self.n_time_steps < 1:
             raise ValueError("n_time_steps must be positive")
         if self.n_angles_per_step < 1:
             raise ValueError("n_angles_per_step must be positive")
+        if self.angle_stride_deg is not None and not math.isfinite(self.angle_stride_deg):
+            raise ValueError("angle_stride_deg must be finite")
         if self.n_detectors is not None and self.n_detectors < 1:
             raise ValueError("n_detectors must be positive")
 
     @property
-    def stride(self):
-        return float(self.angle_stride_deg) if self.angle_stride_deg is not None else float(
-            self.n_time_steps
-        )
-
-    @property
     def detectors(self):
         if self.n_detectors is not None:
-            return int(self.n_detectors)
+            return self.n_detectors
         return math.ceil(math.sqrt(2.0) * self.image_side)
 
 
@@ -136,7 +149,10 @@ def radon_angles(model, t):
     """Projection angles (degrees) of time step t, 1-based."""
     if not 1 <= t <= model.n_time_steps:
         raise ValueError(f"time step {t} outside [1, {model.n_time_steps}]")
-    return float(t) + model.stride * np.arange(model.n_angles_per_step)
+    stride = model.angle_stride_deg
+    if stride is None:
+        stride = float(model.n_time_steps)
+    return float(t) + stride * np.arange(model.n_angles_per_step)
 
 
 def build_radon_operator(model, t):
@@ -217,13 +233,13 @@ def assemble_dynamic_forward(ops, n_t):
     operators (one per step) becomes their block diagonal.  For n_t = 1 the
     static operator is returned unchanged.
     """
-    n_t = int(n_t)
+    n_t = as_int(n_t, "n_t")
     if n_t < 1:
         raise ValueError("n_t must be positive")
     if isinstance(ops, LinearOperator):
         if n_t == 1:
             return ops
-        return KronOperator(IdentityOperator(n_t), ops)
+        return _FrameStack(ops, n_t)
     ops = list(ops)
     if len(ops) != n_t:
         raise ValueError(f"got {len(ops)} per-step operators for n_t = {n_t}")
@@ -233,4 +249,41 @@ def assemble_dynamic_forward(ops, n_t):
             raise ValueError("per-step operators must share the image size")
     if n_t == 1:
         return ops[0]
-    return BlockDiagOperator(ops)
+    return _FrameStack(ops, n_t)
+
+
+class _FrameStack(LinearOperator):
+    """n_t frames side by side: frame t of the input maps to frame t of the output.
+
+    ``frames`` is one operator shared by every frame, applied in a single call
+    to the (cols, n_t k) reshape whose columns are the frames of all k input
+    columns, or a list of n_t per-step operators, each writing its own rows
+    of one preallocated output.
+    """
+
+    kind = "stack"
+
+    def __init__(self, frames, n_t):
+        self.frames, self.n_t = frames, n_t
+        per_step = [frames] * n_t if isinstance(frames, LinearOperator) else frames
+        self._row_ends = np.cumsum([0] + [op.rows for op in per_step])
+        self._col_ends = np.cumsum([0] + [op.cols for op in per_step])
+        super().__init__(self._row_ends[-1], self._col_ends[-1])
+
+    def _apply(self, x):
+        return self._stack(x, self._col_ends, self._row_ends, "apply")
+
+    def _apply_adjoint(self, y):
+        return self._stack(y, self._row_ends, self._col_ends, "apply_adjoint")
+
+    def _stack(self, x, in_ends, out_ends, method):
+        k = x.shape[1]
+        if isinstance(self.frames, LinearOperator):
+            z = getattr(self.frames, method)(x.reshape(in_ends[1], self.n_t * k, order="F"))
+            return z.reshape(out_ends[-1], k, order="F")
+        out = np.empty((out_ends[-1], k))
+        for t, op in enumerate(self.frames):
+            out[out_ends[t] : out_ends[t + 1]] = getattr(op, method)(
+                x[in_ends[t] : in_ends[t + 1]]
+            )
+        return out

@@ -7,13 +7,13 @@ tensor of shape ``(n_v, n_h, n_t)`` flattens frame by frame, so that
     u = vec([vec(U_1), vec(U_2), ..., vec(U_nt)])
 
 Operators are immutable after construction and expose ``apply`` /
-``apply_adjoint`` so that large Kronecker and block compositions never have
-to be materialized.  The classes here are what the forward models are built
-from: dense and sparse matrices, the identity, Kronecker products and block
-diagonals.  The difference operator D of the regularizers is a stencil on the
-volume and lives in :mod:`dyntv.regularization`.  ``to_dense`` exists for
-small operators only and is the anchor for the dense oracles used in the
-tests.
+``apply_adjoint`` so that large space-time operators never have to be
+materialized.  This module holds the base class and the compressed-row
+sparse matrix of the ray transform; the blur and the stack of per-frame
+operators live in :mod:`dyntv.forward`, and the difference operator D of the
+regularizers, a stencil on the volume, in :mod:`dyntv.regularization`.
+``to_dense`` exists for small operators only and is the anchor for the dense
+oracles used in the tests.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ import numpy as np
 
 __all__ = [
     "LinearOperator",
-    "DenseOperator",
     "SparseOperator",
-    "IdentityOperator",
-    "KronOperator",
-    "BlockDiagOperator",
     "vec",
     "tensor",
 ]
@@ -76,21 +72,15 @@ class LinearOperator:
 
     def _checked(self, x, expected, op):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            if x.shape[0] != expected:
-                raise ValueError(
-                    f"{self.kind} operator of shape {self._shape} got a vector "
-                    f"of length {x.shape[0]}, expected {expected}"
-                )
-            return op(x[:, None])[:, 0]
-        if x.ndim == 2:
-            if x.shape[0] != expected:
-                raise ValueError(
-                    f"{self.kind} operator of shape {self._shape} got a matrix "
-                    f"with {x.shape[0]} rows, expected {expected}"
-                )
-            return op(x)
-        raise ValueError("operator input must be a vector or a matrix")
+        if x.ndim not in (1, 2):
+            raise ValueError("operator input must be a vector or a matrix")
+        if x.shape[0] != expected:
+            got = (f"a vector of length {x.shape[0]}" if x.ndim == 1
+                   else f"a matrix with {x.shape[0]} rows")
+            raise ValueError(
+                f"{self.kind} operator of shape {self._shape} got {got}, expected {expected}"
+            )
+        return op(x) if x.ndim == 2 else op(x[:, None])[:, 0]
 
     def _apply(self, x):
         raise NotImplementedError
@@ -112,25 +102,6 @@ class LinearOperator:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.rows}x{self.cols}>"
-
-
-class DenseOperator(LinearOperator):
-    """Operator backed by an explicit 2-d array."""
-
-    kind = "dense"
-
-    def __init__(self, mat):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2:
-            raise ValueError("dense operator needs a 2-d array")
-        super().__init__(mat.shape[0], mat.shape[1])
-        self.mat = mat
-
-    def _apply(self, x):
-        return self.mat @ x
-
-    def _apply_adjoint(self, y):
-        return self.mat.T @ y
 
 
 class SparseOperator(LinearOperator):
@@ -217,84 +188,6 @@ def _csr_product(csr, x, n_out):
         gathered *= csr.values
         out[csr.nonempty, c] = np.add.reduceat(gathered, csr.starts)
     return out
-
-
-class IdentityOperator(LinearOperator):
-    kind = "identity"
-
-    def __init__(self, n):
-        super().__init__(n, n)
-
-    def _apply(self, x):
-        return x
-
-    def _apply_adjoint(self, y):
-        return y
-
-
-class KronOperator(LinearOperator):
-    """Kronecker product ``A (x) B`` acting matrix-free.
-
-    Uses (A (x) B) vec(X) = vec(B X A^T) with the column-major vec
-    convention, so a product with factors (m_a x n_a) and (m_b x n_b) acts
-    on vectors of length n_a*n_b without ever forming the big matrix.
-    """
-
-    kind = "kron"
-
-    def __init__(self, a, b):
-        if not isinstance(a, LinearOperator) or not isinstance(b, LinearOperator):
-            raise TypeError("kron factors must be LinearOperator instances")
-        super().__init__(a.rows * b.rows, a.cols * b.cols)
-        self.a = a
-        self.b = b
-
-    def _apply(self, x):
-        a, b = self.a, self.b
-        k = x.shape[1]
-        z = x.reshape(b.cols, a.cols * k, order="F")
-        z = b._apply(z)
-        z = z.reshape(b.rows, a.cols, k, order="F")
-        z = z.transpose(1, 0, 2).reshape(a.cols, b.rows * k, order="F")
-        z = a._apply(z)
-        z = z.reshape(a.rows, b.rows, k, order="F")
-        return z.transpose(1, 0, 2).reshape(b.rows * a.rows, k, order="F")
-
-    def _apply_adjoint(self, y):
-        a, b = self.a, self.b
-        k = y.shape[1]
-        z = y.reshape(b.rows, a.rows * k, order="F")
-        z = b._apply_adjoint(z)
-        z = z.reshape(b.cols, a.rows, k, order="F")
-        z = z.transpose(1, 0, 2).reshape(a.rows, b.cols * k, order="F")
-        z = a._apply_adjoint(z)
-        z = z.reshape(a.cols, b.cols, k, order="F")
-        return z.transpose(1, 0, 2).reshape(b.cols * a.cols, k, order="F")
-
-
-class BlockDiagOperator(LinearOperator):
-    """Block-diagonal stack of operators (inputs and outputs concatenated)."""
-
-    kind = "blockdiag"
-
-    def __init__(self, blocks):
-        blocks = tuple(blocks)
-        if not blocks:
-            raise ValueError("blockdiag requires at least one block")
-        super().__init__(sum(b.rows for b in blocks), sum(b.cols for b in blocks))
-        self.blocks = blocks
-        self._col_splits = np.cumsum([b.cols for b in blocks])[:-1]
-        self._row_splits = np.cumsum([b.rows for b in blocks])[:-1]
-
-    def _apply(self, x):
-        pieces = np.split(x, self._col_splits, axis=0)
-        return np.concatenate([b._apply(p) for b, p in zip(self.blocks, pieces)], axis=0)
-
-    def _apply_adjoint(self, y):
-        pieces = np.split(y, self._row_splits, axis=0)
-        return np.concatenate(
-            [b._apply_adjoint(p) for b, p in zip(self.blocks, pieces)], axis=0
-        )
 
 
 # --- third-order tensor utilities -------------------------------------------

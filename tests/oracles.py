@@ -6,7 +6,8 @@ genuine dual-route checks: the package applies the difference operator D as
 a stencil on slices of the volume, while ``d_matrix`` and ``ls_matrix``
 assemble it from Kronecker products of one-dimensional difference matrices,
 as the paper writes it.  The exceptions are test helpers that take package
-objects as they are: ``mode_product`` accepts any package operator, and the
+objects as they are: ``DenseOperator`` wraps an explicit array as a package
+operator, ``mode_product`` accepts any package operator, and the
 majorant helpers evaluate Q and J_eps from the package's D, weights and
 penalty, so that the tests can check the majorization conditions the solver
 relies on, and ``expand_at_solve`` hands the solver's expansion the inputs
@@ -25,6 +26,25 @@ from dyntv.solver import expand_subspace
 
 
 # --- dense operators ------------------------------------------------------------
+
+
+class DenseOperator(dv.LinearOperator):
+    """A 2-d array as a package operator, for tests that need a small explicit map."""
+
+    kind = "dense"
+
+    def __init__(self, mat):
+        mat = np.asarray(mat, dtype=float)
+        if mat.ndim != 2:
+            raise ValueError("dense operator needs a 2-d array")
+        super().__init__(*mat.shape)
+        self.mat = mat
+
+    def _apply(self, x):
+        return self.mat @ x
+
+    def _apply_adjoint(self, y):
+        return self.mat.T @ y
 
 
 def diff_matrix(n, padded=False):
@@ -105,27 +125,15 @@ def fold(x, mode, dims):
 
 
 def mode_product(t, m, mode):
-    """Multiply a tensor along one mode: unfold, apply, fold back.
+    """Multiply a tensor along one mode: unfold, apply the operator ``m``, fold back.
 
-    ``m`` may be a LinearOperator or a 2-d array; its column count must match
-    the extent of the chosen mode.
+    ``m`` is a package operator, ``DenseOperator`` for an explicit factor; its
+    column count must match the extent of the chosen mode.
     """
     t = np.asarray(t, dtype=float)
-    x = unfold(t, mode)
-    if isinstance(m, dv.LinearOperator):
-        y = m.apply(x)
-        new_extent = m.rows
-    else:
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[1] != x.shape[0]:
-            raise ValueError(
-                f"mode-{mode} factor of shape {getattr(m, 'shape', None)} does not "
-                f"match extent {x.shape[0]}"
-            )
-        y = m @ x
-        new_extent = m.shape[0]
+    y = m.apply(unfold(t, mode))
     dims = list(t.shape)
-    dims[mode - 1] = new_extent
+    dims[mode - 1] = m.rows
     return fold(y, mode, tuple(dims))
 
 

@@ -14,10 +14,10 @@ import pytest
 
 import dyntv as dv
 import oracles
-from dyntv.operators import BlockDiagOperator, DenseOperator, IdentityOperator, KronOperator
 from dyntv.paramselect import ProjectedPair, gcv_curve
 from dyntv.regularization import build_D, regularizer_value
 from dyntv.solver import init_state, refresh_penalty, seed_subspace, solve_projected
+from oracles import DenseOperator
 
 METHODS = list(dv.METHOD_NAMES)
 
@@ -401,34 +401,40 @@ def test_nonnegative_iterates_and_final_quality(limited_angle):
 def test_operator_algebra_identities():
     rng = np.random.default_rng(11)
 
-    def leaf(rows, cols):
-        if rng.integers(2) == 0 and rows == cols:
-            return IdentityOperator(rows)
-        return DenseOperator(rng.standard_normal((rows, cols)))
+    def dense_frame(cols):
+        return DenseOperator(rng.standard_normal((int(rng.integers(2, 6)), cols)))
 
-    def build(depth):
-        if depth == 0:
-            return leaf(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        a = build(depth - 1)
-        if rng.integers(2) == 0:
-            return KronOperator(a, build(depth - 1))
-        return BlockDiagOperator([a, leaf(int(rng.integers(2, 4)), int(rng.integers(2, 4)))])
+    # frame stacks of random dense frames, shared or per step (with unequal
+    # row counts), then the blur stack and the ray-transform stack
+    stacks = []
+    for _ in range(60):
+        n_t, cols = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        shared = rng.integers(2) == 0
+        frames = dense_frame(cols) if shared else [dense_frame(cols) for _ in range(n_t)]
+        stacks.append(dv.assemble_dynamic_forward(frames, n_t))
+    n_v, n_h, n_t = 5, 4, 3
+    blur = dv.build_blur_operator(dv.BlurModel(sigma_psf=1.0, bandwidth=2), n_v, n_h)
+    blur = dv.assemble_dynamic_forward(blur, n_t)
+    model = dv.RadonModel(image_side=8, n_time_steps=n_t, n_angles_per_step=2)
+    radon = dv.assemble_dynamic_forward(
+        [dv.build_radon_operator(model, t) for t in range(1, n_t + 1)], n_t
+    )
+    stacks += [blur] * 10 + [radon] * 10
 
     worst_adj = 0.0
-    for _ in range(60):
-        op = build(int(rng.integers(1, 4)))
+    for op in stacks:
         x = rng.standard_normal(op.cols)
         y = rng.standard_normal(op.rows)
         lhs = float(np.dot(op.apply(x), y))
         rhs = float(np.dot(x, op.apply_adjoint(y)))
         worst_adj = max(worst_adj, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
 
-    a = rng.standard_normal((2, 3))
-    b = rng.standard_normal((3, 2))
-    c = rng.standard_normal((4, 2))
-    x = rng.standard_normal(3 * 2 * 2)
-    got = KronOperator(DenseOperator(a), KronOperator(DenseOperator(b), DenseOperator(c))).apply(x)
-    worst_kron = np.abs(got - oracles.kron3(a, b, c) @ x).max()
+    kron = oracles.kron3(
+        np.eye(n_t), oracles.blur_matrix_1d(n_h, 1.0, 2), oracles.blur_matrix_1d(n_v, 1.0, 2)
+    )
+    x = rng.standard_normal(blur.cols)
+    worst_kron = max(np.abs(blur.apply(x) - kron @ x).max(),
+                     np.abs(blur.apply_adjoint(x) - kron.T @ x).max())
 
     t = rng.standard_normal((3, 4, 3))
     out = oracles.mode_product(t, DenseOperator(oracles.diff_matrix(3)), 1)
@@ -455,7 +461,8 @@ def test_operator_algebra_identities():
     verdict(
         8, ok,
         f"operator algebra: adjoint pairing {worst_adj:.1e} (<=1e-10), "
-        f"triple Kronecker {worst_kron:.1e}, mode-product chain {worst_mode:.1e}, "
+        f"blur stack vs I_t (x) A_h (x) A_v {worst_kron:.1e}, "
+        f"mode-product chain {worst_mode:.1e}, "
         f"difference stencil {worst_d:.1e}, penalty tensor-vs-matrix "
         f"{worst_reg:.1e} (<=1e-12)",
     )

@@ -7,7 +7,7 @@ import pytest
 
 import dyntv as dv
 import oracles
-from dyntv.operators import DenseOperator
+from oracles import DenseOperator
 
 
 def centered_disk_image(side, radius):
@@ -33,8 +33,6 @@ def test_blur_model_validation():
         dv.BlurModel(sigma_psf=0.0, bandwidth=2)
     with pytest.raises(ValueError):
         dv.BlurModel(sigma_psf=1.0, bandwidth=-1)
-    with pytest.raises(ValueError):
-        dv.BlurModel(sigma_psf=1.0, bandwidth=2, boundary="zero")
 
 
 def test_blur_preserves_constant_images():
@@ -285,7 +283,79 @@ def test_radon_adjoint_identity_64():
         )
 
 
+# --- library input that is not the number a field needs -------------------------
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: dv.BlurModel(sigma_psf=1.0, bandwidth=2.5), "bandwidth",
+                 id="blur-fractional-bandwidth"),
+    pytest.param(lambda: dv.BlurModel(sigma_psf=True, bandwidth=2), "sigma_psf",
+                 id="blur-boolean-sigma"),
+    pytest.param(lambda: dv.BlurModel(sigma_psf=np.inf, bandwidth=2), "sigma_psf",
+                 id="blur-infinite-sigma"),
+    pytest.param(lambda: dv.BlurModel(sigma_psf=np.nan, bandwidth=2), "sigma_psf",
+                 id="blur-nan-sigma"),
+    pytest.param(lambda: dv.RadonModel(image_side=8.5, n_time_steps=2), "image_side",
+                 id="radon-fractional-side"),
+    pytest.param(lambda: dv.RadonModel(image_side=8, n_time_steps=2.5), "n_time_steps",
+                 id="radon-fractional-steps"),
+    pytest.param(lambda: dv.RadonModel(image_side=8, n_time_steps=2, n_angles_per_step=2.5),
+                 "n_angles_per_step", id="radon-fractional-angles"),
+    pytest.param(lambda: dv.RadonModel(image_side=8, n_time_steps=2, n_detectors=2.5),
+                 "n_detectors", id="radon-fractional-detectors"),
+    pytest.param(lambda: dv.RadonModel(image_side=8, n_time_steps=2, angle_stride_deg=np.nan),
+                 "angle_stride_deg", id="radon-nan-stride"),
+    pytest.param(lambda: dv.RadonModel(image_side=8, n_time_steps=2, angle_stride_deg=np.inf),
+                 "angle_stride_deg", id="radon-infinite-stride"),
+    pytest.param(lambda: dv.RadonModel(image_side=8, n_time_steps=2, angle_stride_deg=True),
+                 "angle_stride_deg", id="radon-boolean-stride"),
+    pytest.param(lambda: dv.assemble_dynamic_forward(DenseOperator(np.eye(2)), 2.5), "n_t",
+                 id="assemble-fractional-n_t"),
+])
+def test_forward_inputs_fail_fast_naming_the_field(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_forward_models_keep_whole_floats_as_ints():
+    blur = dv.BlurModel(sigma_psf=1, bandwidth=2.0)
+    assert type(blur.sigma_psf) is float and type(blur.bandwidth) is int
+    model = dv.RadonModel(image_side=8.0, n_time_steps=2, n_detectors=np.int64(9))
+    assert type(model.image_side) is int and type(model.detectors) is int
+    assert dv.build_radon_operator(model, 1).shape == (9 * 9, 64)
+
+
 # --- dynamic assembly --------------------------------------------------------------
+
+
+def per_frame(ops, z, adjoint=False):
+    """Each frame's own apply (or adjoint) on its slice of z, stacked."""
+    out, start = [], 0
+    for op in ops:
+        size = op.rows if adjoint else op.cols
+        piece = z[start : start + size]
+        out.append(op.apply_adjoint(piece) if adjoint else op.apply(piece))
+        start += size
+    return np.concatenate(out)
+
+
+class CountingFrame(dv.LinearOperator):
+    """A frame operator that records the shape of every call made to it."""
+
+    kind = "counting"
+
+    def __init__(self, frame):
+        super().__init__(frame.rows, frame.cols)
+        self.frame = frame
+        self.calls = []
+
+    def apply(self, x):
+        self.calls.append(("apply", np.shape(x)))
+        return self.frame.apply(x)
+
+    def apply_adjoint(self, y):
+        self.calls.append(("adjoint", np.shape(y)))
+        return self.frame.apply_adjoint(y)
 
 
 def test_assemble_single_step_returns_operator_unchanged():
@@ -297,21 +367,52 @@ def test_assemble_single_step_returns_operator_unchanged():
 
 def test_assemble_shared_operator_kronecker_lift():
     rng = np.random.default_rng(21)
-    a = rng.standard_normal((4, 4))
+    a = rng.standard_normal((5, 4))
     lifted = dv.assemble_dynamic_forward(DenseOperator(a), 3)
-    assert lifted.shape == (12, 12)
+    assert lifted.shape == (15, 12)
     x = rng.standard_normal(12)
     np.testing.assert_allclose(lifted.apply(x), np.kron(np.eye(3), a) @ x, atol=1e-12)
+    # the stack applies the shared frame once to all frames, whose rounding
+    # may differ from one frame at a time; small integers keep every product
+    # exact, so the two must agree bit for bit
+    op = DenseOperator(rng.integers(-3, 4, size=(5, 4)))
+    lifted = dv.assemble_dynamic_forward(op, 3)
+    for k in (None, 4):
+        x = rng.integers(-3, 4, size=12 if k is None else (12, k)).astype(float)
+        y = rng.integers(-3, 4, size=15 if k is None else (15, k)).astype(float)
+        np.testing.assert_array_equal(lifted.apply(x), per_frame([op] * 3, x))
+        np.testing.assert_array_equal(
+            lifted.apply_adjoint(y), per_frame([op] * 3, y, adjoint=True)
+        )
+
+
+def test_assemble_shared_frame_is_called_once_on_all_frames():
+    # one call on the (cols, n_t k) reshape: the blur's single GEMM pair
+    frame = CountingFrame(dv.build_blur_operator(dv.BlurModel(sigma_psf=1.0, bandwidth=2), 6, 5))
+    stack = dv.assemble_dynamic_forward(frame, 4)
+    rng = np.random.default_rng(28)
+    for k in (None, 3):
+        x = rng.standard_normal(stack.cols if k is None else (stack.cols, k))
+        frame.calls.clear()
+        got = stack.apply(x), stack.apply_adjoint(x)
+        width = 4 * (k or 1)
+        assert frame.calls == [("apply", (30, width)), ("adjoint", (30, width))]
+        want = [per_frame([frame.frame] * 4, x, adjoint) for adjoint in (False, True)]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
 
 
 def test_assemble_per_step_blockdiag_matches_per_step_applies():
+    # unequal row counts, as per-step schedules with different views give
     rng = np.random.default_rng(22)
-    ops = [DenseOperator(rng.standard_normal((6, 4))) for _ in range(3)]
+    ops = [DenseOperator(rng.standard_normal((rows, 4))) for rows in (5, 6, 7)]
     dyn = dv.assemble_dynamic_forward(ops, 3)
     assert dyn.shape == (18, 12)
-    x = rng.standard_normal(12)
-    want = np.concatenate([op.apply(x[4 * t : 4 * (t + 1)]) for t, op in enumerate(ops)])
-    np.testing.assert_array_equal(dyn.apply(x), want)
+    for k in (None, 4):
+        x = rng.standard_normal(12 if k is None else (12, k))
+        y = rng.standard_normal(18 if k is None else (18, k))
+        np.testing.assert_array_equal(dyn.apply(x), per_frame(ops, x))
+        np.testing.assert_array_equal(dyn.apply_adjoint(y), per_frame(ops, y, adjoint=True))
 
 
 def test_assemble_validates_inputs():

@@ -1,34 +1,25 @@
-"""Operator classes: shapes, applies, adjoints, Kronecker and mode products."""
+"""Operators: shapes, applies, adjoints, frame stacks, the sparse matrix and mode products."""
 
 import numpy as np
 import pytest
 
 import dyntv as dv
 import oracles
-from dyntv.operators import (
-    BlockDiagOperator,
-    DenseOperator,
-    IdentityOperator,
-    KronOperator,
-    SparseOperator,
-)
+from dyntv.operators import SparseOperator
 from dyntv.regularization import build_D
-
-
-def test_identity_apply():
-    op = IdentityOperator(4)
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(op.apply(x), x)
-    np.testing.assert_array_equal(op.apply_adjoint(x), x)
+from oracles import DenseOperator
 
 
 def test_kron_apply_worked_example():
-    op = KronOperator(IdentityOperator(2), DenseOperator(oracles.diff_matrix(2)))
+    # a shared frame operator stacks to I_2 (x) A
+    op = dv.assemble_dynamic_forward(DenseOperator(oracles.diff_matrix(2)), 2)
     np.testing.assert_array_equal(op.apply(np.array([3.0, 1.0, 5.0, 2.0])), [2.0, 3.0])
 
 
 def test_blockdiag_apply_worked_example():
-    op = BlockDiagOperator([IdentityOperator(2), DenseOperator(2.0 * np.eye(2))])
+    # per-step frame operators stack to their block diagonal
+    frames = [DenseOperator(np.eye(2)), DenseOperator(2.0 * np.eye(2))]
+    op = dv.assemble_dynamic_forward(frames, 2)
     np.testing.assert_array_equal(op.apply(np.ones(4)), [1.0, 1.0, 2.0, 2.0])
 
 
@@ -41,51 +32,30 @@ def test_apply_rejects_wrong_length():
 
 
 def test_kron_matches_dense_kron():
+    # a shared rectangular frame stacks to I_{n_t} (x) A
     rng = np.random.default_rng(0)
-    for _ in range(5):
+    for n_t in (2, 3, 5):
         a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((5, 2))
-        op = KronOperator(DenseOperator(a), DenseOperator(b))
-        x = rng.standard_normal(8)
-        np.testing.assert_allclose(op.apply(x), np.kron(a, b) @ x, atol=1e-12)
-        y = rng.standard_normal(15)
-        np.testing.assert_allclose(op.apply_adjoint(y), np.kron(a, b).T @ y, atol=1e-12)
+        op = dv.assemble_dynamic_forward(DenseOperator(a), n_t)
+        want = np.kron(np.eye(n_t), a)
+        x = rng.standard_normal(4 * n_t)
+        np.testing.assert_allclose(op.apply(x), want @ x, atol=1e-12)
+        y = rng.standard_normal(3 * n_t)
+        np.testing.assert_allclose(op.apply_adjoint(y), want.T @ y, atol=1e-12)
 
 
 def test_kron3_matches_dense():
+    # the blur stack is I_t (x) A_h (x) A_v; n_v != n_h catches a swapped factor
     rng = np.random.default_rng(1)
-    a, b, c = (rng.standard_normal((3, 2)) for _ in range(3))
-    op = KronOperator(DenseOperator(a), KronOperator(DenseOperator(b), DenseOperator(c)))
-    x = rng.standard_normal(8)
-    np.testing.assert_allclose(op.apply(x), oracles.kron3(a, b, c) @ x, atol=1e-12)
-
-
-def test_adjoint_consistency_random_compositions():
-    # depth <= 3 trees of kron / blockdiag over identity and dense leaves
-    rng = np.random.default_rng(7)
-
-    def leaf(rows, cols):
-        if rng.integers(2) == 0 and rows == cols:
-            return IdentityOperator(rows)
-        return DenseOperator(rng.standard_normal((rows, cols)))
-
-    def build(depth):
-        if depth == 0:
-            return leaf(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        a = build(depth - 1)
-        if rng.integers(2) == 0:
-            return KronOperator(a, build(depth - 1))
-        b = leaf(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        return BlockDiagOperator([a, b])
-
-    for _ in range(100):
-        op = build(int(rng.integers(1, 4)))
-        x = rng.standard_normal(op.cols)
-        y = rng.standard_normal(op.rows)
-        lhs = float(np.dot(op.apply(x), y))
-        rhs = float(np.dot(x, op.apply_adjoint(y)))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        assert abs(lhs - rhs) <= 1e-10 * scale
+    n_v, n_h, n_t = 5, 4, 3
+    frame = dv.build_blur_operator(dv.BlurModel(sigma_psf=1.0, bandwidth=2), n_v, n_h)
+    op = dv.assemble_dynamic_forward(frame, n_t)
+    want = oracles.kron3(
+        np.eye(n_t), oracles.blur_matrix_1d(n_h, 1.0, 2), oracles.blur_matrix_1d(n_v, 1.0, 2)
+    )
+    x = rng.standard_normal((op.cols, 2))
+    np.testing.assert_allclose(op.apply(x), want @ x, atol=1e-12)
+    np.testing.assert_allclose(op.apply_adjoint(x), want.T @ x, atol=1e-12)
 
 
 def test_vec_tensor_round_trip():
@@ -118,7 +88,7 @@ def test_unfold_shapes():
 def test_mode_product_identity_is_noop():
     rng = np.random.default_rng(4)
     t = rng.standard_normal((3, 4, 2))
-    np.testing.assert_allclose(oracles.mode_product(t, IdentityOperator(3), 1), t, atol=0)
+    np.testing.assert_allclose(oracles.mode_product(t, DenseOperator(np.eye(3)), 1), t, atol=0)
 
 
 def test_mode_product_matches_unfolding_identity():
@@ -157,7 +127,7 @@ def test_mode_product_order_swap_commutes():
 def test_mode_product_rejects_bad_mode():
     t = np.zeros((2, 2, 2))
     with pytest.raises(ValueError):
-        oracles.mode_product(t, IdentityOperator(2), 4)
+        oracles.mode_product(t, DenseOperator(np.eye(2)), 4)
 
 
 def spatial_gradient(n_v, n_h):
@@ -207,13 +177,14 @@ def test_diff_rank_is_full_minus_one():
 
 
 def test_blockdiag_matches_dense_assembly():
+    # per-step frames with unequal row counts stack to their block diagonal
     rng = np.random.default_rng(10)
-    blocks = [rng.standard_normal((2, 3)), rng.standard_normal((4, 2))]
-    op = BlockDiagOperator([DenseOperator(b) for b in blocks])
-    dense = np.zeros((6, 5))
+    blocks = [rng.standard_normal((2, 3)), rng.standard_normal((4, 3))]
+    op = dv.assemble_dynamic_forward([DenseOperator(b) for b in blocks], 2)
+    dense = np.zeros((6, 6))
     dense[:2, :3] = blocks[0]
     dense[2:, 3:] = blocks[1]
-    x = rng.standard_normal(5)
+    x = rng.standard_normal(6)
     np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
     y = rng.standard_normal(6)
     np.testing.assert_allclose(op.apply_adjoint(y), dense.T @ y, atol=1e-12)
@@ -256,7 +227,7 @@ def test_sparse_rejects_bad_triples():
 
 
 def test_to_dense_cap():
-    op = KronOperator(IdentityOperator(100), IdentityOperator(100))
+    op = dv.build_blur_operator(dv.BlurModel(sigma_psf=1.0, bandwidth=1), 100, 100)
     with pytest.raises(ValueError):
         op.to_dense()
 

@@ -8,7 +8,7 @@ import pytest
 
 import dyntv as dv
 import oracles
-from dyntv.operators import DenseOperator, IdentityOperator
+from dyntv.operators import SparseOperator
 from dyntv.paramselect import ProjectedPair
 from dyntv.regularization import build_D, update_weights
 from dyntv.solver import (
@@ -19,6 +19,7 @@ from dyntv.solver import (
     seed_subspace,
     solve_projected,
 )
+from oracles import DenseOperator
 
 
 def random_forward(rng, rows, cols):
@@ -62,7 +63,7 @@ def manual_state(r_f, r_m, rhs):
 
 
 def test_seed_identity_first_unit_vector():
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(4), data=[1.0, 0, 0, 0])
+    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(4)), data=[1.0, 0, 0, 0])
     basis, breakdown = seed_subspace(problem, 1)
     np.testing.assert_array_equal(basis, np.array([[1.0], [0.0], [0.0], [0.0]]))
     assert not breakdown
@@ -70,7 +71,9 @@ def test_seed_identity_first_unit_vector():
 
 def test_seed_identity_breaks_down_after_one_vector():
     rng = np.random.default_rng(3)
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(6), data=rng.standard_normal(6))
+    problem = dv.ReconstructionProblem(
+        forward=DenseOperator(np.eye(6)), data=rng.standard_normal(6)
+    )
     basis, breakdown = seed_subspace(problem, 3)
     assert basis.shape == (6, 1)
     assert breakdown
@@ -100,7 +103,7 @@ def test_seed_step_count_capped_by_dimension():
 
 
 def test_seed_zero_data_is_empty_with_breakdown():
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(5), data=np.zeros(5))
+    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(5)), data=np.zeros(5))
     basis, breakdown = seed_subspace(problem, 4)
     assert basis.shape == (5, 0)
     assert breakdown
@@ -126,7 +129,7 @@ def test_init_state_keeps_the_seed_buffer():
 def test_init_state_rejects_empty_basis():
     # refused up front; accepted, it would fail later inside the stencil of
     # the first penalty refresh
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(8), data=np.ones(8))
+    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(8)), data=np.ones(8))
     with pytest.raises(ValueError, match="at least one column"):
         init_state(problem, np.zeros((8, 0)), 8)
 
@@ -304,7 +307,7 @@ def test_expand_stalls_when_solution_is_in_span():
     n = 8
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = build_D(spec)
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=np.ones(n))
+    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(n)), data=np.ones(n))
     basis, breakdown = seed_subspace(problem, 5)
     assert breakdown and basis.shape == (n, 1)
     state = init_state(problem, basis, n)
@@ -423,28 +426,31 @@ def test_problem_rejects_non_finite_data_and_covariance(bad):
     # a NaN datum used to pass here and fail much later, inside the GCV SVD
     data = np.array([1.0, bad, 0.5])
     with pytest.raises(ValueError, match="data must be finite"):
-        dv.ReconstructionProblem(forward=IdentityOperator(3), data=data)
+        dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=data)
     cov = np.array([1.0, bad, 2.0])
     with pytest.raises(ValueError, match="covariance"):
-        dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.ones(3), noise_cov_diag=cov)
+        dv.ReconstructionProblem(
+            forward=DenseOperator(np.eye(3)), data=np.ones(3), noise_cov_diag=cov
+        )
 
 
 @pytest.mark.parametrize("delta", [np.inf, np.nan])
 def test_problem_rejects_non_finite_delta(delta):
     with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
-        dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.ones(3), delta=delta)
+        dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=np.ones(3), delta=delta)
 
 
 def test_problem_rejects_data_whose_squared_norm_overflows():
     # finite data of this size used to pass here and stop the solve with an
     # empty seed basis; a small covariance can push the whitened data over too
     with pytest.raises(ValueError, match="squared norm of the whitened data"):
-        dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.full(3, 1e200))
+        dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=np.full(3, 1e200))
     with pytest.raises(ValueError, match="squared norm of the whitened data"):
         dv.ReconstructionProblem(
-            forward=IdentityOperator(3), data=np.full(3, 1e100), noise_cov_diag=np.full(3, 1e-250)
+            forward=DenseOperator(np.eye(3)), data=np.full(3, 1e100),
+            noise_cov_diag=np.full(3, 1e-250),
         )
-    big = dv.ReconstructionProblem(forward=IdentityOperator(3), data=np.full(3, 1e150))
+    big = dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=np.full(3, 1e150))
     assert np.isfinite(big.whitened_data @ big.whitened_data)
 
 
@@ -453,7 +459,9 @@ def test_whitened_data_is_formed_once_and_read_only():
     # the one array formed at construction, with the values of Γ^{-1/2} d
     rng = np.random.default_rng(27)
     data, cov = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(6), data=data, noise_cov_diag=cov)
+    problem = dv.ReconstructionProblem(
+        forward=DenseOperator(np.eye(6)), data=data, noise_cov_diag=cov
+    )
     b = problem.whitened_data
     assert problem.whitened_data is b
     np.testing.assert_array_equal(b, (1.0 / np.sqrt(cov)) * data)
@@ -466,22 +474,24 @@ def test_whitened_data_is_formed_once_and_read_only():
 
 def test_check_dp_exact_fit_passes_even_with_zero_delta():
     data = np.array([1.0, -2.0, 3.0])
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(3), data=data, delta=0.0)
+    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=data, delta=0.0)
     assert oracles.check_dp(problem, data)
 
 
 def test_check_dp_fails_on_misfit_with_zero_delta():
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(3), data=[1.0, 0, 0], delta=0.0)
+    problem = dv.ReconstructionProblem(
+        forward=DenseOperator(np.eye(3)), data=[1.0, 0, 0], delta=0.0
+    )
     assert not oracles.check_dp(problem, np.zeros(3))
 
 
 def test_check_dp_boundary_is_inclusive():
     data = np.array([0.3, -1.2, 0.7, 2.1])
     resid = float(np.linalg.norm(data))
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(4), data=data, delta=resid)
+    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(4)), data=data, delta=resid)
     assert oracles.check_dp(problem, np.zeros(4), eta=1.0)
     tight = dv.ReconstructionProblem(
-        forward=IdentityOperator(4), data=data, delta=resid * (1 - 1e-12)
+        forward=DenseOperator(np.eye(4)), data=data, delta=resid * (1 - 1e-12)
     )
     assert not oracles.check_dp(tight, np.zeros(4), eta=1.0)
 
@@ -492,7 +502,7 @@ def test_check_dp_boundary_is_inclusive():
 def test_solve_identity_noiseless_recovers_truth():
     scene = dv.moving_disks_scene(6, 6, 2, n_objects=2, seed=1)
     truth = dv.vec(dv.render_scene(scene))
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(72), data=truth, truth=truth)
+    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(72)), data=truth, truth=truth)
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(6, 6, 2), epsilon=1e-3)
     config = dv.SolverConfig(regularizer=spec, lam=1e-8, max_iters=60)
     result = dv.mm_gks_solve(problem, config)
@@ -640,7 +650,9 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     rng = np.random.default_rng(29)
     dims = (4, 4, 2)
     n = int(np.prod(dims))
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=rng.standard_normal(n))
+    problem = dv.ReconstructionProblem(
+        forward=DenseOperator(np.eye(n)), data=rng.standard_normal(n)
+    )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
     d_op = build_D(spec)
     state = init_state(problem, np.linalg.qr(rng.standard_normal((n, 5)))[0], n)
@@ -960,7 +972,9 @@ def test_solve_rejects_mismatched_regularizer_dims():
 def test_full_space_refuses_large_problems():
     n_v, n_h, n_t = 2, 2049, 2
     n = n_v * n_h * n_t
-    problem = dv.ReconstructionProblem(forward=IdentityOperator(n), data=np.ones(n))
+    # a sparse identity: a dense one of this size would take half a gigabyte
+    identity = SparseOperator(n, n, np.arange(n), np.arange(n), np.ones(n))
+    problem = dv.ReconstructionProblem(forward=identity, data=np.ones(n))
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(n_v, n_h, n_t), epsilon=1e-3)
     with pytest.raises(ValueError):
         dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, full_space=True))
