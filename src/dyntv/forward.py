@@ -10,6 +10,9 @@ Two families are provided:
   ray-pixel intersection lengths, computed for all detector rays of an
   angle at once, as a compressed-row ``SparseOperator``: a few views touch
   about 1% of the (ray, pixel) pairs, and the dense block is never formed.
+  The entries are kept once, 12 bytes each; the adjoint reads the same rows
+  as the product, so it equals a product with the transpose to rounding, not
+  bitwise.
 
 ``assemble_dynamic_forward`` lifts either family to the space-time problem
 as a stack of frames: frame t of the volume goes through the shared operator
@@ -71,6 +74,7 @@ def _circulant_blur(n, model):
 
 def build_blur_operator(model, n_v, n_h):
     """Separable blur acting on one vectorized frame: A_h (x) A_v."""
+    n_v, n_h = as_int(n_v, "n_v"), as_int(n_h, "n_h")
     if n_v < 1 or n_h < 1:
         raise ValueError("frame extents must be positive")
     return _SeparableBlur(_circulant_blur(n_h, model), _circulant_blur(n_v, model))
@@ -147,6 +151,7 @@ class RadonModel:
 
 def radon_angles(model, t):
     """Projection angles (degrees) of time step t, 1-based."""
+    t = as_int(t, "t")
     if not 1 <= t <= model.n_time_steps:
         raise ValueError(f"time step {t} outside [1, {model.n_time_steps}]")
     stride = model.angle_stride_deg
@@ -161,8 +166,9 @@ def build_radon_operator(model, t):
     Weights are exact ray-pixel intersection lengths on the unit pixel grid
     (Siddon, Med. Phys. 12, 1985), so all entries are nonnegative and each
     ray's weights sum to its chord length through the image square.  Only
-    the nonzero lengths are computed and stored, as a ``SparseOperator``;
-    a ray that misses the image gives an empty row.
+    the nonzero lengths are computed and stored, once, as a
+    ``SparseOperator`` with ``int32`` pixel indices whose adjoint reads the
+    same rows; a ray that misses the image gives an empty row.
     """
     n = model.image_side
     n_det = model.detectors

@@ -8,8 +8,9 @@ tensor of shape ``(n_v, n_h, n_t)`` flattens frame by frame, so that
 
 Operators are immutable after construction and expose ``apply`` /
 ``apply_adjoint`` so that large space-time operators never have to be
-materialized.  This module holds the base class and the compressed-row
-sparse matrix of the ray transform; the blur and the stack of per-frame
+materialized.  This module holds the base class and the sparse matrix of
+the ray transform, one compressed-row copy of its entries that serves both
+the product and its adjoint; the blur and the stack of per-frame
 operators live in :mod:`dyntv.forward`, and the difference operator D of the
 regularizers, a stencil on the volume, in :mod:`dyntv.regularization`.
 ``to_dense`` exists for small operators only and is the anchor for the dense
@@ -17,8 +18,6 @@ oracles used in the tests.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -108,11 +107,15 @@ class SparseOperator(LinearOperator):
     """Operator stored as compressed rows of its nonzero entries.
 
     Built from (row, column, value) triples; a (row, column) pair may repeat,
-    and repeats add.  The entries are kept as compressed sparse rows (CSR)
-    for ``apply`` and, sorted stably by column once at construction, as
-    compressed rows of the transpose for ``apply_adjoint``.  Both products
-    gather the input rows named by the stored indices, scale them by the
-    values and sum each row's segment with ``np.add.reduceat``.
+    and repeats add.  The entries are sorted stably by row once and kept in
+    one copy, an ``int32`` column index and a float64 value each (12 bytes),
+    plus the count of each row.  ``apply`` gathers the input entries named
+    by the indices, scales them by the values and sums each row's segment
+    with ``np.add.reduceat``.  ``apply_adjoint`` reads the same rows: it
+    repeats each output entry over its row, scales by the values and sums
+    into the columns with ``np.bincount``.  That sums each column in another
+    order than a product with the transpose's rows, so the two agree to
+    rounding, not bitwise.
     """
 
     kind = "sparse"
@@ -124,6 +127,8 @@ class SparseOperator(LinearOperator):
         values = np.asarray(values, dtype=float).ravel()
         if not row_idx.size == col_idx.size == values.size:
             raise ValueError("sparse triples must have equal lengths")
+        if self.cols > np.iinfo(np.int32).max:
+            raise ValueError(f"{self.cols} columns do not fit the int32 sparse indices")
         if row_idx.size and (
             row_idx.min() < 0 or row_idx.max() >= self.rows
             or col_idx.min() < 0 or col_idx.max() >= self.cols
@@ -132,62 +137,43 @@ class SparseOperator(LinearOperator):
         if not np.all(np.isfinite(values)):
             raise ValueError("sparse values must be finite")
         order = np.argsort(row_idx, kind="stable")
-        self._fwd = _csr(row_idx[order], col_idx[order], values[order], self.rows)
-        order = np.argsort(col_idx, kind="stable")
-        self._adj = _csr(col_idx[order], row_idx[order], values[order], self.cols)
+        self._indices = col_idx.astype(np.int32)[order]
+        self._values = values[order]
+        self._counts = np.bincount(row_idx, minlength=self.rows)
+        # np.add.reduceat returns the element at the start index for an empty
+        # segment instead of 0, so it is given only the starts of nonempty
+        # rows; each then runs to the next nonempty start, which is its own end
+        self._nonempty = np.flatnonzero(self._counts)
+        self._starts = (np.cumsum(self._counts) - self._counts)[self._nonempty]
 
     @property
     def nnz(self):
-        return self._fwd.values.size
+        return self._values.size
 
     def _apply(self, x):
-        return _csr_product(self._fwd, x, self.rows)
+        """One column at a time, so the temporary never exceeds one nnz vector."""
+        out = np.zeros((self.rows, x.shape[1]))
+        if self._nonempty.size == 0:
+            return out
+        for c in range(x.shape[1]):
+            gathered = x[self._indices, c]  # a copy: fancy indexing
+            gathered *= self._values
+            out[self._nonempty, c] = np.add.reduceat(gathered, self._starts)
+        return out
 
     def _apply_adjoint(self, y):
-        return _csr_product(self._adj, y, self.cols)
+        out = np.empty((self.cols, y.shape[1]))
+        for c in range(y.shape[1]):
+            spread = np.repeat(y[:, c], self._counts)
+            spread *= self._values
+            out[:, c] = np.bincount(self._indices, spread, minlength=self.cols)
+        return out
 
     def _dense(self):
-        csr = self._fwd
         mat = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.rows), np.diff(csr.indptr))
-        np.add.at(mat, (rows, csr.indices), csr.values)
+        rows = np.repeat(np.arange(self.rows), self._counts)
+        np.add.at(mat, (rows, self._indices), self._values)
         return mat
-
-
-class _CSR(NamedTuple):
-    indptr: np.ndarray  # row r holds entries indptr[r]:indptr[r + 1]
-    indices: np.ndarray
-    values: np.ndarray
-    nonempty: np.ndarray  # rows with at least one entry
-    starts: np.ndarray  # indptr[nonempty]
-
-
-def _csr(sorted_rows, indices, values, n_rows):
-    """Compressed rows of triples already sorted by row."""
-    indptr = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(np.bincount(sorted_rows, minlength=n_rows), out=indptr[1:])
-    nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
-    return _CSR(indptr, indices, values, nonempty, indptr[nonempty])
-
-
-def _csr_product(csr, x, n_out):
-    """``M x`` for M in compressed rows, one column of x at a time.
-
-    Each column is one 1-D gather of nnz entries, scaled in place and summed
-    per row, so the temporary never exceeds one nnz vector.
-    ``np.add.reduceat`` returns the element at the start index for an empty
-    segment instead of 0, so it is given only the starts of nonempty rows
-    (each then runs to the next nonempty start, which is its own end) and
-    the empty rows stay zero.
-    """
-    out = np.zeros((n_out, x.shape[1]))
-    if csr.nonempty.size == 0:
-        return out
-    for c in range(x.shape[1]):
-        gathered = x[csr.indices, c]  # a copy: fancy indexing
-        gathered *= csr.values
-        out[csr.nonempty, c] = np.add.reduceat(gathered, csr.starts)
-    return out
 
 
 # --- third-order tensor utilities -------------------------------------------

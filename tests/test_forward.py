@@ -1,6 +1,7 @@
 """Gaussian blur and parallel-beam Radon forward models, static and dynamic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,20 @@ def test_radon_adjoint_identity_64():
         )
 
 
+def test_radon_operator_keeps_one_copy_of_its_entries():
+    # an int32 index and a float64 value per entry, plus per-row counts and
+    # the starts of the nonempty rows; a second, transposed copy with 64-bit
+    # indices would hold about 32 bytes per entry
+    model = dv.RadonModel(image_side=64, n_time_steps=8, n_angles_per_step=9)
+    tracemalloc.start()
+    try:
+        op = dv.build_radon_operator(model, 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 14 * op.nnz + 32 * op.rows
+
+
 # --- library input that is not the number a field needs -------------------------
 
 
@@ -311,6 +326,14 @@ def test_radon_adjoint_identity_64():
                  "angle_stride_deg", id="radon-boolean-stride"),
     pytest.param(lambda: dv.assemble_dynamic_forward(DenseOperator(np.eye(2)), 2.5), "n_t",
                  id="assemble-fractional-n_t"),
+    pytest.param(lambda: dv.build_radon_operator(dv.RadonModel(8, 4), 1.5), "t",
+                 id="radon-fractional-step"),
+    pytest.param(lambda: dv.radon_angles(dv.RadonModel(8, 4), True), "t",
+                 id="radon-boolean-step"),
+    pytest.param(lambda: dv.build_blur_operator(dv.BlurModel(1.0, 1), 2.5, 3), "n_v",
+                 id="blur-fractional-extent"),
+    pytest.param(lambda: dv.build_blur_operator(dv.BlurModel(1.0, 1), 3, True), "n_h",
+                 id="blur-boolean-extent"),
 ])
 def test_forward_inputs_fail_fast_naming_the_field(build, field):
     with pytest.raises(ValueError, match=field):

@@ -224,6 +224,9 @@ def test_sparse_rejects_bad_triples():
         SparseOperator(2, 2, [0], [-1], [1.0])
     with pytest.raises(ValueError):
         SparseOperator(2, 2, [0], [0], [np.nan])
+    # more columns than int32 indices can name; rows is 1, so nothing large is made
+    with pytest.raises(ValueError, match="int32"):
+        SparseOperator(1, 2**31, [], [], [])
 
 
 def test_to_dense_cap():
