@@ -22,7 +22,7 @@ from .phantom import (
     moving_disks_scene,
     render_scene,
 )
-from .regularization import METHOD_NAMES, Method, RegularizerSpec, StaticTVSpec
+from .regularization import METHOD_NAMES, Method, RegularizerSpec
 from .solver import (
     IterationRecord,
     ReconstructionProblem,

@@ -37,7 +37,7 @@ from .phantom import (
     moving_disks_scene,
     render_scene,
 )
-from .regularization import Method, RegularizerSpec, StaticTVSpec
+from .regularization import Method, RegularizerSpec
 from .solver import ReconstructionProblem, SolverConfig, mm_gks_solve
 
 HISTORY_COLUMNS = ("iter", "lambda", "objective", "dp_residual", "rre", "subspace_dim")
@@ -255,7 +255,7 @@ def _solver_config(experiment, scene, solver):
     if experiment == "radon-static-baseline":
         if "method" in regularizer:  # every frame takes spatial TV, but the name must exist
             Method.from_name(regularizer.pop("method"))
-        spec = StaticTVSpec(n_v=scene.n_v, n_h=scene.n_h, **regularizer)
+        spec = RegularizerSpec(dims=(scene.n_v, scene.n_h, 1), **regularizer)
     else:
         spec = RegularizerSpec(dims=(scene.n_v, scene.n_h, scene.n_t), **regularizer)
     return SolverConfig(regularizer=spec, **solver)

@@ -156,7 +156,9 @@ class SparseOperator(LinearOperator):
         if self._nonempty.size == 0:
             return out
         for c in range(x.shape[1]):
-            gathered = x[self._indices, c]  # a copy: fancy indexing
+            # np.take reads the int32 indices as they are; x[self._indices, c]
+            # would convert them to intp on every call
+            gathered = np.take(x[:, c], self._indices)
             gathered *= self._values
             out[self._nonempty, c] = np.add.reduceat(gathered, self._starts)
         return out

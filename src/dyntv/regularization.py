@@ -27,8 +27,10 @@ The six methods:
 - ``IsoTV``            v and h grouped per voxel, t rows each their own group,
 - ``GS``               the spatial gradient grouped per pixel across time.
 
-An axis of extent 1 contributes no block, so ``StaticTVSpec`` (one frame) is
-``AnisoTV`` on dims (n_v, n_h, 1).  R is the value at eps = 0.
+An axis of extent 1 contributes no block, so ``AnisoTV`` on dims
+(n_v, n_h, 1) is the spatial TV of one frame, the per-frame baseline; a
+method with no block left there (``Aniso3DTV``) is refused.  R is the value at
+eps = 0.
 
 For the iteratively reweighted scheme the diagonal weights W(u_k) are each
 group's smoothed squared norm at power -1/4, repeated on the group's rows,
@@ -57,7 +59,6 @@ __all__ = [
     "Method",
     "METHOD_NAMES",
     "RegularizerSpec",
-    "StaticTVSpec",
     "build_D",
     "regularizer_value",
     "update_weights",
@@ -122,7 +123,10 @@ _BLOCKS = {
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """Which penalty to use on a volume of shape dims = (n_v, n_h, n_t)."""
+    """Which penalty to use on a volume of shape dims = (n_v, n_h, n_t).
+
+    n_t = 1 is a single frame, accepted when the method keeps a block there.
+    """
 
     dims: tuple[int, int, int]
     method: Method = Method.ANISO_TV
@@ -131,8 +135,12 @@ class RegularizerSpec:
     def __post_init__(self):
         object.__setattr__(self, "method", Method.from_name(self.method))
         dims = tuple(as_int(d, "each of dims") for d in self.dims)
-        if len(dims) != 3 or any(d < 2 for d in dims):
-            raise ValueError(f"dims must be three extents >= 2, got {self.dims}")
+        if len(dims) != 3 or min(dims[:2]) < 2 or dims[2] < 1:
+            raise ValueError(
+                f"dims must be three extents, n_v and n_h >= 2, n_t >= 1; got {self.dims}"
+            )
+        if not _kept_blocks(self.method, dims):
+            raise ValueError(f"{self.method.value} has no difference block at n_t = {dims[2]}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
         if not 0 < self.epsilon < np.inf:
@@ -142,33 +150,6 @@ class RegularizerSpec:
     def n(self):
         n_v, n_h, n_t = self.dims
         return n_v * n_h * n_t
-
-
-@dataclass(frozen=True)
-class StaticTVSpec:
-    """Anisotropic spatial TV of a single frame (per-frame baseline solves)."""
-
-    n_v: int
-    n_h: int
-    epsilon: float = 1e-3
-    method = Method.ANISO_TV
-
-    def __post_init__(self):
-        for name in ("n_v", "n_h"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
-        if self.n_v < 2 or self.n_h < 2:
-            raise ValueError("frame extents must be >= 2")
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("smoothing parameter epsilon must be positive and finite")
-
-    @property
-    def dims(self):
-        return (self.n_v, self.n_h, 1)
-
-    @property
-    def n(self):
-        return self.n_v * self.n_h
 
 
 class _Stencil(LinearOperator):
@@ -288,8 +269,7 @@ def _penalty(method, dims):
     The group index is None when every row is its own group.
     """
     extent = dict(zip("vht", dims))
-    blocks = [(axes, grouping) for axes, grouping in _BLOCKS[method]
-              if all(extent[a] > 1 for a in axes)]
+    blocks = _kept_blocks(method, dims)
     d_op = _Stencil(blocks, dims)
     groups, shared, n_groups, n_quad = [], {}, 0, 0
     for (_, grouping), (start, stop, _) in zip(blocks, d_op.blocks):
@@ -306,6 +286,13 @@ def _penalty(method, dims):
         groups.append(shared[grouping] + local)
     group = np.concatenate(groups)
     return d_op, (None if n_groups == group.size else group), n_quad
+
+
+def _kept_blocks(method, dims):
+    """The method's blocks whose axes all have extent > 1 (the others are empty)."""
+    extent = dict(zip("vht", dims))
+    return [(axes, grouping) for axes, grouping in _BLOCKS[method]
+            if all(extent[a] > 1 for a in axes)]
 
 
 def build_D(spec):

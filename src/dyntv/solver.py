@@ -37,13 +37,13 @@ factor enters every later step only through RᵀR; up to 1e7 a second sweep make
 it CholeskyQR2; a wide, rank deficient or more ill conditioned block falls back
 to Householder QR.  The two arrays that grow with the basis, the basis V and
 the forward factor Q_F, are written one column at a time into column-major
-buffers sized once for the run's largest subspace, min(n, gk_steps +
-max_iters - 1, 30) columns (gk_steps + 1 if the seed alone is wider), since
-each outer iteration adds at most one; the seed is written straight into the
-basis buffer, a restart writes V C and Q_F Q' over the first columns of the
-same buffers one row block at a time, with no temporary as tall as a column,
-the state's public fields are views of their filled columns, and no buffer is
-ever regrown.
+buffers that ``init_state`` alone sizes, once, for the run's largest subspace:
+min(n, gk_steps + max_iters - 1, 30) columns (gk_steps + 1 if the seed alone
+is wider), since each outer iteration adds at most one.  The seed is copied
+into the basis buffer once; a restart writes V C and Q_F Q' over the first
+columns of the same buffers one row block at a time, with no temporary as tall
+as a column; the state's public fields are views of their filled columns, and
+no buffer is ever regrown.
 
 Each iterate x = V y is formed once, and so are the two vectors that several
 steps share.  Its whitened residual A x - b comes from the kept factors as
@@ -62,7 +62,7 @@ one rows(D) temporary besides z and the weights.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,9 +215,16 @@ class SolverState:
     # R of W D V, d x d, and D V is not kept
     pair: ProjectedPair | None = None
     y: np.ndarray | None = None
-    # field name (basis, q_f) -> the column-major buffer, sized once by
-    # init_state, whose first columns the field views
-    _buffers: dict = field(default_factory=dict, init=False, repr=False)
+    # the column-major buffers whose first columns basis and q_f view, sized
+    # once by init_state; by default the fields themselves, full already
+    basis_buf: np.ndarray | None = None
+    q_f_buf: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.basis_buf is None:
+            self.basis_buf = self.basis
+        if self.q_f_buf is None:
+            self.q_f_buf = self.q_f
 
     @property
     def dim(self):
@@ -226,7 +233,7 @@ class SolverState:
     @property
     def max_dim(self):
         """Columns the basis can grow to: the width of its buffer."""
-        return self._buffers.get("basis", self.basis).shape[1]
+        return self.basis_buf.shape[1]
 
 
 @dataclass(frozen=True)
@@ -250,17 +257,15 @@ class SolveResult:
         return len(self.history)
 
 
-def seed_subspace(problem, n_steps, max_dim=0):
+def seed_subspace(problem, n_steps):
     """Golub-Kahan bidiagonalization basis for the whitened normal equations.
 
     Returns ``(V, breakdown)``: up to ``n_steps`` orthonormal columns spanning
     the Krylov space generated by F^T Gamma^{-1} d, with one
     reorthogonalization pass per step.  ``breakdown`` flags an early stop
     (the space is invariant before ``n_steps`` vectors were produced).  V is
-    a view of the filled columns of one column-major array of
-    min(n, max(n_steps, max_dim)) columns, each column written in place as its
-    step makes it; given the run's ``max_dim``, ``init_state`` keeps that
-    array as the basis buffer.
+    column-major, the filled columns of one array of min(n, n_steps) columns,
+    each written in place as its step makes it.
     """
     n = problem.forward.cols
     b = problem.whitened_data
@@ -274,7 +279,7 @@ def seed_subspace(problem, n_steps, max_dim=0):
     if alpha <= tol:
         return np.zeros((n, 0)), True
     steps = max(min(int(n_steps), n), 1)
-    basis = np.empty((n, max(steps, min(int(max_dim), n))), order="F")
+    basis = np.empty((n, steps), order="F")
     basis[:, 0] = v / alpha
     for j in range(1, steps):
         v = basis[:, j - 1]
@@ -289,7 +294,7 @@ def seed_subspace(problem, n_steps, max_dim=0):
         if alpha <= tol:
             return basis[:, :j], True
         basis[:, j] = w / alpha
-    return basis[:, :steps], False
+    return basis, False
 
 
 def init_state(problem, basis, max_dim):
@@ -297,13 +302,13 @@ def init_state(problem, basis, max_dim):
 
     ``max_dim`` is the most columns the basis will hold (capped at n); the
     basis and Q_F live in column-major buffers of min(n, max_dim) and
-    min(m, max_dim) columns, which expansions fill in place.  A basis or Q_F
-    that already is, or leads, such a buffer (the seed of ``seed_subspace``
-    given the same max_dim) is kept as it is; otherwise it is copied once.
-    Either way both are column-major from the start, so an iterate does not
-    depend on how far the run may grow.  Columns an early-stopping run never
-    fills are never written, so they never become resident; numpy's huge-page
-    advice adds at most one partly filled 2 MB page per buffer.
+    min(m, max_dim) columns, which expansions fill in place.  Both are
+    allocated here and the basis and Q_F copied in once, so an iterate does
+    not depend on how far the run may grow.  A column-major basis that is
+    already min(n, max_dim) wide (the identity of ``full_space``) cannot grow
+    and is kept as its own buffer instead.  Columns an early-stopping run
+    never fills are never written, so they never become resident; numpy's
+    huge-page advice adds at most one partly filled 2 MB page per buffer.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
@@ -316,21 +321,19 @@ def init_state(problem, basis, max_dim):
     max_dim = min(int(max_dim), n)
     q_f, r_f = np.linalg.qr(problem.whiten_apply(basis), mode="reduced")
     rhs_hat = q_f.T @ problem.whitened_data
-    state = SolverState(basis=basis, q_f=q_f, r_f=r_f, rhs_hat=rhs_hat)
-    for name, cols in (("basis", max_dim), ("q_f", min(q_f.shape[0], max_dim))):
-        view = getattr(state, name)
-        buf = view if view.base is None else view.base
-        if not (
-            isinstance(buf, np.ndarray)
-            and buf.flags.f_contiguous
-            and buf.shape == (view.shape[0], cols)
-            and (buf.ctypes.data, buf.strides) == (view.ctypes.data, view.strides)
-        ):
-            buf = np.empty((view.shape[0], cols), order="F")
-            buf[:, : view.shape[1]] = view
-            setattr(state, name, buf[:, : view.shape[1]])
-        state._buffers[name] = buf
-    return state
+    basis_buf = basis if basis.flags.f_contiguous and d == max_dim else _buffer(basis, max_dim)
+    q_f_buf = _buffer(q_f, min(q_f.shape[0], max_dim))
+    return SolverState(
+        basis=basis_buf[:, :d], q_f=q_f_buf[:, : q_f.shape[1]], r_f=r_f, rhs_hat=rhs_hat,
+        basis_buf=basis_buf, q_f_buf=q_f_buf,
+    )
+
+
+def _buffer(a, cols):
+    """A column-major array of a's rows and `cols` columns that starts with a."""
+    buf = np.empty((a.shape[0], cols), order="F")
+    buf[:, : a.shape[1]] = a
+    return buf
 
 
 def refresh_penalty(state, spec, u_k, z=None):
@@ -381,7 +384,8 @@ def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
     if norm <= 1e-14 * max(1.0, float(np.linalg.norm(x))):
         return False
     r /= norm
-    _append_column(state, "basis", r)
+    state.basis_buf[:, state.dim] = r
+    state.basis = state.basis_buf[:, : state.dim + 1]
     _append_forward_qr(state, problem, problem.whiten_apply(r))
     return True
 
@@ -414,10 +418,11 @@ def mm_gks_solve(problem, config):
             config.gk_steps + config.max_iters - 1,
             max(_MAX_BASIS_COLS, config.gk_steps + 1),
         )
-        basis, _ = seed_subspace(problem, config.gk_steps, max_dim)
+        basis, _ = seed_subspace(problem, config.gk_steps)
         if basis.shape[1] == 0:
             raise SolverError("seed basis is empty; data has no signal to start from")
     state = init_state(problem, basis, max_dim)
+    del basis  # the seed now lives in the state's buffer; do not hold it through the loop
     grid = config.lambda_grid or default_lambda_grid()  # a validated grid is not empty
 
     b = problem.whitened_data
@@ -560,14 +565,8 @@ def _restart(state, problem, iterates):
         ys[: y.size, j] = y
     c = np.linalg.qr(ys)[0]
     q, state.r_f = np.linalg.qr(state.r_f @ c)
-    for name, right in (("basis", c), ("q_f", q)):
-        # a row block of the product reads only its own rows, so each block
-        # is written over the rows it was formed from
-        old, buf, k = getattr(state, name), state._buffers[name], right.shape[1]
-        step = max(1, _GRAM_BLOCK_ELEMS // old.shape[1])
-        for first in range(0, old.shape[0], step):
-            buf[first : first + step, :k] = old[first : first + step] @ right
-        setattr(state, name, buf[:, :k])
+    state.basis = _write_product(state.basis_buf, state.basis, c)
+    state.q_f = _write_product(state.q_f_buf, state.q_f, q)
     state.rhs_hat = state.q_f.T @ problem.whitened_data
     kept = c.T @ ys
     iterates.clear()
@@ -576,17 +575,17 @@ def _restart(state, problem, iterates):
     state.pair = None
 
 
-def _append_column(state, name, col):
-    """Append `col` to the rows x d field `name` (basis or q_f), in place.
+def _write_product(buf, old, right):
+    """Write old @ right over the first columns of buf, whose first columns old views.
 
-    The field is a view of the first d columns of the column-major buffer
-    that ``init_state`` sized for the run; the column is written into the
-    buffer and the view widened by one, with no copy.
+    A row block of the product reads only its own rows, so each block is
+    written over the rows it was formed from.  Returns the written columns.
     """
-    d = getattr(state, name).shape[1]
-    buf = state._buffers[name]
-    buf[:, d] = col
-    setattr(state, name, buf[:, : d + 1])
+    k = right.shape[1]
+    step = max(1, _GRAM_BLOCK_ELEMS // old.shape[1])
+    for first in range(0, old.shape[0], step):
+        buf[first : first + step, :k] = old[first : first + step] @ right
+    return buf[:, :k]
 
 
 def _orthogonalize(q, a):
@@ -615,7 +614,8 @@ def _append_forward_qr(state, problem, a):
     if p < m:
         col, rho = _orthogonalize(state.q_f, a)
         q = a / rho if rho > 0 else np.zeros_like(a)
-        _append_column(state, "q_f", q)
+        state.q_f_buf[:, p] = q
+        state.q_f = state.q_f_buf[:, : p + 1]
         state.r_f = np.block(
             [[state.r_f, col[:, None]], [np.zeros((1, state.r_f.shape[1])), rho]]
         )

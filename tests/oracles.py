@@ -329,6 +329,18 @@ def blur_matrix_1d(n, sigma, bandwidth):
     return mat
 
 
+def sparse_apply_by_fancy_index(op, x):
+    """SparseOperator.apply as it gathered before np.take: x[indices, c] per column."""
+    x = np.asarray(x, dtype=float)
+    cols = x.reshape(x.shape[0], -1)
+    out = np.zeros((op.rows, cols.shape[1]))
+    for c in range(cols.shape[1]):
+        gathered = cols[op._indices, c]
+        gathered *= op._values
+        out[op._nonempty, c] = np.add.reduceat(gathered, op._starts)
+    return out if x.ndim == 2 else out[:, 0]
+
+
 def radon_matrix(n, angles_deg, n_det):
     """Dense ray-transform block, one ray at a time (the pre-sparse build).
 

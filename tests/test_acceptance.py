@@ -306,7 +306,7 @@ def test_temporal_coupling_beats_per_frame_baseline(limited_angle):
 
     frames = []
     row = 0
-    static_spec = dv.StaticTVSpec(n_v=32, n_h=32)
+    static_spec = dv.RegularizerSpec(dims=(32, 32, 1))
     for op in limited_angle["step_ops"]:
         m_t = op.rows
         sl = slice(row, row + m_t)

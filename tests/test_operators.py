@@ -131,18 +131,22 @@ def test_mode_product_rejects_bad_mode():
 
 
 def spatial_gradient(n_v, n_h):
-    """L_s, the spatial gradient of one frame: D of the static spec."""
-    return build_D(dv.StaticTVSpec(n_v=n_v, n_h=n_h))
+    """L_s, the spatial gradient of one frame: D of AnisoTV on a single frame."""
+    return build_D(dv.RegularizerSpec(dims=(n_v, n_h, 1)))
 
 
 def test_build_diff_rejects_short_axis():
-    # a difference along an axis of one sample has no rows; every spec refuses it
-    for dims in ((1, 3, 2), (3, 1, 2), (3, 2, 1)):
-        with pytest.raises(ValueError):
-            dv.RegularizerSpec(method=dv.Method.ISO_3D_TV, dims=dims)
-    for n_v, n_h in ((1, 3), (3, 1)):
-        with pytest.raises(ValueError):
-            dv.StaticTVSpec(n_v=n_v, n_h=n_h)
+    # a difference along a spatial axis of one sample has no rows, so every
+    # method refuses it; one frame (n_t = 1) is refused only by a method that
+    # keeps no block there, and no frame at all by every method
+    for method in dv.Method:
+        for dims in ((1, 3, 2), (3, 1, 2), (1, 3, 1), (3, 1, 1), (3, 2, 0)):
+            with pytest.raises(ValueError, match="dims must be"):
+                dv.RegularizerSpec(method=method, dims=dims)
+    with pytest.raises(ValueError, match="Aniso3DTV has no difference block at n_t = 1"):
+        dv.RegularizerSpec(method=dv.Method.ANISO_3D_TV, dims=(3, 2, 1))
+    for method in set(dv.Method) - {dv.Method.ANISO_3D_TV}:
+        assert dv.RegularizerSpec(method=method, dims=(3, 2, 1)).n == 6
 
 
 def test_build_ls_shape():
@@ -206,6 +210,20 @@ def test_sparse_matches_dense_with_empty_and_repeated_rows():
     np.testing.assert_allclose(op.apply(x), want @ x, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(op.apply_adjoint(y), want.T @ y, rtol=1e-14, atol=1e-14)
     assert np.all(op.apply(x)[[0, 2, 5]] == 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_sparse_apply_equals_the_fancy_index_gather_exactly(k):
+    # the gather by np.take reads the same entries as x[indices, c] in the
+    # same order, so the product is bitwise equal, for a vector and a block
+    model = dv.RadonModel(image_side=16, n_time_steps=4, n_angles_per_step=5)
+    op = dv.build_radon_operator(model, 2)
+    x = np.random.default_rng(52).standard_normal((op.cols, k))
+    if k == 1:
+        x = x[:, 0]
+    got = op.apply(x)
+    assert got.shape == (op.rows, k)[: x.ndim]
+    np.testing.assert_array_equal(got, oracles.sparse_apply_by_fancy_index(op, x))
 
 
 def test_sparse_without_entries_is_zero():

@@ -25,7 +25,9 @@ def test_build_d_shapes_2x2x2():
 
 def test_build_d_rejects_short_axis():
     with pytest.raises(ValueError):
-        dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 1))
+        dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 1, 2))
+    with pytest.raises(ValueError, match="Aniso3DTV"):
+        dv.RegularizerSpec(method=dv.Method.ANISO_3D_TV, dims=(2, 2, 1))
 
 
 def test_unknown_method_lists_all_six():
@@ -51,7 +53,7 @@ def test_build_d_matches_dense_oracle(method, dims):
 @pytest.mark.parametrize("dims", [(8, 3, 2), (5, 2, 3), (2, 2, 2), (16, 16, 4)])
 @pytest.mark.parametrize("method", METHODS + ["static"])
 def test_row_blocks_concatenate_to_apply(method, dims, elems):
-    spec = dv.StaticTVSpec(*dims[:2]) if method == "static" else spec_for(method, dims)
+    spec = spec_for("AnisoTV", dims[:2] + (1,)) if method == "static" else spec_for(method, dims)
     op = build_D(spec)
     x = np.random.default_rng(18).standard_normal((spec.n, 3))
     firsts, blocks = zip(*op.row_blocks(x, elems))
@@ -63,7 +65,7 @@ def test_row_blocks_concatenate_to_apply(method, dims, elems):
 
 
 def test_build_d_maps_constants_to_zero():
-    specs = [spec_for(m, (4, 3, 2)) for m in METHODS] + [dv.StaticTVSpec(n_v=3, n_h=5)]
+    specs = [spec_for(m, (4, 3, 2)) for m in METHODS] + [spec_for("AnisoTV", (3, 5, 1))]
     for spec in specs:
         op = build_D(spec)
         np.testing.assert_array_equal(op.apply(np.full(spec.n, 2.5)), np.zeros(op.rows))
@@ -307,7 +309,7 @@ def test_half_weighted_norm_reproduces_smoothed_value(method):
 
 
 def test_static_spec_builds_spatial_operator():
-    spec = dv.StaticTVSpec(n_v=3, n_h=4)
+    spec = spec_for("AnisoTV", (3, 4, 1))
     op = build_D(spec)
     assert op.shape == ((3 - 1) * 4 + (4 - 1) * 3, 12)
     want = oracles.ls_matrix(3, 4)
@@ -317,7 +319,7 @@ def test_static_spec_builds_spatial_operator():
 
 def test_static_spec_value_and_weights():
     rng = np.random.default_rng(21)
-    spec = dv.StaticTVSpec(n_v=3, n_h=3)
+    spec = spec_for("AnisoTV", (3, 3, 1))
     u = rng.standard_normal(9)
     z = oracles.ls_matrix(3, 3) @ u
     np.testing.assert_allclose(regularizer_value(spec, u), np.abs(z).sum(), rtol=1e-12)
@@ -338,7 +340,7 @@ def test_epsilon_must_be_finite(eps):
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(3, 3, 2), epsilon=eps)
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-        dv.StaticTVSpec(n_v=3, n_h=3, epsilon=eps)
+        dv.RegularizerSpec(dims=(3, 3, 1), epsilon=eps)
 
 
 def test_epsilon_must_be_positive():

@@ -109,21 +109,30 @@ def test_seed_zero_data_is_empty_with_breakdown():
     assert breakdown
 
 
-def test_init_state_keeps_the_seed_buffer():
-    # given the run's max_dim, the seed is written into a buffer already that
-    # wide, which init_state keeps as the basis buffer instead of copying it;
-    # a seed only as wide as its steps is still copied once
+def test_init_state_copies_the_seed_once_into_its_own_buffer():
+    # init_state alone sizes the basis buffer, min(n, max_dim) columns, and
+    # copies a narrower seed into it once; only a column-major basis already
+    # that wide (the full_space identity) is kept as its own buffer
     rng = np.random.default_rng(7)
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 20, 12), data=rng.standard_normal(20)
     )
-    basis, breakdown = seed_subspace(problem, 3, 7)
+    basis, breakdown = seed_subspace(problem, 3)
     assert basis.shape == (12, 3) and not breakdown
-    np.testing.assert_array_equal(basis, seed_subspace(problem, 3)[0])
-    state = init_state(problem, basis, 7)
-    assert np.shares_memory(state.basis, basis) and state.max_dim == 7
-    narrow, _ = seed_subspace(problem, 3)
-    assert not np.shares_memory(init_state(problem, narrow, 7).basis, narrow)
+    for max_dim, want in ((7, 7), (40, 12)):
+        state = init_state(problem, basis, max_dim)
+        assert not np.shares_memory(state.basis, basis)
+        assert state.max_dim == want and state.basis_buf.flags.f_contiguous
+        assert state.q_f_buf.shape == (20, want) and state.q_f_buf.flags.f_contiguous
+        np.testing.assert_array_equal(state.basis, basis)
+        assert state.basis.strides == basis.strides
+    full = np.asfortranarray(np.linalg.qr(rng.standard_normal((12, 12)))[0])
+    for max_dim in (12, 40):
+        state = init_state(problem, full, max_dim)
+        assert np.shares_memory(state.basis, full) and state.basis_buf is full
+        assert state.max_dim == 12
+    wide_c = np.ascontiguousarray(full)
+    assert not np.shares_memory(init_state(problem, wide_c, 12).basis, wide_c)
 
 
 def test_init_state_rejects_empty_basis():
@@ -1020,8 +1029,8 @@ def test_config_with_a_grid_compares_and_hashes():
         lambda spec: dv.SolverConfig(spec, gk_steps=True),
         lambda spec: dv.RegularizerSpec(dims=(4.7, 4, 2)),
         lambda spec: dv.RegularizerSpec(dims=(4, 4, "3")),
-        lambda spec: dv.StaticTVSpec(n_v=4.5, n_h=4),
-        lambda spec: dv.StaticTVSpec(n_v=4, n_h=np.float64(3.5)),
+        lambda spec: dv.RegularizerSpec(dims=(4.5, 4, 1)),
+        lambda spec: dv.RegularizerSpec(dims=(4, np.float64(3.5), 1)),
     ],
     ids=["max_iters-2.5", "max_iters-True", "gk_steps-2.5", "gk_steps-True",
          "dims-4.7", "dims-string", "n_v-4.5", "n_h-3.5"],
@@ -1045,7 +1054,7 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.SolverConfig(spec, nonneg=1), "nonneg"),
         (lambda spec: dv.SolverConfig(spec, full_space="no"), "full_space"),
         (lambda spec: dv.RegularizerSpec(dims=(2, 2, 2), epsilon=True), "epsilon"),
-        (lambda spec: dv.StaticTVSpec(n_v=4, n_h=4, epsilon="0.1"), "epsilon"),
+        (lambda spec: dv.RegularizerSpec(dims=(4, 4, 1), epsilon="0.1"), "epsilon"),
     ],
     ids=["lam-True", "rel_change_tol-True", "eta-string", "nonneg-string", "nonneg-1",
          "full_space-string", "epsilon-True", "static-epsilon-string"],
