@@ -45,68 +45,30 @@ HISTORY_COLUMNS = ("iter", "lambda", "objective", "dp_residual", "rre", "subspac
 
 # --- configuration -------------------------------------------------------------
 
-# The JSON kind of every key a config may give, section by section.  A dict is
-# an object read with that table, [table] a list of such objects, and a tuple
-# the kinds a value may take; "null" stands for the library's own None.  Only
-# the keys a config gives reach the library, whose defaults fill in the rest.
-_SCENE_OBJECT = {"shape": "string", "intensity": "number", "centers": "list", "radii": "list"}
-_LAMBDA_GRID = {"n_points": "integer", "low": "number", "high": "number"}
-_BLUR = {"sigma_psf": "number", "bandwidth": "integer"}
-_RADON = {
-    "n_angles_per_step": "integer",
-    "angle_stride_deg": ("number", "null"),
-    "n_detectors": ("integer", "null"),
-}
+# The keys a config may give, section by section.  A dict is a JSON object read
+# with that table and [table] a list of such objects; any other value (None
+# here) goes unchanged to the library type that owns the key, which checks its
+# kind and range.  Only the keys a config gives reach the library, whose
+# defaults fill in the rest.
+_SCENE_OBJECT = dict.fromkeys(("shape", "intensity", "centers", "radii"))
+_LAMBDA_GRID = dict.fromkeys(("n_points", "low", "high"))  # read by _solver_config
+_BLUR = dict.fromkeys(("sigma_psf", "bandwidth"))
+_RADON = dict.fromkeys(("n_angles_per_step", "angle_stride_deg", "n_detectors"))
 FORWARD_KEYS = {"deblur": _BLUR, "radon-dynamic": _RADON, "radon-static-baseline": _RADON}
 EXPERIMENTS = tuple(FORWARD_KEYS)
 CONFIG_KEYS = {
-    "experiment": "string",
+    "experiment": None,
     "scene": {
-        "n_v": "integer",
-        "n_h": "integer",
-        "n_t": "integer",
-        "preset": "string",
-        "n_objects": "integer",
-        "seed": "integer",
+        **dict.fromkeys(("n_v", "n_h", "n_t", "preset", "n_objects", "seed")),
         "objects": [_SCENE_OBJECT],
     },
-    "noise": {"sigma": "number", "seed": "integer"},
+    "noise": dict.fromkeys(("sigma", "seed")),
     "forward": {**_BLUR, **_RADON},  # narrowed to FORWARD_KEYS[experiment]
-    "solver": {
-        "method": "string",
-        "eta": "number",
-        "max_iters": "integer",
-        "gk_steps": "integer",
-        "rel_change_tol": "number",
-        "epsilon": "number",
-        "nonneg": "boolean",
-        "lambda": ("number", "null"),
-        "lambda_grid": ("list", _LAMBDA_GRID, "null"),
-    },
-    "output_dir": ("string", "null"),
-}
-
-
-def _number(value):
-    """A JSON number that a float can hold; booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
-
-
-def _numbers(value):
-    """A number or a list, nested or not, of numbers."""
-    return _number(value) or isinstance(value, list) and all(map(_numbers, value))
-
-
-# name in messages, test and conversion of each scalar kind
-_KINDS = {
-    "integer": ("an integer", lambda v: _number(v) and v % 1 == 0, int),
-    "number": ("a number", _number, float),
-    "boolean": ("true or false", lambda v: isinstance(v, bool), bool),
-    "string": ("a string", lambda v: isinstance(v, str), str),
-    "list": ("a list of numbers", lambda v: isinstance(v, list) and _numbers(v), list),
-    "null": ("null", lambda v: v is None, lambda v: v),
+    "solver": dict.fromkeys((
+        "method", "eta", "max_iters", "gk_steps", "rel_change_tol", "epsilon", "nonneg",
+        "lambda", "lambda_grid",
+    )),
+    "output_dir": None,
 }
 
 
@@ -129,7 +91,7 @@ def _invalid(section, label, problem):
 
 
 def _read(obj, table, section, label=()):
-    """A config object's entries, each checked against its kind in ``table``.
+    """A config object's entries, with its nested objects read by ``table``.
 
     ``label`` holds the keys from ``section`` down to ``obj``, for messages;
     every object at the top level is a section of its own.
@@ -143,27 +105,15 @@ def _read(obj, table, section, label=()):
                 f"unknown key {key!r} in {' '.join((section, *label))}; "
                 f"valid keys are {', '.join(table)}"
             )
-        kinds = table[key] if isinstance(table[key], tuple) else (table[key],)
-        top = section == "config" and isinstance(kinds[0], dict)
-        out[key] = _value(value, kinds, *((key, ()) if top else (section, (*label, key))))
+        inner, where = table[key], (section, (*label, key))
+        if isinstance(inner, dict):
+            value = _read(value, inner, *((key, ()) if section == "config" else where))
+        elif isinstance(inner, list):
+            if not isinstance(value, list):
+                raise _invalid(*where, f"must be a list of JSON objects, got {value!r}")
+            value = [_read(item, inner[0], *where) for item in value]
+        out[key] = value
     return out
-
-
-def _value(value, kinds, section, label):
-    for kind in kinds:
-        if isinstance(kind, dict) and isinstance(value, dict):
-            return _read(value, kind, section, label)
-        if isinstance(kind, list) and isinstance(value, list):
-            return [_read(item, kind[0], section, label) for item in value]
-        if isinstance(kind, str) and _KINDS[kind][1](value):
-            return _KINDS[kind][2](value)
-    names = " or ".join(
-        _KINDS[kind][0] if isinstance(kind, str)
-        else "a JSON object" if isinstance(kind, dict) else "a list of JSON objects"
-        for kind in kinds
-        if kind != "null"
-    )
-    raise _invalid(section, label, f"must be {names}, got {value!r}")
 
 
 def _require(obj, keys, where):
@@ -193,6 +143,9 @@ def build_run(cfg, seed_override=None, method_override=None, nonneg_override=Fal
         )
     values = _read(cfg, {**CONFIG_KEYS, "forward": FORWARD_KEYS[experiment]}, "config")
     scene = _scene(values["scene"])
+    if min(scene.n_v, scene.n_h) < SSIM_WINDOW:
+        # every run ends in a per-frame SSIM report, which needs a full window
+        raise ConfigError(f"scene frames must be at least {SSIM_WINDOW} pixels per side")
     with _config_errors("forward"):
         step_ops, forward_op = _forward(experiment, scene, values.get("forward", {}))
     noise = values.get("noise", {})
@@ -213,9 +166,6 @@ def build_run(cfg, seed_override=None, method_override=None, nonneg_override=Fal
 def _scene(scene):
     _require(scene, ("n_v", "n_h", "n_t"), "scene")
     n_v, n_h, n_t = (scene.pop(key) for key in ("n_v", "n_h", "n_t"))
-    if min(n_v, n_h) < SSIM_WINDOW:
-        # every run ends in a per-frame SSIM report, which needs a full window
-        raise ConfigError(f"scene frames must be at least {SSIM_WINDOW} pixels per side")
     with _config_errors("scene"):
         if "objects" not in scene:
             preset = scene.pop("preset", "moving-disks")
@@ -250,8 +200,9 @@ def _solver_config(experiment, scene, solver):
     regularizer = {key: solver.pop(key) for key in ("method", "epsilon") if key in solver}
     if "lambda" in solver:
         solver["lam"] = solver.pop("lambda")
-    if isinstance(solver.get("lambda_grid"), dict):
-        solver["lambda_grid"] = default_lambda_grid(**solver["lambda_grid"])
+    if isinstance(solver.get("lambda_grid"), dict):  # a log-spaced grid, not a list
+        grid = _read(solver["lambda_grid"], _LAMBDA_GRID, "solver", ("lambda_grid",))
+        solver["lambda_grid"] = default_lambda_grid(**grid)
     if experiment == "radon-static-baseline":
         if "method" in regularizer:  # every frame takes spatial TV, but the name must exist
             Method.from_name(regularizer.pop("method"))
@@ -503,7 +454,11 @@ def main_reconstruct(argv=None):
 
     try:
         cfg = load_config(args.config)
-        out_dir = args.out if args.out is not None else cfg.get("output_dir")
+        out_dir = cfg.get("output_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise _invalid("config", ("output_dir",), f"must be a string, got {out_dir!r}")
+        if args.out is not None:
+            out_dir = args.out
         if out_dir is None:
             raise ConfigError("no output directory (use --out or set output_dir)")
         summary = run(cfg, out_dir, args.seed, args.method, args.nonneg)

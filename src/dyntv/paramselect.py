@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import SingularSystemError
+from .regularization import as_float, as_int
 
 __all__ = ["ProjectedPair", "gcv_curve", "select_lambda", "default_lambda_grid"]
 
@@ -34,9 +35,11 @@ _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 def default_lambda_grid(n_points=40, low=1e-6, high=1e2):
     """Logarithmic default search grid for the regularization parameter."""
-    if int(n_points) < 1 or not (0 < low < np.inf and 0 < high < np.inf):
+    n_points = as_int(n_points, "lambda_grid n_points")
+    low, high = as_float(low, "lambda_grid low"), as_float(high, "lambda_grid high")
+    if n_points < 1 or not (0 < low < np.inf and 0 < high < np.inf):
         raise ValueError("lambda_grid needs n_points >= 1 and finite positive low and high")
-    return np.logspace(np.log10(low), np.log10(high), int(n_points))
+    return np.logspace(np.log10(low), np.log10(high), n_points)
 
 
 class ProjectedPair:

@@ -6,9 +6,9 @@ per object: a pixel belongs to an object iff the pixel center is inside it,
 so a trajectory that moves by whole pixels shifts the rendered object
 exactly.  Overlapping objects add.
 
-Noise is Gaussian with a diagonal covariance, rescaled after drawing so the
-whitened noise magnitude is exactly ``sigma`` times the whitened clean data
-norm; the returned magnitude is the exact discrepancy-principle target.
+Noise is white Gaussian, rescaled after drawing so its norm is exactly
+``sigma`` times the clean data norm; the returned norm is the exact
+discrepancy-principle target.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .regularization import as_float, as_int
 
 __all__ = [
     "SceneObject",
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 _SHAPES = ("disk", "rectangle")
+_LISTS = (list, tuple, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -46,13 +49,20 @@ class SceneObject:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise ValueError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
-        centers = tuple((float(r), float(c)) for r, c in self.centers)
-        radii = tuple(float(r) for r in self.radii)
+        if not isinstance(self.centers, _LISTS) or any(
+            not isinstance(p, _LISTS) or len(p) != 2 for p in self.centers
+        ):
+            raise ValueError(f"centers must be a list of (row, col) pairs, got {self.centers!r}")
+        if not isinstance(self.radii, _LISTS):
+            raise ValueError(f"radii must be a list of numbers, got {self.radii!r}")
+        name = "each coordinate of centers"
+        centers = tuple((as_float(r, name), as_float(c, name)) for r, c in self.centers)
+        radii = tuple(as_float(r, "each of radii") for r in self.radii)
         if len(centers) != len(radii):
             raise ValueError("centers and radii must have one entry per time step")
         if any(r <= 0 for r in radii):
             raise ValueError("radii must be positive")
-        intensity = float(self.intensity)
+        intensity = as_float(self.intensity, "intensity")
         if not np.isfinite(intensity):
             raise ValueError(f"intensity must be finite, got {intensity}")
         object.__setattr__(self, "intensity", intensity)
@@ -72,6 +82,8 @@ class SceneSpec:
     objects: tuple
 
     def __post_init__(self):
+        for name in ("n_v", "n_h", "n_t"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n_v < 1 or self.n_h < 1 or self.n_t < 1:
             raise ValueError("scene extents must be positive")
         objects = tuple(self.objects)
@@ -89,6 +101,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma", as_float(self.sigma, "sigma"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("noise level sigma must be finite and nonnegative")
         if self.seed < 0:
@@ -120,9 +134,10 @@ def render_scene(spec):
 
 def moving_disks_scene(n_v, n_h, n_t, n_objects=6, seed=0):
     """Random superposition of disks in uniform motion, kept inside the frame."""
-    rng = np.random.default_rng(seed)
+    n_v, n_h, n_t = as_int(n_v, "n_v"), as_int(n_h, "n_h"), as_int(n_t, "n_t")
+    rng = np.random.default_rng(as_int(seed, "seed"))
     objects = []
-    for _ in range(int(n_objects)):
+    for _ in range(as_int(n_objects, "n_objects")):
         rad = rng.uniform(0.06, 0.14) * min(n_v, n_h)
         margin = rad + 1.0
         start = (
@@ -149,31 +164,19 @@ def moving_disks_scene(n_v, n_h, n_t, n_objects=6, seed=0):
     return SceneSpec(n_v=n_v, n_h=n_h, n_t=n_t, objects=tuple(objects))
 
 
-def add_noise(clean, noise, gamma_diag=None):
-    """Perturb clean data; returns (noisy, delta).
+def add_noise(clean, noise):
+    """Perturb clean data with white noise; returns (noisy, delta).
 
-    The draw e ~ N(0, Gamma) is rescaled so that the whitened ratio
-    ||e||_{Gamma^{-1}} / ||clean||_{Gamma^{-1}} equals sigma exactly, and
-    delta = ||e||_{Gamma^{-1}} is returned for the discrepancy principle.
+    The draw e ~ N(0, I) is rescaled so that ||e|| / ||clean|| equals sigma
+    exactly, and delta = ||e|| is returned for the discrepancy principle.
     """
     clean = np.asarray(clean, dtype=float).ravel()
-    if gamma_diag is None:
-        gamma_diag = np.ones(clean.size)
-    else:
-        gamma_diag = np.asarray(gamma_diag, dtype=float).ravel()
-        if gamma_diag.size != clean.size:
-            raise ValueError("gamma_diag must match the data length")
-        if not np.all(gamma_diag > 0):
-            raise ValueError("gamma_diag must be strictly positive")
     if noise.sigma == 0:
         return clean.copy(), 0.0
-    rng = np.random.default_rng(noise.seed)
-    sqrt_gamma = np.sqrt(gamma_diag)
-    draw = sqrt_gamma * rng.standard_normal(clean.size)
-    clean_whitened = float(np.linalg.norm(clean / sqrt_gamma))
-    draw_whitened = float(np.linalg.norm(draw / sqrt_gamma))
-    if draw_whitened == 0 or clean_whitened == 0:
+    draw = np.random.default_rng(noise.seed).standard_normal(clean.size)
+    clean_norm = float(np.linalg.norm(clean))
+    draw_norm = float(np.linalg.norm(draw))
+    if draw_norm == 0 or clean_norm == 0:
         raise ValueError("degenerate draw or zero clean data; cannot scale noise")
-    scale = noise.sigma * clean_whitened / draw_whitened
-    delta = noise.sigma * clean_whitened
-    return clean + scale * draw, delta
+    delta = noise.sigma * clean_norm
+    return clean + (delta / draw_norm) * draw, delta

@@ -87,14 +87,18 @@ METHOD_NAMES = tuple(m.value for m in Method)
 
 
 def as_int(value, name):
-    """``value`` as an int; ValueError for a bool or anything not a whole number."""
+    """``value`` as an int; ValueError for a bool, anything not a whole number,
+    or a whole number beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    as_float(value, name)  # refuses 10**400, say, which no size or count needs
     return int(value)
 
 
 def as_float(value, name):
     """``value`` as a float; ValueError for a bool or anything not a real number."""
+    if type(value) is float:  # the common case, without the slow check of numbers.Real
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:

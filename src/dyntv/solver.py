@@ -120,6 +120,7 @@ class ReconstructionProblem:
                 raise ValueError("noise covariance diagonal must be finite")
             if not np.all(self.noise_cov_diag > 0):
                 raise ValueError("noise covariance diagonal must be strictly positive")
+        self.delta = as_float(self.delta, "delta")
         if not 0 <= self.delta < np.inf:
             raise ValueError("delta must be nonnegative and finite")
         if self.truth is not None:
@@ -196,10 +197,12 @@ class SolverConfig:
         if self.lam is not None and not 0 < self.lam < np.inf:
             raise ValueError("fixed lam must be positive and finite")
         if self.lambda_grid is not None:
-            grid = np.asarray(self.lambda_grid, dtype=float).ravel()
-            if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+            # object dtype keeps each entry as given, so True or "1" is refused, not cast
+            grid = np.asarray(self.lambda_grid, dtype=object).ravel()
+            grid = tuple(as_float(value, "each of lambda_grid") for value in grid)
+            if not grid or not all(0 < value < np.inf for value in grid):
                 raise ValueError("lambda_grid must be a non-empty list of finite positive values")
-            object.__setattr__(self, "lambda_grid", tuple(grid.tolist()))
+            object.__setattr__(self, "lambda_grid", grid)
 
 
 @dataclass(eq=False)

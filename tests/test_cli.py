@@ -211,7 +211,7 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         ),
         (
             {"experiment": "deblur", "scene": scene, "solver": {"nonneg": "false"}},
-            "nonneg must be true or false",
+            "nonneg must be True or False",
         ),
         # a scene that renders to zero data used to fail in add_noise with a
         # traceback (sigma > 0) or to exit 1 after writing history.csv (sigma 0)
@@ -328,10 +328,38 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             {"experiment": "deblur", "scene": scene, "solver": {"eta": "1.5"}},
             "invalid solver section: eta must be a number, got '1.5'",
         ),
-        # an integer beyond the float range used to end in an OverflowError
+        # an integer beyond the float range used to end in an OverflowError;
+        # as a size or a count it would build or run without bound
         (
             {"experiment": "deblur", "scene": scene, "noise": {"sigma": 10**400}},
-            "invalid noise section: sigma must be a number, got 1000",
+            "invalid noise section: sigma must be finite, got 1000",
+        ),
+        (
+            {"experiment": "deblur", "scene": dict(scene, n_v=10**400)},
+            "invalid scene section: n_v must be finite, got 1000",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"max_iters": 10**400}},
+            "invalid solver section: max_iters must be finite, got 1000",
+        ),
+        # lists are checked entry by entry by the types that own them
+        (
+            {
+                "experiment": "deblur",
+                "scene": dict(scene, objects=[{"centers": "abc", "radii": [3, 3]}]),
+            },
+            "invalid scene section: centers must be a list of (row, col) pairs, got 'abc'",
+        ),
+        (
+            {
+                "experiment": "deblur",
+                "scene": dict(scene, objects=[dict(bright(1.0), radii=["3", "3"])]),
+            },
+            "invalid scene section: each of radii must be a number, got '3'",
+        ),
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"lambda_grid": [True, 1.0]}},
+            "invalid solver section: each of lambda_grid must be a number, got True",
         ),
         # listed objects used to win silently over the preset's keys
         *(
@@ -365,6 +393,14 @@ def test_missing_output_dir_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, deblur_config())
     assert cli.main_reconstruct(["--config", cfg]) == 2
     assert "output directory" in capsys.readouterr().err
+
+
+def test_output_dir_of_another_kind_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(deblur_config(), output_dir=5))
+    assert cli.main_reconstruct(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config section: output_dir must be a string, got 5" in err
+    assert not (tmp_path / "5").exists()
 
 
 def test_solver_failure_exit_1_flushes_partial_history(tmp_path, capsys, monkeypatch):

@@ -1031,14 +1031,16 @@ def test_config_with_a_grid_compares_and_hashes():
         lambda spec: dv.RegularizerSpec(dims=(4, 4, "3")),
         lambda spec: dv.RegularizerSpec(dims=(4.5, 4, 1)),
         lambda spec: dv.RegularizerSpec(dims=(4, np.float64(3.5), 1)),
+        lambda spec: dv.default_lambda_grid(n_points=2.5),
+        lambda spec: dv.default_lambda_grid(n_points=True),
     ],
     ids=["max_iters-2.5", "max_iters-True", "gk_steps-2.5", "gk_steps-True",
-         "dims-4.7", "dims-string", "n_v-4.5", "n_h-3.5"],
+         "dims-4.7", "dims-string", "n_v-4.5", "n_h-3.5", "n_points-2.5", "n_points-True"],
 )
 def test_integer_fields_refuse_bools_and_fractions(build):
     # each was accepted: a fractional max_iters failed later inside the
     # solve, gk_steps 2.5 ran 2 seed steps, max_iters True ran 1 iteration,
-    # and dims (4.7, 4, 2) became (4, 4, 2)
+    # dims (4.7, 4, 2) became (4, 4, 2), and a grid of 2.5 points had 2
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError, match="must be an integer"):
         build(spec)
@@ -1055,14 +1057,29 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.SolverConfig(spec, full_space="no"), "full_space"),
         (lambda spec: dv.RegularizerSpec(dims=(2, 2, 2), epsilon=True), "epsilon"),
         (lambda spec: dv.RegularizerSpec(dims=(4, 4, 1), epsilon="0.1"), "epsilon"),
+        (lambda spec: dv.SolverConfig(spec, max_iters=10**400), "max_iters"),
+        (lambda spec: dv.RegularizerSpec(dims=(10**400, 4, 2)), "each of dims"),
+        (lambda spec: dv.SolverConfig(spec, lambda_grid=[True, 1.0]), "each of lambda_grid"),
+        (lambda spec: dv.SolverConfig(spec, lambda_grid=["1"]), "each of lambda_grid"),
+        (lambda spec: dv.default_lambda_grid(n_points=10**400), "lambda_grid n_points"),
+        (lambda spec: dv.default_lambda_grid(low=True), "lambda_grid low"),
+        (lambda spec: dv.default_lambda_grid(high="1"), "lambda_grid high"),
+        (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta=True),
+         "delta"),
+        (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta="1"),
+         "delta"),
     ],
     ids=["lam-True", "rel_change_tol-True", "eta-string", "nonneg-string", "nonneg-1",
-         "full_space-string", "epsilon-True", "static-epsilon-string"],
+         "full_space-string", "epsilon-True", "static-epsilon-string", "max_iters-10**400",
+         "dims-10**400", "lambda_grid-True", "lambda_grid-string", "n_points-10**400",
+         "low-True", "high-string", "delta-True", "delta-string"],
 )
 def test_float_and_flag_fields_refuse_other_kinds(build, field):
     # each was accepted or failed deep inside: lam True ran with λ = 1,
-    # nonneg "no" turned clipping on, epsilon True gave ε = 1, and eta "1.5"
-    # raised a bare TypeError from the range check
+    # nonneg "no" turned clipping on, epsilon True gave ε = 1, eta "1.5" and
+    # delta "1" (and a grid's high "1") raised a bare TypeError from the range
+    # check, max_iters 10**400 ran without bound, a grid of True and "1" ran
+    # at λ = 1, and low True started the default grid at 1
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         build(spec)
