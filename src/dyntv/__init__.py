@@ -11,7 +11,7 @@ from .forward import (
     radon_angles,
 )
 from .metrics import QualityReport, build_report, rre, rre_per_frame, ssim
-from .operators import LinearOperator, tensor, vec
+from .operators import LinearOperator, vec
 from .paramselect import default_lambda_grid
 from .phantom import (
     NoiseSpec,

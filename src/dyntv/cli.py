@@ -322,7 +322,10 @@ def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=
         problems, histories = [problem], ["history.csv"]
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at out_dir or above it, say
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     results = [_solve(p, config, out_dir / name) for p, name in zip(problems, histories)]
     u = np.concatenate([result.u for result in results])
     last, lam = results[-1], results[-1].history[-1].lam
@@ -420,7 +423,9 @@ def compare(run_dirs):
             raise FileNotFoundError(f"no iteration history in {run_dir}")
         with open(summary_path) as fh:
             summary = json.load(fh)
-        report = summary.get("report", {})
+        report = summary.get("report", {}) if isinstance(summary, dict) else None
+        if not isinstance(report, dict):
+            raise ValueError(f"{summary_path} is not a JSON object with a report object")
         rre_total = float(report.get("rre_total", np.nan))
         iters = report.get("iters_at_dp")
         rre_s = " ".join(f"{v:.4f}" for v in report.get("rre_per_frame", []))

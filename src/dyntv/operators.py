@@ -1,4 +1,4 @@
-"""Matrix-free linear operators and third-order tensor utilities.
+"""Matrix-free linear operators and the column-major flattening of a volume.
 
 All vectorization is column-major: a frame ``U`` of shape ``(n_v, n_h)``
 flattens with the vertical (row) index running fastest, and a space-time
@@ -13,23 +13,13 @@ the ray transform, one compressed-row copy of its entries that serves both
 the product and its adjoint; the blur and the stack of per-frame
 operators live in :mod:`dyntv.forward`, and the difference operator D of the
 regularizers, a stencil on the volume, in :mod:`dyntv.regularization`.
-``to_dense`` exists for small operators only and is the anchor for the dense
-oracles used in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "LinearOperator",
-    "SparseOperator",
-    "vec",
-    "tensor",
-]
-
-# Hard cap for materializing operators; beyond this, go matrix-free.
-MAX_DENSE_COLS = 4096
+__all__ = ["LinearOperator", "SparseOperator", "vec"]
 
 
 class LinearOperator:
@@ -87,18 +77,6 @@ class LinearOperator:
     def _apply_adjoint(self, y):
         raise NotImplementedError
 
-    def to_dense(self):
-        """Materialize the operator as a dense array (small operators only)."""
-        if self.cols > MAX_DENSE_COLS:
-            raise ValueError(
-                f"refusing to densify an operator with {self.cols} columns "
-                f"(limit {MAX_DENSE_COLS})"
-            )
-        return self._dense()
-
-    def _dense(self):
-        return self._apply(np.eye(self.cols))
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.rows}x{self.cols}>"
 
@@ -146,10 +124,6 @@ class SparseOperator(LinearOperator):
         self._nonempty = np.flatnonzero(self._counts)
         self._starts = (np.cumsum(self._counts) - self._counts)[self._nonempty]
 
-    @property
-    def nnz(self):
-        return self._values.size
-
     def _apply(self, x):
         """One column at a time, so the temporary never exceeds one nnz vector."""
         out = np.zeros((self.rows, x.shape[1]))
@@ -171,29 +145,7 @@ class SparseOperator(LinearOperator):
             out[:, c] = np.bincount(self._indices, spread, minlength=self.cols)
         return out
 
-    def _dense(self):
-        mat = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.rows), self._counts)
-        np.add.at(mat, (rows, self._indices), self._values)
-        return mat
-
-
-# --- third-order tensor utilities -------------------------------------------
-#
-# A space-time volume is an array of shape (n_v, n_h, n_t) whose frontal
-# slices are the frames.  vec/tensor convert between the volume and the
-# stacked vector.
-
 
 def vec(t):
-    """Column-major flattening of a tensor (vertical index fastest)."""
+    """Column-major flattening of a (n_v, n_h, n_t) volume (vertical index fastest)."""
     return np.asarray(t, dtype=float).reshape(-1, order="F")
-
-
-def tensor(u, dims):
-    """Inverse of :func:`vec` for the given (n_v, n_h, n_t)."""
-    u = np.asarray(u, dtype=float)
-    n_v, n_h, n_t = dims
-    if u.size != n_v * n_h * n_t:
-        raise ValueError(f"vector of length {u.size} does not match dims {dims}")
-    return u.reshape((n_v, n_h, n_t), order="F")

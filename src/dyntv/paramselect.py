@@ -26,7 +26,7 @@ import numpy as np
 from .exceptions import SingularSystemError
 from .regularization import as_float, as_int
 
-__all__ = ["ProjectedPair", "gcv_curve", "select_lambda", "default_lambda_grid"]
+__all__ = ["ProjectedPair", "select_lambda", "default_lambda_grid"]
 
 # Golden-section refinement runs until the bracket has this relative width.
 REFINE_RELATIVE_WIDTH = 1e-3
@@ -115,13 +115,6 @@ def _gcv(c2, s2, beta2, lam):
     one_minus_f = ls2 / (c2 + ls2)
     num = c2.size * (one_minus_f**2 * beta2).sum(axis=-1)
     return num / one_minus_f.sum(axis=-1) ** 2
-
-
-def gcv_curve(pair, lambdas):
-    """Evaluate G of the pair on the given positive candidates (ascending or not)."""
-    scaled = np.ldexp(_candidates(lambdas), pair.shift)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.ldexp(_gcv(*pair.factors, scaled[:, None]), 2 * pair.e_f)
 
 
 def select_lambda(pair, grid=None):

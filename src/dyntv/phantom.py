@@ -135,9 +135,13 @@ def render_scene(spec):
 def moving_disks_scene(n_v, n_h, n_t, n_objects=6, seed=0):
     """Random superposition of disks in uniform motion, kept inside the frame."""
     n_v, n_h, n_t = as_int(n_v, "n_v"), as_int(n_h, "n_h"), as_int(n_t, "n_t")
-    rng = np.random.default_rng(as_int(seed, "seed"))
+    n_objects, seed = as_int(n_objects, "n_objects"), as_int(seed, "seed")
+    for name, value in (("n_objects", n_objects), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    rng = np.random.default_rng(seed)
     objects = []
-    for _ in range(as_int(n_objects, "n_objects")):
+    for _ in range(n_objects):
         rad = rng.uniform(0.06, 0.14) * min(n_v, n_h)
         margin = rad + 1.0
         start = (

@@ -67,7 +67,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SolverError
-from .operators import MAX_DENSE_COLS
 from .paramselect import ProjectedPair, default_lambda_grid, select_lambda
 from .regularization import as_bool, as_float, as_int, build_D, regularizer_value, update_weights
 
@@ -163,9 +162,7 @@ class SolverConfig:
     ``lam`` fixes the regularization parameter; when None it is chosen by GCV
     on the projected problem at every iteration, over ``lambda_grid``
     (``default_lambda_grid()`` when None), which is kept as a tuple of floats
-    so that configs compare and hash.  ``full_space`` replaces the adaptive
-    basis by the identity, so every inner solve is exact (test and reference
-    use; small problems only).
+    so that configs compare and hash.
     """
 
     regularizer: object
@@ -176,12 +173,10 @@ class SolverConfig:
     nonneg: bool = False
     lam: float | None = None
     lambda_grid: tuple[float, ...] | None = None
-    full_space: bool = False
 
     def __post_init__(self):
         kinds = {"eta": as_float, "max_iters": as_int, "gk_steps": as_int,
-                 "rel_change_tol": as_float, "nonneg": as_bool, "lam": as_float,
-                 "full_space": as_bool}
+                 "rel_change_tol": as_float, "nonneg": as_bool, "lam": as_float}
         for name, kind in kinds.items():
             value = getattr(self, name)
             if name != "lam" or value is not None:
@@ -213,21 +208,15 @@ class SolverState:
     q_f: np.ndarray  # thin Q of the whitened forward applied to the basis, m x min(m, d)
     r_f: np.ndarray  # thin R of the same, min(m, d) x d; A V itself is not kept
     rhs_hat: np.ndarray  # q_f^T (whitened data)
+    # the column-major buffers whose first columns basis and q_f view, sized
+    # once by init_state
+    basis_buf: np.ndarray
+    q_f_buf: np.ndarray
     weights: np.ndarray | None = None  # diagonal of W(u_k), one entry per row of D
     # (r_f, R_M, rhs_hat) as factored by the last refresh; R_M is the square
     # R of W D V, d x d, and D V is not kept
     pair: ProjectedPair | None = None
     y: np.ndarray | None = None
-    # the column-major buffers whose first columns basis and q_f view, sized
-    # once by init_state; by default the fields themselves, full already
-    basis_buf: np.ndarray | None = None
-    q_f_buf: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.basis_buf is None:
-            self.basis_buf = self.basis
-        if self.q_f_buf is None:
-            self.q_f_buf = self.q_f
 
     @property
     def dim(self):
@@ -307,11 +296,10 @@ def init_state(problem, basis, max_dim):
     basis and Q_F live in column-major buffers of min(n, max_dim) and
     min(m, max_dim) columns, which expansions fill in place.  Both are
     allocated here and the basis and Q_F copied in once, so an iterate does
-    not depend on how far the run may grow.  A column-major basis that is
-    already min(n, max_dim) wide (the identity of ``full_space``) cannot grow
-    and is kept as its own buffer instead.  Columns an early-stopping run
-    never fills are never written, so they never become resident; numpy's
-    huge-page advice adds at most one partly filled 2 MB page per buffer.
+    not depend on how far the run may grow, and the caller's basis is never
+    written.  Columns an early-stopping run never fills are never written, so
+    they never become resident; numpy's huge-page advice adds at most one
+    partly filled 2 MB page per buffer.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
@@ -324,7 +312,7 @@ def init_state(problem, basis, max_dim):
     max_dim = min(int(max_dim), n)
     q_f, r_f = np.linalg.qr(problem.whiten_apply(basis), mode="reduced")
     rhs_hat = q_f.T @ problem.whitened_data
-    basis_buf = basis if basis.flags.f_contiguous and d == max_dim else _buffer(basis, max_dim)
+    basis_buf = _buffer(basis, max_dim)
     q_f_buf = _buffer(q_f, min(q_f.shape[0], max_dim))
     return SolverState(
         basis=basis_buf[:, :d], q_f=q_f_buf[:, : q_f.shape[1]], r_f=r_f, rhs_hat=rhs_hat,
@@ -408,22 +396,17 @@ def mm_gks_solve(problem, config):
             f"regularizer dims {spec.dims} do not match operator columns {n}"
         )
     d_op = build_D(spec)
-    if config.full_space:
-        if n > MAX_DENSE_COLS:
-            raise ValueError("full_space mode is limited to small problems")
-        basis, max_dim = np.eye(n, order="F"), n
-    else:
-        # the seed has at most gk_steps columns and every iteration but the
-        # last adds at most one; past the cap a restart makes room, and the
-        # cap leaves room for the seed and one expansion
-        max_dim = min(
-            n,
-            config.gk_steps + config.max_iters - 1,
-            max(_MAX_BASIS_COLS, config.gk_steps + 1),
-        )
-        basis, _ = seed_subspace(problem, config.gk_steps)
-        if basis.shape[1] == 0:
-            raise SolverError("seed basis is empty; data has no signal to start from")
+    # the seed has at most gk_steps columns and every iteration but the last
+    # adds at most one; past the cap a restart makes room, and the cap leaves
+    # room for the seed and one expansion
+    max_dim = min(
+        n,
+        config.gk_steps + config.max_iters - 1,
+        max(_MAX_BASIS_COLS, config.gk_steps + 1),
+    )
+    basis, _ = seed_subspace(problem, config.gk_steps)
+    if basis.shape[1] == 0:
+        raise SolverError("seed basis is empty; data has no signal to start from")
     state = init_state(problem, basis, max_dim)
     del basis  # the seed now lives in the state's buffer; do not hold it through the loop
     grid = config.lambda_grid or default_lambda_grid()  # a validated grid is not empty
@@ -479,7 +462,7 @@ def mm_gks_solve(problem, config):
             stop_reason = "rel_change"
             break
         u_prev = u
-        if not config.full_space and k < config.max_iters:
+        if k < config.max_iters:
             iterates.append(y)
             if state.dim == state.max_dim < n:
                 _restart(state, problem, iterates)

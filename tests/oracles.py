@@ -7,12 +7,16 @@ a stencil on slices of the volume, while ``d_matrix`` and ``ls_matrix``
 assemble it from Kronecker products of one-dimensional difference matrices,
 as the paper writes it.  The exceptions are test helpers that take package
 objects as they are: ``DenseOperator`` wraps an explicit array as a package
-operator, ``mode_product`` accepts any package operator, and the
+operator and ``dense`` materializes a small package operator, ``mode_product``
+accepts any package operator, and the
 majorant helpers evaluate Q and J_eps from the package's D, weights and
 penalty, so that the tests can check the majorization conditions the solver
 relies on, and ``expand_at_solve`` hands the solver's expansion the inputs
-its outer loop would.  ``check_dp`` states the discrepancy principle on a
-package problem, and ``read_pgm16`` reads back the frames the CLI writes.
+its outer loop would.  ``full_space_mm_iterates`` runs the solver's steps on
+the identity basis, where every projected solve is exact, and ``gcv_curve``
+evaluates G from the factors of a package ``ProjectedPair``.  ``check_dp``
+states the discrepancy principle on a package problem, and ``read_pgm16``
+reads back the frames the CLI writes.
 """
 
 import math
@@ -21,11 +25,39 @@ from pathlib import Path
 import numpy as np
 
 import dyntv as dv
+from dyntv import paramselect
+from dyntv.operators import SparseOperator
 from dyntv.regularization import build_D, regularizer_value, update_weights
-from dyntv.solver import expand_subspace
+from dyntv.solver import expand_subspace, init_state, refresh_penalty, solve_projected
 
 
 # --- dense operators ------------------------------------------------------------
+
+# Most columns `dense` materializes; a larger operator stays matrix-free.
+MAX_DENSE_COLS = 4096
+
+
+def dense(op):
+    """The matrix of a small package operator.
+
+    A ``SparseOperator`` scatters its stored entries, repeats adding; any
+    other operator is applied to the identity.
+    """
+    if op.cols > MAX_DENSE_COLS:
+        raise ValueError(
+            f"refusing to densify an operator with {op.cols} columns (limit {MAX_DENSE_COLS})"
+        )
+    if isinstance(op, SparseOperator):
+        mat = np.zeros(op.shape)
+        rows = np.repeat(np.arange(op.rows), op._counts)
+        np.add.at(mat, (rows, op._indices), op._values)
+        return mat
+    return op.apply(np.eye(op.cols))
+
+
+def nnz(op):
+    """Entries a ``SparseOperator`` stores, repeats counted."""
+    return op._values.size
 
 
 class DenseOperator(dv.LinearOperator):
@@ -140,7 +172,8 @@ def mode_product(t, m, mode):
 # --- regularizer values from tensor differences ---------------------------------
 
 
-def _tensor(u, dims):
+def tensor(u, dims):
+    """Inverse of ``dv.vec``: the (n_v, n_h, n_t) volume of a stacked vector."""
     return np.asarray(u, dtype=float).reshape(dims, order="F")
 
 
@@ -159,7 +192,7 @@ def _pad(z, dims):
 
 
 def reg_value(method, dims, eps, u, smoothed):
-    t = _tensor(u, dims)
+    t = tensor(u, dims)
     zv, zh, zt = _diffs(t)
     e2 = eps**2 if smoothed else 0.0
     if method == "AnisoTV":
@@ -185,7 +218,7 @@ def reg_value(method, dims, eps, u, smoothed):
 
 def weights_vec(method, dims, eps, u):
     """Expanded diagonal of W(u) computed through the tensor route."""
-    t = _tensor(u, dims)
+    t = tensor(u, dims)
     zv, zh, zt = _diffs(t)
     e2 = eps**2
 
@@ -257,7 +290,36 @@ def expand_at_solve(state, problem, d_op, lam):
     return expand_subspace(state, problem, d_op, lam, x, res_w, d_op.apply(x))
 
 
+def full_space_mm_iterates(problem, spec, lam, n_iters):
+    """The solver's MM iterates at fixed lam on the identity basis.
+
+    With V = I every projected solve is the exact minimizer of the majorant,
+    so the iterates are those of the full-dimension MM iteration; each refresh
+    takes its weights at the last iterate, as ``mm_gks_solve`` does.
+    """
+    n = problem.forward.cols
+    state = init_state(problem, np.eye(n, order="F"), n)
+    u = np.zeros(n)
+    iterates = []
+    for _ in range(n_iters):
+        refresh_penalty(state, spec, u)
+        u = state.basis @ solve_projected(state, lam)
+        iterates.append(u)
+    return iterates
+
+
 # --- GCV, direct dense formula ---------------------------------------------------
+
+
+def gcv_curve(pair, lambdas):
+    """G of a package ``ProjectedPair`` at each lambda, from its balanced factors.
+
+    The same formula and scaling as the grid sweep of ``select_lambda``,
+    for tests that compare the curve against ``gcv_dense``.
+    """
+    scaled = np.ldexp(np.asarray(lambdas, dtype=float).ravel(), pair.shift)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.ldexp(paramselect._gcv(*pair.factors, scaled[:, None]), 2 * pair.e_f)
 
 
 def gcv_dense(r_f, r_m, rhs, lam):

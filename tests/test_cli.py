@@ -403,6 +403,18 @@ def test_output_dir_of_another_kind_exit_2(tmp_path, capsys):
     assert not (tmp_path / "5").exists()
 
 
+def test_out_at_or_under_a_file_exit_2(tmp_path, capsys):
+    # mkdir raised a FileExistsError or NotADirectoryError traceback, exit 1
+    cfg = write_config(tmp_path, deblur_config(n_v=12, n_h=12))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    for out in (taken, taken / "run"):
+        assert cli.main_reconstruct(["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot create output directory {out}" in err
+    assert taken.read_text() == "not a directory"
+
+
 def test_solver_failure_exit_1_flushes_partial_history(tmp_path, capsys, monkeypatch):
     # a valid config reaches no SolverError, so the solve is made to abort
     # after two iterations
@@ -528,3 +540,13 @@ def test_compare_missing_summary_or_history_exit_2(tmp_path, capsys):
     (no_hist / "summary.json").write_text("{}")
     assert cli.main_compare([str(no_hist)]) == 2
     assert "history" in capsys.readouterr().err
+
+    # a summary that is not an object, or whose report is not one, raised
+    # an AttributeError traceback
+    for text in ("[1, 2]", '{"report": [1]}'):
+        bad = tmp_path / f"bad{len(text)}"
+        bad.mkdir()
+        (bad / "summary.json").write_text(text)
+        (bad / "history.csv").write_text("iter\n")
+        assert cli.main_compare([str(bad)]) == 2
+        assert "cannot compare runs: " in capsys.readouterr().err

@@ -116,13 +116,17 @@ def test_scene_validation():
         dv.NoiseSpec(sigma=-0.1)
     with pytest.raises(ValueError, match="noise seed must be nonnegative"):
         dv.NoiseSpec(sigma=0.1, seed=-1)
-    # each was accepted (sigma True ran at 1, n_objects 2.5 drew 2 disks and
-    # n_v 12.9 failed later in render_scene) or raised a bare TypeError
+    # each was accepted (sigma True ran at 1, n_objects 2.5 drew 2 disks,
+    # n_objects -3 none, and n_v 12.9 failed later in render_scene) or raised
+    # an error that named no field (a bare TypeError; numpy's "expected
+    # non-negative integer" for seed -1)
     for build, field in (
         (lambda: dv.NoiseSpec(sigma=True), "sigma"),
         (lambda: dv.NoiseSpec(seed=1.5), "seed"),
         (lambda: dv.moving_disks_scene(12, 12, 2, n_objects=2.5), "n_objects"),
         (lambda: dv.moving_disks_scene(12, 12, 2, seed="3"), "seed"),
+        (lambda: dv.moving_disks_scene(12, 12, 2, n_objects=-3), "n_objects must be"),
+        (lambda: dv.moving_disks_scene(12, 12, 2, seed=-1), "seed must be"),
         (lambda: dv.SceneObject(centers=[["6", "6"]], radii=["3"]), "centers"),
         (lambda: dv.SceneObject(centers="abc", radii=(3,)), "centers"),
         (lambda: dv.SceneObject(centers=((6, 6),), radii=("3",)), "radii"),

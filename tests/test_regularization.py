@@ -43,7 +43,7 @@ def test_unknown_method_lists_all_six():
 def test_build_d_matches_dense_oracle(method, dims):
     op = build_D(spec_for(method, dims))
     want = oracles.d_matrix(method, dims)
-    np.testing.assert_array_equal(op.to_dense(), want)
+    np.testing.assert_array_equal(oracles.dense(op), want)
     np.testing.assert_array_equal(op.apply_adjoint(np.eye(op.rows)), want.T)
 
 
@@ -313,7 +313,7 @@ def test_static_spec_builds_spatial_operator():
     op = build_D(spec)
     assert op.shape == ((3 - 1) * 4 + (4 - 1) * 3, 12)
     want = oracles.ls_matrix(3, 4)
-    np.testing.assert_array_equal(op.to_dense(), want)
+    np.testing.assert_array_equal(oracles.dense(op), want)
     np.testing.assert_array_equal(op.apply_adjoint(np.eye(op.rows)), want.T)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 import dyntv as dv
 import oracles
-from dyntv.operators import SparseOperator
 from dyntv.paramselect import ProjectedPair
 from dyntv.regularization import build_D, update_weights
 from dyntv.solver import (
@@ -48,12 +47,14 @@ def blur_problem(dims, sigma_blur, bw, noise_sigma, scene_seed, noise_seed, obje
 def manual_state(r_f, r_m, rhs):
     """State with prescribed projected factors, factored as a refresh would
     factor them (basis fields are placeholders)."""
-    d = r_f.shape[1]
+    basis, q_f = np.eye(r_f.shape[1]), np.eye(r_f.shape[0])
     return SolverState(
-        basis=np.eye(d),
-        q_f=np.eye(r_f.shape[0]),
+        basis=basis,
+        q_f=q_f,
         r_f=r_f,
         rhs_hat=np.asarray(rhs, dtype=float),
+        basis_buf=basis,
+        q_f_buf=q_f,
         weights=np.ones(r_m.shape[0]),
         pair=ProjectedPair(r_f, r_m, rhs),
     )
@@ -111,8 +112,8 @@ def test_seed_zero_data_is_empty_with_breakdown():
 
 def test_init_state_copies_the_seed_once_into_its_own_buffer():
     # init_state alone sizes the basis buffer, min(n, max_dim) columns, and
-    # copies a narrower seed into it once; only a column-major basis already
-    # that wide (the full_space identity) is kept as its own buffer
+    # copies the seed into it once; a basis already that wide, column-major
+    # or not, is copied too, so the caller's array is never written
     rng = np.random.default_rng(7)
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 20, 12), data=rng.standard_normal(20)
@@ -127,12 +128,12 @@ def test_init_state_copies_the_seed_once_into_its_own_buffer():
         np.testing.assert_array_equal(state.basis, basis)
         assert state.basis.strides == basis.strides
     full = np.asfortranarray(np.linalg.qr(rng.standard_normal((12, 12)))[0])
-    for max_dim in (12, 40):
-        state = init_state(problem, full, max_dim)
-        assert np.shares_memory(state.basis, full) and state.basis_buf is full
-        assert state.max_dim == 12
-    wide_c = np.ascontiguousarray(full)
-    assert not np.shares_memory(init_state(problem, wide_c, 12).basis, wide_c)
+    for wide in (full, np.ascontiguousarray(full)):
+        for max_dim in (12, 40):
+            state = init_state(problem, wide, max_dim)
+            assert not np.shares_memory(state.basis, wide)
+            assert state.max_dim == 12 and state.basis_buf.flags.f_contiguous
+            np.testing.assert_array_equal(state.basis, wide)
 
 
 def test_init_state_rejects_empty_basis():
@@ -273,7 +274,7 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     spec = dv.RegularizerSpec(method=method, dims=(4, 4, 3), epsilon=1e-3)
     rng = np.random.default_rng(61)
     u = rng.standard_normal(spec.n)
-    a = update_weights(spec, u)[:, None] * build_D(spec).to_dense()
+    a = update_weights(spec, u)[:, None] * oracles.dense(build_D(spec))
     want = oracles.householder_r(a, spec.n)
     np.testing.assert_array_equal(dv.solver._penalty_r(row_blocks(a), *a.shape), want)
     # the refresh builds the same W D V from the stencil, frame range by range
@@ -409,7 +410,7 @@ def test_expand_appends_dense_normal_equations_residual():
     y = solve_projected(state, lam)
     assert oracles.expand_at_solve(state, problem, d_op, lam)
 
-    a, d = problem.forward.to_dense(), d_op.to_dense()
+    a, d = oracles.dense(problem.forward), oracles.dense(d_op)
     u = basis @ y
     r = a.T @ ((a @ u - problem.data) / gamma) + lam * d.T @ (state.weights**2 * (d @ u))
     r -= basis @ (basis.T @ r)
@@ -542,12 +543,14 @@ def test_solve_deblurring_dp_stop_beats_unregularized():
 
 
 def test_solve_fixed_lambda_objective_never_increases():
+    # 40 iterations take the basis past its 30-column cap, so the descent
+    # holds across a restart too
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
     spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2), epsilon=1e-3)
-    config = dv.SolverConfig(
-        regularizer=spec, lam=0.2, max_iters=12, rel_change_tol=0.0, full_space=True
-    )
+    config = dv.SolverConfig(regularizer=spec, lam=0.2, max_iters=40, rel_change_tol=0.0)
     result = dv.mm_gks_solve(problem, config)
+    dims = np.array([rec.subspace_dim for rec in result.history])
+    assert result.iterations == 40 and np.any(np.diff(dims) < 0)
     objectives = np.array([rec.objective for rec in result.history])
     assert np.all(np.diff(objectives) <= 1e-12)
 
@@ -685,21 +688,19 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
 
 
 def test_full_space_matches_dense_mm_iterates():
+    # the solver's refresh and projected solve on the identity basis
     rng = np.random.default_rng(31)
     dims, lam = (2, 3, 2), 0.3
     f_dense = rng.standard_normal((14, 12)) / np.sqrt(12.0)
     data = rng.standard_normal(14)
     problem = dv.ReconstructionProblem(forward=DenseOperator(f_dense), data=data)
     spec = dv.RegularizerSpec(method=dv.Method.TV_PLUS_TIKHONOV, dims=dims, epsilon=1e-2)
-    iterates = oracles.dense_mm_iterates(
+    want = oracles.dense_mm_iterates(
         f_dense, data, np.ones(14), "TVplusTikhonov", dims, 1e-2, lam, 8
     )
+    got = oracles.full_space_mm_iterates(problem, spec, lam, 8)
     for k in (1, 4, 8):
-        config = dv.SolverConfig(
-            regularizer=spec, lam=lam, max_iters=k, rel_change_tol=0.0, full_space=True
-        )
-        result = dv.mm_gks_solve(problem, config)
-        np.testing.assert_allclose(result.u, iterates[k - 1], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got[k - 1], want[k - 1], rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -978,17 +979,6 @@ def test_solve_rejects_mismatched_regularizer_dims():
         dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec))
 
 
-def test_full_space_refuses_large_problems():
-    n_v, n_h, n_t = 2, 2049, 2
-    n = n_v * n_h * n_t
-    # a sparse identity: a dense one of this size would take half a gigabyte
-    identity = SparseOperator(n, n, np.arange(n), np.arange(n), np.ones(n))
-    problem = dv.ReconstructionProblem(forward=identity, data=np.ones(n))
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(n_v, n_h, n_t), epsilon=1e-3)
-    with pytest.raises(ValueError):
-        dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, full_space=True))
-
-
 def test_config_validation():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError):
@@ -1054,7 +1044,6 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.SolverConfig(spec, eta="1.5"), "eta"),
         (lambda spec: dv.SolverConfig(spec, nonneg="no"), "nonneg"),
         (lambda spec: dv.SolverConfig(spec, nonneg=1), "nonneg"),
-        (lambda spec: dv.SolverConfig(spec, full_space="no"), "full_space"),
         (lambda spec: dv.RegularizerSpec(dims=(2, 2, 2), epsilon=True), "epsilon"),
         (lambda spec: dv.RegularizerSpec(dims=(4, 4, 1), epsilon="0.1"), "epsilon"),
         (lambda spec: dv.SolverConfig(spec, max_iters=10**400), "max_iters"),
@@ -1070,7 +1059,7 @@ def test_integer_fields_refuse_bools_and_fractions(build):
          "delta"),
     ],
     ids=["lam-True", "rel_change_tol-True", "eta-string", "nonneg-string", "nonneg-1",
-         "full_space-string", "epsilon-True", "static-epsilon-string", "max_iters-10**400",
+         "epsilon-True", "static-epsilon-string", "max_iters-10**400",
          "dims-10**400", "lambda_grid-True", "lambda_grid-string", "n_points-10**400",
          "low-True", "high-string", "delta-True", "delta-string"],
 )
@@ -1090,7 +1079,7 @@ def test_float_and_flag_fields_keep_numpy_scalars():
     config = dv.SolverConfig(spec, lam=np.int64(2), nonneg=np.True_, eta=2)
     assert (spec.epsilon, config.lam, config.nonneg, config.eta) == (0.5, 2.0, True, 2.0)
     assert all(type(v) is float for v in (spec.epsilon, config.lam, config.eta))
-    assert config.nonneg is True and config.full_space is False
+    assert config.nonneg is True
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
