@@ -37,7 +37,7 @@ from .phantom import (
     moving_disks_scene,
     render_scene,
 )
-from .regularization import Method, RegularizerSpec
+from .regularization import Method, RegularizerSpec, as_float, as_int
 from .solver import ReconstructionProblem, SolverConfig, mm_gks_solve
 
 HISTORY_COLUMNS = ("iter", "lambda", "objective", "dp_residual", "rre", "subspace_dim")
@@ -65,8 +65,8 @@ CONFIG_KEYS = {
     "noise": dict.fromkeys(("sigma", "seed")),
     "forward": {**_BLUR, **_RADON},  # narrowed to FORWARD_KEYS[experiment]
     "solver": dict.fromkeys((
-        "method", "eta", "max_iters", "gk_steps", "rel_change_tol", "epsilon", "nonneg",
-        "lambda", "lambda_grid",
+        "method", "eta", "max_iters", "gk_steps", "rel_change_tol", "epsilon", "lambda",
+        "lambda_grid",
     )),
     "output_dir": None,
 }
@@ -133,7 +133,7 @@ def _config_errors(section):
         raise ConfigError(f"invalid {section} section: {exc}") from exc
 
 
-def build_run(cfg, seed_override=None, method_override=None, nonneg_override=False):
+def build_run(cfg, seed_override=None, method_override=None):
     """Experiment, scene, per-step and space-time forward, noise and solver config."""
     _require(cfg, ("experiment", "scene"), "config")
     experiment = cfg["experiment"]
@@ -156,8 +156,6 @@ def build_run(cfg, seed_override=None, method_override=None, nonneg_override=Fal
     solver = values.get("solver", {})
     if method_override:
         solver["method"] = method_override
-    if nonneg_override:
-        solver["nonneg"] = True
     with _config_errors("solver"):
         config = _solver_config(experiment, scene, solver)
     return experiment, scene, step_ops, forward_op, noise, config
@@ -277,10 +275,10 @@ def _whitened_noise_model(noise_vec):
     return np.full(m, e_sq / m), float(np.sqrt(m))
 
 
-def run(cfg, out_dir, seed_override=None, method_override=None, nonneg_override=False):
+def run(cfg, out_dir, seed_override=None, method_override=None):
     """Execute one configured reconstruction; writes all artifacts to out_dir."""
     experiment, scene, step_ops, forward_op, noise, config = build_run(
-        cfg, seed_override, method_override, nonneg_override
+        cfg, seed_override, method_override
     )
     static = experiment == "radon-static-baseline"
     dims = (scene.n_v, scene.n_h, scene.n_t)
@@ -426,10 +424,14 @@ def compare(run_dirs):
         report = summary.get("report", {}) if isinstance(summary, dict) else None
         if not isinstance(report, dict):
             raise ValueError(f"{summary_path} is not a JSON object with a report object")
-        rre_total = float(report.get("rre_total", np.nan))
-        iters = report.get("iters_at_dp")
-        rre_s = " ".join(f"{v:.4f}" for v in report.get("rre_per_frame", []))
-        ssim_s = " ".join(f"{v:.4f}" for v in report.get("ssim_per_frame", []))
+        try:
+            rre_total = as_float(report.get("rre_total", np.nan), "report entry rre_total")
+            iters = report.get("iters_at_dp")
+            iters = None if iters is None else as_int(iters, "report entry iters_at_dp")
+            rre_s = _per_frame(report, "rre_per_frame")
+            ssim_s = _per_frame(report, "ssim_per_frame")
+        except ValueError as exc:
+            raise ValueError(f"{summary_path}: {exc}") from None
         rows.append((rre_total, (
             f"{str(run_dir):<28} {summary.get('method', '?'):<16} {rre_total:>10.5f} "
             f"{'-' if iters is None else str(iters):>9}  {rre_s:<40} {ssim_s:<40}"
@@ -440,6 +442,14 @@ def compare(run_dirs):
         f"{'rre/frame':<40} {'ssim/frame':<40}"
     )
     return "\n".join([header] + [line for _, line in rows])
+
+
+def _per_frame(report, key):
+    """A report's per-frame list as table text; ValueError unless it is a list of numbers."""
+    values = report.get(key, [])
+    if not isinstance(values, list):
+        raise ValueError(f"report entry {key} must be a list of numbers, got {values!r}")
+    return " ".join(f"{as_float(v, f'each value of report entry {key}'):.4f}" for v in values)
 
 
 # --- entry points ----------------------------------------------------------------
@@ -454,7 +464,6 @@ def main_reconstruct(argv=None):
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the noise seed")
     parser.add_argument("--method", default=None, help="override the penalty method")
-    parser.add_argument("--nonneg", action="store_true", help="project iterates onto u >= 0")
     args = parser.parse_args(argv)
 
     try:
@@ -466,7 +475,7 @@ def main_reconstruct(argv=None):
             out_dir = args.out
         if out_dir is None:
             raise ConfigError("no output directory (use --out or set output_dir)")
-        summary = run(cfg, out_dir, args.seed, args.method, args.nonneg)
+        summary = run(cfg, out_dir, args.seed, args.method)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -55,14 +55,7 @@ import numpy as np
 
 from .operators import LinearOperator
 
-__all__ = [
-    "Method",
-    "METHOD_NAMES",
-    "RegularizerSpec",
-    "build_D",
-    "regularizer_value",
-    "update_weights",
-]
+__all__ = ["Method", "METHOD_NAMES", "RegularizerSpec"]
 
 
 class Method(str, Enum):
@@ -105,13 +98,6 @@ def as_float(value, name):
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got {value!r}") from None
-
-
-def as_bool(value, name):
-    """``value`` as a bool; ValueError for anything but True or False."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be True or False, got {value!r}")
-    return bool(value)
 
 
 # (axes, grouping) of each block of D, in row order.

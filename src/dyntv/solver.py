@@ -45,15 +45,15 @@ columns of the same buffers one row block at a time, with no temporary as tall
 as a column; the state's public fields are views of their filled columns, and
 no buffer is ever regrown.
 
-Each iterate x = V y is formed once, and so are the two vectors that several
-steps share.  Its whitened residual A x - b comes from the kept factors as
-Q_F R_F y - b, without a forward apply, and serves the discrepancy test, the
-objective and the expansion.  z = D u serves the objective, the weights of the
-next refresh (taken at the same u) and the expansion's D x.  Only with
-nonnegativity, where u = max(x, 0) differs from x, does the residual of u take
-a forward apply and the expansion its own D x.  Past the seed, the forward is
-thus applied once per expansion and D once per iterate, besides the stencil
-passes of the Gram sweeps.  The value and the weights work in place on their
+Each iterate u = V y is the minimizer of its projected majorant and is
+reported as it is, so every step is a majorize-minimize step.  It is formed
+once, and so are the two vectors that several steps share.  Its whitened
+residual A u - b comes from the kept factors as Q_F R_F y - b, without a
+forward apply, and serves the discrepancy test, the objective and the
+expansion.  z = D u serves the objective, the weights of the next refresh
+(taken at the same u) and the expansion.  Past the seed, the forward is thus
+applied once per expansion and D once per iterate, besides the stencil passes
+of the Gram sweeps.  The value and the weights work in place on their
 squared group norms, the old weights are dropped before the new ones are
 formed, and W² D x takes one buffer, so none of these steps holds more than
 one rows(D) temporary besides z and the weights.
@@ -68,19 +68,13 @@ import numpy as np
 
 from .exceptions import SolverError
 from .paramselect import ProjectedPair, default_lambda_grid, select_lambda
-from .regularization import as_bool, as_float, as_int, build_D, regularizer_value, update_weights
+from .regularization import as_float, as_int, build_D, regularizer_value, update_weights
 
 __all__ = [
     "ReconstructionProblem",
     "SolverConfig",
-    "SolverState",
     "IterationRecord",
     "SolveResult",
-    "seed_subspace",
-    "init_state",
-    "refresh_penalty",
-    "solve_projected",
-    "expand_subspace",
     "mm_gks_solve",
 ]
 
@@ -170,13 +164,12 @@ class SolverConfig:
     max_iters: int = 150
     gk_steps: int = 5
     rel_change_tol: float = 1e-6
-    nonneg: bool = False
     lam: float | None = None
     lambda_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
         kinds = {"eta": as_float, "max_iters": as_int, "gk_steps": as_int,
-                 "rel_change_tol": as_float, "nonneg": as_bool, "lam": as_float}
+                 "rel_change_tol": as_float, "lam": as_float}
         for name, kind in kinds.items():
             value = getattr(self, name)
             if name != "lam" or value is not None:
@@ -386,8 +379,8 @@ def mm_gks_solve(problem, config):
 
     Stops on the discrepancy principle (when delta > 0), on relative change
     of the iterate, or at max_iters.  Weights are refreshed at the start of
-    every outer iteration from the last reported iterate, so with
-    nonnegativity enabled they are computed from the projected iterate.
+    every outer iteration from the last iterate u = V y, the minimizer of the
+    last projected majorant, so under a fixed lam the objective cannot rise.
     """
     spec = config.regularizer
     n = problem.forward.cols
@@ -414,7 +407,6 @@ def mm_gks_solve(problem, config):
     b = problem.whitened_data
     iterates = deque(maxlen=_RESTART_ITERATES)  # coefficients of the last iterates
     u_prev = np.zeros(n)
-    u = u_prev
     z = None  # D u_prev; the first weights, at u = 0, apply D themselves
     history = []
     stop_reason = "max_iters"
@@ -425,16 +417,11 @@ def mm_gks_solve(problem, config):
         else:
             lam = select_lambda(state.pair, grid)
         y = solve_projected(state, lam)
-        x = state.basis @ y
-        if not np.all(np.isfinite(x)):
+        u = state.basis @ y
+        if not np.all(np.isfinite(u)):
             raise SolverError(f"non-finite iterate at iteration {k}", history=history)
         res_w = state.q_f @ (state.r_f @ y) - b
-        if config.nonneg:
-            u = np.maximum(x, 0.0)
-            dp_residual = problem.residual_norm(u)
-        else:
-            u = x
-            dp_residual = float(np.linalg.norm(res_w))
+        dp_residual = float(np.linalg.norm(res_w))
         z = d_op.apply(u)
         objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, u, smoothed=True, z=z)
         rre = None
@@ -466,8 +453,7 @@ def mm_gks_solve(problem, config):
             iterates.append(y)
             if state.dim == state.max_dim < n:
                 _restart(state, problem, iterates)
-            dx = d_op.apply(x) if config.nonneg else z
-            expand_subspace(state, problem, d_op, lam, x, res_w, dx)
+            expand_subspace(state, problem, d_op, lam, u, res_w, z)
     return SolveResult(u=u, history=history, stop_reason=stop_reason)
 
 

@@ -4,7 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the scoreboard:
 majorization conditions, dense-solve equivalence at full subspace dimension,
 monotone descent, the two scaled reconstruction studies (moving-scene
 deblurring and limited-angle tomography), GCV agreement and selection range,
-the nonnegativity heuristic, and the operator-algebra identities.
+and the operator-algebra identities.
 """
 
 import time
@@ -120,7 +120,7 @@ def deblur_example():
     }
 
 
-# --- scaled limited-angle study (shared by scenarios 5 and 7) ------------------
+# --- scaled limited-angle study (scenario 5) -----------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -365,35 +365,6 @@ def test_gcv_matches_dense_formula_and_selects_moderate_lambda(deblur_example):
         + ", ".join(f"{k}={v:.3f}" for k, v in lam_final.items())
         + f" (within [1e-3, 10]; {'equal to' if same_pick else 'moved from'} "
         "the earlier picks)",
-    )
-
-
-# --- 7: nonnegativity heuristic ---------------------------------------------------
-
-
-def test_nonnegative_iterates_and_final_quality(limited_angle):
-    dims = limited_angle["dims"]
-    truth = limited_angle["truth"]
-    problem = limited_angle["problem"]
-    spec = spec_for("AnisoTV", dims)
-
-    free = dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec))
-    clipped = dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, nonneg=True))
-    # reported iterates: rerunning with a shorter iteration budget reproduces
-    # the iterate the full run reported at that sweep
-    mins = [clipped.u.min()]
-    for k in (1, 3, 10, 40):
-        prefix = dv.mm_gks_solve(
-            problem, dv.SolverConfig(regularizer=spec, nonneg=True, max_iters=k)
-        )
-        mins.append(prefix.u.min())
-    rre_free = dv.rre(free.u, truth)
-    rre_clipped = dv.rre(clipped.u, truth)
-    ok = min(mins) >= 0.0 and rre_clipped <= 1.1 * rre_free
-    verdict(
-        7, ok,
-        f"nonneg iterates: min over sweeps 1/3/10/40/final = {min(mins):.1e} (>=0), "
-        f"RRE {rre_clipped:.4f} vs unconstrained {rre_free:.4f} (<=1.1x)",
     )
 
 

@@ -195,8 +195,7 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             "squared norm of the whitened data is not finite",
         ),
         # non-finite solver values used to fail inside the solve (lambda,
-        # epsilon) or to end it at iteration 1 (eta); a string nonneg, even
-        # "false", used to turn nonnegativity on
+        # epsilon) or to end it at iteration 1 (eta)
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lambda": float("inf")}},
             "fixed lam must be positive and finite",
@@ -208,10 +207,6 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "solver": {"eta": float("inf")}},
             "eta must be finite and > 1",
-        ),
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"nonneg": "false"}},
-            "nonneg must be True or False",
         ),
         # a scene that renders to zero data used to fail in add_noise with a
         # traceback (sigma > 0) or to exit 1 after writing history.csv (sigma 0)
@@ -308,7 +303,14 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lamda": 5}},
             "unknown key 'lamda' in solver; valid keys are method, eta, max_iters, gk_steps, "
-            "rel_change_tol, epsilon, nonneg, lambda, lambda_grid",
+            "rel_change_tol, epsilon, lambda, lambda_grid",
+        ),
+        # the nonnegativity clipping is gone; a config that still asks for it
+        # is refused, not run without it
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"nonneg": True}},
+            "unknown key 'nonneg' in solver; valid keys are method, eta, max_iters, gk_steps, "
+            "rel_change_tol, epsilon, lambda, lambda_grid",
         ),
         (
             {"experiment": "deblur", "scene": scene, "forward": {"n_detectors": 20}},
@@ -434,15 +436,18 @@ def test_solver_failure_exit_1_flushes_partial_history(tmp_path, capsys, monkeyp
     assert not (out / "summary.json").exists()
 
 
-def test_nonneg_flag_clamps_reconstruction(tmp_path):
-    cfg = write_config(tmp_path, deblur_config(n_v=16, n_h=16, n_t=2))
+def test_removed_nonneg_flag_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, deblur_config())
     out = tmp_path / "nn"
-    assert cli.main_reconstruct(["--config", cfg, "--out", str(out), "--nonneg"]) == 0
-    with open(out / "frames_meta.json") as fh:
-        meta = json.load(fh)
-    assert meta["vmin"] >= 0.0
-    assert meta["maxval"] == 65535
-    assert len(meta["reconstruction"]) == 2 and len(meta["truth"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main_reconstruct(["--config", cfg, "--out", str(out), "--nonneg"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nonneg" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main_reconstruct(["--help"])
+    assert exc.value.code == 0
+    assert "--nonneg" not in capsys.readouterr().out
 
 
 def test_seed_and_method_overrides(tmp_path):
@@ -550,3 +555,24 @@ def test_compare_missing_summary_or_history_exit_2(tmp_path, capsys):
         (bad / "history.csv").write_text("iter\n")
         assert cli.main_compare([str(bad)]) == 2
         assert "cannot compare runs: " in capsys.readouterr().err
+
+    # a report entry of the wrong type raised a TypeError traceback (exit 1)
+    cases = [
+        ({"rre_total": [1]}, "report entry rre_total must be a number, got [1]"),
+        ({"rre_total": True}, "report entry rre_total must be a number, got True"),
+        ({"rre_per_frame": 5}, "report entry rre_per_frame must be a list of numbers, got 5"),
+        (
+            {"ssim_per_frame": [0.5, "x"]},
+            "each value of report entry ssim_per_frame must be a number, got 'x'",
+        ),
+        ({"iters_at_dp": 2.5}, "report entry iters_at_dp must be an integer, got 2.5"),
+        ({"iters_at_dp": False}, "report entry iters_at_dp must be an integer, got False"),
+    ]
+    for i, (report, message) in enumerate(cases):
+        bad = tmp_path / f"report{i}"
+        bad.mkdir()
+        (bad / "summary.json").write_text(json.dumps({"report": report}))
+        (bad / "history.csv").write_text("iter\n")
+        assert cli.main_compare([str(bad)]) == 2, message
+        err = capsys.readouterr().err
+        assert f"cannot compare runs: {bad / 'summary.json'}: {message}" in err, err

@@ -1,5 +1,6 @@
 """Subspace seeding, projected solves, expansion, stopping rules, outer loop."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -854,8 +855,7 @@ class CountingOperator:
 
 
 def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeypatch):
-    # Without nonnegativity the residual of u = V y comes from the kept
-    # factors Q_F R_F y, so past the seed and init_state the forward is
+    # The residual of u = V y comes from the kept factors Q_F R_F y, so past the seed and init_state the forward is
     # applied only to each new basis vector.  z = D u is formed once per
     # iterate and serves the objective, the next weights and the expansion;
     # the first weights, at u = 0, apply D themselves.  The Gram sweeps of the
@@ -916,31 +916,14 @@ def test_history_dp_residual_is_the_residual_of_each_iterate():
     # the k-th iterate is the final one of a run cut at k iterations
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.01, scene_seed=9, noise_seed=5)
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_3D_TV, dims=(8, 8, 2), epsilon=1e-3)
-    for nonneg, max_iters in ((False, 40), (True, 10)):
-        result = dv.mm_gks_solve(
-            problem, dv.SolverConfig(regularizer=spec, nonneg=nonneg, max_iters=max_iters)
-        )
-        if not nonneg:
-            # from the kept factors; the DP stop must hold for the iterate itself
-            assert result.stop_reason == "discrepancy"
-            assert oracles.check_dp(problem, result.u, 1.01)
-        for rec in result.history:
-            config = dv.SolverConfig(regularizer=spec, nonneg=nonneg, max_iters=rec.iteration)
-            want = problem.residual_norm(dv.mm_gks_solve(problem, config).u)
-            if nonneg:
-                assert rec.dp_residual == want
-            else:
-                assert abs(rec.dp_residual - want) <= 1e-12 * want
-
-
-def test_nonneg_iterates_are_nonnegative_exactly():
-    problem = blur_problem((10, 10, 2), 1.5, 4, 0.01, scene_seed=3, noise_seed=6)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(10, 10, 2), epsilon=1e-3)
-    free = dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, max_iters=25))
-    assert free.u.min() < 0  # the scene actually needs the constraint
-    for k in (1, 2, 5, 25):
-        config = dv.SolverConfig(regularizer=spec, nonneg=True, max_iters=k)
-        assert dv.mm_gks_solve(problem, config).u.min() >= 0.0
+    result = dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, max_iters=40))
+    # from the kept factors; the DP stop must hold for the iterate itself
+    assert result.stop_reason == "discrepancy"
+    assert oracles.check_dp(problem, result.u, 1.01)
+    for rec in result.history:
+        config = dv.SolverConfig(regularizer=spec, max_iters=rec.iteration)
+        want = problem.residual_norm(dv.mm_gks_solve(problem, config).u)
+        assert abs(rec.dp_residual - want) <= 1e-12 * want
 
 
 def test_truncated_rerun_reproduces_history_prefix():
@@ -1042,8 +1025,6 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.SolverConfig(spec, lam=True), "lam"),
         (lambda spec: dv.SolverConfig(spec, rel_change_tol=True), "rel_change_tol"),
         (lambda spec: dv.SolverConfig(spec, eta="1.5"), "eta"),
-        (lambda spec: dv.SolverConfig(spec, nonneg="no"), "nonneg"),
-        (lambda spec: dv.SolverConfig(spec, nonneg=1), "nonneg"),
         (lambda spec: dv.RegularizerSpec(dims=(2, 2, 2), epsilon=True), "epsilon"),
         (lambda spec: dv.RegularizerSpec(dims=(4, 4, 1), epsilon="0.1"), "epsilon"),
         (lambda spec: dv.SolverConfig(spec, max_iters=10**400), "max_iters"),
@@ -1058,14 +1039,13 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta="1"),
          "delta"),
     ],
-    ids=["lam-True", "rel_change_tol-True", "eta-string", "nonneg-string", "nonneg-1",
-         "epsilon-True", "static-epsilon-string", "max_iters-10**400",
+    ids=["lam-True", "rel_change_tol-True", "eta-string", "epsilon-True", "static-epsilon-string", "max_iters-10**400",
          "dims-10**400", "lambda_grid-True", "lambda_grid-string", "n_points-10**400",
          "low-True", "high-string", "delta-True", "delta-string"],
 )
 def test_float_and_flag_fields_refuse_other_kinds(build, field):
     # each was accepted or failed deep inside: lam True ran with λ = 1,
-    # nonneg "no" turned clipping on, epsilon True gave ε = 1, eta "1.5" and
+    # epsilon True gave ε = 1, eta "1.5" and
     # delta "1" (and a grid's high "1") raised a bare TypeError from the range
     # check, max_iters 10**400 ran without bound, a grid of True and "1" ran
     # at λ = 1, and low True started the default grid at 1
@@ -1076,10 +1056,20 @@ def test_float_and_flag_fields_refuse_other_kinds(build, field):
 
 def test_float_and_flag_fields_keep_numpy_scalars():
     spec = dv.RegularizerSpec(dims=(2, 2, 2), epsilon=np.float32(0.5))
-    config = dv.SolverConfig(spec, lam=np.int64(2), nonneg=np.True_, eta=2)
-    assert (spec.epsilon, config.lam, config.nonneg, config.eta) == (0.5, 2.0, True, 2.0)
+    config = dv.SolverConfig(spec, lam=np.int64(2), eta=2)
+    assert (spec.epsilon, config.lam, config.eta) == (0.5, 2.0, 2.0)
     assert all(type(v) is float for v in (spec.epsilon, config.lam, config.eta))
-    assert config.nonneg is True
+
+
+def test_removed_nonneg_field_is_refused():
+    # the nonnegativity clipping is gone, so a caller that still asks for it
+    # fails at once instead of running unclipped
+    spec = dv.RegularizerSpec(dims=(2, 2, 2))
+    with pytest.raises(TypeError, match="nonneg"):
+        dv.SolverConfig(spec, nonneg=True)
+    assert [f.name for f in dataclasses.fields(dv.SolverConfig)] == [
+        "regularizer", "eta", "max_iters", "gk_steps", "rel_change_tol", "lam", "lambda_grid",
+    ]
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
