@@ -566,8 +566,8 @@ def restarting_run():
 
 def test_restart_bounds_the_basis_and_the_objective_keeps_descending():
     # from the 5 seed columns the basis grows by one per iteration to the
-    # 30-column cap; the next expansion restarts on the last 10 iterates and
-    # appends one direction, so the dimension drops to 11
+    # 30-column cap; the next expansion restarts on the last 3 iterates and
+    # appends one direction, so the dimension drops to 4
     result = restarting_run()
     dims = np.array([rec.subspace_dim for rec in result.history])
     cap, keep = dv.solver._MAX_BASIS_COLS, dv.solver._RESTART_ITERATES
@@ -615,7 +615,7 @@ def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypa
 def test_restart_writes_its_products_one_row_block_at_a_time(monkeypatch):
     # V C and Q_F Q' are formed a row block of at most _GRAM_BLOCK_ELEMS read
     # elements at a time and written over the rows they were read from, so the
-    # restart allocates a fraction of one n x 10 product; on this 32x32x4
+    # restart allocates a fraction of one n x keep product; on this 32x32x4
     # deblur the 30-column basis splits into four row blocks
     problem = blur_problem((32, 32, 4), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(32, 32, 4))
@@ -635,6 +635,36 @@ def test_restart_writes_its_products_one_row_block_at_a_time(monkeypatch):
     n, keep = problem.forward.cols, dv.solver._RESTART_ITERATES
     assert n > 3 * (dv.solver._GRAM_BLOCK_ELEMS // dv.solver._MAX_BASIS_COLS)
     assert len(peaks) == 1 and peaks[0] <= 8 * n * keep // 2
+
+
+@pytest.mark.parametrize("method", [dv.Method.ANISO_TV, dv.Method.GROUP_SPARSITY])
+def test_narrow_restart_converges_as_fast_as_a_10_iterate_one(method, monkeypatch):
+    # a restart keeps only the span of the last few iterates, so it throws
+    # away search directions; after 200 fixed-λ iterations and several
+    # restarts the iterate must still lie as near the minimizer as with the
+    # last 10 kept.  The minimizer is a 1,000-iteration run with 10 kept,
+    # within 2e-6 of a 3-kept one, against 2e-2 for the 200th iterates.
+    # Keeping 3 or 2 measured within 3% of keeping 10; keeping 1 took 1.7x
+    # (AnisoTV) and 2.2x (GS) the distance
+    n_v, n_t = 16, 4
+    blur = dv.build_blur_operator(dv.BlurModel(sigma_psf=1.5, bandwidth=4), n_v, n_v)
+    forward = dv.assemble_dynamic_forward(blur, n_t)
+    truth = dv.vec(dv.render_scene(dv.moving_disks_scene(n_v, n_v, n_t, n_objects=3, seed=1)))
+    data, _ = dv.add_noise(forward.apply(truth), dv.NoiseSpec(sigma=0.02, seed=2))
+    problem = dv.ReconstructionProblem(forward=forward, data=data)
+    spec = dv.RegularizerSpec(method=method, dims=(n_v, n_v, n_t))
+
+    def solve(max_iters):
+        config = dv.SolverConfig(
+            regularizer=spec, lam=0.05, max_iters=max_iters, rel_change_tol=0.0
+        )
+        return dv.mm_gks_solve(problem, config).u
+
+    got = solve(200)
+    with monkeypatch.context() as patch:
+        patch.setattr(dv.solver, "_RESTART_ITERATES", 10)
+        want, minimizer = solve(200), solve(1000)
+    assert np.linalg.norm(got - minimizer) <= 1.2 * np.linalg.norm(want - minimizer)
 
 
 def test_restarting_run_keeps_the_basis_orthonormal(monkeypatch):
@@ -784,17 +814,17 @@ def test_solve_matches_householder_refresh(method, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "experiment, max_iters, want_d",
+    "experiment, max_iters",
     # tomography has m << n, so the penalty rows dominate (rows(D) is 2.8 n);
     # blurring has m = n, so the m-row forward arrays weigh as much as the basis
-    [("tomography", 40, 24), ("blur", 37, 21)],
+    [("tomography", 40), ("blur", 37)],
     ids=["tomography", "blur"],
 )
-def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
+def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters):
     # The solve keeps two tall arrays, the n-row basis and the m-row q_f, in
     # buffers that init_state sizes once at the 30-column cap and that are
-    # never copied: (n + m) 30 values.  Both runs pass the cap, so each
-    # restart shrinks the basis back to 10 columns and d ends below it.  The
+    # never copied: (n + m) 30 values.  Both runs pass the cap once, so the
+    # restart shrinks the basis to the kept iterates and d ends below it.  The
     # refresh, the objective and the expansion add rows(D)-vectors (D u of
     # this iterate and the last, the weights, the squared group norms, W² D x)
     # and the one-frame row blocks of the Gram sweep: 6.5 rows(D) values leave
@@ -827,6 +857,12 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters, want_d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the seed fills gk_steps columns at iteration 1 and each iteration adds
+    # one, so the basis reaches the cap at iteration cap - gk_steps + 1 and
+    # restarts to keep + 1 columns at the next
+    cap, keep = dv.solver._MAX_BASIS_COLS, dv.solver._RESTART_ITERATES
+    want_d = keep + 1 + max_iters - (cap - config.gk_steps + 2)
+    assert keep < want_d < cap
     m, n, d = forward.rows, forward.cols, result.history[-1].subspace_dim
     assert result.iterations == max_iters and d == want_d
     assert peak <= 8 * ((n + m) * 30 + 6.5 * rows)
