@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -28,7 +29,6 @@ from .forward import (
 )
 from .metrics import SSIM_WINDOW, build_report
 from .operators import vec
-from .paramselect import default_lambda_grid
 from .phantom import (
     NoiseSpec,
     SceneObject,
@@ -41,6 +41,9 @@ from .regularization import Method, RegularizerSpec, as_float, as_int
 from .solver import ReconstructionProblem, SolverConfig, mm_gks_solve
 
 HISTORY_COLUMNS = ("iter", "lambda", "objective", "dp_residual", "rre", "subspace_dim")
+# Runs are bitwise reproducible only at a fixed BLAS thread count, so the
+# summary records these variables as the run saw them (None when unset).
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # --- configuration -------------------------------------------------------------
@@ -51,7 +54,6 @@ HISTORY_COLUMNS = ("iter", "lambda", "objective", "dp_residual", "rre", "subspac
 # kind and range.  Only the keys a config gives reach the library, whose
 # defaults fill in the rest.
 _SCENE_OBJECT = dict.fromkeys(("shape", "intensity", "centers", "radii"))
-_LAMBDA_GRID = dict.fromkeys(("n_points", "low", "high"))  # read by _solver_config
 _BLUR = dict.fromkeys(("sigma_psf", "bandwidth"))
 _RADON = dict.fromkeys(("n_angles_per_step", "angle_stride_deg", "n_detectors"))
 FORWARD_KEYS = {"deblur": _BLUR, "radon-dynamic": _RADON, "radon-static-baseline": _RADON}
@@ -59,7 +61,7 @@ EXPERIMENTS = tuple(FORWARD_KEYS)
 CONFIG_KEYS = {
     "experiment": None,
     "scene": {
-        **dict.fromkeys(("n_v", "n_h", "n_t", "preset", "n_objects", "seed")),
+        **dict.fromkeys(("n_v", "n_h", "n_t", "n_objects", "seed")),
         "objects": [_SCENE_OBJECT],
     },
     "noise": dict.fromkeys(("sigma", "seed")),
@@ -166,9 +168,6 @@ def _scene(scene):
     n_v, n_h, n_t = (scene.pop(key) for key in ("n_v", "n_h", "n_t"))
     with _config_errors("scene"):
         if "objects" not in scene:
-            preset = scene.pop("preset", "moving-disks")
-            if preset != "moving-disks":
-                raise ConfigError(f"unknown scene preset {preset!r}")
             return moving_disks_scene(n_v, n_h, n_t, **scene)
         objects = scene.pop("objects")
         if scene:
@@ -198,9 +197,6 @@ def _solver_config(experiment, scene, solver):
     regularizer = {key: solver.pop(key) for key in ("method", "epsilon") if key in solver}
     if "lambda" in solver:
         solver["lam"] = solver.pop("lambda")
-    if isinstance(solver.get("lambda_grid"), dict):  # a log-spaced grid, not a list
-        grid = _read(solver["lambda_grid"], _LAMBDA_GRID, "solver", ("lambda_grid",))
-        solver["lambda_grid"] = default_lambda_grid(**grid)
     if experiment == "radon-static-baseline":
         if "method" in regularizer:  # every frame takes spatial TV, but the name must exist
             Method.from_name(regularizer.pop("method"))
@@ -345,6 +341,7 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
         "noise_norm": noise_norm,
         "delta": delta,
         "eta": config.eta,
+        "blas_threads": {var: os.environ.get(var) for var in THREAD_VARS},
     }
     if static:
         summary["frames"] = [

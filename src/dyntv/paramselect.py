@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import SingularSystemError
-from .regularization import as_float, as_int
 
 __all__ = ["ProjectedPair", "select_lambda", "default_lambda_grid"]
 
@@ -33,13 +32,9 @@ REFINE_RELATIVE_WIDTH = 1e-3
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def default_lambda_grid(n_points=40, low=1e-6, high=1e2):
-    """Logarithmic default search grid for the regularization parameter."""
-    n_points = as_int(n_points, "lambda_grid n_points")
-    low, high = as_float(low, "lambda_grid low"), as_float(high, "lambda_grid high")
-    if n_points < 1 or not (0 < low < np.inf and 0 < high < np.inf):
-        raise ValueError("lambda_grid needs n_points >= 1 and finite positive low and high")
-    return np.logspace(np.log10(low), np.log10(high), n_points)
+def default_lambda_grid():
+    """Default search grid for the regularization parameter: 40 log-spaced points, 1e-6 to 1e2."""
+    return np.logspace(-6, 2, 40)
 
 
 class ProjectedPair:
@@ -92,21 +87,11 @@ class ProjectedPair:
         return np.linalg.solve(self._r, self._wt.T @ z)
 
 
-def _candidates(lambdas):
-    """Candidate lambdas as a flat array; raises unless all are positive and finite."""
-    lambdas = np.asarray(lambdas, dtype=float).ravel()
-    if lambdas.size == 0:
-        raise ValueError("need at least one candidate lambda")
-    if np.any(lambdas <= 0) or not np.all(np.isfinite(lambdas)):
-        raise ValueError("candidate lambdas must be positive and finite")
-    return lambdas
-
-
 def _gcv(c2, s2, beta2, lam):
     """G at lam, a positive scalar or a column of them, from the squared factors.
 
-    Unchecked, and run under the callers' errstate: they validate the
-    candidates once.  Each value depends only on its own lam, so a scalar and
+    Unchecked, and run under the callers' errstate: ``SolverConfig`` checks
+    the grid once.  Each value depends only on its own lam, so a scalar and
     the same lam inside a column give bitwise equal results.
     """
     # 1 - filter factor: lam*s^2 / (c^2 + lam*s^2), written to stay finite
@@ -117,18 +102,17 @@ def _gcv(c2, s2, beta2, lam):
     return num / one_minus_f.sum(axis=-1) ** 2
 
 
-def select_lambda(pair, grid=None):
+def select_lambda(pair, grid):
     """Grid minimizer of G plus golden-section refinement around it.
 
-    Ties on the grid are broken toward the larger lambda, and the refined
-    candidate is only kept when it strictly improves on the grid minimum, so
-    a flat curve yields the largest grid point.  The search runs on the
-    balanced factors: the grid is scaled by 2^shift and the chosen lambda
-    scaled back.
+    ``grid`` is used as given: non-empty, sorted, positive and finite, as
+    ``SolverConfig.lambda_grid`` keeps it.  Ties on the grid are broken
+    toward the larger lambda, and the refined candidate is only kept when it
+    strictly improves on the grid minimum, so a flat curve yields the largest
+    grid point.  The search runs on the balanced factors: the grid is scaled
+    by 2^shift and the chosen lambda scaled back.
     """
-    if grid is None:
-        grid = default_lambda_grid()
-    grid = np.sort(_candidates(grid))
+    grid = np.asarray(grid, dtype=float)
     scaled = np.ldexp(grid, pair.shift)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = _gcv(*pair.factors, scaled[:, None])

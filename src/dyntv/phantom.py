@@ -139,6 +139,9 @@ def moving_disks_scene(n_v, n_h, n_t, n_objects=6, seed=0):
     for name, value in (("n_objects", n_objects), ("seed", seed)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
+    # placing a disk of radius up to 0.14 side with its margin takes 3 + 0.28 side pixels
+    if n_objects and min(n_v, n_h) < 5:
+        raise ValueError(f"n_v and n_h must be at least 5 to place objects, got {n_v} x {n_h}")
     rng = np.random.default_rng(seed)
     objects = []
     for _ in range(n_objects):

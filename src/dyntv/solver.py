@@ -86,7 +86,8 @@ class ReconstructionProblem:
     ``noise_cov_diag`` is the diagonal of the noise covariance (defaults to
     white noise); ``delta`` is the whitened noise magnitude used by the
     discrepancy principle, 0 disables that stop.  ``truth`` is optional and
-    only used for error reporting.
+    only used for error reporting: the RRE of each iterate, which needs it
+    finite and not all zero.
     """
 
     forward: object
@@ -120,6 +121,8 @@ class ReconstructionProblem:
             self.truth = np.asarray(self.truth, dtype=float).ravel()
             if self.truth.size != self.forward.cols:
                 raise ValueError("truth length must match operator columns")
+            if not np.all(np.isfinite(self.truth)) or not np.any(self.truth):
+                raise ValueError("truth must be finite and not all zero")
         self._inv_sqrt_cov = 1.0 / np.sqrt(self.noise_cov_diag)
         # the seed basis starts from b / ||b||, which an overflowing ||b||² leaves empty
         with np.errstate(over="ignore"):
@@ -154,9 +157,10 @@ class SolverConfig:
     """Knobs of the outer iteration.
 
     ``lam`` fixes the regularization parameter; when None it is chosen by GCV
-    on the projected problem at every iteration, over ``lambda_grid``
-    (``default_lambda_grid()`` when None), which is kept as a tuple of floats
-    so that configs compare and hash.
+    on the projected problem at every iteration, over ``lambda_grid``: a
+    list of finite positive values, ``default_lambda_grid()`` when None.
+    The grid is checked here, once, and kept sorted as a tuple of floats, so
+    that the search uses it as it is and configs compare and hash.
     """
 
     regularizer: object
@@ -184,13 +188,13 @@ class SolverConfig:
             raise ValueError("rel_change_tol must be nonnegative and finite")
         if self.lam is not None and not 0 < self.lam < np.inf:
             raise ValueError("fixed lam must be positive and finite")
-        if self.lambda_grid is not None:
-            # object dtype keeps each entry as given, so True or "1" is refused, not cast
-            grid = np.asarray(self.lambda_grid, dtype=object).ravel()
-            grid = tuple(as_float(value, "each of lambda_grid") for value in grid)
-            if not grid or not all(0 < value < np.inf for value in grid):
-                raise ValueError("lambda_grid must be a non-empty list of finite positive values")
-            object.__setattr__(self, "lambda_grid", grid)
+        grid = default_lambda_grid() if self.lambda_grid is None else self.lambda_grid
+        # object dtype keeps each entry as given, so True or "1" is refused, not cast
+        grid = np.asarray(grid, dtype=object).ravel()
+        grid = tuple(sorted(as_float(value, "each of lambda_grid") for value in grid))
+        if not grid or not all(0 < value < np.inf for value in grid):
+            raise ValueError("lambda_grid must be a non-empty list of finite positive values")
+        object.__setattr__(self, "lambda_grid", grid)
 
 
 @dataclass(eq=False)
@@ -402,7 +406,6 @@ def mm_gks_solve(problem, config):
         raise SolverError("seed basis is empty; data has no signal to start from")
     state = init_state(problem, basis, max_dim)
     del basis  # the seed now lives in the state's buffer; do not hold it through the loop
-    grid = config.lambda_grid or default_lambda_grid()  # a validated grid is not empty
 
     b = problem.whitened_data
     iterates = deque(maxlen=_RESTART_ITERATES)  # coefficients of the last iterates
@@ -415,7 +418,7 @@ def mm_gks_solve(problem, config):
         if config.lam is not None:
             lam = float(config.lam)
         else:
-            lam = select_lambda(state.pair, grid)
+            lam = select_lambda(state.pair, config.lambda_grid)
         y = solve_projected(state, lam)
         u = state.basis @ y
         if not np.all(np.isfinite(u)):

@@ -92,8 +92,13 @@ def test_all_nan_curve_raises_in_selection():
     "bad", [{"n_points": 0}, {"low": 0.0}, {"low": np.nan}, {"high": np.inf}]
 )
 def test_default_lambda_grid_validation(bad):
-    with pytest.raises(ValueError, match="n_points >= 1 and finite positive low and high"):
+    # a grid is a list of values; the object of n_points, low and high that
+    # default_lambda_grid used to take is refused, by it and by SolverConfig
+    with pytest.raises(TypeError):
         default_lambda_grid(**bad)
+    spec = dv.RegularizerSpec(dims=(2, 2, 2))
+    with pytest.raises(ValueError, match="each of lambda_grid must be a number"):
+        dv.SolverConfig(spec, lambda_grid=bad)
 
 
 def test_select_lambda_single_element_grid():
@@ -179,9 +184,10 @@ def test_lambda_choice_and_solve_are_exactly_equivariant(k, j):
 
 
 def test_gcv_rejects_nonpositive_lambda():
-    pair = ProjectedPair(r_f=np.eye(2), r_m=np.eye(2), rhs=np.ones(2))
-    with pytest.raises(ValueError, match="positive and finite"):
-        select_lambda(pair, np.array([0.0, 1.0]))
+    # select_lambda takes its grid as SolverConfig, its one owner, checked it
+    spec = dv.RegularizerSpec(dims=(2, 2, 2))
+    with pytest.raises(ValueError, match="finite positive values"):
+        dv.SolverConfig(spec, lambda_grid=[0.0, 1.0])
 
 
 def test_pair_requires_square_matching_factors():

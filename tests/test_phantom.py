@@ -151,6 +151,21 @@ def test_moving_disks_scene_reproducible_and_inside_frame():
     assert dv.moving_disks_scene(24, 20, 6, n_objects=8, seed=6) != scene
 
 
+def test_moving_disks_need_five_pixels_per_side():
+    # a disk up to 0.14 of the side with a 1-pixel margin fits from 5 pixels
+    # on; at 4 or fewer numpy used to fail with "high - low < 0"
+    for n_v, n_h in ((4, 4), (4, 40), (40, 4), (1, 1)):
+        with pytest.raises(ValueError, match="n_v and n_h must be at least 5"):
+            dv.moving_disks_scene(n_v, n_h, 2)
+    assert dv.moving_disks_scene(4, 4, 2, n_objects=0).objects == ()
+    for seed in range(20):
+        for n_v, n_h in ((5, 5), (5, 40), (40, 5)):
+            scene = dv.moving_disks_scene(n_v, n_h, 8, seed=seed)
+            for obj in scene.objects:
+                for (r, c), rad in zip(obj.centers, obj.radii):
+                    assert rad <= r <= n_v - 1 - rad and rad <= c <= n_h - 1 - rad
+
+
 # --- noise injection ---------------------------------------------------------------
 
 

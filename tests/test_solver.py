@@ -451,6 +451,14 @@ def test_problem_rejects_non_finite_delta(delta):
         dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=np.ones(3), delta=delta)
 
 
+@pytest.mark.parametrize("truth", [np.zeros(3), np.array([1.0, np.nan, 0.5])], ids=["zero", "nan"])
+def test_problem_rejects_an_all_zero_or_non_finite_truth(truth):
+    # each iterate's RRE divides by ||truth||: an all-zero truth gave inf,
+    # with a RuntimeWarning at every iteration, and a NaN one gave NaN
+    with pytest.raises(ValueError, match="truth must be finite and not all zero"):
+        dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=np.ones(3), truth=truth)
+
+
 def test_problem_rejects_data_whose_squared_norm_overflows():
     # finite data of this size used to pass here and stop the solve with an
     # empty seed basis; a small covariance can push the whitened data over too
@@ -670,20 +678,22 @@ def test_narrow_restart_converges_as_fast_as_a_10_iterate_one(method, monkeypatc
 def test_restarting_run_keeps_the_basis_orthonormal(monkeypatch):
     # the expansion takes a second Gram-Schmidt pass only when the first
     # leaves less than 1/√2 of the norm; across 60 iterations and two
-    # restarts the basis stays orthonormal to rounding all the same
+    # restarts the basis stays orthonormal to rounding all the same, and so
+    # does Q_F, which the residual Q_F R_F y - b takes for orthonormal
     errors, expand_fn = [], dv.solver.expand_subspace
 
     def expand_subspace(state, *args):
         added = expand_fn(state, *args)
-        v = state.basis
-        errors.append(np.linalg.norm(v.T @ v - np.eye(state.dim), 2))
+        errors.append([
+            np.linalg.norm(q.T @ q - np.eye(q.shape[1]), 2) for q in (state.basis, state.q_f)
+        ])
         return added
 
     monkeypatch.setattr(dv.solver, "expand_subspace", expand_subspace)
     result = restarting_run()
     dims = [rec.subspace_dim for rec in result.history]
     assert len(errors) == 59 and sum(b < a for a, b in zip(dims, dims[1:])) == 2
-    assert max(errors) <= 1e-13
+    assert np.max(errors) <= 1e-13
 
 
 def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
@@ -1029,6 +1039,18 @@ def test_config_with_a_grid_compares_and_hashes():
     assert dv.SolverConfig(spec, lambda_grid=grid).lambda_grid == tuple(grid.tolist())
 
 
+def test_config_owns_the_grid_filled_in_and_sorted():
+    # the GCV search uses the config's grid as given, without a default, a
+    # check or a sort of its own: None takes the default grid, and a grid is
+    # kept sorted, so a shuffled default grid is the default config
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    grid = dv.default_lambda_grid()
+    assert dv.SolverConfig(spec).lambda_grid == tuple(grid.tolist())
+    shuffled = np.random.default_rng(3).permutation(grid)
+    assert dv.SolverConfig(spec, lambda_grid=shuffled) == dv.SolverConfig(spec)
+    assert dv.SolverConfig(spec, lambda_grid=[3, 1, 2]).lambda_grid == (1.0, 2.0, 3.0)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -1040,16 +1062,14 @@ def test_config_with_a_grid_compares_and_hashes():
         lambda spec: dv.RegularizerSpec(dims=(4, 4, "3")),
         lambda spec: dv.RegularizerSpec(dims=(4.5, 4, 1)),
         lambda spec: dv.RegularizerSpec(dims=(4, np.float64(3.5), 1)),
-        lambda spec: dv.default_lambda_grid(n_points=2.5),
-        lambda spec: dv.default_lambda_grid(n_points=True),
     ],
     ids=["max_iters-2.5", "max_iters-True", "gk_steps-2.5", "gk_steps-True",
-         "dims-4.7", "dims-string", "n_v-4.5", "n_h-3.5", "n_points-2.5", "n_points-True"],
+         "dims-4.7", "dims-string", "n_v-4.5", "n_h-3.5"],
 )
 def test_integer_fields_refuse_bools_and_fractions(build):
     # each was accepted: a fractional max_iters failed later inside the
     # solve, gk_steps 2.5 ran 2 seed steps, max_iters True ran 1 iteration,
-    # dims (4.7, 4, 2) became (4, 4, 2), and a grid of 2.5 points had 2
+    # and dims (4.7, 4, 2) became (4, 4, 2)
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError, match="must be an integer"):
         build(spec)
@@ -1067,24 +1087,19 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.RegularizerSpec(dims=(10**400, 4, 2)), "each of dims"),
         (lambda spec: dv.SolverConfig(spec, lambda_grid=[True, 1.0]), "each of lambda_grid"),
         (lambda spec: dv.SolverConfig(spec, lambda_grid=["1"]), "each of lambda_grid"),
-        (lambda spec: dv.default_lambda_grid(n_points=10**400), "lambda_grid n_points"),
-        (lambda spec: dv.default_lambda_grid(low=True), "lambda_grid low"),
-        (lambda spec: dv.default_lambda_grid(high="1"), "lambda_grid high"),
         (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta=True),
          "delta"),
         (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta="1"),
          "delta"),
     ],
     ids=["lam-True", "rel_change_tol-True", "eta-string", "epsilon-True", "static-epsilon-string", "max_iters-10**400",
-         "dims-10**400", "lambda_grid-True", "lambda_grid-string", "n_points-10**400",
-         "low-True", "high-string", "delta-True", "delta-string"],
+         "dims-10**400", "lambda_grid-True", "lambda_grid-string", "delta-True", "delta-string"],
 )
 def test_float_and_flag_fields_refuse_other_kinds(build, field):
     # each was accepted or failed deep inside: lam True ran with λ = 1,
-    # epsilon True gave ε = 1, eta "1.5" and
-    # delta "1" (and a grid's high "1") raised a bare TypeError from the range
-    # check, max_iters 10**400 ran without bound, a grid of True and "1" ran
-    # at λ = 1, and low True started the default grid at 1
+    # epsilon True gave ε = 1, eta "1.5" and delta "1" raised a bare
+    # TypeError from the range check, max_iters 10**400 ran without bound,
+    # and a grid of True and "1" ran at λ = 1
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         build(spec)
