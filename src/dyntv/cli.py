@@ -67,8 +67,7 @@ CONFIG_KEYS = {
     "noise": dict.fromkeys(("sigma", "seed")),
     "forward": {**_BLUR, **_RADON},  # narrowed to FORWARD_KEYS[experiment]
     "solver": dict.fromkeys((
-        "method", "eta", "max_iters", "gk_steps", "rel_change_tol", "epsilon", "lambda",
-        "lambda_grid",
+        "method", "max_iters", "rel_change_tol", "epsilon", "lambda", "lambda_grid",
     )),
     "output_dir": None,
 }
@@ -297,6 +296,13 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
         raise ConfigError(
             "simulated data or its noise variance is not finite; "
             "lower the scene intensities or the noise sigma"
+        )
+    # the report's per-frame RRE divides by each frame of the truth
+    empty = np.flatnonzero(~truth.reshape((-1, scene.n_t), order="F").any(axis=0))
+    if empty.size:
+        raise ConfigError(
+            f"frame {empty[0] + 1} of the scene is empty, so its RRE is undefined; "
+            "keep an object in view at every step"
         )
     # built before any output exists, so that data the solver rejects is a config error
     try:

@@ -13,6 +13,7 @@ discrepancy-principle target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,12 @@ class SceneObject:
         radii = tuple(as_float(r, "each of radii") for r in self.radii)
         if len(centers) != len(radii):
             raise ValueError("centers and radii must have one entry per time step")
-        if any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
+        bad = [x for p in centers for x in p if not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"each coordinate of centers must be finite, got {bad[0]!r}")
+        # render_scene compares squared distances with the squared radius
+        if any(not (r > 0 and r * r < np.inf) for r in radii):
+            raise ValueError("radii must be positive, with a finite square")
         intensity = as_float(self.intensity, "intensity")
         if not np.isfinite(intensity):
             raise ValueError(f"intensity must be finite, got {intensity}")

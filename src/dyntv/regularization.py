@@ -133,8 +133,12 @@ class RegularizerSpec:
             raise ValueError(f"{self.method.value} has no difference block at n_t = {dims[2]}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("smoothing parameter epsilon must be positive and finite")
+        # the weights and the value add ε² to squared group norms
+        if not (self.epsilon > 0 and 0 < self.epsilon * self.epsilon < np.inf):
+            raise ValueError(
+                "smoothing parameter epsilon must be positive and finite, with a square "
+                f"that neither underflows nor overflows, got {self.epsilon!r}"
+            )
 
     @property
     def n(self):

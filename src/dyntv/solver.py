@@ -8,7 +8,7 @@ by repeatedly solving the quadratic majorant's normal equations
 
     (F^T Gamma^{-1} F + lam * M^T M) u = F^T Gamma^{-1} d,     M = W(u_k) D,
 
-restricted to a low-dimensional search space.  The space is seeded with a few
+restricted to a low-dimensional search space.  The space is seeded with 5
 Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
 direction per iteration: the normal-equations residual of the current iterate,
 orthogonalized against the basis, with a second Gram-Schmidt pass only where
@@ -37,13 +37,11 @@ factor enters every later step only through RᵀR; up to 1e7 a second sweep make
 it CholeskyQR2; a wide, rank deficient or more ill conditioned block falls back
 to Householder QR.  The two arrays that grow with the basis, the basis V and
 the forward factor Q_F, are written one column at a time into column-major
-buffers that ``init_state`` alone sizes, once, for the run's largest subspace:
-min(n, gk_steps + max_iters - 1, 30) columns (gk_steps + 1 if the seed alone
-is wider), since each outer iteration adds at most one.  The seed is copied
-into the basis buffer once; a restart writes V C and Q_F Q' over the first
-columns of the same buffers one row block at a time, with no temporary as tall
-as a column; the state's public fields are views of their filled columns, and
-no buffer is ever regrown.
+buffers that ``init_state`` alone sizes, once, at the cap: min(n, 30) columns.
+The seed is copied into the basis buffer once; a restart writes V C and Q_F Q'
+over the first columns of the same buffers one row block at a time, with no
+temporary as tall as a column; the state's public fields are views of their
+filled columns, and no buffer is ever regrown.
 
 Each iterate u = V y is the minimizer of its projected majorant and is
 reported as it is, so every step is a majorize-minimize step.  It is formed
@@ -63,6 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -160,30 +159,27 @@ class SolverConfig:
     on the projected problem at every iteration, over ``lambda_grid``: a
     list of finite positive values, ``default_lambda_grid()`` when None.
     The grid is checked here, once, and kept sorted as a tuple of floats, so
-    that the search uses it as it is and configs compare and hash.
+    that the search uses it as it is and configs compare and hash.  ``eta``
+    is the discrepancy principle's safety factor: the solve stops once
+    ||F u - d||_{Gamma^{-1}} <= eta * delta.  It is fixed, not a field, since
+    a different factor is a different ``delta``.
     """
 
+    eta: ClassVar[float] = 1.01
     regularizer: object
-    eta: float = 1.01
     max_iters: int = 150
-    gk_steps: int = 5
     rel_change_tol: float = 1e-6
     lam: float | None = None
     lambda_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        kinds = {"eta": as_float, "max_iters": as_int, "gk_steps": as_int,
-                 "rel_change_tol": as_float, "lam": as_float}
+        kinds = {"max_iters": as_int, "rel_change_tol": as_float, "lam": as_float}
         for name, kind in kinds.items():
             value = getattr(self, name)
             if name != "lam" or value is not None:
                 object.__setattr__(self, name, kind(value, name))
-        if not 1.0 < self.eta < np.inf:
-            raise ValueError("discrepancy safety factor eta must be finite and > 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.gk_steps < 1:
-            raise ValueError("gk_steps must be at least 1")
         if not 0 <= self.rel_change_tol < np.inf:
             raise ValueError("rel_change_tol must be nonnegative and finite")
         if self.lam is not None and not 0 < self.lam < np.inf:
@@ -286,12 +282,12 @@ def seed_subspace(problem, n_steps):
     return basis, False
 
 
-def init_state(problem, basis, max_dim):
+def init_state(problem, basis):
     """Project the whitened forward operator onto a basis; only the thin QR of A V is kept.
 
-    ``max_dim`` is the most columns the basis will hold (capped at n); the
-    basis and Q_F live in column-major buffers of min(n, max_dim) and
-    min(m, max_dim) columns, which expansions fill in place.  Both are
+    The basis can hold ``_MAX_BASIS_COLS`` columns (n if fewer, d if more);
+    the basis and Q_F live in column-major buffers of that many columns
+    (at most m for Q_F), which expansions fill in place.  Both are
     allocated here and the basis and Q_F copied in once, so an iterate does
     not depend on how far the run may grow, and the caller's basis is never
     written.  Columns an early-stopping run never fills are never written, so
@@ -304,9 +300,7 @@ def init_state(problem, basis, max_dim):
     n, d = basis.shape
     if d == 0:
         raise ValueError("basis must have at least one column")
-    if max_dim < d:
-        raise ValueError(f"max_dim {max_dim} is below the basis's {d} columns")
-    max_dim = min(int(max_dim), n)
+    max_dim = max(d, min(n, _MAX_BASIS_COLS))
     q_f, r_f = np.linalg.qr(problem.whiten_apply(basis), mode="reduced")
     rhs_hat = q_f.T @ problem.whitened_data
     basis_buf = _buffer(basis, max_dim)
@@ -393,18 +387,10 @@ def mm_gks_solve(problem, config):
             f"regularizer dims {spec.dims} do not match operator columns {n}"
         )
     d_op = build_D(spec)
-    # the seed has at most gk_steps columns and every iteration but the last
-    # adds at most one; past the cap a restart makes room, and the cap leaves
-    # room for the seed and one expansion
-    max_dim = min(
-        n,
-        config.gk_steps + config.max_iters - 1,
-        max(_MAX_BASIS_COLS, config.gk_steps + 1),
-    )
-    basis, _ = seed_subspace(problem, config.gk_steps)
+    basis, _ = seed_subspace(problem, _SEED_STEPS)
     if basis.shape[1] == 0:
         raise SolverError("seed basis is empty; data has no signal to start from")
-    state = init_state(problem, basis, max_dim)
+    state = init_state(problem, basis)
     del basis  # the seed now lives in the state's buffer; do not hold it through the loop
 
     b = problem.whitened_data
@@ -477,12 +463,15 @@ _CHOLQR_MAX_COND = 1e7
 # W D V is never held at full size.  The restart reads the basis and Q_F in
 # row blocks of the same size.
 _GRAM_BLOCK_ELEMS = 1 << 15
-# Columns the basis may reach before a restart (where n is larger), and the
-# number of last iterates whose span the restart keeps.  An iteration costs
-# about linearly in d, so 3 rather than 10 lowers Σd of a 40-iteration capped
-# run by 14%, while the distance to the minimizer after 200 fixed-λ
-# iterations stays within 2% (keeping 1 took 1.7-2.2x).  Below 27 columns the
-# cap would restart the short GCV runs, whose λ picks then fall to the floor.
+# Golub-Kahan steps of the seed, below the cap so that the seed leaves room
+# for an expansion; columns the basis may reach before a restart (where n is
+# larger); and the number of last iterates whose span the restart keeps.  An
+# iteration costs about linearly in d, so 3 rather than 10 lowers Σd of a
+# 40-iteration capped run by 14%, while the distance to the minimizer after
+# 200 fixed-λ iterations stays within 2% (keeping 1 took 1.7-2.2x).  Below 27
+# columns the cap would restart the short GCV runs, whose λ picks then fall to
+# the floor.
+_SEED_STEPS = 5
 _MAX_BASIS_COLS = 30
 _RESTART_ITERATES = 3
 

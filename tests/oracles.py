@@ -298,7 +298,7 @@ def full_space_mm_iterates(problem, spec, lam, n_iters):
     takes its weights at the last iterate, as ``mm_gks_solve`` does.
     """
     n = problem.forward.cols
-    state = init_state(problem, np.eye(n, order="F"), n)
+    state = init_state(problem, np.eye(n, order="F"))
     u = np.zeros(n)
     iterates = []
     for _ in range(n_iters):

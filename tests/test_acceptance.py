@@ -197,9 +197,10 @@ def test_majorant_conditions_hold_across_methods():
 # --- 2: full-subspace solves match the dense weighted normal equations ----------
 
 
-def test_full_subspace_matches_dense_weighted_solve():
+def test_full_subspace_matches_dense_weighted_solve(monkeypatch):
     dims = (6, 6, 2)
     n = 72
+    monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", n)  # grow to the full space
     lam, eps = 0.05, 1e-3
     rng = np.random.default_rng(7)
     f_dense = rng.standard_normal((80, n)) / np.sqrt(n)
@@ -213,7 +214,7 @@ def test_full_subspace_matches_dense_weighted_solve():
         spec = spec_for(name, dims, eps)
         d_op = build_D(spec)
         basis, _ = seed_subspace(problem, 5)
-        state = init_state(problem, basis, n)
+        state = init_state(problem, basis)
         u_prev = np.zeros(n)
         for _ in range(200):
             refresh_penalty(state, spec, u_prev)

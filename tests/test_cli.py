@@ -186,19 +186,20 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             },
             "squared norm of the whitened data is not finite",
         ),
-        # non-finite solver values used to fail inside the solve (lambda,
-        # epsilon) or to end it at iteration 1 (eta)
+        # non-finite solver values used to fail inside the solve; so did an
+        # epsilon whose square underflows ("SVD did not converge") or
+        # overflows (an OverflowError in update_weights)
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lambda": float("inf")}},
             "fixed lam must be positive and finite",
         ),
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"epsilon": float("inf")}},
-            "epsilon must be positive and finite",
-        ),
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"eta": float("inf")}},
-            "eta must be finite and > 1",
+        *(
+            (
+                {"experiment": experiment, "scene": scene, "solver": {"epsilon": eps}},
+                "invalid solver section: smoothing parameter epsilon must be positive and finite",
+            )
+            for eps in (float("inf"), 1e-300, 1e300)
+            for experiment in ("deblur", "radon-dynamic")
         ),
         # a scene that renders to zero data used to fail in add_noise with a
         # traceback (sigma > 0) or to exit 1 after writing history.csv (sigma 0)
@@ -210,21 +211,43 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             {"experiment": "deblur", "scene": dict(scene, objects=[]), "noise": {"sigma": 0.0}},
             "all-zero data, so there is nothing to reconstruct",
         ),
-        # a static-baseline frame with all-zero data used to be solved after
-        # the earlier frames, writing their histories, and to exit 1 with
-        # "seed basis is empty"; here the only disk leaves the frame at step 2
+        # a scene whose only disk leaves the frame at step 2: the static
+        # baseline used to solve frame 1, write its history and exit 1 with
+        # "seed basis is empty"; the coupled experiments solved both frames,
+        # wrote history.csv and then raised from rre_per_frame
+        *(
+            (
+                {
+                    "experiment": experiment,
+                    "scene": dict(
+                        scene, objects=[{"centers": [[6, 6], [60, 60]], "radii": [2, 2]}]
+                    ),
+                    "noise": {"sigma": sigma},
+                },
+                "frame 2 of the scene is empty, so its RRE is undefined",
+            )
+            for experiment in cli.EXPERIMENTS
+            for sigma in (0.0, 0.01)
+        ),
+        # an infinite center (JSON 1e400) emptied its frame the same way, and
+        # a radius of 1e300 raised OverflowError at rad**2 in render_scene
         (
             {
-                "experiment": "radon-static-baseline",
+                "experiment": "deblur",
                 "scene": dict(
-                    scene, objects=[{"centers": [[6, 6], [40, 40]], "radii": [3, 3]}]
+                    scene, objects=[{"centers": [[6, 6], [float("inf"), 6]], "radii": [2, 2]}]
                 ),
-                "noise": {"sigma": 0.0},
             },
-            "frame 2 of the static baseline has all-zero data",
+            "invalid scene section: each coordinate of centers must be finite, got inf",
         ),
-        # integer fields used to be truncated (12.9 ran as 12) or to fail
-        # with a misleading message (gk_steps 0.5: "must be at least 1")
+        (
+            {
+                "experiment": "radon-dynamic",
+                "scene": dict(scene, objects=[{"centers": [[6, 6], [6, 6]], "radii": [2, 1e300]}]),
+            },
+            "invalid scene section: radii must be positive, with a finite square",
+        ),
+        # integer fields used to be truncated (12.9 ran as 12)
         (
             {"experiment": "deblur", "scene": dict(scene, n_v=12.9)},
             "invalid scene section: n_v must be an integer, got 12.9",
@@ -252,10 +275,6 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "solver": {"max_iters": 1.9}},
             "invalid solver section: max_iters must be an integer, got 1.9",
-        ),
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"gk_steps": 0.5}},
-            "invalid solver section: gk_steps must be an integer, got 0.5",
         ),
         (
             {"experiment": "deblur", "scene": scene, "forward": {"bandwidth": 2.5}},
@@ -286,15 +305,19 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         ),
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lamda": 5}},
-            "unknown key 'lamda' in solver; valid keys are method, eta, max_iters, gk_steps, "
-            "rel_change_tol, epsilon, lambda, lambda_grid",
+            "unknown key 'lamda' in solver; valid keys are method, max_iters, rel_change_tol, "
+            "epsilon, lambda, lambda_grid",
         ),
-        # the nonnegativity clipping is gone; a config that still asks for it
-        # is refused, not run without it
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"nonneg": True}},
-            "unknown key 'nonneg' in solver; valid keys are method, eta, max_iters, gk_steps, "
-            "rel_change_tol, epsilon, lambda, lambda_grid",
+        # the nonnegativity clipping is gone, and the seed size and the
+        # discrepancy factor are solver constants; a config that still sets
+        # one is refused, not run without it
+        *(
+            (
+                {"experiment": "deblur", "scene": scene, "solver": {key: value}},
+                f"unknown key {key!r} in solver; valid keys are method, max_iters, "
+                "rel_change_tol, epsilon, lambda, lambda_grid",
+            )
+            for key, value in (("nonneg", True), ("gk_steps", 5), ("eta", 1.01))
         ),
         (
             {"experiment": "deblur", "scene": scene, "forward": {"n_detectors": 20}},
@@ -309,10 +332,6 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "noise": {"sigma": True}},
             "invalid noise section: sigma must be a number, got True",
-        ),
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"eta": "1.5"}},
-            "invalid solver section: eta must be a number, got '1.5'",
         ),
         # an integer beyond the float range used to end in an OverflowError;
         # as a size or a count it would build or run without bound

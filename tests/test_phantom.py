@@ -117,9 +117,11 @@ def test_scene_validation():
     with pytest.raises(ValueError, match="noise seed must be nonnegative"):
         dv.NoiseSpec(sigma=0.1, seed=-1)
     # each was accepted (sigma True ran at 1, n_objects 2.5 drew 2 disks,
-    # n_objects -3 none, and n_v 12.9 failed later in render_scene) or raised
-    # an error that named no field (a bare TypeError; numpy's "expected
-    # non-negative integer" for seed -1)
+    # n_objects -3 none, and n_v 12.9 failed later in render_scene; an
+    # infinite center, JSON 1e400, left its frame empty) or raised an error
+    # that named no field (a bare TypeError; numpy's "expected non-negative
+    # integer" for seed -1; an OverflowError at rad**2 in render_scene for a
+    # radius of 1e300)
     for build, field in (
         (lambda: dv.NoiseSpec(sigma=True), "sigma"),
         (lambda: dv.NoiseSpec(seed=1.5), "seed"),
@@ -131,6 +133,10 @@ def test_scene_validation():
         (lambda: dv.SceneObject(centers="abc", radii=(3,)), "centers"),
         (lambda: dv.SceneObject(centers=((6, 6),), radii=("3",)), "radii"),
         (lambda: dv.SceneObject(centers=((6, 6),), radii=(3,), intensity=True), "intensity"),
+        (lambda: dv.SceneObject(centers=((np.inf, 6),), radii=(2,)), "centers must be finite"),
+        (lambda: dv.SceneObject(centers=((6, np.nan),), radii=(2,)), "centers must be finite"),
+        (lambda: dv.SceneObject(centers=((6, 6),), radii=(1e300,)), "radii must be positive"),
+        (lambda: dv.SceneObject(centers=((6, 6),), radii=(np.nan,)), "radii must be positive"),
         (lambda: dv.SceneSpec(n_v=12.9, n_h=12, n_t=1, objects=()), "n_v"),
         (lambda: dv.SceneSpec(n_v=12, n_h=10**400, n_t=1, objects=()), "n_h"),
         (lambda: dv.SceneSpec(n_v=12, n_h=12, n_t=True, objects=()), "n_t"),

@@ -333,14 +333,21 @@ def test_regularizer_value_rejects_wrong_length():
         regularizer_value(spec, np.zeros(17))
 
 
-@pytest.mark.parametrize("eps", [np.inf, np.nan])
+@pytest.mark.parametrize("eps", [np.inf, np.nan, 1e-300, 1e300])
 def test_epsilon_must_be_finite(eps):
     # an infinite epsilon used to pass here and stop the solve with "weights
-    # must be strictly positive": its weights (eps²)^(-1/4) are all zero
+    # must be strictly positive": its weights (eps²)^(-1/4) are all zero.
+    # 1e-300, whose square underflows to 0, ended in "SVD did not converge",
+    # and 1e300 in an OverflowError at eps**2 in update_weights
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(3, 3, 2), epsilon=eps)
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         dv.RegularizerSpec(dims=(3, 3, 1), epsilon=eps)
+
+
+def test_epsilon_accepts_the_values_whose_square_is_finite_and_nonzero():
+    for eps in (1e-154, 1.3e154):
+        assert dv.RegularizerSpec(dims=(3, 3, 2), epsilon=eps).epsilon == eps
 
 
 def test_epsilon_must_be_positive():

@@ -111,18 +111,20 @@ def test_seed_zero_data_is_empty_with_breakdown():
     assert breakdown
 
 
-def test_init_state_copies_the_seed_once_into_its_own_buffer():
-    # init_state alone sizes the basis buffer, min(n, max_dim) columns, and
-    # copies the seed into it once; a basis already that wide, column-major
-    # or not, is copied too, so the caller's array is never written
+def test_init_state_copies_the_seed_once_into_its_own_buffer(monkeypatch):
+    # init_state alone sizes the basis buffer, min(n, cap) columns, or the
+    # basis's own width if wider, and copies the seed into it once; a basis
+    # already that wide, column-major or not, is copied too, so the caller's
+    # array is never written
     rng = np.random.default_rng(7)
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 20, 12), data=rng.standard_normal(20)
     )
     basis, breakdown = seed_subspace(problem, 3)
     assert basis.shape == (12, 3) and not breakdown
-    for max_dim, want in ((7, 7), (40, 12)):
-        state = init_state(problem, basis, max_dim)
+    for cap, want in ((2, 3), (7, 7), (40, 12)):
+        monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", cap)
+        state = init_state(problem, basis)
         assert not np.shares_memory(state.basis, basis)
         assert state.max_dim == want and state.basis_buf.flags.f_contiguous
         assert state.q_f_buf.shape == (20, want) and state.q_f_buf.flags.f_contiguous
@@ -130,8 +132,9 @@ def test_init_state_copies_the_seed_once_into_its_own_buffer():
         assert state.basis.strides == basis.strides
     full = np.asfortranarray(np.linalg.qr(rng.standard_normal((12, 12)))[0])
     for wide in (full, np.ascontiguousarray(full)):
-        for max_dim in (12, 40):
-            state = init_state(problem, wide, max_dim)
+        for cap in (7, 40):
+            monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", cap)
+            state = init_state(problem, wide)
             assert not np.shares_memory(state.basis, wide)
             assert state.max_dim == 12 and state.basis_buf.flags.f_contiguous
             np.testing.assert_array_equal(state.basis, wide)
@@ -142,7 +145,7 @@ def test_init_state_rejects_empty_basis():
     # the first penalty refresh
     problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(8)), data=np.ones(8))
     with pytest.raises(ValueError, match="at least one column"):
-        init_state(problem, np.zeros((8, 0)), 8)
+        init_state(problem, np.zeros((8, 0)))
 
 
 # --- projected solves --------------------------------------------------------------
@@ -193,7 +196,7 @@ def test_solve_projected_requires_penalty_factor():
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    state = init_state(problem, np.eye(8)[:, :3], 8)
+    state = init_state(problem, np.eye(8)[:, :3])
     with pytest.raises(ValueError):
         solve_projected(state, 1.0)
 
@@ -204,7 +207,7 @@ def test_projected_pair_pads_wide_factor_square():
         forward=random_forward(rng, 2, 8), data=rng.standard_normal(2)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    state = init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0], 8)
+    state = init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0])
     refresh_penalty(state, spec, np.zeros(8))
     # the refresh factors the 2 x 3 R_F, padded square inside the pair
     r_f, r_m, rhs = state.r_f, state.pair.r_m, state.rhs_hat
@@ -282,7 +285,7 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 60, spec.n), data=rng.standard_normal(60)
     )
-    state = init_state(problem, np.eye(spec.n), spec.n)
+    state = init_state(problem, np.eye(spec.n))
     refresh_penalty(state, spec, u)
     np.testing.assert_array_equal(state.pair.r_m, want)
 
@@ -304,7 +307,7 @@ def test_expand_full_basis_returns_false():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = build_D(spec)
-    state = init_state(problem, np.eye(8), 8)
+    state = init_state(problem, np.eye(8))
     refresh_penalty(state, spec, np.zeros(8))
     solve_projected(state, 0.5)
     assert not oracles.expand_at_solve(state, problem, d_op, 0.5)
@@ -321,7 +324,7 @@ def test_expand_stalls_when_solution_is_in_span():
     problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(n)), data=np.ones(n))
     basis, breakdown = seed_subspace(problem, 5)
     assert breakdown and basis.shape == (n, 1)
-    state = init_state(problem, basis, n)
+    state = init_state(problem, basis)
     refresh_penalty(state, spec, np.zeros(n))
     y = solve_projected(state, 1e-3)
     np.testing.assert_allclose(state.basis @ y, problem.data, rtol=1e-12)
@@ -329,11 +332,12 @@ def test_expand_stalls_when_solution_is_in_span():
     assert state.dim == 1
 
 
-def test_expansions_fill_the_buffers_init_state_allocated():
-    # init_state sizes the basis and q_f buffers once for max_dim columns;
-    # every expansion writes into them, so the fields keep sharing memory
-    # with the first views, and a full basis stops growing.  Five data rows:
-    # q_f fills its five columns after two expansions and then stays put.
+def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
+    # init_state sizes the basis and q_f buffers once, at the cap (lowered
+    # here to max_dim columns); every expansion writes into them, so the
+    # fields keep sharing memory with the first views, and a full basis
+    # stops growing.  Five data rows: q_f fills its five columns after two
+    # expansions and then stays put.
     rng = np.random.default_rng(26)
     dims, rows, lam, max_dim = (3, 3, 2), 5, 0.3, 7
     n = int(np.prod(dims))
@@ -344,10 +348,8 @@ def test_expansions_fill_the_buffers_init_state_allocated():
     d_op = build_D(spec)
     basis, _ = seed_subspace(problem, 3)
     assert basis.shape == (n, 3)
-    with pytest.raises(ValueError, match="max_dim 2 is below the basis's 3 columns"):
-        init_state(problem, basis, 2)
-    assert init_state(problem, basis, 10 * n).max_dim == n
-    state = init_state(problem, basis, max_dim)
+    monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", max_dim)
+    state = init_state(problem, basis)
     first_basis, first_q_f = state.basis, state.q_f
     assert state.max_dim == max_dim and first_q_f.shape == (rows, 3)
     u = np.zeros(n)
@@ -379,7 +381,7 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
     d_op = build_D(spec)
     basis, _ = seed_subspace(problem, 4)
-    state = init_state(problem, basis, n)
+    state = init_state(problem, basis)
     u = np.zeros(n)
     for _ in range(n_expand):
         refresh_penalty(state, spec, u)
@@ -406,7 +408,7 @@ def test_expand_appends_dense_normal_equations_residual():
     spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=dims, epsilon=1e-2)
     d_op = build_D(spec)
     basis, _ = seed_subspace(problem, 4)
-    state = init_state(problem, basis, n)
+    state = init_state(problem, basis)
     refresh_penalty(state, spec, rng.standard_normal(n))
     y = solve_projected(state, lam)
     assert oracles.expand_at_solve(state, problem, d_op, lam)
@@ -425,7 +427,7 @@ def test_expand_requires_solved_state():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = build_D(spec)
-    state = init_state(problem, np.eye(8)[:, :2], 8)
+    state = init_state(problem, np.eye(8)[:, :2])
     with pytest.raises(ValueError, match="needs a solved state"):
         expand_subspace(
             state, problem, d_op, 0.5, np.zeros(8), np.zeros(10), np.zeros(d_op.rows)
@@ -708,7 +710,7 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
     d_op = build_D(spec)
-    state = init_state(problem, np.linalg.qr(rng.standard_normal((n, 5)))[0], n)
+    state = init_state(problem, np.linalg.qr(rng.standard_normal((n, 5)))[0])
     refresh_penalty(state, spec, np.zeros(n))
     solve_projected(state, 0.5)
     basis, q_f = state.basis.copy(), state.q_f.copy()
@@ -722,7 +724,7 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     assert abs(np.linalg.norm(v_new) - 1) <= 1e-14
 
     a = q_f @ rng.standard_normal(5) + 1e-8 * rng.standard_normal(n)
-    state = init_state(problem, basis, n)
+    state = init_state(problem, basis)
     dv.solver._append_forward_qr(state, problem, a.copy())
     assert np.abs(q_f.T @ state.q_f[:, -1]).max() <= 1e-14
     np.testing.assert_allclose(state.q_f @ state.r_f[:, -1], a, rtol=0, atol=1e-15)
@@ -867,11 +869,11 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the seed fills gk_steps columns at iteration 1 and each iteration adds
-    # one, so the basis reaches the cap at iteration cap - gk_steps + 1 and
-    # restarts to keep + 1 columns at the next
+    # the seed fills _SEED_STEPS columns at iteration 1 and each iteration
+    # adds one, so the basis reaches the cap at iteration cap - _SEED_STEPS + 1
+    # and restarts to keep + 1 columns at the next
     cap, keep = dv.solver._MAX_BASIS_COLS, dv.solver._RESTART_ITERATES
-    want_d = keep + 1 + max_iters - (cap - config.gk_steps + 2)
+    want_d = keep + 1 + max_iters - (cap - dv.solver._SEED_STEPS + 2)
     assert keep < want_d < cap
     m, n, d = forward.rows, forward.cols, result.history[-1].subspace_dim
     assert result.iterations == max_iters and d == want_d
@@ -917,16 +919,14 @@ def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeyp
         forward=CountingOperator(blurred.forward, counts, "F"), data=blurred.data
     )
     spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2), epsilon=1e-3)
-    gk_steps, iters = 4, 10
-    config = dv.SolverConfig(
-        regularizer=spec, lam=0.1, max_iters=iters, gk_steps=gk_steps, rel_change_tol=0.0
-    )
+    seed, iters = dv.solver._SEED_STEPS, 10
+    config = dv.SolverConfig(regularizer=spec, lam=0.1, max_iters=iters, rel_change_tol=0.0)
     result = dv.mm_gks_solve(problem, config)
     expansions = iters - 1
     assert result.iterations == iters
-    assert result.history[-1].subspace_dim == gk_steps + expansions
-    assert counts["F.apply"] == (gk_steps - 1) + 1 + expansions  # seed, init_state, expansions
-    assert counts["F.adjoint"] == gk_steps + expansions
+    assert result.history[-1].subspace_dim == seed + expansions
+    assert counts["F.apply"] == (seed - 1) + 1 + expansions  # seed, init_state, expansions
+    assert counts["F.adjoint"] == seed + expansions
     assert counts["D.apply"] == 1 + iters
     assert counts["D.adjoint"] == expansions
     assert counts["D.row_blocks"] >= iters  # one Gram sweep or more per refresh
@@ -1011,11 +1011,7 @@ def test_solve_rejects_mismatched_regularizer_dims():
 def test_config_validation():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError):
-        dv.SolverConfig(regularizer=spec, eta=1.0)
-    with pytest.raises(ValueError):
         dv.SolverConfig(regularizer=spec, max_iters=0)
-    with pytest.raises(ValueError):
-        dv.SolverConfig(regularizer=spec, gk_steps=0)
     with pytest.raises(ValueError):
         dv.SolverConfig(regularizer=spec, rel_change_tol=-1e-6)
     with pytest.raises(ValueError):
@@ -1056,19 +1052,16 @@ def test_config_owns_the_grid_filled_in_and_sorted():
     [
         lambda spec: dv.SolverConfig(spec, max_iters=2.5),
         lambda spec: dv.SolverConfig(spec, max_iters=True),
-        lambda spec: dv.SolverConfig(spec, gk_steps=2.5),
-        lambda spec: dv.SolverConfig(spec, gk_steps=True),
         lambda spec: dv.RegularizerSpec(dims=(4.7, 4, 2)),
         lambda spec: dv.RegularizerSpec(dims=(4, 4, "3")),
         lambda spec: dv.RegularizerSpec(dims=(4.5, 4, 1)),
         lambda spec: dv.RegularizerSpec(dims=(4, np.float64(3.5), 1)),
     ],
-    ids=["max_iters-2.5", "max_iters-True", "gk_steps-2.5", "gk_steps-True",
-         "dims-4.7", "dims-string", "n_v-4.5", "n_h-3.5"],
+    ids=["max_iters-2.5", "max_iters-True", "dims-4.7", "dims-string", "n_v-4.5", "n_h-3.5"],
 )
 def test_integer_fields_refuse_bools_and_fractions(build):
     # each was accepted: a fractional max_iters failed later inside the
-    # solve, gk_steps 2.5 ran 2 seed steps, max_iters True ran 1 iteration,
+    # solve, max_iters True ran 1 iteration,
     # and dims (4.7, 4, 2) became (4, 4, 2)
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError, match="must be an integer"):
@@ -1080,7 +1073,6 @@ def test_integer_fields_refuse_bools_and_fractions(build):
     [
         (lambda spec: dv.SolverConfig(spec, lam=True), "lam"),
         (lambda spec: dv.SolverConfig(spec, rel_change_tol=True), "rel_change_tol"),
-        (lambda spec: dv.SolverConfig(spec, eta="1.5"), "eta"),
         (lambda spec: dv.RegularizerSpec(dims=(2, 2, 2), epsilon=True), "epsilon"),
         (lambda spec: dv.RegularizerSpec(dims=(4, 4, 1), epsilon="0.1"), "epsilon"),
         (lambda spec: dv.SolverConfig(spec, max_iters=10**400), "max_iters"),
@@ -1092,12 +1084,12 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta="1"),
          "delta"),
     ],
-    ids=["lam-True", "rel_change_tol-True", "eta-string", "epsilon-True", "static-epsilon-string", "max_iters-10**400",
+    ids=["lam-True", "rel_change_tol-True", "epsilon-True", "static-epsilon-string", "max_iters-10**400",
          "dims-10**400", "lambda_grid-True", "lambda_grid-string", "delta-True", "delta-string"],
 )
 def test_float_and_flag_fields_refuse_other_kinds(build, field):
     # each was accepted or failed deep inside: lam True ran with λ = 1,
-    # epsilon True gave ε = 1, eta "1.5" and delta "1" raised a bare
+    # epsilon True gave ε = 1, delta "1" raised a bare
     # TypeError from the range check, max_iters 10**400 ran without bound,
     # and a grid of True and "1" ran at λ = 1
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
@@ -1107,27 +1099,29 @@ def test_float_and_flag_fields_refuse_other_kinds(build, field):
 
 def test_float_and_flag_fields_keep_numpy_scalars():
     spec = dv.RegularizerSpec(dims=(2, 2, 2), epsilon=np.float32(0.5))
-    config = dv.SolverConfig(spec, lam=np.int64(2), eta=2)
-    assert (spec.epsilon, config.lam, config.eta) == (0.5, 2.0, 2.0)
-    assert all(type(v) is float for v in (spec.epsilon, config.lam, config.eta))
+    config = dv.SolverConfig(spec, lam=np.int64(2))
+    assert (spec.epsilon, config.lam) == (0.5, 2.0)
+    assert all(type(v) is float for v in (spec.epsilon, config.lam))
 
 
 def test_removed_nonneg_field_is_refused():
-    # the nonnegativity clipping is gone, so a caller that still asks for it
-    # fails at once instead of running unclipped
+    # the nonnegativity clipping is gone, and the seed size and the
+    # discrepancy factor are solver constants, so a caller that still sets
+    # one fails at once instead of running without it
     spec = dv.RegularizerSpec(dims=(2, 2, 2))
-    with pytest.raises(TypeError, match="nonneg"):
-        dv.SolverConfig(spec, nonneg=True)
+    for field in ("nonneg", "gk_steps", "eta"):
+        with pytest.raises(TypeError, match=field):
+            dv.SolverConfig(spec, **{field: 2})
     assert [f.name for f in dataclasses.fields(dv.SolverConfig)] == [
-        "regularizer", "eta", "max_iters", "gk_steps", "rel_change_tol", "lam", "lambda_grid",
+        "regularizer", "max_iters", "rel_change_tol", "lam", "lambda_grid",
     ]
+    assert dv.SolverConfig(spec).eta == 1.01
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-@pytest.mark.parametrize("field", ["lam", "eta", "rel_change_tol"])
+@pytest.mark.parametrize("field", ["lam", "rel_change_tol"])
 def test_config_rejects_non_finite_values(field, bad):
-    # an infinite lam used to fail inside the projected least-squares solve,
-    # and an infinite eta made every iterate meet the discrepancy principle
+    # an infinite lam used to fail inside the projected least-squares solve
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError, match="finite"):
         dv.SolverConfig(regularizer=spec, **{field: bad})
