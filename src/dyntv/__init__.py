@@ -12,7 +12,6 @@ from .forward import (
 )
 from .metrics import QualityReport, build_report, rre, rre_per_frame, ssim
 from .operators import LinearOperator, vec
-from .paramselect import default_lambda_grid
 from .phantom import (
     NoiseSpec,
     SceneObject,

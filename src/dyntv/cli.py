@@ -66,9 +66,7 @@ CONFIG_KEYS = {
     },
     "noise": dict.fromkeys(("sigma", "seed")),
     "forward": {**_BLUR, **_RADON},  # narrowed to FORWARD_KEYS[experiment]
-    "solver": dict.fromkeys((
-        "method", "max_iters", "rel_change_tol", "epsilon", "lambda", "lambda_grid",
-    )),
+    "solver": dict.fromkeys(("method", "max_iters", "rel_change_tol", "epsilon", "lambda")),
     "output_dir": None,
 }
 
@@ -155,7 +153,7 @@ def build_run(cfg, seed_override=None, method_override=None):
     with _config_errors("noise"):
         noise = NoiseSpec(**noise)
     solver = values.get("solver", {})
-    if method_override:
+    if method_override is not None:
         solver["method"] = method_override
     with _config_errors("solver"):
         config = _solver_config(experiment, scene, solver)
@@ -433,10 +431,13 @@ def compare(run_dirs):
             iters = None if iters is None else as_int(iters, "report entry iters_at_dp")
             rre_s = _per_frame(report, "rre_per_frame")
             ssim_s = _per_frame(report, "ssim_per_frame")
+            method = summary.get("method", "?")
+            if not isinstance(method, str):
+                raise ValueError(f"summary entry method must be a string, got {method!r}")
         except ValueError as exc:
             raise ValueError(f"{summary_path}: {exc}") from None
         rows.append((rre_total, (
-            f"{str(run_dir):<28} {summary.get('method', '?'):<16} {rre_total:>10.5f} "
+            f"{str(run_dir):<28} {method:<16} {rre_total:>10.5f} "
             f"{'-' if iters is None else str(iters):>9}  {rre_s:<40} {ssim_s:<40}"
         )))
     rows.sort(key=lambda row: row[0])

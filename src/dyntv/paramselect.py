@@ -25,16 +25,11 @@ import numpy as np
 
 from .exceptions import SingularSystemError
 
-__all__ = ["ProjectedPair", "select_lambda", "default_lambda_grid"]
+__all__ = ["ProjectedPair", "select_lambda"]
 
 # Golden-section refinement runs until the bracket has this relative width.
 REFINE_RELATIVE_WIDTH = 1e-3
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def default_lambda_grid():
-    """Default search grid for the regularization parameter: 40 log-spaced points, 1e-6 to 1e2."""
-    return np.logspace(-6, 2, 40)
 
 
 class ProjectedPair:
@@ -90,8 +85,8 @@ class ProjectedPair:
 def _gcv(c2, s2, beta2, lam):
     """G at lam, a positive scalar or a column of them, from the squared factors.
 
-    Unchecked, and run under the callers' errstate: ``SolverConfig`` checks
-    the grid once.  Each value depends only on its own lam, so a scalar and
+    Unchecked, and run under the callers' errstate: the solver's grid is a
+    positive constant.  Each value depends only on its own lam, so a scalar and
     the same lam inside a column give bitwise equal results.
     """
     # 1 - filter factor: lam*s^2 / (c^2 + lam*s^2), written to stay finite
@@ -105,12 +100,12 @@ def _gcv(c2, s2, beta2, lam):
 def select_lambda(pair, grid):
     """Grid minimizer of G plus golden-section refinement around it.
 
-    ``grid`` is used as given: non-empty, sorted, positive and finite, as
-    ``SolverConfig.lambda_grid`` keeps it.  Ties on the grid are broken
-    toward the larger lambda, and the refined candidate is only kept when it
-    strictly improves on the grid minimum, so a flat curve yields the largest
-    grid point.  The search runs on the balanced factors: the grid is scaled
-    by 2^shift and the chosen lambda scaled back.
+    ``grid`` is used as given: sorted, positive and finite, with at least two
+    points, as the solver's constant ``_LAMBDA_GRID`` is.  Ties on the grid
+    are broken toward the larger lambda, and the refined candidate is only
+    kept when it strictly improves on the grid minimum, so a flat curve yields
+    the largest grid point.  The search runs on the balanced factors: the
+    grid is scaled by 2^shift and the chosen lambda scaled back.
     """
     grid = np.asarray(grid, dtype=float)
     scaled = np.ldexp(grid, pair.shift)
@@ -124,9 +119,6 @@ def select_lambda(pair, grid):
     idx = masked.size - 1 - int(np.argmin(masked[::-1]))
     best_grid = float(grid[idx])
     best_value = float(masked[idx])
-    if grid.size == 1:
-        return best_grid
-
     lo = scaled[max(idx - 1, 0)]
     hi = scaled[min(idx + 1, grid.size - 1)]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -126,14 +126,17 @@ def render_scene(spec):
     vol = np.zeros((spec.n_v, spec.n_h, spec.n_t))
     rows = np.arange(spec.n_v, dtype=float)[:, None]
     cols = np.arange(spec.n_h, dtype=float)[None, :]
-    for obj in spec.objects:
-        for t in range(spec.n_t):
-            (cr, cc), rad = obj.centers[t], obj.radii[t]
-            if obj.shape == "disk":
-                mask = (rows - cr) ** 2 + (cols - cc) ** 2 <= rad**2
-            else:
-                mask = (np.abs(rows - cr) <= rad) & (np.abs(cols - cc) <= rad)
-            vol[:, :, t] += obj.intensity * mask
+    # a finite disk center far outside the frame squares to inf, which leaves
+    # the pixel out, as the rectangle's test does
+    with np.errstate(over="ignore"):
+        for obj in spec.objects:
+            for t in range(spec.n_t):
+                (cr, cc), rad = obj.centers[t], obj.radii[t]
+                if obj.shape == "disk":
+                    mask = (rows - cr) ** 2 + (cols - cc) ** 2 <= rad**2
+                else:
+                    mask = (np.abs(rows - cr) <= rad) & (np.abs(cols - cc) <= rad)
+                vol[:, :, t] += obj.intensity * mask
     return vol
 
 

@@ -66,7 +66,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import SolverError
-from .paramselect import ProjectedPair, default_lambda_grid, select_lambda
+from .paramselect import ProjectedPair, select_lambda
 from .regularization import as_float, as_int, build_D, regularizer_value, update_weights
 
 __all__ = [
@@ -156,11 +156,9 @@ class SolverConfig:
     """Knobs of the outer iteration.
 
     ``lam`` fixes the regularization parameter; when None it is chosen by GCV
-    on the projected problem at every iteration, over ``lambda_grid``: a
-    list of finite positive values, ``default_lambda_grid()`` when None.
-    The grid is checked here, once, and kept sorted as a tuple of floats, so
-    that the search uses it as it is and configs compare and hash.  ``eta``
-    is the discrepancy principle's safety factor: the solve stops once
+    on the projected problem at every iteration, over a fixed grid of 40
+    log-spaced values from 1e-6 to 1e2 (``_LAMBDA_GRID``).  ``eta`` is the
+    discrepancy principle's safety factor: the solve stops once
     ||F u - d||_{Gamma^{-1}} <= eta * delta.  It is fixed, not a field, since
     a different factor is a different ``delta``.
     """
@@ -170,7 +168,6 @@ class SolverConfig:
     max_iters: int = 150
     rel_change_tol: float = 1e-6
     lam: float | None = None
-    lambda_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
         kinds = {"max_iters": as_int, "rel_change_tol": as_float, "lam": as_float}
@@ -184,13 +181,6 @@ class SolverConfig:
             raise ValueError("rel_change_tol must be nonnegative and finite")
         if self.lam is not None and not 0 < self.lam < np.inf:
             raise ValueError("fixed lam must be positive and finite")
-        grid = default_lambda_grid() if self.lambda_grid is None else self.lambda_grid
-        # object dtype keeps each entry as given, so True or "1" is refused, not cast
-        grid = np.asarray(grid, dtype=object).ravel()
-        grid = tuple(sorted(as_float(value, "each of lambda_grid") for value in grid))
-        if not grid or not all(0 < value < np.inf for value in grid):
-            raise ValueError("lambda_grid must be a non-empty list of finite positive values")
-        object.__setattr__(self, "lambda_grid", grid)
 
 
 @dataclass(eq=False)
@@ -404,7 +394,7 @@ def mm_gks_solve(problem, config):
         if config.lam is not None:
             lam = float(config.lam)
         else:
-            lam = select_lambda(state.pair, config.lambda_grid)
+            lam = select_lambda(state.pair, _LAMBDA_GRID)
         y = solve_projected(state, lam)
         u = state.basis @ y
         if not np.all(np.isfinite(u)):
@@ -465,15 +455,18 @@ _CHOLQR_MAX_COND = 1e7
 _GRAM_BLOCK_ELEMS = 1 << 15
 # Golub-Kahan steps of the seed, below the cap so that the seed leaves room
 # for an expansion; columns the basis may reach before a restart (where n is
-# larger); and the number of last iterates whose span the restart keeps.  An
-# iteration costs about linearly in d, so 3 rather than 10 lowers Σd of a
-# 40-iteration capped run by 14%, while the distance to the minimizer after
-# 200 fixed-λ iterations stays within 2% (keeping 1 took 1.7-2.2x).  Below 27
-# columns the cap would restart the short GCV runs, whose λ picks then fall to
-# the floor.
+# larger); the number of last iterates whose span the restart keeps; and the
+# GCV search grid, sorted, positive and finite, which select_lambda uses as it
+# is.  An iteration costs about linearly in d, so 3 rather than 10 lowers Σd
+# of a 40-iteration capped run by 14%, while the distance to the minimizer
+# after 200 fixed-λ iterations stays within 2% (keeping 1 took 1.7-2.2x).
+# Below 27 columns the cap would restart the short GCV runs, whose λ picks
+# then fall to the floor.
 _SEED_STEPS = 5
 _MAX_BASIS_COLS = 30
 _RESTART_ITERATES = 3
+_LAMBDA_GRID = np.logspace(-6, 2, 40)
+_LAMBDA_GRID.flags.writeable = False
 
 
 def _penalty_r(blocks, rows, d):

@@ -337,7 +337,7 @@ def test_temporal_coupling_beats_per_frame_baseline(limited_angle):
 
 def test_gcv_matches_dense_formula_and_selects_moderate_lambda(deblur_example):
     rng = np.random.default_rng(60)
-    probe = dv.default_lambda_grid()[[0, 9, 19, 29, 39]]
+    probe = dv.solver._LAMBDA_GRID[[0, 9, 19, 29, 39]]
     worst = 0.0
     for _ in range(50):
         d = int(rng.integers(2, 21))

@@ -65,6 +65,15 @@ def test_unknown_method_exit_2_names_all_six(tmp_path, capsys):
         assert name in err
 
 
+def test_empty_method_override_exit_2(tmp_path, capsys):
+    # an empty --method used to be ignored, so the config's method ran
+    cfg = write_config(tmp_path, deblur_config())
+    out = tmp_path / "o"
+    assert cli.main_reconstruct(["--config", cfg, "--out", str(out), "--method", ""]) == 2
+    assert "unknown method ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_static_baseline_writes_one_history_per_frame(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -147,16 +156,6 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             {"experiment": "deblur", "scene": dict(scene, objects=[1])},
             "invalid scene section",
         ),
-        # bad grids used to pass parsing and fail inside the solve, after the
-        # output directory was created
-        (
-            {
-                "experiment": "deblur",
-                "scene": scene,
-                "solver": {"lambda_grid": [1.0, float("nan")]},
-            },
-            "lambda_grid must be a non-empty list of finite positive values",
-        ),
         # non-finite or overflowing simulated data used to fail in
         # ReconstructionProblem with a traceback, after the output directory
         # was created
@@ -228,6 +227,17 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             )
             for experiment in cli.EXPERIMENTS
             for sigma in (0.0, 0.01)
+        ),
+        # a finite center whose square overflows raised numpy's overflow
+        # warning in render_scene before it emptied its frame
+        (
+            {
+                "experiment": "deblur",
+                "scene": dict(
+                    scene, objects=[{"centers": [[6, 6], [1e200, 6]], "radii": [2, 2]}]
+                ),
+            },
+            "frame 2 of the scene is empty, so its RRE is undefined",
         ),
         # an infinite center (JSON 1e400) emptied its frame the same way, and
         # a radius of 1e300 raised OverflowError at rad**2 in render_scene
@@ -306,18 +316,20 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lamda": 5}},
             "unknown key 'lamda' in solver; valid keys are method, max_iters, rel_change_tol, "
-            "epsilon, lambda, lambda_grid",
+            "epsilon, lambda",
         ),
-        # the nonnegativity clipping is gone, and the seed size and the
-        # discrepancy factor are solver constants; a config that still sets
-        # one is refused, not run without it
+        # the nonnegativity clipping is gone, and the seed size, the
+        # discrepancy factor and the GCV grid are solver constants; a config
+        # that still sets one is refused, not run without it
         *(
             (
                 {"experiment": "deblur", "scene": scene, "solver": {key: value}},
                 f"unknown key {key!r} in solver; valid keys are method, max_iters, "
-                "rel_change_tol, epsilon, lambda, lambda_grid",
+                "rel_change_tol, epsilon, lambda",
             )
-            for key, value in (("nonneg", True), ("gk_steps", 5), ("eta", 1.01))
+            for key, value in (
+                ("nonneg", True), ("gk_steps", 5), ("eta", 1.01), ("lambda_grid", [0.1, 1.0]),
+            )
         ),
         (
             {"experiment": "deblur", "scene": scene, "forward": {"n_detectors": 20}},
@@ -362,10 +374,6 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             },
             "invalid scene section: each of radii must be a number, got '3'",
         ),
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"lambda_grid": [True, 1.0]}},
-            "invalid solver section: each of lambda_grid must be a number, got True",
-        ),
         # listed objects used to win silently over the random disks' keys
         *(
             (
@@ -376,12 +384,7 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             for extra in ({"n_objects": 2}, {"seed": 1})
             for key in extra
         ),
-        # the grid is a list, and the scene's one preset is not a key: the
-        # removed forms are refused, not read
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"lambda_grid": {"n_points": 5}}},
-            "invalid solver section: each of lambda_grid must be a number, got {'n_points': 5}",
-        ),
+        # the scene's one preset is not a key: the removed form is refused, not read
         *(
             (
                 {"experiment": "deblur", "scene": dict(scene, **extra)},
@@ -607,3 +610,24 @@ def test_compare_missing_summary_or_history_exit_2(tmp_path, capsys):
         assert cli.main_compare([str(bad)]) == 2, message
         err = capsys.readouterr().err
         assert f"cannot compare runs: {bad / 'summary.json'}: {message}" in err, err
+
+
+def test_compare_refuses_a_method_that_is_not_a_string(tmp_path, capsys):
+    # a null, list or object method raised a TypeError traceback (exit 1)
+    # from the table's format string; a missing one still prints "?"
+    report = {"rre_total": 0.5}
+    for i, method in enumerate((None, ["GS"], {"name": "GS"})):
+        bad = tmp_path / f"method{i}"
+        bad.mkdir()
+        (bad / "summary.json").write_text(json.dumps({"method": method, "report": report}))
+        (bad / "history.csv").write_text("iter\n")
+        assert cli.main_compare([str(bad)]) == 2, method
+        err = capsys.readouterr().err
+        want = f"{bad / 'summary.json'}: summary entry method must be a string, got {method!r}"
+        assert f"cannot compare runs: {want}" in err, err
+    unnamed = tmp_path / "unnamed"
+    unnamed.mkdir()
+    (unnamed / "summary.json").write_text(json.dumps({"report": report}))
+    (unnamed / "history.csv").write_text("iter\n")
+    assert cli.main_compare([str(unnamed)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[1] == "?"

@@ -6,7 +6,8 @@ import pytest
 import dyntv as dv
 import oracles
 from dyntv import paramselect
-from dyntv.paramselect import ProjectedPair, default_lambda_grid, select_lambda
+from dyntv.paramselect import ProjectedPair, select_lambda
+from dyntv.solver import _LAMBDA_GRID
 
 
 def random_pair(rng, d):
@@ -20,13 +21,13 @@ def random_pair(rng, d):
 
 def test_flat_curve_scalar_identity():
     pair = ProjectedPair(r_f=np.eye(1), r_m=np.eye(1), rhs=np.array([1.0]))
-    lambdas = default_lambda_grid()
+    lambdas = _LAMBDA_GRID
     np.testing.assert_allclose(oracles.gcv_curve(pair, lambdas), 1.0, rtol=1e-12)
 
 
 def test_select_lambda_flat_curve_returns_largest():
     pair = ProjectedPair(r_f=np.eye(1), r_m=np.eye(1), rhs=np.array([1.0]))
-    grid = default_lambda_grid()
+    grid = _LAMBDA_GRID
     assert select_lambda(pair, grid) == grid[-1]
 
 
@@ -34,7 +35,7 @@ def test_curve_matches_dense_formula_diag_pair():
     rng = np.random.default_rng(30)
     pair = ProjectedPair(r_f=np.diag([2.0, 1.0]), r_m=np.eye(2),
                          rhs=rng.standard_normal(2))
-    for lam in default_lambda_grid():
+    for lam in _LAMBDA_GRID:
         got = oracles.gcv_curve(pair, np.array([lam]))[0]
         want = oracles.gcv_dense(pair.r_f, pair.r_m, pair.rhs, lam)
         np.testing.assert_allclose(got, want, rtol=1e-10)
@@ -42,7 +43,7 @@ def test_curve_matches_dense_formula_diag_pair():
 
 def test_curve_matches_dense_formula_random_pairs():
     rng = np.random.default_rng(31)
-    lambdas = default_lambda_grid()
+    lambdas = _LAMBDA_GRID
     for _ in range(10):
         d = int(rng.integers(2, 12))
         pair = random_pair(rng, d)
@@ -63,7 +64,7 @@ def test_large_lambda_limit():
 
 def test_curve_nonnegative():
     rng = np.random.default_rng(33)
-    lambdas = default_lambda_grid()
+    lambdas = _LAMBDA_GRID
     for _ in range(20):
         pair = random_pair(rng, int(rng.integers(1, 10)))
         curve = oracles.gcv_curve(pair, lambdas)
@@ -82,34 +83,15 @@ def test_all_nan_curve_raises_in_selection():
     # R_M = 0 leaves no filtering at all: trace degenerates to 0/0 everywhere
     pair = ProjectedPair(r_f=np.eye(3), r_m=np.zeros((3, 3)),
                          rhs=np.array([1.0, 2.0, 3.0]))
-    curve = oracles.gcv_curve(pair, default_lambda_grid())
+    curve = oracles.gcv_curve(pair, _LAMBDA_GRID)
     assert np.all(np.isnan(curve))
     with pytest.raises(dv.SingularSystemError):
-        select_lambda(pair, default_lambda_grid())
-
-
-@pytest.mark.parametrize(
-    "bad", [{"n_points": 0}, {"low": 0.0}, {"low": np.nan}, {"high": np.inf}]
-)
-def test_default_lambda_grid_validation(bad):
-    # a grid is a list of values; the object of n_points, low and high that
-    # default_lambda_grid used to take is refused, by it and by SolverConfig
-    with pytest.raises(TypeError):
-        default_lambda_grid(**bad)
-    spec = dv.RegularizerSpec(dims=(2, 2, 2))
-    with pytest.raises(ValueError, match="each of lambda_grid must be a number"):
-        dv.SolverConfig(spec, lambda_grid=bad)
-
-
-def test_select_lambda_single_element_grid():
-    rng = np.random.default_rng(34)
-    pair = random_pair(rng, 4)
-    assert select_lambda(pair, np.array([0.37])) == 0.37
+        select_lambda(pair, _LAMBDA_GRID)
 
 
 def test_select_lambda_refines_within_bracket():
     rng = np.random.default_rng(35)
-    grid = default_lambda_grid()
+    grid = _LAMBDA_GRID
     fine = np.logspace(-6, 2, 4000)
     checked = 0
     for _ in range(20):
@@ -139,7 +121,7 @@ def test_selected_lambda_orthogonal_invariance():
         pair = random_pair(rng, d)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         rotated = ProjectedPair(r_f=q @ pair.r_f, r_m=pair.r_m, rhs=q @ pair.rhs)
-        grid = default_lambda_grid()
+        grid = _LAMBDA_GRID
         c1 = oracles.gcv_curve(pair, grid)
         c2 = oracles.gcv_curve(rotated, grid)
         if np.all(np.isnan(c1)):
@@ -171,7 +153,7 @@ def test_lambda_choice_and_solve_are_exactly_equivariant(k, j):
     # exponents: the pair at lam is the scaled pair at lam / 4^(j + k), so the
     # search on the scaled grid picks exactly that and the solves agree bitwise
     rng = np.random.default_rng(40)
-    grid = default_lambda_grid()
+    grid = _LAMBDA_GRID
     for _ in range(10):
         pair = random_pair(rng, int(rng.integers(2, 12)))
         scaled = ProjectedPair(
@@ -184,10 +166,10 @@ def test_lambda_choice_and_solve_are_exactly_equivariant(k, j):
 
 
 def test_gcv_rejects_nonpositive_lambda():
-    # select_lambda takes its grid as SolverConfig, its one owner, checked it
-    spec = dv.RegularizerSpec(dims=(2, 2, 2))
-    with pytest.raises(ValueError, match="finite positive values"):
-        dv.SolverConfig(spec, lambda_grid=[0.0, 1.0])
+    # select_lambda takes the solver's grid unchecked, so that constant must
+    # stay positive and finite, and no caller can change it
+    assert np.all((_LAMBDA_GRID > 0) & np.isfinite(_LAMBDA_GRID))
+    assert not _LAMBDA_GRID.flags.writeable
 
 
 def test_pair_requires_square_matching_factors():
@@ -207,7 +189,7 @@ def test_pair_requires_square_matching_factors():
 
 
 def test_default_grid_shape():
-    grid = default_lambda_grid()
+    grid = _LAMBDA_GRID
     assert len(grid) == 40
     assert grid[0] == pytest.approx(1e-6)
     assert grid[-1] == pytest.approx(1e2)

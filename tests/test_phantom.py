@@ -70,6 +70,22 @@ def test_rectangle_mask_is_axis_aligned_square():
     np.testing.assert_array_equal(frame, want)
 
 
+@pytest.mark.parametrize("shape", ["disk", "rectangle"])
+def test_a_center_whose_square_overflows_renders_an_empty_frame(shape):
+    # the disk's squared distance overflowed with numpy's RuntimeWarning
+    # where the rectangle's test already left the frame empty
+    centers = ((6.0, 6.0), (1e200, 6.0), (6.0, -1e200))
+    scene = dv.SceneSpec(
+        n_v=12,
+        n_h=12,
+        n_t=3,
+        objects=(dv.SceneObject(shape=shape, intensity=1.0, centers=centers, radii=(2.0,) * 3),),
+    )
+    vol = dv.render_scene(scene)
+    assert vol[:, :, 0].sum() > 0
+    np.testing.assert_array_equal(vol[:, :, 1:], 0.0)
+
+
 def test_overlapping_objects_add():
     scene = dv.SceneSpec(
         n_v=5,

@@ -749,13 +749,12 @@ def test_full_space_matches_dense_mm_iterates():
 @pytest.mark.parametrize(
     "method", [dv.Method.GROUP_SPARSITY, dv.Method.ANISO_TV, dv.Method.ANISO_3D_TV]
 )
-def test_whitening_consistency_under_covariance_rescaling(method):
+def test_whitening_consistency_under_covariance_rescaling(method, monkeypatch):
     problem = blur_problem((8, 8, 3), 1.0, 3, 0.01, scene_seed=8, noise_seed=9)
     spec = dv.RegularizerSpec(method=method, dims=(8, 8, 3), epsilon=1e-3)
-    grid = dv.default_lambda_grid()
-    base = dv.mm_gks_solve(
-        problem, dv.SolverConfig(regularizer=spec, max_iters=40, lambda_grid=grid)
-    )
+    config = dv.SolverConfig(regularizer=spec, max_iters=40)
+    grid = dv.solver._LAMBDA_GRID
+    base = dv.mm_gks_solve(problem, config)
 
     c = 4.0
     scaled_problem = dv.ReconstructionProblem(
@@ -765,10 +764,8 @@ def test_whitening_consistency_under_covariance_rescaling(method):
         delta=problem.delta / c,
         truth=problem.truth,
     )
-    scaled = dv.mm_gks_solve(
-        scaled_problem,
-        dv.SolverConfig(regularizer=spec, max_iters=40, lambda_grid=grid / c**2),
-    )
+    monkeypatch.setattr(dv.solver, "_LAMBDA_GRID", grid / c**2)
+    scaled = dv.mm_gks_solve(scaled_problem, config)
     assert scaled.stop_reason == base.stop_reason
     assert scaled.iterations == base.iterations
     np.testing.assert_allclose(scaled.u, base.u, rtol=1e-10, atol=1e-12)
@@ -779,7 +776,7 @@ def test_whitening_consistency_under_covariance_rescaling(method):
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("rule", ["gcv", "fixed-lambda"])
-def test_solve_is_exactly_equivariant_under_noise_rescaling(rule, k):
+def test_solve_is_exactly_equivariant_under_noise_rescaling(rule, k, monkeypatch):
     # Γ -> 4^k Γ, δ -> δ / 2^k and λ (or its grid) -> λ / 4^k scale the
     # whitened data and R_F by 2^-k, which the balanced pair absorbs exactly:
     # every λ is divided by 4^k and the iterates do not move by one bit
@@ -792,10 +789,12 @@ def test_solve_is_exactly_equivariant_under_noise_rescaling(rule, k):
         delta=problem.delta / 2.0**k,
         truth=problem.truth,
     )
+    grid = dv.solver._LAMBDA_GRID
     runs = []
     for prob, scale in ((problem, 1.0), (scaled_problem, 4.0**-k)):
         if rule == "gcv":
-            options = {"lambda_grid": dv.default_lambda_grid() * scale}
+            monkeypatch.setattr(dv.solver, "_LAMBDA_GRID", grid * scale)
+            options = {}
         else:
             options = {"lam": 0.05 * scale}
         config = dv.SolverConfig(regularizer=spec, max_iters=40, **options)
@@ -1016,35 +1015,9 @@ def test_config_validation():
         dv.SolverConfig(regularizer=spec, rel_change_tol=-1e-6)
     with pytest.raises(ValueError):
         dv.SolverConfig(regularizer=spec, lam=0.0)
-    for grid in ([], [1.0, -1.0], [1.0, np.inf]):
-        with pytest.raises(ValueError, match="lambda_grid must be a non-empty list"):
-            dv.SolverConfig(regularizer=spec, lambda_grid=grid)
-    config = dv.SolverConfig(regularizer=spec, lambda_grid=[[1, 2], [3, 4]])
-    np.testing.assert_array_equal(config.lambda_grid, [1.0, 2.0, 3.0, 4.0])
-
-
-def test_config_with_a_grid_compares_and_hashes():
-    # the grid is kept as a tuple of floats, with the values an array gave
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    config = dv.SolverConfig(spec, lambda_grid=[1, 2])
-    same = dv.SolverConfig(spec, lambda_grid=np.array([1.0, 2.0]))
+    # a config compares and hashes by its fields
+    config, same = dv.SolverConfig(spec), dv.SolverConfig(spec)
     assert config == same and hash(config) == hash(same)
-    assert config != dv.SolverConfig(spec, lambda_grid=[1, 3])
-    assert config.lambda_grid == (1.0, 2.0)
-    grid = dv.default_lambda_grid()
-    assert dv.SolverConfig(spec, lambda_grid=grid).lambda_grid == tuple(grid.tolist())
-
-
-def test_config_owns_the_grid_filled_in_and_sorted():
-    # the GCV search uses the config's grid as given, without a default, a
-    # check or a sort of its own: None takes the default grid, and a grid is
-    # kept sorted, so a shuffled default grid is the default config
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
-    grid = dv.default_lambda_grid()
-    assert dv.SolverConfig(spec).lambda_grid == tuple(grid.tolist())
-    shuffled = np.random.default_rng(3).permutation(grid)
-    assert dv.SolverConfig(spec, lambda_grid=shuffled) == dv.SolverConfig(spec)
-    assert dv.SolverConfig(spec, lambda_grid=[3, 1, 2]).lambda_grid == (1.0, 2.0, 3.0)
 
 
 @pytest.mark.parametrize(
@@ -1077,21 +1050,18 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.RegularizerSpec(dims=(4, 4, 1), epsilon="0.1"), "epsilon"),
         (lambda spec: dv.SolverConfig(spec, max_iters=10**400), "max_iters"),
         (lambda spec: dv.RegularizerSpec(dims=(10**400, 4, 2)), "each of dims"),
-        (lambda spec: dv.SolverConfig(spec, lambda_grid=[True, 1.0]), "each of lambda_grid"),
-        (lambda spec: dv.SolverConfig(spec, lambda_grid=["1"]), "each of lambda_grid"),
         (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta=True),
          "delta"),
         (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta="1"),
          "delta"),
     ],
     ids=["lam-True", "rel_change_tol-True", "epsilon-True", "static-epsilon-string", "max_iters-10**400",
-         "dims-10**400", "lambda_grid-True", "lambda_grid-string", "delta-True", "delta-string"],
+         "dims-10**400", "delta-True", "delta-string"],
 )
 def test_float_and_flag_fields_refuse_other_kinds(build, field):
     # each was accepted or failed deep inside: lam True ran with λ = 1,
     # epsilon True gave ε = 1, delta "1" raised a bare
-    # TypeError from the range check, max_iters 10**400 ran without bound,
-    # and a grid of True and "1" ran at λ = 1
+    # TypeError from the range check, and max_iters 10**400 ran without bound
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         build(spec)
@@ -1105,15 +1075,15 @@ def test_float_and_flag_fields_keep_numpy_scalars():
 
 
 def test_removed_nonneg_field_is_refused():
-    # the nonnegativity clipping is gone, and the seed size and the
-    # discrepancy factor are solver constants, so a caller that still sets
-    # one fails at once instead of running without it
+    # the nonnegativity clipping is gone, and the seed size, the discrepancy
+    # factor and the GCV grid are solver constants, so a caller that still
+    # sets one fails at once instead of running without it
     spec = dv.RegularizerSpec(dims=(2, 2, 2))
-    for field in ("nonneg", "gk_steps", "eta"):
+    for field, value in (("nonneg", 2), ("gk_steps", 2), ("eta", 2), ("lambda_grid", [1.0])):
         with pytest.raises(TypeError, match=field):
-            dv.SolverConfig(spec, **{field: 2})
+            dv.SolverConfig(spec, **{field: value})
     assert [f.name for f in dataclasses.fields(dv.SolverConfig)] == [
-        "regularizer", "max_iters", "rel_change_tol", "lam", "lambda_grid",
+        "regularizer", "max_iters", "rel_change_tol", "lam",
     ]
     assert dv.SolverConfig(spec).eta == 1.01
 
