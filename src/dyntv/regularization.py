@@ -29,8 +29,8 @@ The six methods:
 
 An axis of extent 1 contributes no block, so ``AnisoTV`` on dims
 (n_v, n_h, 1) is the spatial TV of one frame, the per-frame baseline; a
-method with no block left there (``Aniso3DTV``) is refused.  R is the value at
-eps = 0.
+method with no block left there (``Aniso3DTV``) is refused.  Only R_eps is
+evaluated here, from the ``penalty_sums`` of z; R, at eps = 0, is a test oracle.
 
 For the iteratively reweighted scheme the diagonal weights W(u_k) are each
 group's smoothed squared norm at power -1/4, repeated on the group's rows,
@@ -294,38 +294,29 @@ def build_D(spec):
     return _penalty(spec.method, spec.dims)[0]
 
 
-def _group_sums(spec, u, z=None):
-    """Squared group norms of the non-quadratic rows of z = D u, and (1/2)||z_quad||^2.
-
-    ``z`` is D u when the caller already holds it; otherwise D is applied here.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != spec.n:
-        raise ValueError(f"iterate of length {u.size} does not match dims {spec.dims}")
-    _, group, n_quad = _penalty(spec.method, spec.dims)
-    if z is None:
-        z = build_D(spec).apply(u)
+def penalty_sums(spec, z):
+    """Smoothed squared group norms ||z_g||^2 + eps^2 of z = D u, and (1/2)||z_quad||^2."""
+    d_op, group, n_quad = _penalty(spec.method, spec.dims)
+    if z.shape != (d_op.rows,):
+        raise ValueError(f"z of shape {z.shape} is not D u for dims {spec.dims}")
     m = z.size - n_quad
     s = z[:m] ** 2
     if group is not None:
         s = np.bincount(group, s)
+    s += spec.epsilon**2  # s is a new array, so in place
     # not z[m:] itself: that view would keep all of z alive in the caller
     return s, 0.5 * (z[m:] @ z[m:])
 
 
-def regularizer_value(spec, u, smoothed=False, z=None):
-    """Evaluate R(u), or its eps-smoothed companion R_eps(u); ``z`` = D u if known."""
-    s, quad = _group_sums(spec, u, z)
-    s += spec.epsilon**2 if smoothed else 0.0  # s is a new array, so in place
-    return float(np.sum(np.sqrt(s, out=s)) + quad)
+def regularizer_value(spec, sums):
+    """R_eps(u) from the ``penalty_sums`` at u, which it leaves as they are."""
+    return float(np.sum(np.sqrt(sums[0])) + sums[1])
 
 
-def update_weights(spec, u_k, z=None):
-    """Diagonal of W(u_k), expanded to one entry per row of D; ``z`` = D u_k if known."""
+def update_weights(spec, sums):
+    """Diagonal of W(u_k), one entry per row of D, from (and in) the ``penalty_sums`` at u_k."""
     _, group, n_quad = _penalty(spec.method, spec.dims)
-    s, _ = _group_sums(spec, u_k, z)
-    s += spec.epsilon**2  # s is a new array, so in place
-    w = np.power(s, -0.25, out=s)
+    w = np.power(sums[0], -0.25, out=sums[0])
     if group is not None:
         w = w[group]
     if n_quad:

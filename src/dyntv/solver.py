@@ -17,16 +17,15 @@ columns: an expansion that would pass the cap first restarts the basis on the
 span of the last 3 iterates, the current one included, as in restarted and
 recycled GKS (Buccini & Reichel 2023; Pasha, de Sturler & Kilmer 2023), so the
 subspace drops to 4 columns and grows again.  The current iterate stays in
-the span, so under a fixed lam the objective still cannot rise, and the
-forward factors follow from the kept ones without a forward apply.  Thin QR
-factors of the projected operators
-keep every inner step at the cost of small dense linear algebra.  Each refresh
-factors the projected pair once, by its generalized SVD
+the span, so under a fixed lam the objective still cannot rise, and the forward
+factors follow from the kept ones without a forward apply.  Thin QR factors of
+the projected operators keep every inner step at the cost of small dense linear
+algebra.  Each refresh factors the projected pair once, by its generalized SVD
 (``paramselect.ProjectedPair``), and both the GCV search for lam and the
 projected solve read that one factorization; a fixed lam takes the same path.
-The whitened forward applied to the basis, A V, enters only
-through its thin QR factors Q_F, R_F and is not kept; the factors grow by one
-column at a time, since the noise covariance is fixed.  The penalty factor is
+The whitened forward applied to the basis, A V, enters only through its thin QR
+factors Q_F, R_F and is not kept; the factors grow by one column at a time,
+since the noise covariance is fixed.  The penalty factor is
 refactored every iteration, because the weights change, by Gram sweeps over row
 blocks of the weighted block W D V.  D V is never stored: each sweep applies
 the stencil of D to the basis one frame range at a time, so no array with a row
@@ -43,18 +42,18 @@ over the first columns of the same buffers one row block at a time, with no
 temporary as tall as a column; the state's public fields are views of their
 filled columns, and no buffer is ever regrown.
 
-Each iterate u = V y is the minimizer of its projected majorant and is
-reported as it is, so every step is a majorize-minimize step.  It is formed
-once, and so are the two vectors that several steps share.  Its whitened
-residual A u - b comes from the kept factors as Q_F R_F y - b, without a
-forward apply, and serves the discrepancy test, the objective and the
-expansion.  z = D u serves the objective, the weights of the next refresh
-(taken at the same u) and the expansion.  Past the seed, the forward is thus
+Each iterate u = V y is the minimizer of its projected majorant and is reported
+as it is, so every step is a majorize-minimize step.  It is formed once, and so
+are the vectors that several steps share.  Its whitened residual A u - b comes
+from the kept factors as Q_F R_F y - b, without a forward apply, and serves the
+discrepancy test, the objective and the expansion.  z = D u serves the
+expansion and the penalty sums, the smoothed squared group norms that give both
+R_eps(u) for the objective and the next refresh's weights; the first weights,
+at u = 0, take the sums of a zero z.  Past the seed, the forward is thus
 applied once per expansion and D once per iterate, besides the stencil passes
-of the Gram sweeps.  The value and the weights work in place on their
-squared group norms, the old weights are dropped before the new ones are
-formed, and W² D x takes one buffer, so none of these steps holds more than
-one rows(D) temporary besides z and the weights.
+of the Gram sweeps.  The weights are formed in place on the sums, the old
+weights are dropped first, and W² D x takes one buffer, so no step holds more
+than one rows(D) temporary besides z, the sums and the weights.
 """
 
 from __future__ import annotations
@@ -66,8 +65,10 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import SolverError
+from .operators import LinearOperator
 from .paramselect import ProjectedPair, select_lambda
-from .regularization import as_float, as_int, build_D, regularizer_value, update_weights
+from .regularization import (RegularizerSpec, as_float, as_int, build_D, penalty_sums,
+                             regularizer_value, update_weights)
 
 __all__ = [
     "ReconstructionProblem",
@@ -89,13 +90,15 @@ class ReconstructionProblem:
     finite and not all zero.
     """
 
-    forward: object
+    forward: LinearOperator
     data: np.ndarray
     noise_cov_diag: np.ndarray | None = None
     delta: float = 0.0
     truth: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.forward, LinearOperator):
+            raise ValueError(f"forward must be a LinearOperator, got {type(self.forward)}")
         self.data = np.asarray(self.data, dtype=float).ravel()
         if self.data.size != self.forward.rows:
             raise ValueError(
@@ -164,12 +167,14 @@ class SolverConfig:
     """
 
     eta: ClassVar[float] = 1.01
-    regularizer: object
+    regularizer: RegularizerSpec
     max_iters: int = 150
     rel_change_tol: float = 1e-6
     lam: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.regularizer, RegularizerSpec):
+            raise ValueError(f"regularizer must be a RegularizerSpec, got {self.regularizer!r}")
         kinds = {"max_iters": as_int, "rel_change_tol": as_float, "lam": as_float}
         for name, kind in kinds.items():
             value = getattr(self, name)
@@ -308,10 +313,10 @@ def _buffer(a, cols):
     return buf
 
 
-def refresh_penalty(state, spec, u_k, z=None):
-    """Recompute the weights at u_k, R_M and the factored pair; ``z`` = D u_k if known."""
+def refresh_penalty(state, spec, sums):
+    """Recompute the weights, R_M and the pair from the ``penalty_sums`` at u_k (spent)."""
     state.weights = None  # the old weights are not read again; free them first
-    w = update_weights(spec, u_k, z=z)
+    w = state.weights = update_weights(spec, sums)
     d_op = build_D(spec)
 
     def weighted_rows():
@@ -319,10 +324,8 @@ def refresh_penalty(state, spec, u_k, z=None):
             z *= w[first : first + z.shape[0], None]
             yield z
 
-    state.weights = w
     r_m = _penalty_r(weighted_rows, d_op.rows, state.dim)
     state.pair = ProjectedPair(state.r_f, r_m, state.rhs_hat)
-    return w
 
 
 def solve_projected(state, lam):
@@ -350,8 +353,9 @@ def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
         return False
     w2dx = np.square(state.weights)  # W² D x in one rows(D) buffer
     w2dx *= dx
-    r = problem.whiten_adjoint(res_w) + lam * d_op.apply_adjoint(w2dx)
-    del w2dx
+    r = lam * d_op.apply_adjoint(w2dx)
+    del w2dx  # before the forward's adjoint allocates
+    r += problem.whiten_adjoint(res_w)
     _, norm = _orthogonalize(state.basis, r)
     if norm <= 1e-14 * max(1.0, float(np.linalg.norm(x))):
         return False
@@ -386,11 +390,11 @@ def mm_gks_solve(problem, config):
     b = problem.whitened_data
     iterates = deque(maxlen=_RESTART_ITERATES)  # coefficients of the last iterates
     u_prev = np.zeros(n)
-    z = None  # D u_prev; the first weights, at u = 0, apply D themselves
+    sums = penalty_sums(spec, np.zeros(d_op.rows))  # D u_prev is zero: no apply
     history = []
     stop_reason = "max_iters"
     for k in range(1, config.max_iters + 1):
-        refresh_penalty(state, spec, u_prev, z)
+        refresh_penalty(state, spec, sums)
         if config.lam is not None:
             lam = float(config.lam)
         else:
@@ -402,7 +406,8 @@ def mm_gks_solve(problem, config):
         res_w = state.q_f @ (state.r_f @ y) - b
         dp_residual = float(np.linalg.norm(res_w))
         z = d_op.apply(u)
-        objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, u, smoothed=True, z=z)
+        sums = penalty_sums(spec, z)
+        objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, sums)
         rre = None
         if problem.truth is not None:
             rre = float(np.linalg.norm(u - problem.truth) / np.linalg.norm(problem.truth))
@@ -433,6 +438,7 @@ def mm_gks_solve(problem, config):
             if state.dim == state.max_dim < n:
                 _restart(state, problem, iterates)
             expand_subspace(state, problem, d_op, lam, u, res_w, z)
+        del z  # the next refresh reads only the sums
     return SolveResult(u=u, history=history, stop_reason=stop_reason)
 
 
@@ -448,10 +454,12 @@ def mm_gks_solve(problem, config):
 # directions and Householder takes over.
 _ONE_PASS_MAX_COND = 1e3
 _CHOLQR_MAX_COND = 1e7
-# Elements per row block of the Gram sweeps (256 KB).  A row block holds the
-# rows of one block of D for as many whole frames as fit, at least one, so
-# W D V is never held at full size.  The restart reads the basis and Q_F in
-# row blocks of the same size.
+# Elements per row block of the Gram sweeps and the restart (256 KB).  A Gram
+# row block holds the rows of one block of D for as many whole frames as fit,
+# so W D V is never held at full size, but never less than one frame, so this
+# is no bound on it: one frame of the v block at 128x128 is 16,256 rows, 2.2 MB
+# at d = 17 and 3.9 MB at d = 30.  Splitting frames into row ranges was
+# dropped: such a block does not set a solve's peak, and it saved under 1 MB.
 _GRAM_BLOCK_ELEMS = 1 << 15
 # Golub-Kahan steps of the seed, below the cap so that the seed leaves room
 # for an expansion; columns the basis may reach before a restart (where n is

@@ -8,9 +8,9 @@ assemble it from Kronecker products of one-dimensional difference matrices,
 as the paper writes it.  The exceptions are test helpers that take package
 objects as they are: ``DenseOperator`` wraps an explicit array as a package
 operator and ``dense`` materializes a small package operator, ``mode_product``
-accepts any package operator, and the
-majorant helpers evaluate Q and J_eps from the package's D, weights and
-penalty, so that the tests can check the majorization conditions the solver
+accepts any package operator, and the majorant helpers evaluate Q and J_eps
+from the package's D, weights and penalty, which ``sums_at`` takes at an
+iterate, so that the tests can check the majorization conditions the solver
 relies on, and ``expand_at_solve`` hands the solver's expansion the inputs
 its outer loop would.  ``full_space_mm_iterates`` runs the solver's steps on
 the identity basis, where every projected solve is exact, and ``gcv_curve``
@@ -27,7 +27,7 @@ import numpy as np
 import dyntv as dv
 from dyntv import paramselect
 from dyntv.operators import SparseOperator
-from dyntv.regularization import build_D, regularizer_value, update_weights
+from dyntv.regularization import build_D, penalty_sums, regularizer_value, update_weights
 from dyntv.solver import expand_subspace, init_state, refresh_penalty, solve_projected
 
 
@@ -192,6 +192,7 @@ def _pad(z, dims):
 
 
 def reg_value(method, dims, eps, u, smoothed):
+    """R_eps(u) through the tensor route, or R(u), its value at eps = 0, unless smoothed."""
     t = tensor(u, dims)
     zv, zh, zt = _diffs(t)
     e2 = eps**2 if smoothed else 0.0
@@ -256,26 +257,31 @@ def weights_vec(method, dims, eps, u):
 # --- quadratic tangent majorant of the package's penalty --------------------------
 
 
+def sums_at(spec, u):
+    """The package's ``penalty_sums`` at the iterate u, which the value and weights read."""
+    return penalty_sums(spec, build_D(spec).apply(np.asarray(u, dtype=float)))
+
+
 def majorant_value(spec, u, u_k, lam, misfit):
     """Quadratic tangent majorant Q(u; u_k) of misfit(u) + lam * R_eps(u)."""
     d_op = build_D(spec)
-    w = update_weights(spec, u_k)
+    w = update_weights(spec, sums_at(spec, u_k))
     m_u = w * d_op.apply(u)
     m_uk = w * d_op.apply(u_k)
-    c = lam * (regularizer_value(spec, u_k, smoothed=True) - 0.5 * (m_uk @ m_uk))
+    c = lam * (regularizer_value(spec, sums_at(spec, u_k)) - 0.5 * (m_uk @ m_uk))
     return float(misfit(u) + 0.5 * lam * (m_u @ m_u) + c)
 
 
 def majorant_gradient(spec, u, u_k, lam, misfit_gradient):
     """Gradient of Q(.; u_k) at u; at u = u_k this equals the gradient of J_eps."""
     d_op = build_D(spec)
-    w = update_weights(spec, u_k)
+    w = update_weights(spec, sums_at(spec, u_k))
     return misfit_gradient(u) + lam * d_op.apply_adjoint(w**2 * d_op.apply(u))
 
 
 def smoothed_objective(spec, u, lam, misfit):
     """J_eps(u) = misfit(u) + lam * R_eps(u)."""
-    return float(misfit(u) + lam * regularizer_value(spec, u, smoothed=True))
+    return float(misfit(u) + lam * regularizer_value(spec, sums_at(spec, u)))
 
 
 def expand_at_solve(state, problem, d_op, lam):
@@ -302,7 +308,7 @@ def full_space_mm_iterates(problem, spec, lam, n_iters):
     u = np.zeros(n)
     iterates = []
     for _ in range(n_iters):
-        refresh_penalty(state, spec, u)
+        refresh_penalty(state, spec, sums_at(spec, u))
         u = state.basis @ solve_projected(state, lam)
         iterates.append(u)
     return iterates

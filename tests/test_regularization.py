@@ -7,7 +7,8 @@ import pytest
 
 import dyntv as dv
 import oracles
-from dyntv.regularization import build_D, regularizer_value, update_weights
+from dyntv.regularization import build_D, penalty_sums, regularizer_value, update_weights
+from oracles import sums_at
 
 METHODS = list(dv.METHOD_NAMES)
 
@@ -81,22 +82,26 @@ def test_build_d_rejects_wrong_length():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_regularizer_value_zero_at_zero(method):
-    spec = spec_for(method, (3, 3, 2))
-    assert regularizer_value(spec, np.zeros(18)) == 0.0
+    # R(0) = 0: every group norm of D 0 is zero, so the sums hold eps² alone
+    # and R_eps(0) is the smoothing floor, eps per group (exact at eps = 0.5)
+    spec = spec_for(method, (3, 3, 2), eps=0.5)
+    s, quad = sums_at(spec, np.zeros(18))
+    assert quad == 0.0 and np.all(s == 0.25)
+    assert regularizer_value(spec, (s, quad)) == 0.5 * s.size
 
 
 def test_anisotv_two_frame_worked_example():
     # two identical frames of U = [[1,0],[1,0]]: spatial TV 2 per frame, no
-    # temporal differences
+    # temporal differences; at eps = 1e-150 each zero difference adds only eps
     u = np.tile(np.array([1.0, 1.0, 0.0, 0.0]), 2)
-    spec = spec_for("AnisoTV", (2, 2, 2))
-    assert abs(regularizer_value(spec, u) - 4.0) < 1e-14
+    spec = spec_for("AnisoTV", (2, 2, 2), eps=1e-150)
+    assert abs(regularizer_value(spec, sums_at(spec, u)) - 4.0) < 1e-14
 
 
 def test_gs_two_frame_worked_example():
     u = np.tile(np.array([1.0, 1.0, 0.0, 0.0]), 2)
-    spec = spec_for("GS", (2, 2, 2))
-    assert abs(regularizer_value(spec, u) - 2.0 * np.sqrt(2.0)) < 1e-14
+    spec = spec_for("GS", (2, 2, 2), eps=1e-150)
+    assert abs(regularizer_value(spec, sums_at(spec, u)) - 2.0 * np.sqrt(2.0)) < 1e-14
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -104,12 +109,12 @@ def test_regularizer_value_matches_oracle(method):
     rng = np.random.default_rng(12)
     for dims in ((3, 4, 2), (4, 3, 3)):
         n = dims[0] * dims[1] * dims[2]
+        spec = spec_for(method, dims)
         for _ in range(3):
             u = rng.standard_normal(n)
-            for smoothed in (False, True):
-                got = regularizer_value(spec_for(method, dims), u, smoothed=smoothed)
-                want = oracles.reg_value(method, dims, 1e-3, u, smoothed)
-                np.testing.assert_allclose(got, want, rtol=1e-12)
+            got = regularizer_value(spec, sums_at(spec, u))
+            want = oracles.reg_value(method, dims, 1e-3, u, smoothed=True)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -117,10 +122,11 @@ def test_smoothing_monotonicity(method):
     rng = np.random.default_rng(13)
     dims = (4, 4, 3)
     u = rng.standard_normal(48)
-    exact = regularizer_value(spec_for(method, dims), u)
+    exact = oracles.reg_value(method, dims, 0.0, u, smoothed=False)
     gaps = []
     for eps in (1e-1, 1e-2, 1e-3):
-        smoothed = regularizer_value(spec_for(method, dims, eps), u, smoothed=True)
+        spec = spec_for(method, dims, eps)
+        smoothed = regularizer_value(spec, sums_at(spec, u))
         assert smoothed >= exact
         gaps.append(smoothed - exact)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -131,33 +137,34 @@ def test_one_homogeneous_scaling_exact(method):
     rng = np.random.default_rng(14)
     dims = (3, 3, 3)
     u = rng.standard_normal(27)
-    spec = spec_for(method, dims)
-    # power-of-two scalar keeps the identity exact in floating point
-    assert regularizer_value(spec, 4.0 * u) == 4.0 * regularizer_value(spec, u)
+    spec, spec4 = spec_for(method, dims), spec_for(method, dims, 4e-3)
+    # R_4eps(4u) = 4 R_eps(u); a power-of-two scalar keeps it exact in floating point
+    assert regularizer_value(spec4, sums_at(spec4, 4.0 * u)) == (
+        4.0 * regularizer_value(spec, sums_at(spec, u)))
 
 
 def test_tv_plus_tikhonov_mixed_scaling():
     rng = np.random.default_rng(15)
     dims = (3, 3, 3)
     u = rng.standard_normal(27)
-    spec = spec_for("TVplusTikhonov", dims)
+    spec, spec4 = spec_for("TVplusTikhonov", dims), spec_for("TVplusTikhonov", dims, 4e-3)
     l_t = oracles.diff_matrix(3)
     z_t = oracles.kron3(l_t, np.eye(3), np.eye(3)) @ u
     tik = 0.5 * float(z_t @ z_t)
-    tv = regularizer_value(spec, u) - tik
-    got = regularizer_value(spec, 4.0 * u)
+    tv = regularizer_value(spec, sums_at(spec, u)) - tik
+    got = regularizer_value(spec4, sums_at(spec4, 4.0 * u))
     np.testing.assert_allclose(got, 4.0 * tv + 16.0 * tik, rtol=1e-12)
 
 
 def test_weights_at_zero_anisotv():
     spec = spec_for("AnisoTV", (3, 3, 2))
-    w = update_weights(spec, np.zeros(18))
+    w = update_weights(spec, sums_at(spec, np.zeros(18)))
     np.testing.assert_allclose(w, 10.0**1.5, rtol=1e-14)
 
 
 def test_weights_at_zero_tv_plus_tikhonov():
     spec = spec_for("TVplusTikhonov", (3, 3, 2))
-    w = update_weights(spec, np.zeros(18))
+    w = update_weights(spec, sums_at(spec, np.zeros(18)))
     n_spatial = 2 * ((3 - 1) * 3 + (3 - 1) * 3)
     np.testing.assert_allclose(w[:n_spatial], 10.0**1.5, rtol=1e-14)
     np.testing.assert_array_equal(w[n_spatial:], 1.0)
@@ -168,7 +175,7 @@ def test_iso3dtv_weight_blocks_replicated():
     dims = (3, 3, 2)
     spec = spec_for("Iso3DTV", dims)
     u = rng.standard_normal(18)
-    w = update_weights(spec, u)
+    w = update_weights(spec, sums_at(spec, u))
     block = len(w) // 3
     np.testing.assert_array_equal(w[:block], w[block : 2 * block])
     np.testing.assert_array_equal(w[:block], w[2 * block :])
@@ -187,7 +194,7 @@ def test_weights_match_oracle_and_rows(method):
         n = dims[0] * dims[1] * dims[2]
         u = rng.standard_normal(n)
         spec = spec_for(method, dims)
-        w = update_weights(spec, u)
+        w = update_weights(spec, sums_at(spec, u))
         assert w.shape == (build_D(spec).rows,)
         assert np.all(w > 0)
         np.testing.assert_allclose(w, oracles.weights_vec(method, dims, 1e-3, u),
@@ -206,11 +213,14 @@ def traced_peak(fn, *args, **kwargs):
 @pytest.mark.parametrize("smoothed", [False, True], ids=["plain", "smoothed"])
 @pytest.mark.parametrize("method", METHODS)
 def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed):
-    # both take the squared group norms s and work on them in place: the value
-    # sum sqrt(s + eps²) and the weights (s + eps²)^(-1/4) are bitwise those
-    # of the out-of-place formulas, the caller's z = D u is left as it was, and
-    # neither allocates more than the group sums themselves and the weights
-    spec = spec_for(method, (32, 32, 4))
+    # the sums add eps² to the squared group norms s in place; the value
+    # sum sqrt(s + eps²) leaves them as they are, since the next weights read
+    # them, and the weights (s + eps²)^(-1/4) are formed in place on them.  Both
+    # are bitwise those of the out-of-place formulas, the caller's z = D u is
+    # left as it was, and neither allocates more than the group sums
+    # themselves and the weights.  The plain case runs at eps = 1e-150, whose
+    # square is below half an ulp of every s here, so R_eps is bitwise R
+    spec = spec_for(method, (32, 32, 4), 1e-3 if smoothed else 1e-150)
     _, group, n_quad = dv.regularization._penalty(spec.method, spec.dims)
     u = np.random.default_rng(19).standard_normal(spec.n)
     z = build_D(spec).apply(u)
@@ -226,9 +236,11 @@ def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed):
         want_w = want_w[group]
     want_w = np.concatenate([want_w, np.ones(n_quad)])
 
-    _, sums_peak = traced_peak(dv.regularization._group_sums, spec, u, z)
-    value, value_peak = traced_peak(regularizer_value, spec, u, smoothed=smoothed, z=z)
-    w, w_peak = traced_peak(update_weights, spec, u, z=z)
+    sums, sums_peak = traced_peak(penalty_sums, spec, z)
+    sums_before = sums[0].copy(), sums[1]
+    value, value_peak = traced_peak(regularizer_value, spec, sums)
+    assert sums[0].tobytes() == sums_before[0].tobytes() and sums[1] == sums_before[1]
+    w, w_peak = traced_peak(update_weights, spec, sums)
     assert value == want_value
     assert w.tobytes() == want_w.tobytes()
     assert z.tobytes() == z_before.tobytes()
@@ -301,9 +313,9 @@ def test_half_weighted_norm_reproduces_smoothed_value(method):
     spec = spec_for(method, dims)
     u_k = rng.standard_normal(24)
     d_op = build_D(spec)
-    w = update_weights(spec, u_k)
+    r_eps = regularizer_value(spec, sums_at(spec, u_k))
+    w = update_weights(spec, sums_at(spec, u_k))
     m_u = w * d_op.apply(u_k)
-    r_eps = regularizer_value(spec, u_k, smoothed=True)
     c_tilde = r_eps - 0.5 * float(m_u @ m_u)
     np.testing.assert_allclose(0.5 * float(m_u @ m_u) + c_tilde, r_eps, rtol=1e-12)
 
@@ -322,15 +334,19 @@ def test_static_spec_value_and_weights():
     spec = spec_for("AnisoTV", (3, 3, 1))
     u = rng.standard_normal(9)
     z = oracles.ls_matrix(3, 3) @ u
-    np.testing.assert_allclose(regularizer_value(spec, u), np.abs(z).sum(), rtol=1e-12)
-    w = update_weights(spec, u)
+    np.testing.assert_allclose(
+        regularizer_value(spec, sums_at(spec, u)), np.sqrt(z**2 + 1e-6).sum(), rtol=1e-12)
+    w = update_weights(spec, sums_at(spec, u))
     np.testing.assert_allclose(w, (z**2 + 1e-6) ** (-0.25), rtol=1e-12)
 
 
 def test_regularizer_value_rejects_wrong_length():
+    # the sums that the value and the weights read take z = D u, one entry per row of D
     spec = spec_for("AnisoTV", (3, 3, 2))
-    with pytest.raises(ValueError):
-        regularizer_value(spec, np.zeros(17))
+    rows = build_D(spec).rows
+    for z in (np.zeros(rows - 1), np.zeros(rows + 1), np.zeros((rows, 1)), np.zeros(18)):
+        with pytest.raises(ValueError, match="is not D u"):
+            penalty_sums(spec, z)
 
 
 @pytest.mark.parametrize("eps", [np.inf, np.nan, 1e-300, 1e300])

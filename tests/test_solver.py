@@ -208,7 +208,7 @@ def test_projected_pair_pads_wide_factor_square():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     state = init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0])
-    refresh_penalty(state, spec, np.zeros(8))
+    refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
     # the refresh factors the 2 x 3 R_F, padded square inside the pair
     r_f, r_m, rhs = state.r_f, state.pair.r_m, state.rhs_hat
     assert r_f.shape == (2, 3) and r_m.shape == (3, 3) and state.pair.dim == 3
@@ -278,7 +278,7 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     spec = dv.RegularizerSpec(method=method, dims=(4, 4, 3), epsilon=1e-3)
     rng = np.random.default_rng(61)
     u = rng.standard_normal(spec.n)
-    a = update_weights(spec, u)[:, None] * oracles.dense(build_D(spec))
+    a = update_weights(spec, oracles.sums_at(spec, u))[:, None] * oracles.dense(build_D(spec))
     want = oracles.householder_r(a, spec.n)
     np.testing.assert_array_equal(dv.solver._penalty_r(row_blocks(a), *a.shape), want)
     # the refresh builds the same W D V from the stencil, frame range by range
@@ -286,7 +286,7 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
         forward=random_forward(rng, 60, spec.n), data=rng.standard_normal(60)
     )
     state = init_state(problem, np.eye(spec.n))
-    refresh_penalty(state, spec, u)
+    refresh_penalty(state, spec, oracles.sums_at(spec, u))
     np.testing.assert_array_equal(state.pair.r_m, want)
 
 
@@ -308,7 +308,7 @@ def test_expand_full_basis_returns_false():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
     d_op = build_D(spec)
     state = init_state(problem, np.eye(8))
-    refresh_penalty(state, spec, np.zeros(8))
+    refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
     solve_projected(state, 0.5)
     assert not oracles.expand_at_solve(state, problem, d_op, 0.5)
     assert state.dim == 8
@@ -325,7 +325,7 @@ def test_expand_stalls_when_solution_is_in_span():
     basis, breakdown = seed_subspace(problem, 5)
     assert breakdown and basis.shape == (n, 1)
     state = init_state(problem, basis)
-    refresh_penalty(state, spec, np.zeros(n))
+    refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
     y = solve_projected(state, 1e-3)
     np.testing.assert_allclose(state.basis @ y, problem.data, rtol=1e-12)
     assert not oracles.expand_at_solve(state, problem, d_op, 1e-3)
@@ -354,7 +354,7 @@ def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
     assert state.max_dim == max_dim and first_q_f.shape == (rows, 3)
     u = np.zeros(n)
     for d in range(4, max_dim + 2):
-        refresh_penalty(state, spec, u)
+        refresh_penalty(state, spec, oracles.sums_at(spec, u))
         u = state.basis @ solve_projected(state, lam)
         assert oracles.expand_at_solve(state, problem, d_op, lam) == (d <= max_dim)
         assert state.dim == min(d, max_dim)
@@ -384,7 +384,7 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     state = init_state(problem, basis)
     u = np.zeros(n)
     for _ in range(n_expand):
-        refresh_penalty(state, spec, u)
+        refresh_penalty(state, spec, oracles.sums_at(spec, u))
         y = solve_projected(state, 0.3)
         u = state.basis @ y
         assert oracles.expand_at_solve(state, problem, d_op, 0.3)
@@ -409,7 +409,7 @@ def test_expand_appends_dense_normal_equations_residual():
     d_op = build_D(spec)
     basis, _ = seed_subspace(problem, 4)
     state = init_state(problem, basis)
-    refresh_penalty(state, spec, rng.standard_normal(n))
+    refresh_penalty(state, spec, oracles.sums_at(spec, rng.standard_normal(n)))
     y = solve_projected(state, lam)
     assert oracles.expand_at_solve(state, problem, d_op, lam)
 
@@ -445,6 +445,12 @@ def test_problem_rejects_non_finite_data_and_covariance(bad):
         dv.ReconstructionProblem(
             forward=DenseOperator(np.eye(3)), data=np.ones(3), noise_cov_diag=cov
         )
+
+
+def test_problem_rejects_a_forward_that_is_not_an_operator():
+    # an array used to fail with an AttributeError on its missing .rows
+    with pytest.raises(ValueError, match="forward must be a LinearOperator, got .*ndarray"):
+        dv.ReconstructionProblem(forward=np.eye(3), data=np.ones(3))
 
 
 @pytest.mark.parametrize("delta", [np.inf, np.nan])
@@ -711,7 +717,7 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
     d_op = build_D(spec)
     state = init_state(problem, np.linalg.qr(rng.standard_normal((n, 5)))[0])
-    refresh_penalty(state, spec, np.zeros(n))
+    refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
     solve_projected(state, 0.5)
     basis, q_f = state.basis.copy(), state.q_f.copy()
     nearly_in_span = basis @ rng.standard_normal(5) + 1e-8 * rng.standard_normal(n)
@@ -837,9 +843,10 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters):
     # never copied: (n + m) 30 values.  Both runs pass the cap once, so the
     # restart shrinks the basis to the kept iterates and d ends below it.  The
     # refresh, the objective and the expansion add rows(D)-vectors (D u of
-    # this iterate and the last, the weights, the squared group norms, W² D x)
-    # and the one-frame row blocks of the Gram sweep: 6.5 rows(D) values leave
-    # room for them, and the peaks sit at 5.3 (tomography) and 5.6 (blur).  A
+    # this iterate and, while it forms, of the last; the weights; the penalty
+    # sums, held from the objective to the next refresh; W² D x) and the
+    # one-frame row blocks of the Gram sweep: 6.5 rows(D) values leave room
+    # for them, and the peaks sit at 5.2 (tomography) and 5.5 (blur).  A
     # value, weight or expansion step that kept two more temporaries, or a
     # restart that formed its products whole, does not fit: those took the
     # excess to 7.4 and 10.8.  A second copy of the basis buffer fits even
@@ -902,21 +909,27 @@ class CountingOperator:
 
 
 def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeypatch):
-    # The residual of u = V y comes from the kept factors Q_F R_F y, so past the seed and init_state the forward is
-    # applied only to each new basis vector.  z = D u is formed once per
-    # iterate and serves the objective, the next weights and the expansion;
-    # the first weights, at u = 0, apply D themselves.  The Gram sweeps of the
-    # refresh reach D through row_blocks, counted apart.
+    # The residual of u = V y comes from the kept factors Q_F R_F y, so past
+    # the seed and init_state the forward is applied only to each new basis
+    # vector.  z = D u is formed once per iterate and serves the expansion and
+    # the penalty sums, which give the objective and the next weights; the
+    # first weights, at u = 0, take the sums of a zero z, with no D apply.
+    # The Gram sweeps of the refresh reach D through row_blocks, counted apart.
     counts = Counter()
-    build_d = dv.regularization.build_D
+    build_d, sums = dv.regularization.build_D, dv.solver.penalty_sums
     for module in (dv.solver, dv.regularization):
         monkeypatch.setattr(
             module, "build_D", lambda spec: CountingOperator(build_d(spec), counts, "D")
         )
+
+    def counted_sums(spec, z):
+        counts["sums"] += 1
+        return sums(spec, z)
+
+    monkeypatch.setattr(dv.solver, "penalty_sums", counted_sums)
     blurred = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
-    problem = dv.ReconstructionProblem(
-        forward=CountingOperator(blurred.forward, counts, "F"), data=blurred.data
-    )
+    problem = dv.ReconstructionProblem(forward=blurred.forward, data=blurred.data)
+    problem.forward = CountingOperator(blurred.forward, counts, "F")  # past the type check
     spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2), epsilon=1e-3)
     seed, iters = dv.solver._SEED_STEPS, 10
     config = dv.SolverConfig(regularizer=spec, lam=0.1, max_iters=iters, rel_change_tol=0.0)
@@ -926,7 +939,8 @@ def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeyp
     assert result.history[-1].subspace_dim == seed + expansions
     assert counts["F.apply"] == (seed - 1) + 1 + expansions  # seed, init_state, expansions
     assert counts["F.adjoint"] == seed + expansions
-    assert counts["D.apply"] == 1 + iters
+    assert counts["D.apply"] == iters
+    assert counts["sums"] == iters + 1  # at u = 0 and at each iterate
     assert counts["D.adjoint"] == expansions
     assert counts["D.row_blocks"] >= iters  # one Gram sweep or more per refresh
 
@@ -1015,6 +1029,10 @@ def test_config_validation():
         dv.SolverConfig(regularizer=spec, rel_change_tol=-1e-6)
     with pytest.raises(ValueError):
         dv.SolverConfig(regularizer=spec, lam=0.0)
+    # each was accepted, and the solve then failed on an attribute of it
+    for regularizer in ("AnisoTV", None):
+        with pytest.raises(ValueError, match="regularizer must be a RegularizerSpec"):
+            dv.SolverConfig(regularizer=regularizer)
     # a config compares and hashes by its fields
     config, same = dv.SolverConfig(spec), dv.SolverConfig(spec)
     assert config == same and hash(config) == hash(same)
