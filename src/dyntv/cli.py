@@ -259,13 +259,14 @@ def _whitened_noise_model(noise_vec):
 
     The injected noise is white with empirical per-entry variance ‖e‖²/m, so
     the problem carries Γ = (‖e‖²/m)·I and the whitened noise norm is √m
-    exactly.  Noiseless data keeps Γ = I with a zero threshold.
+    exactly.  Noiseless data keeps Γ = I with a zero threshold, and so does
+    noise whose variance underflows to 0, which no positive Γ can carry.
     """
     m = noise_vec.size
-    e_sq = float(np.dot(noise_vec, noise_vec))
-    if e_sq == 0.0:
+    variance = float(np.dot(noise_vec, noise_vec)) / m
+    if variance == 0.0:
         return None, 0.0
-    return np.full(m, e_sq / m), float(np.sqrt(m))
+    return np.full(m, variance), float(np.sqrt(m))
 
 
 def run(cfg, out_dir, seed_override=None, method_override=None):

@@ -50,8 +50,12 @@ class BlurModel:
     def __post_init__(self):
         object.__setattr__(self, "sigma_psf", as_float(self.sigma_psf, "sigma_psf"))
         object.__setattr__(self, "bandwidth", as_int(self.bandwidth, "bandwidth"))
-        if not 0 < self.sigma_psf < np.inf:
-            raise ValueError("sigma_psf must be positive and finite")
+        # the kernel divides by σ²
+        if not (self.sigma_psf > 0 and 0 < self.sigma_psf * self.sigma_psf < np.inf):
+            raise ValueError(
+                "sigma_psf must be positive and finite, with a square that neither "
+                f"underflows nor overflows, got {self.sigma_psf!r}"
+            )
         if self.bandwidth < 0:
             raise ValueError("bandwidth must be nonnegative")
 

@@ -12,10 +12,12 @@ restricted to a low-dimensional search space.  The space is seeded with 5
 Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
 direction per iteration: the normal-equations residual of the current iterate,
 orthogonalized against the basis, with a second Gram-Schmidt pass only where
-the first cancels most of it.  Where n allows, the basis is capped at 30
-columns: an expansion that would pass the cap first restarts the basis on the
-span of the last 3 iterates, the current one included, as in restarted and
-recycled GKS (Buccini & Reichel 2023; Pasha, de Sturler & Kilmer 2023), so the
+the first cancels most of it.  Where n allows, the basis is capped at as many
+columns as V and Q_F fit in 32 MiB, at least 16 and at most 30, so a small
+problem keeps 30 and a 128x128x8 deblur gets 16: an expansion that would pass
+the cap first restarts the basis on the span of the last 3 iterates, the
+current one included, as in the limited-memory restarted and recycled GKS of
+Buccini & Reichel (2023) and Pasha, de Sturler & Kilmer (2023), so the
 subspace drops to 4 columns and grows again.  The current iterate stays in
 the span, so under a fixed lam the objective still cannot rise, and the forward
 factors follow from the kept ones without a forward apply.  Thin QR factors of
@@ -36,7 +38,7 @@ factor enters every later step only through RᵀR; up to 1e7 a second sweep make
 it CholeskyQR2; a wide, rank deficient or more ill conditioned block falls back
 to Householder QR.  The two arrays that grow with the basis, the basis V and
 the forward factor Q_F, are written one column at a time into column-major
-buffers that ``init_state`` alone sizes, once, at the cap: min(n, 30) columns.
+buffers that ``init_state`` alone sizes, once, at the cap.
 The seed is copied into the basis buffer once; a restart writes V C and Q_F Q'
 over the first columns of the same buffers one row block at a time, with no
 temporary as tall as a column; the state's public fields are views of their
@@ -280,9 +282,11 @@ def seed_subspace(problem, n_steps):
 def init_state(problem, basis):
     """Project the whitened forward operator onto a basis; only the thin QR of A V is kept.
 
-    The basis can hold ``_MAX_BASIS_COLS`` columns (n if fewer, d if more);
-    the basis and Q_F live in column-major buffers of that many columns
-    (at most m for Q_F), which expansions fill in place.  Both are
+    The basis can hold as many columns as its n rows and Q_F's m rows fit
+    in ``_BASIS_BYTES``, clamped to ``_MIN_BASIS_COLS``-``_MAX_BASIS_COLS``
+    (n if fewer, d if more); the basis and Q_F live in column-major buffers
+    of that many columns (at most m for Q_F), which expansions fill in
+    place.  Both are
     allocated here and the basis and Q_F copied in once, so an iterate does
     not depend on how far the run may grow, and the caller's basis is never
     written.  Columns an early-stopping run never fills are never written, so
@@ -295,7 +299,9 @@ def init_state(problem, basis):
     n, d = basis.shape
     if d == 0:
         raise ValueError("basis must have at least one column")
-    max_dim = max(d, min(n, _MAX_BASIS_COLS))
+    m = problem.forward.rows
+    cols = min(_MAX_BASIS_COLS, max(_MIN_BASIS_COLS, _BASIS_BYTES // (8 * (n + m))))
+    max_dim = max(d, min(n, cols))
     q_f, r_f = np.linalg.qr(problem.whiten_apply(basis), mode="reduced")
     rhs_hat = q_f.T @ problem.whitened_data
     basis_buf = _buffer(basis, max_dim)
@@ -462,15 +468,28 @@ _CHOLQR_MAX_COND = 1e7
 # dropped: such a block does not set a solve's peak, and it saved under 1 MB.
 _GRAM_BLOCK_ELEMS = 1 << 15
 # Golub-Kahan steps of the seed, below the cap so that the seed leaves room
-# for an expansion; columns the basis may reach before a restart (where n is
-# larger); the number of last iterates whose span the restart keeps; and the
-# GCV search grid, sorted, positive and finite, which select_lambda uses as it
-# is.  An iteration costs about linearly in d, so 3 rather than 10 lowers Σd
-# of a 40-iteration capped run by 14%, while the distance to the minimizer
-# after 200 fixed-λ iterations stays within 2% (keeping 1 took 1.7-2.2x).
-# Below 27 columns the cap would restart the short GCV runs, whose λ picks
-# then fall to the floor.
+# for an expansion; the budget, floor and ceiling of the columns the basis may
+# reach before a restart (where n is larger): as many as the n-row V and the
+# m-row Q_F fit in the budget, clamped to [floor, ceiling]; the number of last
+# iterates whose span the restart keeps; and the GCV search grid, sorted,
+# positive and finite, which select_lambda uses as it is.  An iteration costs
+# about (n + m + rows(D)) d, so 3 kept iterates rather than 10 lower Σd of a
+# 40-iteration capped run by 14%, while the distance to the minimizer after
+# 200 fixed-λ iterations stays within 2% (keeping 1 took 1.7-2.2x).
+# On a large problem the outer MM rate, not d, limits convergence: on the
+# 128x128x8 deblur (n + m = 262,144, which 32 MiB sizes at the floor) 16
+# columns instead of 30 took a 40-iteration fixed-λ solve from 1.88 to 1.43 s
+# and its peak RSS from 139 to 114 MB (medians of 10 runs, 2 vCPUs), at the
+# same RRE and SSIM to 0.1%; after 200 iterations of a 16x16x4 deblur, 16
+# columns left the iterate 9% (AnisoTV) and 3% (GS) farther from the
+# minimizer.  A small problem keeps 30: below 27 columns the cap restarts the
+# short GCV runs, whose λ picks then fall to the grid floor (16 took 64x64x8
+# tomography from 68 to 75 iterations and its SSIM from 0.2305 to 0.2154).
+# 32 MiB keeps every n + m up to 139,810 at 30, over twice that of the largest
+# problem the tests solve, a 64x64x8 deblur (65,536).
 _SEED_STEPS = 5
+_BASIS_BYTES = 32 << 20
+_MIN_BASIS_COLS = 16
 _MAX_BASIS_COLS = 30
 _RESTART_ITERATES = 3
 _LAMBDA_GRID = np.logspace(-6, 2, 40)

@@ -200,6 +200,15 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             for eps in (float("inf"), 1e-300, 1e300)
             for experiment in ("deblur", "radon-dynamic")
         ),
+        # so did a sigma_psf whose square overflows (an OverflowError in the
+        # kernel) or underflows (NaN kernels, blamed on the data)
+        *(
+            (
+                {"experiment": "deblur", "scene": scene, "forward": {"sigma_psf": sigma}},
+                "invalid forward section: sigma_psf must be positive and finite, with a square",
+            )
+            for sigma in (1e160, 1e-200)
+        ),
         # a scene that renders to zero data used to fail in add_noise with a
         # traceback (sigma > 0) or to exit 1 after writing history.csv (sigma 0)
         (
@@ -402,6 +411,26 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         assert err.count("configuration error") == 1, message
         assert message in err, err
         assert not out.exists(), message
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-170])
+def test_noise_too_small_for_a_variance_runs_as_noiseless(tmp_path, capsys, sigma):
+    # on the CI smoke scene, noise sigma 1e-160 leaves a nonzero e whose
+    # variance ‖e‖²/m underflows to 0; it used to exit 2 with a zero covariance
+    # blamed on the scene intensities, while at 1e-170, where ‖e‖² is 0, the
+    # run was already noiseless
+    cfg = {
+        "experiment": "deblur",
+        "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "n_objects": 2, "seed": 0},
+        "noise": {"sigma": sigma, "seed": 1},
+        "forward": {"sigma_psf": 2.0, "bandwidth": 4},
+        "solver": {"max_iters": 10},
+    }
+    out = tmp_path / "run"
+    code = cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    with open(out / "summary.json") as fh:
+        assert json.load(fh)["delta"] == 0.0
 
 
 def test_empty_sections_take_the_library_defaults():

@@ -310,6 +310,11 @@ def test_radon_operator_keeps_one_copy_of_its_entries():
                  id="blur-infinite-sigma"),
     pytest.param(lambda: dv.BlurModel(sigma_psf=np.nan, bandwidth=2), "sigma_psf",
                  id="blur-nan-sigma"),
+    # σ² overflowed in the kernel (OverflowError) or underflowed (NaN weights)
+    pytest.param(lambda: dv.BlurModel(sigma_psf=1e160, bandwidth=2), "sigma_psf",
+                 id="blur-sigma-square-overflows"),
+    pytest.param(lambda: dv.BlurModel(sigma_psf=1e-200, bandwidth=2), "sigma_psf",
+                 id="blur-sigma-square-underflows"),
     pytest.param(lambda: dv.RadonModel(image_side=8.5, n_time_steps=2), "image_side",
                  id="radon-fractional-side"),
     pytest.param(lambda: dv.RadonModel(image_side=8, n_time_steps=2.5), "n_time_steps",
