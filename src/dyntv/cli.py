@@ -2,8 +2,10 @@
 
 ``reconstruct --config cfg.json --out dir`` renders a scene, simulates data,
 runs the solver and writes frames (16-bit binary PGM plus a scaling sidecar),
-an iteration history and a summary.  ``compare dir1 dir2 ...`` tabulates the
-summaries of finished runs.
+an iteration history and a summary.  A config it cannot run exits 2 before
+any output exists; a solver failure exits 1 after writing the iterations it
+finished to the history.  ``compare dir1 dir2 ...`` tabulates the summaries
+of finished runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError, SingularSystemError, SolverError
+from .exceptions import ConfigError, SolverError
 from .forward import (
     RadonModel,
     assemble_dynamic_forward,
@@ -289,7 +291,8 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
                 "give it an object of nonzero intensity"
             )
         data, noise_norm = add_noise(clean, noise)
-        gamma_diag, delta = _whitened_noise_model(data - clean)
+        error = data - clean
+        gamma_diag, delta = _whitened_noise_model(error)
     finite = np.isfinite(data).all() and (gamma_diag is None or np.isfinite(gamma_diag).all())
     if not finite:
         raise ConfigError(
@@ -303,22 +306,15 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
             f"frame {empty[0] + 1} of the scene is empty, so its RRE is undefined; "
             "keep an object in view at every step"
         )
-    # built before any output exists, so that data the solver rejects is a config error
-    try:
-        problem = ReconstructionProblem(
-            forward=forward_op,
-            data=data,
-            noise_cov_diag=gamma_diag,
-            delta=delta,
-            truth=truth,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{exc}; lower the scene intensities") from exc
     if static:  # each frame solved on its own with spatial TV, one history each
-        problems = _frame_problems(step_ops, data, clean, truth)
-        histories = [f"history_t{t:02d}.csv" for t in range(1, len(problems) + 1)]
+        cuts = np.cumsum([op.rows for op in step_ops])[:-1]
+        slices = zip(step_ops, np.split(data, cuts), np.split(error, cuts),
+                     np.split(truth, scene.n_t))
+        labels = [f"frame {t} of the static baseline" for t in range(1, scene.n_t + 1)]
+        histories = [f"history_t{t:02d}.csv" for t in range(1, scene.n_t + 1)]
     else:
-        problems, histories = [problem], ["history.csv"]
+        slices, labels, histories = [(forward_op, data, error, truth)], [""], ["history.csv"]
+    problems = [_problem(*pieces, label) for pieces, label in zip(slices, labels)]
 
     out_dir = Path(out_dir)
     try:
@@ -365,8 +361,27 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
     return summary
 
 
+def _problem(forward, data, noise_vec, truth, label):
+    """One solve's problem from one slice of the stacked data and its own noise.
+
+    Built before any output exists, so that data the solver cannot take is a
+    config error; ``label`` names the slice in messages, "" the whole stack.
+    """
+    if not np.any(data):  # the solve would have nothing to start from
+        raise ConfigError(
+            f"{label or 'the stack'} has all-zero data, so there is nothing to reconstruct "
+            "in it; keep an object in view at every step"
+        )
+    gamma_diag, delta = _whitened_noise_model(noise_vec)
+    try:
+        return ReconstructionProblem(forward, data, gamma_diag, delta, truth)
+    except ValueError as exc:
+        prefix = f"{label}: " if label else ""
+        raise ConfigError(f"{prefix}{exc}; lower the scene intensities") from exc
+
+
 def _solve(problem, config, history_path):
-    """Solve; the iteration history is written even when the solve aborts."""
+    """Solve; the history of the iterations finished is written even if the solve fails."""
     try:
         result = mm_gks_solve(problem, config)
     except SolverError as exc:
@@ -374,39 +389,6 @@ def _solve(problem, config, history_path):
         raise
     _write_history(history_path, result.history)
     return result
-
-
-def _frame_problems(step_ops, data, clean, truth):
-    """One problem per frame for the static baseline, each with its own noise model.
-
-    Built before any output exists: a frame with all-zero data leaves its
-    solve nothing to start from, which is a config error naming the frame.
-    """
-    row_splits = np.cumsum([op.rows for op in step_ops])[:-1]
-    n_s = step_ops[0].cols
-    problems = []
-    for t, (op, data_t, noise_t) in enumerate(
-        zip(step_ops, np.split(data, row_splits), np.split(data - clean, row_splits))
-    ):
-        if not np.any(data_t):
-            raise ConfigError(
-                f"frame {t + 1} of the static baseline has all-zero data, so there is "
-                "nothing to reconstruct in it; keep an object in view at every step"
-            )
-        gamma_t, delta_t = _whitened_noise_model(noise_t)
-        try:
-            problems.append(
-                ReconstructionProblem(
-                    forward=op,
-                    data=data_t,
-                    noise_cov_diag=gamma_t,
-                    delta=delta_t,
-                    truth=truth[t * n_s : (t + 1) * n_s],
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"frame {t + 1} of the static baseline: {exc}") from exc
-    return problems
 
 
 # --- comparing -----------------------------------------------------------------
@@ -484,7 +466,7 @@ def main_reconstruct(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, SingularSystemError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     report = summary["report"]

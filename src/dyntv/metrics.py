@@ -63,6 +63,11 @@ def ssim(img_a, img_b, dynamic_range):
         raise ValueError(f"frames must be at least {SSIM_WINDOW} pixels per side")
     if not dynamic_range > 0:
         raise ValueError("dynamic_range must be positive")
+    # the index is unchanged when the frames and the range scale by one factor;
+    # a power of 2 scales exactly, and a range in [1/2, 1) keeps the products
+    # of four intensities below finite and C1, C2 above 0 at any scene scale
+    e = np.frexp(dynamic_range)[1]
+    a, b, dynamic_range = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(dynamic_range, -e)
     w = _ssim_window()
     mu_a = _windowed_mean(a, w)
     mu_b = _windowed_mean(b, w)

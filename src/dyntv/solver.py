@@ -379,6 +379,7 @@ def mm_gks_solve(problem, config):
     of the iterate, or at max_iters.  Weights are refreshed at the start of
     every outer iteration from the last iterate u = V y, the minimizer of the
     last projected majorant, so under a fixed lam the objective cannot rise.
+    A SolverError raised in the loop carries the records so far in ``history``.
     """
     spec = config.regularizer
     n = problem.forward.cols
@@ -399,52 +400,56 @@ def mm_gks_solve(problem, config):
     sums = penalty_sums(spec, np.zeros(d_op.rows))  # D u_prev is zero: no apply
     history = []
     stop_reason = "max_iters"
-    for k in range(1, config.max_iters + 1):
-        refresh_penalty(state, spec, sums)
-        if config.lam is not None:
-            lam = float(config.lam)
-        else:
-            lam = select_lambda(state.pair, _LAMBDA_GRID)
-        y = solve_projected(state, lam)
-        u = state.basis @ y
-        if not np.all(np.isfinite(u)):
-            raise SolverError(f"non-finite iterate at iteration {k}", history=history)
-        res_w = state.q_f @ (state.r_f @ y) - b
-        dp_residual = float(np.linalg.norm(res_w))
-        z = d_op.apply(u)
-        sums = penalty_sums(spec, z)
-        objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, sums)
-        rre = None
-        if problem.truth is not None:
-            rre = float(np.linalg.norm(u - problem.truth) / np.linalg.norm(problem.truth))
-        history.append(
-            IterationRecord(
-                iteration=k,
-                lam=lam,
-                objective=float(objective),
-                dp_residual=dp_residual,
-                rre=rre,
-                subspace_dim=state.dim,
+    try:
+        for k in range(1, config.max_iters + 1):
+            refresh_penalty(state, spec, sums)
+            if config.lam is not None:
+                lam = float(config.lam)
+            else:
+                lam = select_lambda(state.pair, _LAMBDA_GRID)
+            y = solve_projected(state, lam)
+            u = state.basis @ y
+            if not np.all(np.isfinite(u)):
+                raise SolverError(f"non-finite iterate at iteration {k}")
+            res_w = state.q_f @ (state.r_f @ y) - b
+            dp_residual = float(np.linalg.norm(res_w))
+            z = d_op.apply(u)
+            sums = penalty_sums(spec, z)
+            objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, sums)
+            rre = None
+            if problem.truth is not None:
+                rre = float(np.linalg.norm(u - problem.truth) / np.linalg.norm(problem.truth))
+            history.append(
+                IterationRecord(
+                    iteration=k,
+                    lam=lam,
+                    objective=float(objective),
+                    dp_residual=dp_residual,
+                    rre=rre,
+                    subspace_dim=state.dim,
+                )
             )
-        )
-        if problem.delta > 0 and dp_residual <= config.eta * problem.delta:
-            stop_reason = "discrepancy"
-            break
-        norm_prev = np.linalg.norm(u_prev)
-        if (
-            k > 1
-            and norm_prev > 0
-            and np.linalg.norm(u - u_prev) < config.rel_change_tol * norm_prev
-        ):
-            stop_reason = "rel_change"
-            break
-        u_prev = u
-        if k < config.max_iters:
-            iterates.append(y)
-            if state.dim == state.max_dim < n:
-                _restart(state, problem, iterates)
-            expand_subspace(state, problem, d_op, lam, u, res_w, z)
-        del z  # the next refresh reads only the sums
+            if problem.delta > 0 and dp_residual <= config.eta * problem.delta:
+                stop_reason = "discrepancy"
+                break
+            norm_prev = np.linalg.norm(u_prev)
+            if (
+                k > 1
+                and norm_prev > 0
+                and np.linalg.norm(u - u_prev) < config.rel_change_tol * norm_prev
+            ):
+                stop_reason = "rel_change"
+                break
+            u_prev = u
+            if k < config.max_iters:
+                iterates.append(y)
+                if state.dim == state.max_dim < n:
+                    _restart(state, problem, iterates)
+                expand_subspace(state, problem, d_op, lam, u, res_w, z)
+            del z  # the next refresh reads only the sums
+    except SolverError as exc:  # a singular projected system, say
+        exc.history = history
+        raise
     return SolveResult(u=u, history=history, stop_reason=stop_reason)
 
 

@@ -33,6 +33,17 @@ def read_history(path):
         return list(csv.reader(fh))
 
 
+def smoke_config():
+    """The CI smoke config: a 12×12×2 deblur under a wide blur, 10 iterations."""
+    return {
+        "experiment": "deblur",
+        "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "n_objects": 2, "seed": 0},
+        "noise": {"sigma": 0.001, "seed": 1},
+        "forward": {"sigma_psf": 2.0, "bandwidth": 4},
+        "solver": {"max_iters": 10},
+    }
+
+
 # --- reconstruct -------------------------------------------------------------------
 
 
@@ -97,6 +108,93 @@ def test_static_baseline_writes_one_history_per_frame(tmp_path):
     assert summary["method"] == "static-TV"
     assert len(summary["frames"]) == 3
     assert summary["iterations"] == sum(f["iterations"] for f in summary["frames"])
+
+
+# two frames of a 12 x 12 scene: both hold a disk of unit intensity, and frame 1
+# also one so bright that its data's squared norm overflows, which has left by
+# frame 2
+_BRIGHT_IN_FRAME_1 = [
+    {"centers": [[6, 6], [6, 6]], "radii": [3, 3]},
+    {"centers": [[6, 6], [60, 60]], "radii": [2, 2], "intensity": 1e153},
+]
+# a rectangle that frame 1's one ray (one angle, one detector) misses
+_MISSED_IN_FRAME_1 = [{"shape": "rectangle", "centers": [[6, 1.5], [6, 6]], "radii": [1, 1]}]
+
+
+@pytest.mark.parametrize(
+    "objects, forward, experiment, message",
+    [
+        # the static baseline's whole-volume problem overflowed first, so its
+        # message did not name the frame
+        (
+            _BRIGHT_IN_FRAME_1, {}, "radon-static-baseline",
+            "frame 1 of the static baseline: squared norm of the whitened data is not finite",
+        ),
+        (
+            _BRIGHT_IN_FRAME_1, {}, "radon-dynamic",
+            "squared norm of the whitened data is not finite; lower the scene intensities",
+        ),
+        (
+            _MISSED_IN_FRAME_1, {"n_angles_per_step": 1, "n_detectors": 1},
+            "radon-static-baseline", "frame 1 of the static baseline has all-zero data",
+        ),
+    ],
+    ids=["static-overflow", "coupled-overflow", "static-zero-frame"],
+)
+def test_data_the_solver_cannot_take_exit_2_naming_the_static_frame(
+    tmp_path, capsys, objects, forward, experiment, message
+):
+    cfg = {
+        "experiment": experiment,
+        "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "objects": objects},
+        "noise": {"sigma": 0.0},
+        "forward": forward,
+    }
+    out = tmp_path / "run"
+    assert cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 1
+    assert message in err, err
+    assert not out.exists()
+
+
+def test_coupled_run_solves_a_frame_with_all_zero_data(tmp_path, capsys):
+    # one solve takes frame 1's all-zero data together with frame 2's, so the
+    # frame the static baseline refuses is no error here
+    cfg = {
+        "experiment": "radon-dynamic",
+        "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "objects": _MISSED_IN_FRAME_1},
+        "noise": {"sigma": 0.0},
+        "forward": {"n_angles_per_step": 1, "n_detectors": 1},
+        "solver": {"max_iters": 3},
+    }
+    out = tmp_path / "run"
+    code = cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert len(read_history(out / "history.csv")) == 4
+
+
+def test_static_baseline_solves_frames_whose_stacked_data_overflows(tmp_path, capsys):
+    # each frame's squared data norm is about 1.4e308, so their sum, the
+    # whole volume's, overflows: the static baseline solves no whole-volume
+    # problem and runs, while the coupled run refuses its data
+    objects = [{"centers": [[6, 6], [6, 6]], "radii": [3, 3], "intensity": 3.3e152}]
+    cfg = {
+        "experiment": "radon-static-baseline",
+        "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "objects": objects},
+        "noise": {"sigma": 0.0},
+        "solver": {"max_iters": 5},
+    }
+    out = tmp_path / "static"
+    code = cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    with open(out / "summary.json") as fh:
+        report = json.load(fh)["report"]
+    assert np.isfinite([report["rre_total"], *report["ssim_per_frame"]]).all()
+    cfg["experiment"] = "radon-dynamic"
+    code = cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    assert "squared norm of the whitened data is not finite" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):
@@ -479,6 +577,28 @@ def test_solver_failure_exit_1_flushes_partial_history(tmp_path, capsys, monkeyp
     out = tmp_path / "fail"
     assert cli.main_reconstruct(["--config", cfg, "--out", str(out)]) == 1
     assert "solver failure: non-finite iterate" in capsys.readouterr().err
+    rows = read_history(out / "history.csv")
+    assert rows[0] == list(cli.HISTORY_COLUMNS)
+    assert [row[0] for row in rows[1:]] == ["1", "2"]
+    assert not (out / "summary.json").exists()
+
+
+def test_singular_system_exit_1_flushes_partial_history(tmp_path, capsys, monkeypatch):
+    # a SingularSystemError (GCV undefined on the whole grid, here at
+    # iteration 3) was no SolverError: the run exited 1 and wrote no history
+    select, calls = dv.solver.select_lambda, []
+
+    def failing_select(pair, grid):
+        calls.append(grid)
+        if len(calls) == 3:
+            raise dv.SingularSystemError("GCV curve is undefined on the whole grid")
+        return select(pair, grid)
+
+    monkeypatch.setattr(dv.solver, "select_lambda", failing_select)
+    cfg = write_config(tmp_path, smoke_config())
+    out = tmp_path / "fail"
+    assert cli.main_reconstruct(["--config", cfg, "--out", str(out)]) == 1
+    assert "solver failure: GCV curve is undefined" in capsys.readouterr().err
     rows = read_history(out / "history.csv")
     assert rows[0] == list(cli.HISTORY_COLUMNS)
     assert [row[0] for row in rows[1:]] == ["1", "2"]

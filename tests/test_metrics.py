@@ -87,6 +87,23 @@ def test_ssim_decreases_with_noise_level():
     assert dv.ssim(truth, harsh, 1.0) < dv.ssim(truth, mild, 1.0) < 1.0
 
 
+@pytest.mark.parametrize(
+    "scale", [2.0**-600, 1e-150, 1e150, 2.0**600], ids=["2^-600", "1e-150", "1e150", "2^600"]
+)
+def test_ssim_is_free_of_the_intensity_scale(scale):
+    # its products of four intensities overflowed from about 1e77 on, so the
+    # report read NaN, and underflowed at small scales
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.0, 1.0, (14, 13))
+    b = a + 0.1 * rng.standard_normal(a.shape)
+    want = dv.ssim(a, b, 1.0)
+    got = dv.ssim(scale * a, scale * b, scale)
+    if np.frexp(scale)[0] == 0.5:  # a power of 2, which scales exactly
+        assert got == want
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_ssim_validates_inputs():
     ok = np.zeros((12, 12))
     with pytest.raises(ValueError):
@@ -112,6 +129,18 @@ def test_build_report_fields_and_perfect_reconstruction():
     d = report.as_dict()
     assert d["rre_total"] == 0.0
     assert d["ssim_per_frame"] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("level, dyn", [(2.0, 2.0), (0.5, 1.0)])
+def test_build_report_ssim_range_of_a_constant_truth(level, dyn):
+    # a constant truth has no range of values, so SSIM takes max(|truth|, 1)
+    dims = (12, 12, 2)
+    truth = np.full(288, level)
+    u = truth + 0.05 * np.random.default_rng(6).standard_normal(truth.size)
+    report = dv.build_report(u, truth, dims)
+    u3, t3 = u.reshape(dims, order="F"), truth.reshape(dims, order="F")
+    want = [oracles.ssim_brute(u3[:, :, t], t3[:, :, t], dyn) for t in range(2)]
+    np.testing.assert_allclose(report.ssim_per_frame, want, rtol=1e-10)
 
 
 def test_build_report_detects_frame_damage():

@@ -1064,6 +1064,27 @@ def test_zero_data_raises_solver_error_with_empty_history():
     assert err.value.history == []
 
 
+def test_singular_system_error_carries_the_history_so_far(monkeypatch):
+    # GCV is made undefined at iteration 3; noiseless data and no change
+    # tolerance keep the first two iterations from stopping the solve
+    select, calls = dv.solver.select_lambda, []
+
+    def failing_select(pair, grid):
+        calls.append(grid)
+        if len(calls) == 3:
+            raise dv.SingularSystemError("GCV curve is undefined on the whole grid")
+        return select(pair, grid)
+
+    monkeypatch.setattr(dv.solver, "select_lambda", failing_select)
+    problem = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=7, noise_seed=2)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    config = dv.SolverConfig(regularizer=spec, max_iters=5, rel_change_tol=0.0)
+    with pytest.raises(dv.SolverError) as err:
+        dv.mm_gks_solve(problem, config)
+    assert isinstance(err.value, dv.SingularSystemError)
+    assert [rec.iteration for rec in err.value.history] == [1, 2]
+
+
 def test_solve_rejects_mismatched_regularizer_dims():
     rng = np.random.default_rng(42)
     problem = dv.ReconstructionProblem(
