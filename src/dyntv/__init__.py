@@ -28,6 +28,7 @@ from .solver import (
     SolveResult,
     SolverConfig,
     mm_gks_solve,
+    white_noise_model,
 )
 
 __version__ = "0.1.0"

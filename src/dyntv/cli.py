@@ -40,7 +40,7 @@ from .phantom import (
     render_scene,
 )
 from .regularization import Method, RegularizerSpec, as_float, as_int
-from .solver import ReconstructionProblem, SolverConfig, mm_gks_solve
+from .solver import ReconstructionProblem, SolverConfig, mm_gks_solve, white_noise_model
 
 HISTORY_COLUMNS = ("iter", "lambda", "objective", "dp_residual", "rre", "subspace_dim")
 # Runs are bitwise reproducible only at a fixed BLAS thread count, so the
@@ -78,8 +78,10 @@ def load_config(path):
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -256,21 +258,6 @@ def _write_history(path, records):
 # --- running -------------------------------------------------------------------
 
 
-def _whitened_noise_model(noise_vec):
-    """Noise covariance diagonal and DP threshold for one noise realization.
-
-    The injected noise is white with empirical per-entry variance ‖e‖²/m, so
-    the problem carries Γ = (‖e‖²/m)·I and the whitened noise norm is √m
-    exactly.  Noiseless data keeps Γ = I with a zero threshold, and so does
-    noise whose variance underflows to 0, which no positive Γ can carry.
-    """
-    m = noise_vec.size
-    variance = float(np.dot(noise_vec, noise_vec)) / m
-    if variance == 0.0:
-        return None, 0.0
-    return np.full(m, variance), float(np.sqrt(m))
-
-
 def run(cfg, out_dir, seed_override=None, method_override=None):
     """Execute one configured reconstruction; writes all artifacts to out_dir."""
     experiment, scene, step_ops, forward_op, noise, config = build_run(
@@ -280,7 +267,7 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
     dims = (scene.n_v, scene.n_h, scene.n_t)
 
     truth = vec(render_scene(scene))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+    with np.errstate(over="ignore", invalid="ignore"):  # the problems refuse non-finite data
         clean = forward_op.apply(truth)
         if not np.any(clean):
             reason = "there is nothing to reconstruct"
@@ -292,13 +279,6 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
             )
         data, noise_norm = add_noise(clean, noise)
         error = data - clean
-        gamma_diag, delta = _whitened_noise_model(error)
-    finite = np.isfinite(data).all() and (gamma_diag is None or np.isfinite(gamma_diag).all())
-    if not finite:
-        raise ConfigError(
-            "simulated data or its noise variance is not finite; "
-            "lower the scene intensities or the noise sigma"
-        )
     # the report's per-frame RRE divides by each frame of the truth
     empty = np.flatnonzero(~truth.reshape((-1, scene.n_t), order="F").any(axis=0))
     if empty.size:
@@ -340,15 +320,15 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
         "noise_sigma": noise.sigma,
         "noise_seed": noise.seed,
         "noise_norm": noise_norm,
-        "delta": delta,
+        **({} if static else {"delta": problems[0].delta}),
         "eta": config.eta,
         "blas_threads": {var: os.environ.get(var) for var in THREAD_VARS},
     }
     if static:
         summary["frames"] = [
             {"step": t, "iterations": r.iterations, "stop_reason": r.stop_reason,
-             "lambda_final": r.history[-1].lam}
-            for t, r in enumerate(results, start=1)
+             "lambda_final": r.history[-1].lam, "delta": p.delta}
+            for t, (r, p) in enumerate(zip(results, problems), start=1)
         ]
     summary["iterations"] = sum(result.iterations for result in results)
     summary["stop_reason"] = "per-frame" if static else last.stop_reason
@@ -372,12 +352,13 @@ def _problem(forward, data, noise_vec, truth, label):
             f"{label or 'the stack'} has all-zero data, so there is nothing to reconstruct "
             "in it; keep an object in view at every step"
         )
-    gamma_diag, delta = _whitened_noise_model(noise_vec)
+    gamma_diag, delta = white_noise_model(noise_vec)
     try:
         return ReconstructionProblem(forward, data, gamma_diag, delta, truth)
     except ValueError as exc:
         prefix = f"{label}: " if label else ""
-        raise ConfigError(f"{prefix}{exc}; lower the scene intensities") from exc
+        hint = "the scene intensities" + ("" if gamma_diag is None else " or the noise sigma")
+        raise ConfigError(f"{prefix}{exc}; lower {hint}") from exc
 
 
 def _solve(problem, config, history_path):
@@ -423,7 +404,7 @@ def compare(run_dirs):
             f"{str(run_dir):<28} {method:<16} {rre_total:>10.5f} "
             f"{'-' if iters is None else str(iters):>9}  {rre_s:<40} {ssim_s:<40}"
         )))
-    rows.sort(key=lambda row: row[0])
+    rows.sort(key=lambda row: (np.isnan(row[0]), row[0]))  # no total: last
     header = (
         f"{'run':<28} {'method':<16} {'rre_total':>10} {'iters_dp':>9}  "
         f"{'rre/frame':<40} {'ssim/frame':<40}"
@@ -460,7 +441,7 @@ def main_reconstruct(argv=None):
             raise _invalid("config", ("output_dir",), f"must be a string, got {out_dir!r}")
         if args.out is not None:
             out_dir = args.out
-        if out_dir is None:
+        if not out_dir:  # "" would write every artifact into the working directory
             raise ConfigError("no output directory (use --out or set output_dir)")
         summary = run(cfg, out_dir, args.seed, args.method)
     except ConfigError as exc:

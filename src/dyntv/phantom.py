@@ -7,8 +7,8 @@ so a trajectory that moves by whole pixels shifts the rendered object
 exactly.  Overlapping objects add.
 
 Noise is white Gaussian, rescaled after drawing so its norm is exactly
-``sigma`` times the clean data norm; the returned norm is the exact
-discrepancy-principle target.
+``sigma`` times the clean data norm; ``solver.white_noise_model`` turns it
+into a problem's noise model.
 """
 
 from __future__ import annotations
@@ -180,10 +180,11 @@ def moving_disks_scene(n_v, n_h, n_t, n_objects=6, seed=0):
 
 
 def add_noise(clean, noise):
-    """Perturb clean data with white noise; returns (noisy, delta).
+    """Perturb clean data with white noise e; returns (noisy, noise norm ||e||).
 
     The draw e ~ N(0, I) is rescaled so that ||e|| / ||clean|| equals sigma
-    exactly, and delta = ||e|| is returned for the discrepancy principle.
+    exactly.  The solver's delta is the whitened norm sqrt(m), not ||e||:
+    ``white_noise_model(noisy - clean)`` gives it with its covariance.
     """
     clean = np.asarray(clean, dtype=float).ravel()
     if noise.sigma == 0:
@@ -193,5 +194,5 @@ def add_noise(clean, noise):
     draw_norm = float(np.linalg.norm(draw))
     if draw_norm == 0 or clean_norm == 0:
         raise ValueError("degenerate draw or zero clean data; cannot scale noise")
-    delta = noise.sigma * clean_norm
-    return clean + (delta / draw_norm) * draw, delta
+    noise_norm = noise.sigma * clean_norm
+    return clean + (noise_norm / draw_norm) * draw, noise_norm

@@ -74,6 +74,7 @@ from .regularization import (RegularizerSpec, as_float, as_int, build_D, penalty
 
 __all__ = [
     "ReconstructionProblem",
+    "white_noise_model",
     "SolverConfig",
     "IterationRecord",
     "SolveResult",
@@ -154,6 +155,22 @@ class ReconstructionProblem:
     def residual_norm(self, u):
         """Whitened data misfit ||F u - d||_{Gamma^{-1}}."""
         return float(np.linalg.norm(self.whiten_apply(u) - self.whitened_data))
+
+
+def white_noise_model(noise):
+    """``(noise_cov_diag, delta)`` of data that carry the white noise e = ``noise``.
+
+    Γ = (‖e‖²/m)·I, e's per-entry variance, makes the whitened noise norm √m
+    exactly.  A variance of 0, or one that underflows, gives ``(None, 0.0)``: Γ = I
+    and no discrepancy stop; one that overflows, an infinite Γ the problem refuses.
+    """
+    noise = np.asarray(noise, dtype=float).ravel()
+    m = noise.size
+    with np.errstate(over="ignore"):
+        variance = float(np.dot(noise, noise)) / m
+    if variance == 0.0:
+        return None, 0.0
+    return np.full(m, variance), float(np.sqrt(m))
 
 
 @dataclass(frozen=True)

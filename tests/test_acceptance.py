@@ -44,18 +44,12 @@ def quadratic_misfit(f_dense, data):
 
 
 def whitened_problem(forward, truth, sigma, seed):
-    """1%-style synthetic problem with the empirical per-entry noise variance.
-
-    With gamma = |e|^2 / m on the diagonal the whitened noise norm is exactly
-    sqrt(m), which is what `delta` is set to.
-    """
+    """1%-style synthetic problem with the white-noise model of its own noise."""
     clean = forward.apply(truth)
-    data, noise_norm = dv.add_noise(clean, dv.NoiseSpec(sigma=sigma, seed=seed))
-    m = forward.rows
-    gamma = np.full(m, noise_norm**2 / m)
+    data, _ = dv.add_noise(clean, dv.NoiseSpec(sigma=sigma, seed=seed))
+    gamma, delta = dv.white_noise_model(data - clean)
     problem = dv.ReconstructionProblem(
-        forward=forward, data=data, noise_cov_diag=gamma,
-        delta=float(np.sqrt(m)), truth=truth,
+        forward=forward, data=data, noise_cov_diag=gamma, delta=delta, truth=truth,
     )
     return problem, data, clean, gamma
 
@@ -314,11 +308,11 @@ def test_temporal_coupling_beats_per_frame_baseline(limited_angle):
         m_t = op.rows
         sl = slice(row, row + m_t)
         row += m_t
-        residual = limited_angle["data"][sl] - limited_angle["clean"][sl]
-        gamma_t = np.full(m_t, float(residual @ residual) / m_t)
+        gamma_t, delta_t = dv.white_noise_model(
+            limited_angle["data"][sl] - limited_angle["clean"][sl]
+        )
         frame_problem = dv.ReconstructionProblem(
-            forward=op, data=limited_angle["data"][sl],
-            noise_cov_diag=gamma_t, delta=float(np.sqrt(m_t)),
+            forward=op, data=limited_angle["data"][sl], noise_cov_diag=gamma_t, delta=delta_t,
         )
         frame_config = dv.SolverConfig(regularizer=static_spec, lam=lam)
         frames.append(dv.mm_gks_solve(frame_problem, frame_config).u)

@@ -108,6 +108,11 @@ def test_static_baseline_writes_one_history_per_frame(tmp_path):
     assert summary["method"] == "static-TV"
     assert len(summary["frames"]) == 3
     assert summary["iterations"] == sum(f["iterations"] for f in summary["frames"])
+    # each frame's solve has its own δ, and no stack δ stands beside them
+    with open(cfg) as fh:
+        _, _, step_ops, *_ = cli.build_run(json.load(fh))
+    assert [f["delta"] for f in summary["frames"]] == [np.sqrt(op.rows) for op in step_ops]
+    assert "delta" not in summary
 
 
 # two frames of a 12 x 12 scene: both hold a disk of unit intensity, and frame 1
@@ -267,11 +272,13 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
                 "scene": dict(scene, objects=[bright(1e200)]),
                 "noise": {"sigma": 0.01},
             },
-            "simulated data or its noise variance is not finite",
+            "data must be finite (found NaN or infinity); "
+            "lower the scene intensities or the noise sigma",
         ),
         (
             {"experiment": "deblur", "scene": scene, "noise": {"sigma": 1e300}},
-            "simulated data or its noise variance is not finite",
+            "noise covariance diagonal must be finite; "
+            "lower the scene intensities or the noise sigma",
         ),
         # finite noiseless data whose squared norm overflows used to stop the
         # solve with "seed basis is empty" (exit 1)
@@ -538,6 +545,34 @@ def test_empty_sections_take_the_library_defaults():
     assert config == dv.SolverConfig(regularizer=dv.RegularizerSpec(dims=(12, 12, 2)))
 
 
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    # raised a UnicodeDecodeError traceback (exit 1)
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe")
+    out = tmp_path / "o"
+    assert cli.main_reconstruct(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 1
+    assert "configuration error: config is not UTF-8 text" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["--out", "output_dir"])
+def test_empty_output_dir_exit_2(tmp_path, capsys, monkeypatch, where):
+    # "" exited 0 and wrote every artifact into the working directory
+    cfg = dict(deblur_config(n_v=12, n_h=12), output_dir="" if where == "output_dir" else "o")
+    path = write_config(tmp_path, cfg)
+    run_dir = tmp_path / "cwd"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    argv = ["--config", path] + (["--out", ""] if where == "--out" else [])
+    assert cli.main_reconstruct(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 1
+    assert "configuration error: no output directory" in err, err
+    assert list(run_dir.iterdir()) == []
+
+
 def test_missing_output_dir_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, deblur_config())
     assert cli.main_reconstruct(["--config", cfg]) == 2
@@ -715,6 +750,20 @@ def test_compare_three_methods_sorted_by_rre(tmp_path, capsys):
             summaries.append(json.load(fh))
     want = sorted(s["report"]["rre_total"] for s in summaries)
     np.testing.assert_allclose(rres, want, atol=5e-6)  # table prints 5 decimals
+
+
+def test_compare_sorts_runs_without_a_total_last(tmp_path, capsys):
+    # the missing total read NaN, which left the rows in the order given
+    dirs = []
+    for name, report in (("a", {"rre_total": 0.5}), ("b", {}), ("c", {"rre_total": 0.3})):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        (run_dir / "summary.json").write_text(json.dumps({"report": report}))
+        (run_dir / "history.csv").write_text("iter\n")
+        dirs.append(str(run_dir))
+    assert cli.main_compare(dirs) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [dirs[2], dirs[0], dirs[1]]
 
 
 def test_compare_missing_summary_or_history_exit_2(tmp_path, capsys):

@@ -35,14 +35,10 @@ def blur_problem(dims, sigma_blur, bw, noise_sigma, scene_seed, noise_seed, obje
     scene = dv.moving_disks_scene(n_v, n_h, n_t, n_objects=objects, seed=scene_seed)
     truth = dv.vec(dv.render_scene(scene))
     clean = op.apply(truth)
-    data, noise_norm = dv.add_noise(clean, dv.NoiseSpec(sigma=noise_sigma, seed=noise_seed))
-    if noise_norm == 0.0:
-        return dv.ReconstructionProblem(forward=op, data=data, truth=truth)
-    # white noise with empirical per-entry variance, so the whitened norm is sqrt(m)
-    m = data.size
-    gam = np.full(m, noise_norm**2 / m)
+    data, _ = dv.add_noise(clean, dv.NoiseSpec(sigma=noise_sigma, seed=noise_seed))
+    gamma, delta = dv.white_noise_model(data - clean)
     return dv.ReconstructionProblem(
-        forward=op, data=data, noise_cov_diag=gam, delta=float(np.sqrt(m)), truth=truth
+        forward=op, data=data, noise_cov_diag=gamma, delta=delta, truth=truth
     )
 
 
@@ -523,6 +519,33 @@ def test_whitened_data_is_formed_once_and_read_only():
     np.testing.assert_array_equal(b, (1.0 / np.sqrt(cov)) * data)
     with pytest.raises(ValueError, match="read-only"):
         b[0] = 0.0
+
+
+def test_white_noise_model_of_a_random_realization():
+    rng = np.random.default_rng(31)
+    e = 0.3 * rng.standard_normal(50)
+    gamma, delta = dv.white_noise_model(e)
+    np.testing.assert_array_equal(gamma, np.full(50, float(e @ e) / 50))
+    assert delta == float(np.sqrt(50))
+    # δ is the whitened norm of e itself, so the DP target fits the noise
+    assert np.linalg.norm(e / np.sqrt(gamma)) == pytest.approx(delta, rel=1e-14)
+
+
+def test_white_noise_model_without_a_variance_is_noiseless():
+    # at 1e-160 the one nonzero entry's square is a subnormal 1e-320, and the
+    # variance 1e-320 / m underflows to 0, which no positive Γ can carry
+    tiny = np.zeros(10_000)
+    tiny[0] = 1e-160
+    assert tiny @ tiny > 0
+    for e in (np.zeros(7), tiny):
+        assert dv.white_noise_model(e) == (None, 0.0)
+
+
+def test_white_noise_model_of_an_overflowing_variance_is_refused_by_the_problem():
+    gamma, _ = dv.white_noise_model(np.full(3, 1e200))  # no overflow warning
+    assert np.isinf(gamma).all()
+    with pytest.raises(ValueError, match="noise covariance diagonal must be finite"):
+        dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), gamma)
 
 
 # --- discrepancy principle ---------------------------------------------------------
