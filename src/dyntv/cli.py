@@ -68,7 +68,7 @@ CONFIG_KEYS = {
     },
     "noise": dict.fromkeys(("sigma", "seed")),
     "forward": {**_BLUR, **_RADON},  # narrowed to FORWARD_KEYS[experiment]
-    "solver": dict.fromkeys(("method", "max_iters", "rel_change_tol", "epsilon", "lambda")),
+    "solver": dict.fromkeys(("method", "max_iters", "rel_change_tol", "lambda")),
     "output_dir": None,
 }
 
@@ -195,15 +195,13 @@ def _forward(experiment, scene, fwd):
 
 
 def _solver_config(experiment, scene, solver):
-    regularizer = {key: solver.pop(key) for key in ("method", "epsilon") if key in solver}
+    method, n_t = solver.pop("method", Method.ANISO_TV), scene.n_t
     if "lambda" in solver:
         solver["lam"] = solver.pop("lambda")
     if experiment == "radon-static-baseline":
-        if "method" in regularizer:  # every frame takes spatial TV, but the name must exist
-            Method.from_name(regularizer.pop("method"))
-        spec = RegularizerSpec(dims=(scene.n_v, scene.n_h, 1), **regularizer)
-    else:
-        spec = RegularizerSpec(dims=(scene.n_v, scene.n_h, scene.n_t), **regularizer)
+        Method.from_name(method)  # every frame takes spatial TV, but the name must exist
+        method, n_t = Method.ANISO_TV, 1
+    spec = RegularizerSpec(dims=(scene.n_v, scene.n_h, n_t), method=method)
     return SolverConfig(regularizer=spec, **solver)
 
 
@@ -357,8 +355,13 @@ def _problem(forward, data, noise_vec, truth, label):
         return ReconstructionProblem(forward, data, gamma_diag, delta, truth)
     except ValueError as exc:
         prefix = f"{label}: " if label else ""
-        hint = "the scene intensities" + ("" if gamma_diag is None else " or the noise sigma")
-        raise ConfigError(f"{prefix}{exc}; lower {hint}") from exc
+        if gamma_diag is None:
+            hint = "lower the scene intensities"
+        elif gamma_diag[0] < np.finfo(float).tiny:  # Γ^(-1/2) of a subnormal variance
+            hint = "raise the noise sigma, or set it to 0 for noiseless data"
+        else:
+            hint = "lower the scene intensities or the noise sigma"
+        raise ConfigError(f"{prefix}{exc}; {hint}") from exc
 
 
 def _solve(problem, config, history_path):

@@ -15,7 +15,7 @@ class SolverError(RuntimeError):
 
 
 class SingularSystemError(SolverError):
-    """Raised when the regularized system is singular, or GCV undefined on its grid.
+    """Raised when the regularized system is singular, or GCV undefined or overflowing on its grid.
 
     This signals a violated null-space condition: the forward operator and
     the regularization operator share a nontrivial null space (restricted to

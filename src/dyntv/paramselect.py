@@ -105,10 +105,18 @@ def select_lambda(pair, grid):
     are broken toward the larger lambda, and the refined candidate is only
     kept when it strictly improves on the grid minimum, so a flat curve yields
     the largest grid point.  The search runs on the balanced factors: the
-    grid is scaled by 2^shift and the chosen lambda scaled back.
+    grid is scaled by 2^shift and the chosen lambda scaled back.  Raises
+    SingularSystemError when a scaled grid point overflows, or G is undefined
+    on the whole grid.
     """
     grid = np.asarray(grid, dtype=float)
-    scaled = np.ldexp(grid, pair.shift)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(grid, pair.shift)
+    if np.isinf(scaled).any():  # GCV would pick from the finite part alone
+        raise SingularSystemError(
+            f"GCV grid overflows on the balanced projected pair, whose lambda scale is "
+            f"2^{pair.shift}; rescale the scene intensities"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         values = _gcv(*pair.factors, scaled[:, None])
     finite = np.isfinite(values)

@@ -49,7 +49,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -116,11 +116,14 @@ class RegularizerSpec:
     """Which penalty to use on a volume of shape dims = (n_v, n_h, n_t).
 
     n_t = 1 is a single frame, accepted when the method keeps a block there.
+    ``epsilon``, the smoothing constant of R_eps, is fixed, not a field: from
+    1e-4 to 1e-1 the benchmark RREs hardly move, larger values cost
+    iterations, and 1e-80 and below leave u = 0.
     """
 
+    epsilon: ClassVar[float] = 1e-3
     dims: tuple[int, int, int]
     method: Method = Method.ANISO_TV
-    epsilon: float = 1e-3
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method.from_name(self.method))
@@ -132,13 +135,6 @@ class RegularizerSpec:
         if not _kept_blocks(self.method, dims):
             raise ValueError(f"{self.method.value} has no difference block at n_t = {dims[2]}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "epsilon", as_float(self.epsilon, "epsilon"))
-        # the weights and the value add ε² to squared group norms
-        if not (self.epsilon > 0 and 0 < self.epsilon * self.epsilon < np.inf):
-            raise ValueError(
-                "smoothing parameter epsilon must be positive and finite, with a square "
-                f"that neither underflows nor overflows, got {self.epsilon!r}"
-            )
 
     @property
     def n(self):

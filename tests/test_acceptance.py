@@ -4,7 +4,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the scoreboard:
 majorization conditions, dense-solve equivalence at full subspace dimension,
 monotone descent, the two scaled reconstruction studies (moving-scene
 deblurring and limited-angle tomography), GCV agreement and selection range,
-and the operator-algebra identities.
+the operator-algebra identities, and the distance of the restarted solver's
+iterate to the minimizer of J_eps, found by dense Newton.
 """
 
 import time
@@ -28,8 +29,8 @@ def verdict(tag, ok, detail):
     assert ok, line
 
 
-def spec_for(method, dims, eps=1e-3):
-    return dv.RegularizerSpec(method=dv.Method(method), dims=dims, epsilon=eps)
+def spec_for(method, dims):
+    return dv.RegularizerSpec(method=dv.Method(method), dims=dims)
 
 
 def quadratic_misfit(f_dense, data):
@@ -195,7 +196,7 @@ def test_full_subspace_matches_dense_weighted_solve(monkeypatch):
     dims = (6, 6, 2)
     n = 72
     monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", n)  # grow to the full space
-    lam, eps = 0.05, 1e-3
+    lam, eps = 0.05, dv.RegularizerSpec.epsilon
     rng = np.random.default_rng(7)
     f_dense = rng.standard_normal((80, n)) / np.sqrt(n)
     forward = DenseOperator(f_dense)
@@ -205,7 +206,7 @@ def test_full_subspace_matches_dense_weighted_solve(monkeypatch):
 
     worst, dims_reached = 0.0, []
     for name in METHODS:
-        spec = spec_for(name, dims, eps)
+        spec = spec_for(name, dims)
         d_op = build_D(spec)
         basis, _ = seed_subspace(problem, 5)
         state = init_state(problem, basis)
@@ -433,4 +434,66 @@ def test_operator_algebra_identities():
         f"mode-product chain {worst_mode:.1e}, "
         f"difference stencil {worst_d:.1e}, penalty tensor-vs-matrix "
         f"{worst_reg:.1e} (<=1e-12)",
+    )
+
+
+# --- 9: the restarted solver reaches the minimizer of J_eps ------------------------
+
+# Bounds on ‖u_k − u*‖/‖u*‖ after 100 fixed-λ iterations, per method, for the
+# shipped restart (the last 3 iterates kept, at the 30-column cap) and for one
+# that keeps 2 and comes every 8 iterations (cap 10), where the kept current
+# iterate carries the convergence.  Each is 3x the measured distance, rounded
+# up, and at least 1e-10: the Newton oracle is accurate to about 1e-13, and the
+# projected solves round at about 1e-12.  Measured: 2.2e-12|2.5e-11,
+# 5.5e-6|2.0e-5, 0.21|0.26, 1.1e-11|2.9e-9, 1.2e-11|2.0e-10 and 1.7e-3|7.5e-3.
+# Aniso3DTV converges slowly under any restart; uncapped it reaches 4e-11 in
+# 200 iterations.
+NEWTON_BOUNDS = {
+    "AnisoTV": (1e-10, 1e-10),
+    "TVplusTikhonov": (2e-5, 6e-5),
+    "Aniso3DTV": (0.7, 0.8),
+    "Iso3DTV": (1e-10, 9e-9),
+    "IsoTV": (1e-10, 7e-10),
+    "GS": (6e-3, 3e-2),
+}
+
+
+def test_restarted_solver_reaches_the_newton_minimizer(monkeypatch):
+    # a mild blur, so that every method's u* is well determined (at sigma_psf
+    # 1.5 and bandwidth 4, Aniso3DTV's Newton system has condition 3e17);
+    # Γ = I, and neither the discrepancy nor the relative-change stop
+    dims, lam, iters = (8, 8, 3), 0.2, 100
+    blur = dv.build_blur_operator(dv.BlurModel(sigma_psf=0.5, bandwidth=2), 8, 8)
+    forward = dv.assemble_dynamic_forward(blur, 3)
+    truth = dv.vec(dv.render_scene(dv.moving_disks_scene(*dims, n_objects=2, seed=3)))
+    data, _ = dv.add_noise(forward.apply(truth), dv.NoiseSpec(sigma=0.02, seed=4))
+    problem = dv.ReconstructionProblem(forward=forward, data=data)
+    f_dense = oracles.dense(forward)
+
+    dist, restarts = {}, []
+    for name in METHODS:
+        u_star = oracles.newton_minimizer(
+            f_dense, data, np.ones(data.size), name, dims, dv.RegularizerSpec.epsilon, lam,
+        )
+        config = dv.SolverConfig(
+            regularizer=spec_for(name, dims), lam=lam, max_iters=iters, rel_change_tol=0.0,
+        )
+        dist[name] = []
+        for keep, cap in ((dv.solver._RESTART_ITERATES, dv.solver._MAX_BASIS_COLS), (2, 10)):
+            monkeypatch.setattr(dv.solver, "_RESTART_ITERATES", keep)
+            monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", cap)
+            result = dv.mm_gks_solve(problem, config)
+            sub_dims = np.array([rec.subspace_dim for rec in result.history])
+            restarts.append(int(np.sum(np.diff(sub_dims) < 0)))
+            dist[name].append(np.linalg.norm(result.u - u_star) / np.linalg.norm(u_star))
+        monkeypatch.undo()
+    ok = min(restarts) >= 3 and all(
+        d <= bound for name in METHODS for d, bound in zip(dist[name], NEWTON_BOUNDS[name])
+    )
+    verdict(
+        9, ok,
+        f"8x8x3 blur, fixed lambda {lam}, {iters} iterations, {min(restarts)}+ restarts: "
+        "distance to the Newton minimizer, kept 3 at cap 30 | kept 2 at cap 10: "
+        + ", ".join(f"{name} {d[0]:.1e}|{d[1]:.1e}" for name, d in dist.items())
+        + " (bounds in NEWTON_BOUNDS)",
     )

@@ -290,20 +290,10 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             },
             "squared norm of the whitened data is not finite",
         ),
-        # non-finite solver values used to fail inside the solve; so did an
-        # epsilon whose square underflows ("SVD did not converge") or
-        # overflows (an OverflowError in update_weights)
+        # non-finite solver values used to fail inside the solve
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lambda": float("inf")}},
             "fixed lam must be positive and finite",
-        ),
-        *(
-            (
-                {"experiment": experiment, "scene": scene, "solver": {"epsilon": eps}},
-                "invalid solver section: smoothing parameter epsilon must be positive and finite",
-            )
-            for eps in (float("inf"), 1e-300, 1e300)
-            for experiment in ("deblur", "radon-dynamic")
         ),
         # so did a sigma_psf whose square overflows (an OverflowError in the
         # kernel) or underflows (NaN kernels, blamed on the data)
@@ -430,20 +420,23 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lamda": 5}},
             "unknown key 'lamda' in solver; valid keys are method, max_iters, rel_change_tol, "
-            "epsilon, lambda",
+            "lambda",
         ),
         # the nonnegativity clipping is gone, and the seed size, the
-        # discrepancy factor and the GCV grid are solver constants; a config
-        # that still sets one is refused, not run without it
+        # discrepancy factor, the GCV grid and the penalty's smoothing are
+        # constants; a config that still sets one is refused, not run without
+        # it, even at the constant's value
         *(
             (
-                {"experiment": "deblur", "scene": scene, "solver": {key: value}},
+                {"experiment": experiment, "scene": scene, "solver": {key: value}},
                 f"unknown key {key!r} in solver; valid keys are method, max_iters, "
-                "rel_change_tol, epsilon, lambda",
+                "rel_change_tol, lambda",
             )
             for key, value in (
                 ("nonneg", True), ("gk_steps", 5), ("eta", 1.01), ("lambda_grid", [0.1, 1.0]),
+                ("epsilon", 1e-3),
             )
+            for experiment in ("deblur", "radon-static-baseline")
         ),
         (
             {"experiment": "deblur", "scene": scene, "forward": {"n_detectors": 20}},
@@ -638,6 +631,40 @@ def test_singular_system_exit_1_flushes_partial_history(tmp_path, capsys, monkey
     assert rows[0] == list(cli.HISTORY_COLUMNS)
     assert [row[0] for row in rows[1:]] == ["1", "2"]
     assert not (out / "summary.json").exists()
+
+
+def test_grid_overflow_exit_1_with_the_scale_message(tmp_path, capsys):
+    # a disk of intensity 1e153 under noise 0.5 scales GCV's balanced grid
+    # by 2^1024, past the float range: the run used to exit 0 after 2
+    # iterations at RRE 1.00000, with an overflow warning
+    cfg = {
+        "experiment": "deblur",
+        "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "objects": [
+            {"centers": [[6, 6], [6, 7]], "radii": [3, 3], "intensity": 1e153}]},
+        "noise": {"sigma": 0.5, "seed": 1},
+    }
+    out = tmp_path / "fail"
+    assert cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "solver failure: GCV grid overflows" in err and "2^1024" in err, err
+    assert "rescale the scene intensities" in err
+    assert read_history(out / "history.csv") == [list(cli.HISTORY_COLUMNS)]
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("sigma", [1e-155, 1e-158])
+def test_noise_whose_variance_is_subnormal_exit_2_advising_more_noise(tmp_path, capsys, sigma):
+    # Γ^(-1/2) of a subnormal variance exceeds 1e153, so the whitened data
+    # overflow; the message blamed the scene intensities or the noise sigma
+    cfg = smoke_config()
+    cfg["noise"]["sigma"] = sigma
+    out = tmp_path / "run"
+    assert cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 1
+    advice = "whitened data is not finite; raise the noise sigma, or set it to 0 for noiseless data"
+    assert advice in err, err
+    assert not out.exists()
 
 
 def test_removed_nonneg_flag_exits_2(tmp_path, capsys):

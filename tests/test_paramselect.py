@@ -89,6 +89,24 @@ def test_all_nan_curve_raises_in_selection():
         select_lambda(pair, _LAMBDA_GRID)
 
 
+def test_grid_that_overflows_on_the_balanced_pair_raises():
+    # R_M 2^520 times R_F puts the balanced grid at 2^1040 times the grid, so
+    # its top points overflow; GCV used to pick from the finite rest, with
+    # an overflow warning, and the solve went nowhere.  At 2^500 the scaled
+    # grid is finite and the selection runs
+    rng = np.random.default_rng(36)
+    r, rhs = np.triu(rng.standard_normal((3, 3))) + 3 * np.eye(3), rng.standard_normal(3)
+    for half, shift in ((260, 1040), (250, 1000)):
+        pair = ProjectedPair(r_f=np.ldexp(r, -half), r_m=np.ldexp(r, half), rhs=rhs)
+        assert pair.shift == shift
+        with np.errstate(over="raise"):
+            if shift > 1020:
+                with pytest.raises(dv.SingularSystemError, match=r"2\^1040; rescale the scene"):
+                    select_lambda(pair, _LAMBDA_GRID)
+            else:
+                assert _LAMBDA_GRID[0] <= select_lambda(pair, _LAMBDA_GRID) <= _LAMBDA_GRID[-1]
+
+
 def test_select_lambda_refines_within_bracket():
     rng = np.random.default_rng(35)
     grid = _LAMBDA_GRID

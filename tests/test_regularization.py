@@ -1,5 +1,6 @@
 """Regularizer operators, functional values, IRLS weights and majorants."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,8 @@ from oracles import sums_at
 METHODS = list(dv.METHOD_NAMES)
 
 
-def spec_for(method, dims, eps=1e-3):
-    return dv.RegularizerSpec(method=dv.Method(method), dims=dims, epsilon=eps)
+def spec_for(method, dims):
+    return dv.RegularizerSpec(method=dv.Method(method), dims=dims)
 
 
 def test_build_d_shapes_2x2x2():
@@ -81,26 +82,29 @@ def test_build_d_rejects_wrong_length():
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_regularizer_value_zero_at_zero(method):
+def test_regularizer_value_zero_at_zero(method, monkeypatch):
     # R(0) = 0: every group norm of D 0 is zero, so the sums hold eps² alone
     # and R_eps(0) is the smoothing floor, eps per group (exact at eps = 0.5)
-    spec = spec_for(method, (3, 3, 2), eps=0.5)
+    monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 0.5)
+    spec = spec_for(method, (3, 3, 2))
     s, quad = sums_at(spec, np.zeros(18))
     assert quad == 0.0 and np.all(s == 0.25)
     assert regularizer_value(spec, (s, quad)) == 0.5 * s.size
 
 
-def test_anisotv_two_frame_worked_example():
+def test_anisotv_two_frame_worked_example(monkeypatch):
     # two identical frames of U = [[1,0],[1,0]]: spatial TV 2 per frame, no
     # temporal differences; at eps = 1e-150 each zero difference adds only eps
+    monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-150)
     u = np.tile(np.array([1.0, 1.0, 0.0, 0.0]), 2)
-    spec = spec_for("AnisoTV", (2, 2, 2), eps=1e-150)
+    spec = spec_for("AnisoTV", (2, 2, 2))
     assert abs(regularizer_value(spec, sums_at(spec, u)) - 4.0) < 1e-14
 
 
-def test_gs_two_frame_worked_example():
+def test_gs_two_frame_worked_example(monkeypatch):
+    monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-150)
     u = np.tile(np.array([1.0, 1.0, 0.0, 0.0]), 2)
-    spec = spec_for("GS", (2, 2, 2), eps=1e-150)
+    spec = spec_for("GS", (2, 2, 2))
     assert abs(regularizer_value(spec, sums_at(spec, u)) - 2.0 * np.sqrt(2.0)) < 1e-14
 
 
@@ -118,14 +122,31 @@ def test_regularizer_value_matches_oracle(method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_smoothing_monotonicity(method):
+def test_oracle_groups_of_the_dense_d_give_the_tensor_value(method):
+    # the Newton oracle's penalty: the rows of d_matrix grouped by
+    # penalty_groups, a second dense route to R_eps
+    rng = np.random.default_rng(16)
+    dims = (4, 3, 3)
+    u = rng.standard_normal(36)
+    z = oracles.d_matrix(method, dims) @ u
+    group = oracles.penalty_groups(method, dims)
+    quad = group < 0
+    value = np.sum(np.sqrt(np.bincount(group[~quad], z[~quad] ** 2) + 1e-6))
+    value += 0.5 * z[quad] @ z[quad]
+    want = oracles.reg_value(method, dims, 1e-3, u, smoothed=True)
+    np.testing.assert_allclose(value, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_smoothing_monotonicity(method, monkeypatch):
     rng = np.random.default_rng(13)
     dims = (4, 4, 3)
     u = rng.standard_normal(48)
     exact = oracles.reg_value(method, dims, 0.0, u, smoothed=False)
     gaps = []
     for eps in (1e-1, 1e-2, 1e-3):
-        spec = spec_for(method, dims, eps)
+        monkeypatch.setattr(dv.RegularizerSpec, "epsilon", eps)
+        spec = spec_for(method, dims)
         smoothed = regularizer_value(spec, sums_at(spec, u))
         assert smoothed >= exact
         gaps.append(smoothed - exact)
@@ -133,26 +154,28 @@ def test_smoothing_monotonicity(method):
 
 
 @pytest.mark.parametrize("method", [m for m in METHODS if m != "TVplusTikhonov"])
-def test_one_homogeneous_scaling_exact(method):
+def test_one_homogeneous_scaling_exact(method, monkeypatch):
     rng = np.random.default_rng(14)
     dims = (3, 3, 3)
     u = rng.standard_normal(27)
-    spec, spec4 = spec_for(method, dims), spec_for(method, dims, 4e-3)
+    spec = spec_for(method, dims)
+    value = regularizer_value(spec, sums_at(spec, u))
     # R_4eps(4u) = 4 R_eps(u); a power-of-two scalar keeps it exact in floating point
-    assert regularizer_value(spec4, sums_at(spec4, 4.0 * u)) == (
-        4.0 * regularizer_value(spec, sums_at(spec, u)))
+    monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 4e-3)
+    assert regularizer_value(spec, sums_at(spec, 4.0 * u)) == 4.0 * value
 
 
-def test_tv_plus_tikhonov_mixed_scaling():
+def test_tv_plus_tikhonov_mixed_scaling(monkeypatch):
     rng = np.random.default_rng(15)
     dims = (3, 3, 3)
     u = rng.standard_normal(27)
-    spec, spec4 = spec_for("TVplusTikhonov", dims), spec_for("TVplusTikhonov", dims, 4e-3)
+    spec = spec_for("TVplusTikhonov", dims)
     l_t = oracles.diff_matrix(3)
     z_t = oracles.kron3(l_t, np.eye(3), np.eye(3)) @ u
     tik = 0.5 * float(z_t @ z_t)
     tv = regularizer_value(spec, sums_at(spec, u)) - tik
-    got = regularizer_value(spec4, sums_at(spec4, 4.0 * u))
+    monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 4e-3)
+    got = regularizer_value(spec, sums_at(spec, 4.0 * u))
     np.testing.assert_allclose(got, 4.0 * tv + 16.0 * tik, rtol=1e-12)
 
 
@@ -212,7 +235,7 @@ def traced_peak(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("smoothed", [False, True], ids=["plain", "smoothed"])
 @pytest.mark.parametrize("method", METHODS)
-def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed):
+def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed, monkeypatch):
     # the sums add eps² to the squared group norms s in place; the value
     # sum sqrt(s + eps²) leaves them as they are, since the next weights read
     # them, and the weights (s + eps²)^(-1/4) are formed in place on them.  Both
@@ -220,7 +243,9 @@ def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed):
     # left as it was, and neither allocates more than the group sums
     # themselves and the weights.  The plain case runs at eps = 1e-150, whose
     # square is below half an ulp of every s here, so R_eps is bitwise R
-    spec = spec_for(method, (32, 32, 4), 1e-3 if smoothed else 1e-150)
+    if not smoothed:
+        monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-150)
+    spec = spec_for(method, (32, 32, 4))
     _, group, n_quad = dv.regularization._penalty(spec.method, spec.dims)
     u = np.random.default_rng(19).standard_normal(spec.n)
     z = build_D(spec).apply(u)
@@ -349,23 +374,10 @@ def test_regularizer_value_rejects_wrong_length():
             penalty_sums(spec, z)
 
 
-@pytest.mark.parametrize("eps", [np.inf, np.nan, 1e-300, 1e300])
-def test_epsilon_must_be_finite(eps):
-    # an infinite epsilon used to pass here and stop the solve with "weights
-    # must be strictly positive": its weights (eps²)^(-1/4) are all zero.
-    # 1e-300, whose square underflows to 0, ended in "SVD did not converge",
-    # and 1e300 in an OverflowError at eps**2 in update_weights
-    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-        dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(3, 3, 2), epsilon=eps)
-    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-        dv.RegularizerSpec(dims=(3, 3, 1), epsilon=eps)
-
-
-def test_epsilon_accepts_the_values_whose_square_is_finite_and_nonzero():
-    for eps in (1e-154, 1.3e154):
-        assert dv.RegularizerSpec(dims=(3, 3, 2), epsilon=eps).epsilon == eps
-
-
-def test_epsilon_must_be_positive():
-    with pytest.raises(ValueError):
-        dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(3, 3, 2), epsilon=0.0)
+def test_epsilon_is_a_constant_not_a_field():
+    # the smoothing constant is fixed, as the discrepancy factor is, so a
+    # caller that still passes one fails at once instead of running without it
+    with pytest.raises(TypeError, match="epsilon"):
+        dv.RegularizerSpec(dims=(3, 3, 2), epsilon=1e-3)
+    assert [f.name for f in dataclasses.fields(dv.RegularizerSpec)] == ["dims", "method"]
+    assert dv.RegularizerSpec(dims=(3, 3, 1)).epsilon == dv.RegularizerSpec.epsilon == 1e-3

@@ -220,7 +220,7 @@ def test_solve_projected_requires_penalty_factor():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     state = init_state(problem, np.eye(8)[:, :3])
     with pytest.raises(ValueError):
         solve_projected(state, 1.0)
@@ -231,7 +231,7 @@ def test_projected_pair_pads_wide_factor_square():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 2, 8), data=rng.standard_normal(2)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     state = init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0])
     refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
     # the refresh factors the 2 x 3 R_F, padded square inside the pair
@@ -300,7 +300,7 @@ def test_refresh_penalty_one_sweep_up_to_cond_1e3(cond, one_sweep):
 def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     # the full-space identity basis: D maps constants (or, for Aniso3DTV, a
     # wider space) to zero, so W D V is rank deficient or wide
-    spec = dv.RegularizerSpec(method=method, dims=(4, 4, 3), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=method, dims=(4, 4, 3))
     rng = np.random.default_rng(61)
     u = rng.standard_normal(spec.n)
     a = update_weights(spec, oracles.sums_at(spec, u))[:, None] * oracles.dense(build_D(spec))
@@ -330,7 +330,7 @@ def test_expand_full_basis_returns_false():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     d_op = build_D(spec)
     state = init_state(problem, np.eye(8))
     refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
@@ -344,7 +344,7 @@ def test_expand_stalls_when_solution_is_in_span():
     # the problem exactly and its difference image vanishes, so the expansion
     # residual is zero to rounding and no direction is added
     n = 8
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     d_op = build_D(spec)
     problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(n)), data=np.ones(n))
     basis, breakdown = seed_subspace(problem, 5)
@@ -369,7 +369,7 @@ def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, rows, n), data=rng.standard_normal(rows)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims)
     d_op = build_D(spec)
     basis, _ = seed_subspace(problem, 3)
     assert basis.shape == (n, 3)
@@ -403,7 +403,7 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, rows, n), data=rng.standard_normal(rows)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims)
     d_op = build_D(spec)
     basis, _ = seed_subspace(problem, 4)
     state = init_state(problem, basis)
@@ -420,7 +420,7 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-10)
 
 
-def test_expand_appends_dense_normal_equations_residual():
+def test_expand_appends_dense_normal_equations_residual(monkeypatch):
     # the new column is the normal-equations residual of the majorant at
     # u = V y, A^T Γ^-1 (A u - d) + λ D^T W² D u, orthogonalized against V
     rng = np.random.default_rng(25)
@@ -430,7 +430,8 @@ def test_expand_appends_dense_normal_equations_residual():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, rows, n), data=rng.standard_normal(rows), noise_cov_diag=gamma
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=dims, epsilon=1e-2)
+    monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-2)
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=dims)
     d_op = build_D(spec)
     basis, _ = seed_subspace(problem, 4)
     state = init_state(problem, basis)
@@ -450,7 +451,7 @@ def test_expand_requires_solved_state():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     d_op = build_D(spec)
     state = init_state(problem, np.eye(8)[:, :2])
     with pytest.raises(ValueError, match="needs a solved state"):
@@ -582,7 +583,7 @@ def test_solve_identity_noiseless_recovers_truth():
     scene = dv.moving_disks_scene(6, 6, 2, n_objects=2, seed=1)
     truth = dv.vec(dv.render_scene(scene))
     problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(72)), data=truth, truth=truth)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(6, 6, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(6, 6, 2))
     config = dv.SolverConfig(regularizer=spec, lam=1e-8, max_iters=60)
     result = dv.mm_gks_solve(problem, config)
     assert result.stop_reason == "rel_change"
@@ -591,7 +592,7 @@ def test_solve_identity_noiseless_recovers_truth():
 
 def test_solve_deblurring_dp_stop_beats_unregularized():
     problem = blur_problem((16, 16, 3), 1.2, 4, 0.01, scene_seed=2, noise_seed=4)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(16, 16, 3), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(16, 16, 3))
     result = dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec))
     assert result.stop_reason == "discrepancy"
     assert result.iterations <= 150
@@ -615,7 +616,7 @@ def test_solve_fixed_lambda_objective_never_increases():
     # 40 iterations take the basis past its 30-column cap, so the descent
     # holds across a restart too
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
-    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2))
     config = dv.SolverConfig(regularizer=spec, lam=0.2, max_iters=40, rel_change_tol=0.0)
     result = dv.mm_gks_solve(problem, config)
     dims = np.array([rec.subspace_dim for rec in result.history])
@@ -627,7 +628,7 @@ def test_solve_fixed_lambda_objective_never_increases():
 def restarting_run():
     """Fixed-λ 8×8×2 deblur whose 60 iterations pass the 30-column cap twice."""
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
-    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2))
     config = dv.SolverConfig(regularizer=spec, lam=0.2, max_iters=60, rel_change_tol=0.0)
     return dv.mm_gks_solve(problem, config)
 
@@ -790,7 +791,7 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     problem = dv.ReconstructionProblem(
         forward=DenseOperator(np.eye(n)), data=rng.standard_normal(n)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims, epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims)
     d_op = build_D(spec)
     state = init_state(problem, np.linalg.qr(rng.standard_normal((n, 5)))[0])
     refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
@@ -812,14 +813,15 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     np.testing.assert_allclose(state.q_f @ state.r_f[:, -1], a, rtol=0, atol=1e-15)
 
 
-def test_full_space_matches_dense_mm_iterates():
+def test_full_space_matches_dense_mm_iterates(monkeypatch):
     # the solver's refresh and projected solve on the identity basis
     rng = np.random.default_rng(31)
     dims, lam = (2, 3, 2), 0.3
     f_dense = rng.standard_normal((14, 12)) / np.sqrt(12.0)
     data = rng.standard_normal(14)
     problem = dv.ReconstructionProblem(forward=DenseOperator(f_dense), data=data)
-    spec = dv.RegularizerSpec(method=dv.Method.TV_PLUS_TIKHONOV, dims=dims, epsilon=1e-2)
+    monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-2)
+    spec = dv.RegularizerSpec(method=dv.Method.TV_PLUS_TIKHONOV, dims=dims)
     want = oracles.dense_mm_iterates(
         f_dense, data, np.ones(14), "TVplusTikhonov", dims, 1e-2, lam, 8
     )
@@ -833,7 +835,7 @@ def test_full_space_matches_dense_mm_iterates():
 )
 def test_whitening_consistency_under_covariance_rescaling(method, monkeypatch):
     problem = blur_problem((8, 8, 3), 1.0, 3, 0.01, scene_seed=8, noise_seed=9)
-    spec = dv.RegularizerSpec(method=method, dims=(8, 8, 3), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=method, dims=(8, 8, 3))
     config = dv.SolverConfig(regularizer=spec, max_iters=40)
     grid = dv.solver._LAMBDA_GRID
     base = dv.mm_gks_solve(problem, config)
@@ -863,7 +865,7 @@ def test_solve_is_exactly_equivariant_under_noise_rescaling(rule, k, monkeypatch
     # whitened data and R_F by 2^-k, which the balanced pair absorbs exactly:
     # every λ is divided by 4^k and the iterates do not move by one bit
     problem = blur_problem((16, 16, 3), 1.2, 4, 0.01, scene_seed=2, noise_seed=4)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(16, 16, 3), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(16, 16, 3))
     scaled_problem = dv.ReconstructionProblem(
         forward=problem.forward,
         data=problem.data,
@@ -1006,7 +1008,7 @@ def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeyp
     blurred = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
     problem = dv.ReconstructionProblem(forward=blurred.forward, data=blurred.data)
     problem.forward = CountingOperator(blurred.forward, counts, "F")  # past the type check
-    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=(8, 8, 2))
     seed, iters = dv.solver._SEED_STEPS, 10
     config = dv.SolverConfig(regularizer=spec, lam=0.1, max_iters=iters, rel_change_tol=0.0)
     result = dv.mm_gks_solve(problem, config)
@@ -1040,7 +1042,7 @@ def test_solve_factors_the_projected_pair_once_per_iteration(lam, monkeypatch):
         monkeypatch.setattr(module, "ProjectedPair", counted)
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.01, scene_seed=9, noise_seed=5)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(8, 8, 2))
     config = dv.SolverConfig(regularizer=spec, lam=lam, max_iters=12, rel_change_tol=0.0)
     result = dv.mm_gks_solve(problem, config)
     assert result.iterations > 1
@@ -1050,7 +1052,7 @@ def test_solve_factors_the_projected_pair_once_per_iteration(lam, monkeypatch):
 def test_history_dp_residual_is_the_residual_of_each_iterate():
     # the k-th iterate is the final one of a run cut at k iterations
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.01, scene_seed=9, noise_seed=5)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_3D_TV, dims=(8, 8, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_3D_TV, dims=(8, 8, 2))
     result = dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, max_iters=40))
     # from the kept factors; the DP stop must hold for the iterate itself
     assert result.stop_reason == "discrepancy"
@@ -1063,7 +1065,7 @@ def test_history_dp_residual_is_the_residual_of_each_iterate():
 
 def test_truncated_rerun_reproduces_history_prefix():
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.01, scene_seed=7, noise_seed=2)
-    spec = dv.RegularizerSpec(method=dv.Method.ISO_3D_TV, dims=(8, 8, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ISO_3D_TV, dims=(8, 8, 2))
     full = dv.mm_gks_solve(
         problem, dv.SolverConfig(regularizer=spec, max_iters=8, rel_change_tol=0.0)
     )
@@ -1081,7 +1083,7 @@ def test_truncated_rerun_reproduces_history_prefix():
 def test_zero_data_raises_solver_error_with_empty_history():
     rng = np.random.default_rng(41)
     problem = dv.ReconstructionProblem(forward=random_forward(rng, 10, 8), data=np.zeros(10))
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     with pytest.raises(dv.SolverError) as err:
         dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec))
     assert err.value.history == []
@@ -1100,7 +1102,7 @@ def test_singular_system_error_carries_the_history_so_far(monkeypatch):
 
     monkeypatch.setattr(dv.solver, "select_lambda", failing_select)
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=7, noise_seed=2)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(8, 8, 2))
     config = dv.SolverConfig(regularizer=spec, max_iters=5, rel_change_tol=0.0)
     with pytest.raises(dv.SolverError) as err:
         dv.mm_gks_solve(problem, config)
@@ -1113,13 +1115,13 @@ def test_solve_rejects_mismatched_regularizer_dims():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
     )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(3, 3, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(3, 3, 2))
     with pytest.raises(ValueError):
         dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec))
 
 
 def test_config_validation():
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     with pytest.raises(ValueError):
         dv.SolverConfig(regularizer=spec, max_iters=0)
     with pytest.raises(ValueError):
@@ -1151,7 +1153,7 @@ def test_integer_fields_refuse_bools_and_fractions(build):
     # each was accepted: a fractional max_iters failed later inside the
     # solve, max_iters True ran 1 iteration,
     # and dims (4.7, 4, 2) became (4, 4, 2)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     with pytest.raises(ValueError, match="must be an integer"):
         build(spec)
 
@@ -1161,8 +1163,6 @@ def test_integer_fields_refuse_bools_and_fractions(build):
     [
         (lambda spec: dv.SolverConfig(spec, lam=True), "lam"),
         (lambda spec: dv.SolverConfig(spec, rel_change_tol=True), "rel_change_tol"),
-        (lambda spec: dv.RegularizerSpec(dims=(2, 2, 2), epsilon=True), "epsilon"),
-        (lambda spec: dv.RegularizerSpec(dims=(4, 4, 1), epsilon="0.1"), "epsilon"),
         (lambda spec: dv.SolverConfig(spec, max_iters=10**400), "max_iters"),
         (lambda spec: dv.RegularizerSpec(dims=(10**400, 4, 2)), "each of dims"),
         (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta=True),
@@ -1170,23 +1170,23 @@ def test_integer_fields_refuse_bools_and_fractions(build):
         (lambda spec: dv.ReconstructionProblem(DenseOperator(np.eye(3)), np.ones(3), delta="1"),
          "delta"),
     ],
-    ids=["lam-True", "rel_change_tol-True", "epsilon-True", "static-epsilon-string", "max_iters-10**400",
-         "dims-10**400", "delta-True", "delta-string"],
+    ids=["lam-True", "rel_change_tol-True", "max_iters-10**400", "dims-10**400", "delta-True",
+         "delta-string"],
 )
 def test_float_and_flag_fields_refuse_other_kinds(build, field):
     # each was accepted or failed deep inside: lam True ran with λ = 1,
-    # epsilon True gave ε = 1, delta "1" raised a bare
-    # TypeError from the range check, and max_iters 10**400 ran without bound
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    # delta "1" raised a bare TypeError from the range check, and max_iters
+    # 10**400 ran without bound
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     with pytest.raises(ValueError, match=f"^{field} must be"):
         build(spec)
 
 
 def test_float_and_flag_fields_keep_numpy_scalars():
-    spec = dv.RegularizerSpec(dims=(2, 2, 2), epsilon=np.float32(0.5))
-    config = dv.SolverConfig(spec, lam=np.int64(2))
-    assert (spec.epsilon, config.lam) == (0.5, 2.0)
-    assert all(type(v) is float for v in (spec.epsilon, config.lam))
+    spec = dv.RegularizerSpec(dims=(2, 2, 2))
+    config = dv.SolverConfig(spec, rel_change_tol=np.float32(0.5), lam=np.int64(2))
+    assert (config.rel_change_tol, config.lam) == (0.5, 2.0)
+    assert all(type(v) is float for v in (config.rel_change_tol, config.lam))
 
 
 def test_removed_nonneg_field_is_refused():
@@ -1207,14 +1207,14 @@ def test_removed_nonneg_field_is_refused():
 @pytest.mark.parametrize("field", ["lam", "rel_change_tol"])
 def test_config_rejects_non_finite_values(field, bad):
     # an infinite lam used to fail inside the projected least-squares solve
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     with pytest.raises(ValueError, match="finite"):
         dv.SolverConfig(regularizer=spec, **{field: bad})
 
 
 def test_history_records_are_well_formed():
     problem = blur_problem((8, 8, 2), 1.0, 3, 0.01, scene_seed=9, noise_seed=5)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(8, 8, 2), epsilon=1e-3)
+    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(8, 8, 2))
     result = dv.mm_gks_solve(problem, dv.SolverConfig(regularizer=spec, max_iters=20))
     iters = [rec.iteration for rec in result.history]
     assert iters == list(range(1, len(iters) + 1))
