@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -241,16 +241,14 @@ def _write_history(path, records):
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
         for rec in records:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    f"{rec.lam:.10g}",
-                    f"{rec.objective:.10g}",
-                    f"{rec.dp_residual:.10g}",
-                    "" if rec.rre is None else f"{rec.rre:.10g}",
-                    rec.subspace_dim,
-                ]
-            )
+            writer.writerow(map(_cell, astuple(rec)))
+
+
+def _cell(value):
+    """A history cell: empty for None, 10 significant digits for a float."""
+    if value is None:
+        return ""
+    return f"{value:.10g}" if isinstance(value, (float, np.floating)) else value
 
 
 # --- running -------------------------------------------------------------------
@@ -302,14 +300,7 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
     results = [_solve(p, config, out_dir / name) for p, name in zip(problems, histories)]
     u = np.concatenate([result.u for result in results])
     last, lam = results[-1], results[-1].history[-1].lam
-    at_dp = not static and last.stop_reason == "discrepancy"
-    report = build_report(
-        u,
-        truth,
-        dims,
-        iters_at_dp=last.iterations if at_dp else None,
-        lambda_at_dp=lam if at_dp else None,
-    )
+    report = build_report(u, truth, dims)
 
     summary = {
         "experiment": experiment,
@@ -332,7 +323,7 @@ def run(cfg, out_dir, seed_override=None, method_override=None):
     summary["stop_reason"] = "per-frame" if static else last.stop_reason
     if not static:
         summary["lambda_final"] = lam
-    summary["report"] = report.as_dict()
+    summary["report"] = asdict(report)
     _write_frames(out_dir, u, truth, dims)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -394,25 +385,32 @@ def compare(run_dirs):
             raise ValueError(f"{summary_path} is not a JSON object with a report object")
         try:
             rre_total = as_float(report.get("rre_total", np.nan), "report entry rre_total")
-            iters = report.get("iters_at_dp")
-            iters = None if iters is None else as_int(iters, "report entry iters_at_dp")
             rre_s = _per_frame(report, "rre_per_frame")
             ssim_s = _per_frame(report, "ssim_per_frame")
-            method = summary.get("method", "?")
-            if not isinstance(method, str):
-                raise ValueError(f"summary entry method must be a string, got {method!r}")
+            iters = "-"
+            if "iterations" in summary:
+                iters = as_int(summary["iterations"], "summary entry iterations")
+            method, stop = (_text(summary, key) for key in ("method", "stop_reason"))
         except ValueError as exc:
             raise ValueError(f"{summary_path}: {exc}") from None
         rows.append((rre_total, (
             f"{str(run_dir):<28} {method:<16} {rre_total:>10.5f} "
-            f"{'-' if iters is None else str(iters):>9}  {rre_s:<40} {ssim_s:<40}"
+            f"{iters:>6} {stop:<12}  {rre_s:<40} {ssim_s:<40}"
         )))
     rows.sort(key=lambda row: (np.isnan(row[0]), row[0]))  # no total: last
     header = (
-        f"{'run':<28} {'method':<16} {'rre_total':>10} {'iters_dp':>9}  "
+        f"{'run':<28} {'method':<16} {'rre_total':>10} {'iters':>6} {'stop':<12}  "
         f"{'rre/frame':<40} {'ssim/frame':<40}"
     )
     return "\n".join([header] + [line for _, line in rows])
+
+
+def _text(summary, key):
+    """A summary's text entry, "?" when missing; ValueError unless it is a string."""
+    value = summary.get(key, "?")
+    if not isinstance(value, str):
+        raise ValueError(f"summary entry {key} must be a string, got {value!r}")
+    return value
 
 
 def _per_frame(report, key):

@@ -6,6 +6,9 @@ Gaussian window with sigma 1.5 (truncated and renormalized), stability
 constants C1 = (0.01 L)^2 and C2 = (0.03 L)^2 for dynamic range L, population
 (not sample) covariances, and the mean of the local index over all fully
 contained windows.
+
+``build_report`` keeps the total and per-frame RRE and the per-frame SSIM;
+how a run ended (iterations, stop reason, final lambda) is the solve's record.
 """
 
 from __future__ import annotations
@@ -89,20 +92,9 @@ class QualityReport:
     rre_total: float
     rre_per_frame: tuple
     ssim_per_frame: tuple
-    iters_at_dp: int | None = None
-    lambda_at_dp: float | None = None
-
-    def as_dict(self):
-        return {
-            "rre_total": self.rre_total,
-            "rre_per_frame": list(self.rre_per_frame),
-            "ssim_per_frame": list(self.ssim_per_frame),
-            "iters_at_dp": self.iters_at_dp,
-            "lambda_at_dp": self.lambda_at_dp,
-        }
 
 
-def build_report(u, u_true, dims, iters_at_dp=None, lambda_at_dp=None):
+def build_report(u, u_true, dims):
     """Assemble the report; SSIM uses the truth's value range per sequence."""
     n_v, n_h, n_t = dims
     u3 = np.asarray(u, dtype=float).reshape(dims, order="F")
@@ -117,6 +109,4 @@ def build_report(u, u_true, dims, iters_at_dp=None, lambda_at_dp=None):
         rre_total=rre(u, u_true),
         rre_per_frame=tuple(rre_per_frame(u, u_true, dims)),
         ssim_per_frame=ssim_frames,
-        iters_at_dp=iters_at_dp,
-        lambda_at_dp=lambda_at_dp,
     )

@@ -67,6 +67,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import SolverError
+from .metrics import rre
 from .operators import LinearOperator
 from .paramselect import ProjectedPair, select_lambda
 from .regularization import (RegularizerSpec, as_float, as_int, build_D, penalty_sums,
@@ -433,16 +434,13 @@ def mm_gks_solve(problem, config):
             z = d_op.apply(u)
             sums = penalty_sums(spec, z)
             objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, sums)
-            rre = None
-            if problem.truth is not None:
-                rre = float(np.linalg.norm(u - problem.truth) / np.linalg.norm(problem.truth))
             history.append(
                 IterationRecord(
                     iteration=k,
                     lam=lam,
                     objective=float(objective),
                     dp_residual=dp_residual,
-                    rre=rre,
+                    rre=None if problem.truth is None else rre(u, problem.truth),
                     subspace_dim=state.dim,
                 )
             )

@@ -723,6 +723,39 @@ def test_summary_records_the_blas_thread_setting(tmp_path, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("experiment", ["deblur", "radon-static-baseline"])
+def test_summary_report_holds_quality_only(tmp_path, experiment):
+    # the report also copied the iterations and the final lambda of a
+    # discrepancy stop, which the summary records for every run
+    cfg = {**smoke_config(), "experiment": experiment}
+    if experiment != "deblur":
+        del cfg["forward"]
+    out = tmp_path / "run"
+    assert cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary["report"]) == ["rre_total", "rre_per_frame", "ssim_per_frame"]
+    assert summary["iterations"] > 0 and isinstance(summary["stop_reason"], str)
+
+
+def test_history_writes_each_record_field_in_order(tmp_path):
+    # one column per IterationRecord field, two of them under shorter names
+    short = {"iter": "iteration", "lambda": "lam"}
+    fields = [field.name for field in dataclasses.fields(dv.IterationRecord)]
+    assert [short.get(col, col) for col in cli.HISTORY_COLUMNS] == fields
+    records = [
+        dv.IterationRecord(iteration=1, lam=np.float64(0.123456789), objective=2.5,
+                           dp_residual=np.float64(3.25), rre=None, subspace_dim=5),
+        dv.IterationRecord(iteration=2, lam=1e-6, objective=np.float32(0.1),
+                           dp_residual=1 / 3, rre=np.float64(2 / 3), subspace_dim=np.int64(6)),
+    ]
+    cli._write_history(tmp_path / "history.csv", records)
+    assert read_history(tmp_path / "history.csv") == [
+        list(cli.HISTORY_COLUMNS),
+        ["1", "0.123456789", "2.5", "3.25", "", "5"],
+        ["2", "1e-06", "0.1000000015", "0.3333333333", "0.6666666667", "6"],
+    ]
+
+
 def test_pgm_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(12)
     img = rng.integers(0, 65536, size=(9, 13), dtype=np.uint16)
@@ -793,6 +826,33 @@ def test_compare_sorts_runs_without_a_total_last(tmp_path, capsys):
     assert [row.split()[0] for row in rows] == [dirs[2], dirs[0], dirs[1]]
 
 
+def test_compare_shows_the_iterations_and_stop_reason_of_each_run(tmp_path, capsys):
+    # both come from the summary's own iterations and stop_reason: the
+    # smoke run ends at max_iters, and each of the static baseline's two
+    # frames takes 10 iterations; the column read a DP-only copy, "-" here
+    coupled = smoke_config()
+    static = {**smoke_config(), "experiment": "radon-static-baseline"}
+    del static["forward"]
+    dirs = []
+    for name, cfg in (("coupled", coupled), ("static", static)):
+        out = tmp_path / name
+        assert cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        dirs.append(str(out))
+    capsys.readouterr()
+    assert cli.main_compare(dirs) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:5] == ["run", "method", "rre_total", "iters", "stop"]
+    rows = {line.split()[0]: line.split()[1:5] for line in lines[1:]}
+    assert rows[dirs[0]][0] == "AnisoTV" and rows[dirs[0]][2:] == ["10", "max_iters"]
+    assert rows[dirs[1]][0] == "static-TV" and rows[dirs[1]][2:] == ["20", "per-frame"]
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "summary.json").write_text(json.dumps({"report": {"rre_total": 0.5}}))
+    (bare / "history.csv").write_text("iter\n")
+    assert cli.main_compare([str(bare)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[1:5] == ["?", "0.50000", "-", "?"]
+
+
 def test_compare_missing_summary_or_history_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -815,7 +875,8 @@ def test_compare_missing_summary_or_history_exit_2(tmp_path, capsys):
         assert cli.main_compare([str(bad)]) == 2
         assert "cannot compare runs: " in capsys.readouterr().err
 
-    # a report entry of the wrong type raised a TypeError traceback (exit 1)
+    # a report entry of the wrong type raised a TypeError traceback (exit 1),
+    # and so does an iteration count or a stop reason of the wrong type
     cases = [
         ({"rre_total": [1]}, "report entry rre_total must be a number, got [1]"),
         ({"rre_total": True}, "report entry rre_total must be a number, got True"),
@@ -824,13 +885,17 @@ def test_compare_missing_summary_or_history_exit_2(tmp_path, capsys):
             {"ssim_per_frame": [0.5, "x"]},
             "each value of report entry ssim_per_frame must be a number, got 'x'",
         ),
-        ({"iters_at_dp": 2.5}, "report entry iters_at_dp must be an integer, got 2.5"),
-        ({"iters_at_dp": False}, "report entry iters_at_dp must be an integer, got False"),
     ]
-    for i, (report, message) in enumerate(cases):
+    cases = [({"report": report}, message) for report, message in cases] + [
+        ({"iterations": 2.5}, "summary entry iterations must be an integer, got 2.5"),
+        ({"iterations": False}, "summary entry iterations must be an integer, got False"),
+        ({"stop_reason": None}, "summary entry stop_reason must be a string, got None"),
+        ({"stop_reason": 3}, "summary entry stop_reason must be a string, got 3"),
+    ]
+    for i, (summary, message) in enumerate(cases):
         bad = tmp_path / f"report{i}"
         bad.mkdir()
-        (bad / "summary.json").write_text(json.dumps({"report": report}))
+        (bad / "summary.json").write_text(json.dumps(summary))
         (bad / "history.csv").write_text("iter\n")
         assert cli.main_compare([str(bad)]) == 2, message
         err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Relative reconstruction error and structural similarity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,15 +122,14 @@ def test_ssim_validates_inputs():
 def test_build_report_fields_and_perfect_reconstruction():
     dims = (12, 12, 2)
     truth = dv.vec(dv.render_scene(dv.moving_disks_scene(12, 12, 2, n_objects=3, seed=9)))
-    report = dv.build_report(truth, truth, dims, iters_at_dp=7, lambda_at_dp=0.25)
+    report = dv.build_report(truth, truth, dims)
     assert report.rre_total == 0.0
     assert report.rre_per_frame == (0.0, 0.0)
     assert report.ssim_per_frame == (1.0, 1.0)
-    assert report.iters_at_dp == 7
-    assert report.lambda_at_dp == 0.25
-    d = report.as_dict()
-    assert d["rre_total"] == 0.0
-    assert d["ssim_per_frame"] == [1.0, 1.0]
+    # quality only: how the run ended is the solve's record, not the report's
+    assert list(dataclasses.asdict(report)) == ["rre_total", "rre_per_frame", "ssim_per_frame"]
+    with pytest.raises(TypeError):
+        dv.build_report(truth, truth, dims, iters_at_dp=7)
 
 
 @pytest.mark.parametrize("level, dyn", [(2.0, 2.0), (0.5, 1.0)])
