@@ -69,7 +69,6 @@ CONFIG_KEYS = {
     "noise": dict.fromkeys(("sigma", "seed")),
     "forward": {**_BLUR, **_RADON},  # narrowed to FORWARD_KEYS[experiment]
     "solver": dict.fromkeys(("method", "max_iters", "rel_change_tol", "lambda")),
-    "output_dir": None,
 }
 
 
@@ -136,7 +135,7 @@ def _config_errors(section):
         raise ConfigError(f"invalid {section} section: {exc}") from exc
 
 
-def build_run(cfg, seed_override=None, method_override=None):
+def build_run(cfg):
     """Experiment, scene, per-step and space-time forward, noise and solver config."""
     _require(cfg, ("experiment", "scene"), "config")
     experiment = cfg["experiment"]
@@ -151,16 +150,10 @@ def build_run(cfg, seed_override=None, method_override=None):
         raise ConfigError(f"scene frames must be at least {SSIM_WINDOW} pixels per side")
     with _config_errors("forward"):
         step_ops, forward_op = _forward(experiment, scene, values.get("forward", {}))
-    noise = values.get("noise", {})
-    if seed_override is not None:
-        noise["seed"] = seed_override
     with _config_errors("noise"):
-        noise = NoiseSpec(**noise)
-    solver = values.get("solver", {})
-    if method_override is not None:
-        solver["method"] = method_override
+        noise = NoiseSpec(**values.get("noise", {}))
     with _config_errors("solver"):
-        config = _solver_config(experiment, scene, solver)
+        config = _solver_config(experiment, scene, values.get("solver", {}))
     return experiment, scene, step_ops, forward_op, noise, config
 
 
@@ -254,11 +247,9 @@ def _cell(value):
 # --- running -------------------------------------------------------------------
 
 
-def run(cfg, out_dir, seed_override=None, method_override=None):
+def run(cfg, out_dir):
     """Execute one configured reconstruction; writes all artifacts to out_dir."""
-    experiment, scene, step_ops, forward_op, noise, config = build_run(
-        cfg, seed_override, method_override
-    )
+    experiment, scene, step_ops, forward_op, noise, config = build_run(cfg)
     static = experiment == "radon-static-baseline"
     dims = (scene.n_v, scene.n_h, scene.n_t)
 
@@ -430,21 +421,13 @@ def main_reconstruct(argv=None):
         description="Run a configured dynamic reconstruction experiment.",
     )
     parser.add_argument("--config", required=True, help="JSON run configuration")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the noise seed")
-    parser.add_argument("--method", default=None, help="override the penalty method")
+    parser.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        out_dir = cfg.get("output_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise _invalid("config", ("output_dir",), f"must be a string, got {out_dir!r}")
-        if args.out is not None:
-            out_dir = args.out
-        if not out_dir:  # "" would write every artifact into the working directory
-            raise ConfigError("no output directory (use --out or set output_dir)")
-        summary = run(cfg, out_dir, args.seed, args.method)
+        if not args.out:  # "" would write every artifact into the working directory
+            raise ConfigError("no output directory (--out is empty)")
+        summary = run(load_config(args.config), args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -472,11 +455,3 @@ def main_compare(argv=None):
         return 2
     print(table)
     return 0
-
-
-def script_reconstruct():
-    sys.exit(main_reconstruct())
-
-
-def script_compare():
-    sys.exit(main_compare())

@@ -56,8 +56,7 @@ class ProjectedPair:
         if self.rhs.size != p:
             raise ValueError("projected data length must match the rows of R_F")
         r_f = np.vstack([self.r_f, np.zeros((d - p, d))])
-        e_f = np.frexp(np.linalg.norm(r_f))[1]
-        e_m = np.frexp(np.linalg.norm(self.r_m))[1]
+        e_f, e_m = _norm_exponent(r_f), _norm_exponent(self.r_m)
         self.dim, self.e_f, self.shift = d, e_f, 2 * (e_m - e_f)
         q, self._r = np.linalg.qr(np.vstack([np.ldexp(r_f, -e_f), np.ldexp(self.r_m, -e_m)]))
         diag = np.abs(np.diag(self._r))
@@ -80,6 +79,13 @@ class ProjectedPair:
         c2, s2, _ = self.factors
         z = self._c_beta / (c2 + np.ldexp(lam, self.shift) * s2)
         return np.linalg.solve(self._r, self._wt.T @ z)
+
+
+def _norm_exponent(a):
+    """Exponent e of ||a||_F = f 2^e, f in [1/2, 1), read on a copy scaled by
+    a power of 2 to a largest entry in [1/2, 1), whose squared norm is finite."""
+    k = np.frexp(np.abs(a).max(initial=0.0))[1]
+    return np.frexp(np.linalg.norm(np.ldexp(a, -k)))[1] + k
 
 
 def _gcv(c2, s2, beta2, lam):

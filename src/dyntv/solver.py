@@ -127,8 +127,10 @@ class ReconstructionProblem:
             self.truth = np.asarray(self.truth, dtype=float).ravel()
             if self.truth.size != self.forward.cols:
                 raise ValueError("truth length must match operator columns")
-            if not np.all(np.isfinite(self.truth)) or not np.any(self.truth):
-                raise ValueError("truth must be finite and not all zero")
+            with np.errstate(over="ignore"):  # an overflowing norm is not zero
+                zero_norm = np.linalg.norm(self.truth) == 0
+            if not np.all(np.isfinite(self.truth)) or zero_norm:
+                raise ValueError("truth must be finite and not all zero, nor of zero norm")
         self._inv_sqrt_cov = 1.0 / np.sqrt(self.noise_cov_diag)
         # the seed basis starts from b / ||b||, which an overflowing ||b||² leaves empty
         with np.errstate(over="ignore"):

@@ -8,13 +8,14 @@ assemble it from Kronecker products of one-dimensional difference matrices,
 as the paper writes it.  The exceptions are test helpers that take package
 objects as they are: ``DenseOperator`` wraps an explicit array as a package
 operator and ``dense`` materializes a small package operator, ``mode_product``
-accepts any package operator, and the majorant helpers evaluate Q and J_eps
-from the package's D, weights and penalty, which ``sums_at`` takes at an
-iterate, so that the tests can check the majorization conditions the solver
-relies on, and ``expand_at_solve`` hands the solver's expansion the inputs
-its outer loop would.  ``full_space_mm_iterates`` runs the solver's steps on
-the identity basis, where every projected solve is exact, and ``gcv_curve``
-evaluates G from the factors of a package ``ProjectedPair``.
+accepts any package operator, ``spec_for`` builds a package regularizer, and
+the majorant helpers evaluate Q and J_eps from the package's D, weights and
+penalty, which ``sums_at`` takes at an iterate, so that the tests can check
+the majorization conditions the solver relies on (``quadratic_misfit`` gives
+them a dense misfit), and ``expand_at_solve`` hands the solver's expansion
+the inputs its outer loop would.  ``full_space_mm_iterates`` runs the
+solver's steps on the identity basis, where every projected solve is exact,
+and ``gcv_curve`` evaluates G from the factors of a package ``ProjectedPair``.
 ``newton_minimizer`` finds the minimizer of J_eps by damped Newton on the
 dense D of ``d_matrix``, grouped by ``penalty_groups``.  ``check_dp``
 states the discrepancy principle on a package problem, and ``read_pgm16``
@@ -257,6 +258,24 @@ def weights_vec(method, dims, eps, u):
 
 
 # --- quadratic tangent majorant of the package's penalty --------------------------
+
+
+def spec_for(method, dims):
+    """The package's regularizer of the named method on a volume of ``dims``."""
+    return dv.RegularizerSpec(method=dv.Method(method), dims=dims)
+
+
+def quadratic_misfit(f_dense, data):
+    """The misfit 0.5 ||F u - d||² and its gradient, for the majorant helpers."""
+
+    def misfit(u):
+        r = f_dense @ u - data
+        return 0.5 * float(r @ r)
+
+    def gradient(u):
+        return f_dense.T @ (f_dense @ u - data)
+
+    return misfit, gradient
 
 
 def sums_at(spec, u):

@@ -18,7 +18,7 @@ import oracles
 from dyntv.paramselect import ProjectedPair
 from dyntv.regularization import build_D, regularizer_value
 from dyntv.solver import init_state, refresh_penalty, seed_subspace, solve_projected
-from oracles import DenseOperator
+from oracles import DenseOperator, quadratic_misfit, spec_for
 
 METHODS = list(dv.METHOD_NAMES)
 
@@ -27,21 +27,6 @@ def verdict(tag, ok, detail):
     line = f"[{tag}] {'PASS' if ok else 'FAIL'} {detail}"
     print("\n" + line, flush=True)
     assert ok, line
-
-
-def spec_for(method, dims):
-    return dv.RegularizerSpec(method=dv.Method(method), dims=dims)
-
-
-def quadratic_misfit(f_dense, data):
-    def misfit(u):
-        r = f_dense @ u - data
-        return 0.5 * float(r @ r)
-
-    def gradient(u):
-        return f_dense.T @ (f_dense @ u - data)
-
-    return misfit, gradient
 
 
 def whitened_problem(forward, truth, sigma, seed):

@@ -76,15 +76,6 @@ def test_unknown_method_exit_2_names_all_six(tmp_path, capsys):
         assert name in err
 
 
-def test_empty_method_override_exit_2(tmp_path, capsys):
-    # an empty --method used to be ignored, so the config's method ran
-    cfg = write_config(tmp_path, deblur_config())
-    out = tmp_path / "o"
-    assert cli.main_reconstruct(["--config", cfg, "--out", str(out), "--method", ""]) == 2
-    assert "unknown method ''" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_static_baseline_writes_one_history_per_frame(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -236,6 +227,11 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lambda": -1}},
             "invalid solver section",
+        ),
+        # an empty method name used to be ignored, so the default method ran
+        (
+            {"experiment": "deblur", "scene": scene, "solver": {"method": ""}},
+            "unknown method ''",
         ),
         # SSIM needs 11 x 11 frames; the run must stop before solving, not after
         (
@@ -411,7 +407,14 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "sovler": {"lambda": 5}},
             "unknown key 'sovler' in config; valid keys are experiment, scene, noise, "
-            "forward, solver, output_dir",
+            "forward, solver",
+        ),
+        # the output directory is --out alone; the config key that stood in
+        # for it is refused, not read
+        (
+            {"experiment": "deblur", "scene": scene, "output_dir": "results"},
+            "unknown key 'output_dir' in config; valid keys are experiment, scene, noise, "
+            "forward, solver",
         ),
         (
             {"experiment": "deblur", "scene": scene, "noise": {"sigam": 0.05}},
@@ -550,16 +553,13 @@ def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where", ["--out", "output_dir"])
-def test_empty_output_dir_exit_2(tmp_path, capsys, monkeypatch, where):
+def test_empty_output_dir_exit_2(tmp_path, capsys, monkeypatch):
     # "" exited 0 and wrote every artifact into the working directory
-    cfg = dict(deblur_config(n_v=12, n_h=12), output_dir="" if where == "output_dir" else "o")
-    path = write_config(tmp_path, cfg)
+    path = write_config(tmp_path, deblur_config(n_v=12, n_h=12))
     run_dir = tmp_path / "cwd"
     run_dir.mkdir()
     monkeypatch.chdir(run_dir)
-    argv = ["--config", path] + (["--out", ""] if where == "--out" else [])
-    assert cli.main_reconstruct(argv) == 2
+    assert cli.main_reconstruct(["--config", path, "--out", ""]) == 2
     err = capsys.readouterr().err
     assert err.count("configuration error") == 1
     assert "configuration error: no output directory" in err, err
@@ -568,16 +568,10 @@ def test_empty_output_dir_exit_2(tmp_path, capsys, monkeypatch, where):
 
 def test_missing_output_dir_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, deblur_config())
-    assert cli.main_reconstruct(["--config", cfg]) == 2
-    assert "output directory" in capsys.readouterr().err
-
-
-def test_output_dir_of_another_kind_exit_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, dict(deblur_config(), output_dir=5))
-    assert cli.main_reconstruct(["--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "invalid config section: output_dir must be a string, got 5" in err
-    assert not (tmp_path / "5").exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main_reconstruct(["--config", cfg])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_out_at_or_under_a_file_exit_2(tmp_path, capsys):
@@ -667,26 +661,32 @@ def test_noise_whose_variance_is_subnormal_exit_2_advising_more_noise(tmp_path, 
     assert not out.exists()
 
 
-def test_removed_nonneg_flag_exits_2(tmp_path, capsys):
+# the nonnegativity clipping is gone, and the noise seed and the method are
+# set in the config alone
+@pytest.mark.parametrize(
+    "flag", [["--nonneg"], ["--seed", "3"], ["--method", "GS"]], ids=lambda flag: flag[0]
+)
+def test_removed_flags_exit_2(tmp_path, capsys, flag):
     cfg = write_config(tmp_path, deblur_config())
-    out = tmp_path / "nn"
+    out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
-        cli.main_reconstruct(["--config", cfg, "--out", str(out), "--nonneg"])
+        cli.main_reconstruct(["--config", cfg, "--out", str(out), *flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --nonneg" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(SystemExit) as exc:
         cli.main_reconstruct(["--help"])
     assert exc.value.code == 0
-    assert "--nonneg" not in capsys.readouterr().out
+    assert flag[0] not in capsys.readouterr().out
 
 
-def test_seed_and_method_overrides(tmp_path):
-    cfg = write_config(tmp_path, deblur_config())
+def test_seed_and_method_come_from_the_config(tmp_path):
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert cli.main_reconstruct(["--config", cfg, "--out", str(out_a)]) == 0
-    assert cli.main_reconstruct(["--config", cfg, "--out", str(out_b), "--seed", "99"]) == 0
-    assert cli.main_reconstruct(["--config", cfg, "--out", str(out_c), "--method", "GS"]) == 0
+    reseeded_cfg, gs_cfg = deblur_config(), deblur_config(method="GS")
+    reseeded_cfg["noise"]["seed"] = 99
+    for cfg, out in ((deblur_config(), out_a), (reseeded_cfg, out_b), (gs_cfg, out_c)):
+        path = write_config(tmp_path, cfg, f"{out.name}.json")
+        assert cli.main_reconstruct(["--config", path, "--out", str(out)]) == 0
     with open(out_a / "summary.json") as fh:
         base = json.load(fh)
     with open(out_b / "summary.json") as fh:
@@ -723,7 +723,7 @@ def test_summary_records_the_blas_thread_setting(tmp_path, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("experiment", ["deblur", "radon-static-baseline"])
+@pytest.mark.parametrize("experiment", ["deblur", "radon-dynamic", "radon-static-baseline"])
 def test_summary_report_holds_quality_only(tmp_path, experiment):
     # the report also copied the iterations and the final lambda of a
     # discrepancy stop, which the summary records for every run
@@ -735,6 +735,24 @@ def test_summary_report_holds_quality_only(tmp_path, experiment):
     summary = json.loads((out / "summary.json").read_text())
     assert list(summary["report"]) == ["rre_total", "rre_per_frame", "ssim_per_frame"]
     assert summary["iterations"] > 0 and isinstance(summary["stop_reason"], str)
+
+
+def test_fixed_lambda_run_restarts_its_basis(tmp_path):
+    # 40 noiseless fixed-lambda iterations take the basis of this 288-voxel
+    # scene past its 30-column cap, so subspace_dim must fall back at a
+    # restart, to one past the kept iterates; no row may show another lambda
+    cfg = smoke_config()
+    cfg["noise"]["sigma"] = 0.0
+    cfg["solver"].update({"lambda": 1e-4, "max_iters": 40, "rel_change_tol": 0})
+    out = tmp_path / "run"
+    assert cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "history.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 40 and {float(row["lambda"]) for row in rows} == {1e-4}
+    dims = [int(row["subspace_dim"]) for row in rows]
+    drops = [b for a, b in zip(dims, dims[1:]) if b < a]
+    assert drops and set(drops) == {dv.solver._RESTART_ITERATES + 1}, dims
+    assert json.loads((out / "summary.json").read_text())["lambda_final"] == 1e-4
 
 
 def test_history_writes_each_record_field_in_order(tmp_path):
@@ -789,14 +807,11 @@ def test_compare_run_with_itself_identical_rows(tmp_path, capsys):
 
 
 def test_compare_three_methods_sorted_by_rre(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, deblur_config())
     dirs = []
     for method in ("AnisoTV", "IsoTV", "GS"):
+        cfg_path = write_config(tmp_path, deblur_config(method=method), f"{method}.json")
         out = tmp_path / method
-        code = cli.main_reconstruct(
-            ["--config", cfg_path, "--out", str(out), "--method", method]
-        )
-        assert code == 0
+        assert cli.main_reconstruct(["--config", cfg_path, "--out", str(out)]) == 0
         dirs.append(str(out))
     capsys.readouterr()
     assert cli.main_compare(dirs) == 0

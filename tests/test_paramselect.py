@@ -107,6 +107,18 @@ def test_grid_that_overflows_on_the_balanced_pair_raises():
                 assert _LAMBDA_GRID[0] <= select_lambda(pair, _LAMBDA_GRID) <= _LAMBDA_GRID[-1]
 
 
+def test_pair_balances_a_factor_whose_squared_norm_overflows():
+    # ||R_M||² past the float range read inf, so frexp gave exponent 0 and
+    # the pair was left unbalanced, with an overflow warning
+    rng = np.random.default_rng(36)
+    r, rhs = np.triu(rng.standard_normal((3, 3))) + 3 * np.eye(3), rng.standard_normal(3)
+    plain = ProjectedPair(r_f=r, r_m=r, rhs=rhs)
+    with np.errstate(over="raise"):
+        big = ProjectedPair(r_f=r, r_m=np.ldexp(r, 520), rhs=rhs)
+    assert big.shift == plain.shift + 1040
+    np.testing.assert_array_equal(big.solve(1e-300), plain.solve(np.ldexp(1e-300, 1040)))
+
+
 def test_select_lambda_refines_within_bracket():
     rng = np.random.default_rng(35)
     grid = _LAMBDA_GRID

@@ -9,13 +9,9 @@ import pytest
 import dyntv as dv
 import oracles
 from dyntv.regularization import build_D, penalty_sums, regularizer_value, update_weights
-from oracles import sums_at
+from oracles import quadratic_misfit, spec_for, sums_at
 
 METHODS = list(dv.METHOD_NAMES)
-
-
-def spec_for(method, dims):
-    return dv.RegularizerSpec(method=dv.Method(method), dims=dims)
 
 
 def test_build_d_shapes_2x2x2():
@@ -272,17 +268,6 @@ def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed, mon
     slack = 4096  # array headers and views
     assert value_peak <= sums_peak + slack
     assert w_peak <= sums_peak + w.nbytes + slack
-
-
-def quadratic_misfit(f_dense, data):
-    def misfit(u):
-        r = f_dense @ u - data
-        return 0.5 * float(r @ r)
-
-    def gradient(u):
-        return f_dense.T @ (f_dense @ u - data)
-
-    return misfit, gradient
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -485,10 +485,14 @@ def test_problem_rejects_non_finite_delta(delta):
         dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=np.ones(3), delta=delta)
 
 
-@pytest.mark.parametrize("truth", [np.zeros(3), np.array([1.0, np.nan, 0.5])], ids=["zero", "nan"])
+@pytest.mark.parametrize(
+    "truth", [np.zeros(3), np.array([1.0, np.nan, 0.5]), np.full(3, 1e-170)],
+    ids=["zero", "nan", "underflow"],
+)
 def test_problem_rejects_an_all_zero_or_non_finite_truth(truth):
     # each iterate's RRE divides by ||truth||: an all-zero truth gave inf,
-    # with a RuntimeWarning at every iteration, and a NaN one gave NaN
+    # with a RuntimeWarning at every iteration, and a NaN one gave NaN; one
+    # whose norm underflows to 0 let metrics.rre's ValueError escape the solve
     with pytest.raises(ValueError, match="truth must be finite and not all zero"):
         dv.ReconstructionProblem(forward=DenseOperator(np.eye(3)), data=np.ones(3), truth=truth)
 
