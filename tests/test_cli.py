@@ -76,6 +76,15 @@ def test_unknown_method_exit_2_names_all_six(tmp_path, capsys):
         assert name in err
 
 
+def test_empty_method_override_exit_2(tmp_path, capsys):
+    # an empty method name used to be ignored, so the default method ran
+    cfg = write_config(tmp_path, deblur_config(method=""))
+    out = tmp_path / "o"
+    assert cli.main_reconstruct(["--config", cfg, "--out", str(out)]) == 2
+    assert "unknown method ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_static_baseline_writes_one_history_per_frame(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -227,11 +236,6 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": scene, "solver": {"lambda": -1}},
             "invalid solver section",
-        ),
-        # an empty method name used to be ignored, so the default method ran
-        (
-            {"experiment": "deblur", "scene": scene, "solver": {"method": ""}},
-            "unknown method ''",
         ),
         # SSIM needs 11 x 11 frames; the run must stop before solving, not after
         (
