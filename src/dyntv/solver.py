@@ -13,8 +13,8 @@ Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
 direction per iteration: the normal-equations residual of the current iterate,
 orthogonalized against the basis, with a second Gram-Schmidt pass only where
 the first cancels most of it.  Where n allows, the basis is capped at as many
-columns as V and Q_F fit in 32 MiB, at least 16 and at most 30, so a small
-problem keeps 30 and a 128x128x8 deblur gets 16: an expansion that would pass
+columns as V and Q_F fit in 16 MiB, at least 8 and at most 30, so a small
+problem keeps 30 and a 128x128x8 deblur gets 8: an expansion that would pass
 the cap first restarts the basis on the span of the last 3 iterates, the
 current one included, as in the limited-memory restarted and recycled GKS of
 Buccini & Reichel (2023) and Pasha, de Sturler & Kilmer (2023), so the
@@ -166,9 +166,12 @@ def white_noise_model(noise):
     Γ = (‖e‖²/m)·I, e's per-entry variance, makes the whitened noise norm √m
     exactly.  A variance of 0, or one that underflows, gives ``(None, 0.0)``: Γ = I
     and no discrepancy stop; one that overflows, an infinite Γ the problem refuses.
+    An empty e has no variance and is refused.
     """
     noise = np.asarray(noise, dtype=float).ravel()
     m = noise.size
+    if m == 0:
+        raise ValueError("noise vector is empty")
     with np.errstate(over="ignore"):
         variance = float(np.dot(noise, noise)) / m
     if variance == 0.0:
@@ -303,15 +306,16 @@ def init_state(problem, basis):
     """Project the whitened forward operator onto a basis; only the thin QR of A V is kept.
 
     The basis can hold as many columns as its n rows and Q_F's m rows fit
-    in ``_BASIS_BYTES``, clamped to ``_MIN_BASIS_COLS``-``_MAX_BASIS_COLS``
-    (n if fewer, d if more); the basis and Q_F live in column-major buffers
-    of that many columns (at most m for Q_F), which expansions fill in
-    place.  Both are
-    allocated here and the basis and Q_F copied in once, so an iterate does
-    not depend on how far the run may grow, and the caller's basis is never
-    written.  Columns an early-stopping run never fills are never written, so
-    they never become resident; numpy's huge-page advice adds at most one
-    partly filled 2 MB page per buffer.
+    in ``_BASIS_BYTES`` (16 MiB), clamped to
+    ``_MIN_BASIS_COLS``-``_MAX_BASIS_COLS`` (8-30; n if fewer, d if more):
+    30 for every n + m up to 69,905, 8 from 233,017 on.  The basis and Q_F
+    live in column-major buffers of that many columns (at most m for Q_F),
+    which expansions fill in place.  Both are allocated here and the basis
+    and Q_F copied in once, so an iterate does not depend on how far the run
+    may grow, and the caller's basis is never written.  Columns an
+    early-stopping run never fills are never written, so they never become
+    resident; numpy's huge-page advice adds at most one partly filled 2 MB
+    page per buffer.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
@@ -485,9 +489,10 @@ _CHOLQR_MAX_COND = 1e7
 # Elements per row block of the Gram sweeps and the restart (256 KB).  A Gram
 # row block holds the rows of one block of D for as many whole frames as fit,
 # so W D V is never held at full size, but never less than one frame, so this
-# is no bound on it: one frame of the v block at 128x128 is 16,256 rows, 2.2 MB
-# at d = 17 and 3.9 MB at d = 30.  Splitting frames into row ranges was
-# dropped: such a block does not set a solve's peak, and it saved under 1 MB.
+# is no bound on it: one frame of the v block at 128x128 is 16,256 x 8 values,
+# 1.0 MB, at the 8 columns a 128x128x8 deblur reaches, and 3.9 MB at d = 30.
+# Splitting frames into row ranges was dropped: such a block does not set a
+# solve's peak, and it saved under 1 MB.
 _GRAM_BLOCK_ELEMS = 1 << 15
 # Golub-Kahan steps of the seed, below the cap so that the seed leaves room
 # for an expansion; the budget, floor and ceiling of the columns the basis may
@@ -499,19 +504,22 @@ _GRAM_BLOCK_ELEMS = 1 << 15
 # 40-iteration capped run by 14%, while the distance to the minimizer after
 # 200 fixed-λ iterations stays within 2% (keeping 1 took 1.7-2.2x).
 # On a large problem the outer MM rate, not d, limits convergence: on the
-# 128x128x8 deblur (n + m = 262,144, which 32 MiB sizes at the floor) 16
-# columns instead of 30 took a 40-iteration fixed-λ solve from 1.88 to 1.43 s
-# and its peak RSS from 139 to 114 MB (medians of 10 runs, 2 vCPUs), at the
-# same RRE and SSIM to 0.1%; after 200 iterations of a 16x16x4 deblur, 16
-# columns left the iterate 9% (AnisoTV) and 3% (GS) farther from the
-# minimizer.  A small problem keeps 30: below 27 columns the cap restarts the
-# short GCV runs, whose λ picks then fall to the grid floor (16 took 64x64x8
-# tomography from 68 to 75 iterations and its SSIM from 0.2305 to 0.2154).
-# 32 MiB keeps every n + m up to 139,810 at 30, over twice that of the largest
-# problem the tests solve, a 64x64x8 deblur (65,536).
+# 128x128x8 deblur (n + m = 262,144, which 16 MiB sizes at the floor) 8
+# columns instead of 16 took a 40-iteration fixed-λ solve from 0.98 to 0.73 s
+# and its peak RSS from 121 to 107 MB (medians of 10 runs, 2 vCPUs), at RRE
+# +0.2% and SSIM -0.01%; after 200 iterations its RRE, and that of a
+# 128x128x16 CT, moved by under 0.1%.  On a 16x16x4 deblur, after 200
+# iterations, 8 columns left the iterate 8% (AnisoTV) and 3% (GS) farther from
+# the minimizer than 30 did, as 16 had.  6 columns left it 11% and 10% farther
+# and cost the 128x128x8 deblur +0.9% RRE at 40 iterations, against +0.2% at 8.
+# A small problem keeps 30: below 27 columns the cap restarts the short GCV
+# runs, whose λ picks then fall to the grid floor (16 took 64x64x8 tomography
+# from 68 to 75 iterations and its SSIM from 0.2305 to 0.2154).  16 MiB keeps
+# every n + m up to 69,905 at 30, above that of the largest problem the tests
+# solve, a 64x64x8 deblur (65,536).
 _SEED_STEPS = 5
-_BASIS_BYTES = 32 << 20
-_MIN_BASIS_COLS = 16
+_BASIS_BYTES = 16 << 20
+_MIN_BASIS_COLS = 8
 _MAX_BASIS_COLS = 30
 _RESTART_ITERATES = 3
 _LAMBDA_GRID = np.logspace(-6, 2, 40)
