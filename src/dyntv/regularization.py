@@ -304,7 +304,7 @@ def penalty_sums(spec, z):
     return s, 0.5 * (z[m:] @ z[m:])
 
 
-def regularizer_value(spec, sums):
+def regularizer_value(sums):
     """R_eps(u) from the ``penalty_sums`` at u, which it leaves as they are."""
     return float(np.sum(np.sqrt(sums[0])) + sums[1])
 

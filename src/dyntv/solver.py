@@ -215,7 +215,10 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SolverState:
-    """Search basis and the projected factors kept in sync with it."""
+    """Basis V and the thin QR of A V: all that one iteration hands the next.
+
+    The weights, the projected pair and y are rebuilt from it every iteration.
+    """
 
     basis: np.ndarray  # n x d, orthonormal columns
     q_f: np.ndarray  # thin Q of the whitened forward applied to the basis, m x min(m, d)
@@ -225,11 +228,6 @@ class SolverState:
     # once by init_state
     basis_buf: np.ndarray
     q_f_buf: np.ndarray
-    weights: np.ndarray | None = None  # diagonal of W(u_k), one entry per row of D
-    # (r_f, R_M, rhs_hat) as factored by the last refresh; R_M is the square
-    # R of W D V, d x d, and D V is not kept
-    pair: ProjectedPair | None = None
-    y: np.ndarray | None = None
 
     @property
     def dim(self):
@@ -344,9 +342,12 @@ def _buffer(a, cols):
 
 
 def refresh_penalty(state, spec, sums):
-    """Recompute the weights, R_M and the pair from the ``penalty_sums`` at u_k (spent)."""
-    state.weights = None  # the old weights are not read again; free them first
-    w = state.weights = update_weights(spec, sums)
+    """``(weights, pair)`` of the majorant at u_k, from its ``penalty_sums`` (spent).
+
+    ``weights`` is the diagonal of W(u_k), one entry per row of D; ``pair`` the
+    ``ProjectedPair`` (R_F, R_M, rhs_hat), R_M the square R of W D V (not kept).
+    """
+    w = update_weights(spec, sums)
     d_op = build_D(spec)
 
     def weighted_rows():
@@ -355,33 +356,29 @@ def refresh_penalty(state, spec, sums):
             yield z
 
     r_m = _penalty_r(weighted_rows, d_op.rows, state.dim)
-    state.pair = ProjectedPair(state.r_f, r_m, state.rhs_hat)
+    return w, ProjectedPair(state.r_f, r_m, state.rhs_hat)
 
 
-def solve_projected(state, lam):
-    """Exact minimizer of the projected majorant, from the pair the last refresh factored."""
+def solve_projected(pair, lam):
+    """Coefficients y of the exact minimizer of the projected majorant, from its pair."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if state.pair is None or state.pair.dim != state.dim:
-        raise ValueError("projected pair not factored at this basis; call refresh_penalty first")
-    state.y = state.pair.solve(lam)
-    return state.y
+    return pair.solve(lam)
 
 
-def expand_subspace(state, problem, d_op, lam, x, res_w, dx):
+def expand_subspace(state, problem, d_op, weights, lam, x, res_w, dx):
     """Append the orthogonalized normal-equations residual at x to the basis.
 
-    x = V y is the iterate of the last projected solve, ``res_w`` its whitened
+    x = V y is the iterate of the last projected solve, ``weights`` the
+    diagonal of W that its majorant was refreshed with, ``res_w`` its whitened
     residual A x - b and ``dx`` = D x, all as the outer loop already holds
     them.  Returns True when a direction was added; False when the basis
     already has ``state.max_dim`` columns (at most n) or the residual has
     converged to zero.
     """
-    if state.y is None or state.weights is None:
-        raise ValueError("expand_subspace needs a solved state")
     if state.dim >= state.max_dim:
         return False
-    w2dx = np.square(state.weights)  # W² D x in one rows(D) buffer
+    w2dx = np.square(weights)  # W² D x in one rows(D) buffer
     w2dx *= dx
     r = lam * d_op.apply_adjoint(w2dx)
     del w2dx  # before the forward's adjoint allocates
@@ -426,12 +423,10 @@ def mm_gks_solve(problem, config):
     stop_reason = "max_iters"
     try:
         for k in range(1, config.max_iters + 1):
-            refresh_penalty(state, spec, sums)
-            if config.lam is not None:
-                lam = float(config.lam)
-            else:
-                lam = select_lambda(state.pair, _LAMBDA_GRID)
-            y = solve_projected(state, lam)
+            weights = None  # the old weights are not read again; free them first
+            weights, pair = refresh_penalty(state, spec, sums)
+            lam = config.lam if config.lam is not None else select_lambda(pair, _LAMBDA_GRID)
+            y = solve_projected(pair, lam)
             u = state.basis @ y
             if not np.all(np.isfinite(u)):
                 raise SolverError(f"non-finite iterate at iteration {k}")
@@ -439,7 +434,7 @@ def mm_gks_solve(problem, config):
             dp_residual = float(np.linalg.norm(res_w))
             z = d_op.apply(u)
             sums = penalty_sums(spec, z)
-            objective = 0.5 * dp_residual**2 + lam * regularizer_value(spec, sums)
+            objective = 0.5 * dp_residual**2 + lam * regularizer_value(sums)
             history.append(
                 IterationRecord(
                     iteration=k,
@@ -466,7 +461,7 @@ def mm_gks_solve(problem, config):
                 iterates.append(y)
                 if state.dim == state.max_dim < n:
                     _restart(state, problem, iterates)
-                expand_subspace(state, problem, d_op, lam, u, res_w, z)
+                expand_subspace(state, problem, d_op, weights, lam, u, res_w, z)
             del z  # the next refresh reads only the sums
     except SolverError as exc:  # a singular projected system, say
         exc.history = history
@@ -576,7 +571,7 @@ def _restart(state, problem, iterates):
     column's length is made.  The kept coefficients,
     the current y among them, become Cᵀ y_j: every iterate V y_j stays in
     the span, so under a fixed λ the next majorant cannot raise the
-    objective.  The pair must be refactored.
+    objective.
     """
     ys = np.zeros((state.dim, len(iterates)))
     for j, y in enumerate(iterates):
@@ -589,8 +584,6 @@ def _restart(state, problem, iterates):
     kept = c.T @ ys
     iterates.clear()
     iterates.extend(kept.T)
-    state.y = iterates[-1]
-    state.pair = None
 
 
 def _write_product(buf, old, right):

@@ -289,7 +289,7 @@ def majorant_value(spec, u, u_k, lam, misfit):
     w = update_weights(spec, sums_at(spec, u_k))
     m_u = w * d_op.apply(u)
     m_uk = w * d_op.apply(u_k)
-    c = lam * (regularizer_value(spec, sums_at(spec, u_k)) - 0.5 * (m_uk @ m_uk))
+    c = lam * (regularizer_value(sums_at(spec, u_k)) - 0.5 * (m_uk @ m_uk))
     return float(misfit(u) + 0.5 * lam * (m_u @ m_u) + c)
 
 
@@ -302,19 +302,20 @@ def majorant_gradient(spec, u, u_k, lam, misfit_gradient):
 
 def smoothed_objective(spec, u, lam, misfit):
     """J_eps(u) = misfit(u) + lam * R_eps(u)."""
-    return float(misfit(u) + lam * regularizer_value(spec, sums_at(spec, u)))
+    return float(misfit(u) + lam * regularizer_value(sums_at(spec, u)))
 
 
-def expand_at_solve(state, problem, d_op, lam):
-    """``expand_subspace`` at x = V y of the last projected solve.
+def expand_at_solve(state, problem, d_op, weights, lam, y):
+    """``expand_subspace`` at x = V y, y the coefficients of the last projected solve.
 
     Forms x, its whitened residual from the kept factors and D x as the
     outer loop of ``mm_gks_solve`` does, for tests that drive the solver's
-    steps one by one.
+    steps one by one; ``weights`` are those the refresh before that solve
+    returned.
     """
-    x = state.basis @ state.y
-    res_w = state.q_f @ (state.r_f @ state.y) - problem.whitened_data
-    return expand_subspace(state, problem, d_op, lam, x, res_w, d_op.apply(x))
+    x = state.basis @ y
+    res_w = state.q_f @ (state.r_f @ y) - problem.whitened_data
+    return expand_subspace(state, problem, d_op, weights, lam, x, res_w, d_op.apply(x))
 
 
 def full_space_mm_iterates(problem, spec, lam, n_iters):
@@ -329,8 +330,8 @@ def full_space_mm_iterates(problem, spec, lam, n_iters):
     u = np.zeros(n)
     iterates = []
     for _ in range(n_iters):
-        refresh_penalty(state, spec, sums_at(spec, u))
-        u = state.basis @ solve_projected(state, lam)
+        _, pair = refresh_penalty(state, spec, sums_at(spec, u))
+        u = state.basis @ solve_projected(pair, lam)
         iterates.append(u)
     return iterates
 

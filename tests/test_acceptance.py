@@ -197,16 +197,16 @@ def test_full_subspace_matches_dense_weighted_solve(monkeypatch):
         state = init_state(problem, basis)
         u_prev = np.zeros(n)
         for _ in range(200):
-            refresh_penalty(state, spec, oracles.sums_at(spec, u_prev))
-            y = solve_projected(state, lam)
+            weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u_prev))
+            y = solve_projected(pair, lam)
             u_prev = state.basis @ y
             if state.dim >= n:
                 break
-            oracles.expand_at_solve(state, problem, d_op, lam)
+            oracles.expand_at_solve(state, problem, d_op, weights, lam, y)
         # one more sweep at full dimension, then compare against the dense
         # solve of the same weighted system (weights frozen at u_prev)
-        refresh_penalty(state, spec, oracles.sums_at(spec, u_prev))
-        u_gks = state.basis @ solve_projected(state, lam)
+        _, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u_prev))
+        u_gks = state.basis @ solve_projected(pair, lam)
         w = oracles.weights_vec(name, dims, eps, u_prev)
         u_dense = oracles.dense_penalized_solve(
             f_dense, data, np.ones(forward.rows), oracles.d_matrix(name, dims), w, lam,
@@ -406,7 +406,7 @@ def test_operator_algebra_identities():
         spec = spec_for(name, dims)
         d_dense = oracles.dense(build_D(spec))
         worst_d = max(worst_d, np.abs(d_dense - oracles.d_matrix(name, dims)).max())
-        got_r = regularizer_value(spec, oracles.sums_at(spec, u))
+        got_r = regularizer_value(oracles.sums_at(spec, u))
         ref_r = oracles.reg_value(name, dims, 1e-3, u, smoothed=True)
         worst_reg = max(worst_reg, abs(got_r - ref_r) / max(1.0, abs(ref_r)))
 

@@ -223,6 +223,7 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         return {"intensity": intensity, "centers": [[6, 6], [6, 7]], "radii": [3, 3]}
 
     cases = [
+        ([{"experiment": "deblur", "scene": scene}], "config must be a JSON object"),
         ({"scene": scene}, "missing required key 'experiment'"),
         ({"experiment": "ct-scan", "scene": scene}, "unknown experiment 'ct-scan'"),
         (
@@ -258,6 +259,19 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         (
             {"experiment": "deblur", "scene": dict(scene, objects=[1])},
             "invalid scene section",
+        ),
+        (
+            {"experiment": "deblur", "scene": dict(scene, objects=bright(1.0))},
+            "invalid scene section: objects must be a list of JSON objects, got {",
+        ),
+        # the blur and the ray transform are built for square frames only
+        (
+            {"experiment": "deblur", "scene": dict(scene, n_h=14)},
+            "deblur scenes must be square",
+        ),
+        (
+            {"experiment": "radon-dynamic", "scene": dict(scene, n_h=14)},
+            "tomography scenes must be square",
         ),
         # non-finite or overflowing simulated data used to fail in
         # ReconstructionProblem with a traceback, after the output directory

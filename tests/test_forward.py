@@ -339,6 +339,8 @@ def test_radon_operator_keeps_one_copy_of_its_entries():
                  id="blur-fractional-extent"),
     pytest.param(lambda: dv.build_blur_operator(dv.BlurModel(1.0, 1), 3, True), "n_h",
                  id="blur-boolean-extent"),
+    pytest.param(lambda: dv.build_blur_operator(dv.BlurModel(1.0, 1), 0, 3), "frame extents",
+                 id="blur-zero-extent"),
 ])
 def test_forward_inputs_fail_fast_naming_the_field(build, field):
     with pytest.raises(ValueError, match=field):

@@ -31,6 +31,15 @@ def test_apply_rejects_wrong_length():
         op.apply_adjoint(np.ones(5))
 
 
+def test_operator_refuses_a_negative_dimension_and_a_3d_input():
+    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+        SparseOperator(-1, 2, [], [], [])
+    op = SparseOperator(3, 2, [], [], [])
+    for apply, n in ((op.apply, 2), (op.apply_adjoint, 3)):
+        with pytest.raises(ValueError, match="must be a vector or a matrix"):
+            apply(np.ones((n, 1, 1)))
+
+
 def test_kron_matches_dense_kron():
     # a shared rectangular frame stacks to I_{n_t} (x) A
     rng = np.random.default_rng(0)

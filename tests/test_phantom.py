@@ -148,6 +148,7 @@ def test_scene_validation():
         (lambda: dv.SceneObject(centers=[["6", "6"]], radii=["3"]), "centers"),
         (lambda: dv.SceneObject(centers="abc", radii=(3,)), "centers"),
         (lambda: dv.SceneObject(centers=((6, 6),), radii=("3",)), "radii"),
+        (lambda: dv.SceneObject(centers=((6, 6),), radii=3), "radii must be a list of numbers"),
         (lambda: dv.SceneObject(centers=((6, 6),), radii=(3,), intensity=True), "intensity"),
         (lambda: dv.SceneObject(centers=((np.inf, 6),), radii=(2,)), "centers must be finite"),
         (lambda: dv.SceneObject(centers=((6, np.nan),), radii=(2,)), "centers must be finite"),

@@ -85,7 +85,7 @@ def test_regularizer_value_zero_at_zero(method, monkeypatch):
     spec = spec_for(method, (3, 3, 2))
     s, quad = sums_at(spec, np.zeros(18))
     assert quad == 0.0 and np.all(s == 0.25)
-    assert regularizer_value(spec, (s, quad)) == 0.5 * s.size
+    assert regularizer_value((s, quad)) == 0.5 * s.size
 
 
 def test_anisotv_two_frame_worked_example(monkeypatch):
@@ -94,14 +94,14 @@ def test_anisotv_two_frame_worked_example(monkeypatch):
     monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-150)
     u = np.tile(np.array([1.0, 1.0, 0.0, 0.0]), 2)
     spec = spec_for("AnisoTV", (2, 2, 2))
-    assert abs(regularizer_value(spec, sums_at(spec, u)) - 4.0) < 1e-14
+    assert abs(regularizer_value(sums_at(spec, u)) - 4.0) < 1e-14
 
 
 def test_gs_two_frame_worked_example(monkeypatch):
     monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-150)
     u = np.tile(np.array([1.0, 1.0, 0.0, 0.0]), 2)
     spec = spec_for("GS", (2, 2, 2))
-    assert abs(regularizer_value(spec, sums_at(spec, u)) - 2.0 * np.sqrt(2.0)) < 1e-14
+    assert abs(regularizer_value(sums_at(spec, u)) - 2.0 * np.sqrt(2.0)) < 1e-14
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -112,7 +112,7 @@ def test_regularizer_value_matches_oracle(method):
         spec = spec_for(method, dims)
         for _ in range(3):
             u = rng.standard_normal(n)
-            got = regularizer_value(spec, sums_at(spec, u))
+            got = regularizer_value(sums_at(spec, u))
             want = oracles.reg_value(method, dims, 1e-3, u, smoothed=True)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -143,7 +143,7 @@ def test_smoothing_monotonicity(method, monkeypatch):
     for eps in (1e-1, 1e-2, 1e-3):
         monkeypatch.setattr(dv.RegularizerSpec, "epsilon", eps)
         spec = spec_for(method, dims)
-        smoothed = regularizer_value(spec, sums_at(spec, u))
+        smoothed = regularizer_value(sums_at(spec, u))
         assert smoothed >= exact
         gaps.append(smoothed - exact)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -155,10 +155,10 @@ def test_one_homogeneous_scaling_exact(method, monkeypatch):
     dims = (3, 3, 3)
     u = rng.standard_normal(27)
     spec = spec_for(method, dims)
-    value = regularizer_value(spec, sums_at(spec, u))
+    value = regularizer_value(sums_at(spec, u))
     # R_4eps(4u) = 4 R_eps(u); a power-of-two scalar keeps it exact in floating point
     monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 4e-3)
-    assert regularizer_value(spec, sums_at(spec, 4.0 * u)) == 4.0 * value
+    assert regularizer_value(sums_at(spec, 4.0 * u)) == 4.0 * value
 
 
 def test_tv_plus_tikhonov_mixed_scaling(monkeypatch):
@@ -169,9 +169,9 @@ def test_tv_plus_tikhonov_mixed_scaling(monkeypatch):
     l_t = oracles.diff_matrix(3)
     z_t = oracles.kron3(l_t, np.eye(3), np.eye(3)) @ u
     tik = 0.5 * float(z_t @ z_t)
-    tv = regularizer_value(spec, sums_at(spec, u)) - tik
+    tv = regularizer_value(sums_at(spec, u)) - tik
     monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 4e-3)
-    got = regularizer_value(spec, sums_at(spec, 4.0 * u))
+    got = regularizer_value(sums_at(spec, 4.0 * u))
     np.testing.assert_allclose(got, 4.0 * tv + 16.0 * tik, rtol=1e-12)
 
 
@@ -259,7 +259,7 @@ def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed, mon
 
     sums, sums_peak = traced_peak(penalty_sums, spec, z)
     sums_before = sums[0].copy(), sums[1]
-    value, value_peak = traced_peak(regularizer_value, spec, sums)
+    value, value_peak = traced_peak(regularizer_value, sums)
     assert sums[0].tobytes() == sums_before[0].tobytes() and sums[1] == sums_before[1]
     w, w_peak = traced_peak(update_weights, spec, sums)
     assert value == want_value
@@ -323,7 +323,7 @@ def test_half_weighted_norm_reproduces_smoothed_value(method):
     spec = spec_for(method, dims)
     u_k = rng.standard_normal(24)
     d_op = build_D(spec)
-    r_eps = regularizer_value(spec, sums_at(spec, u_k))
+    r_eps = regularizer_value(sums_at(spec, u_k))
     w = update_weights(spec, sums_at(spec, u_k))
     m_u = w * d_op.apply(u_k)
     c_tilde = r_eps - 0.5 * float(m_u @ m_u)
@@ -345,7 +345,7 @@ def test_static_spec_value_and_weights():
     u = rng.standard_normal(9)
     z = oracles.ls_matrix(3, 3) @ u
     np.testing.assert_allclose(
-        regularizer_value(spec, sums_at(spec, u)), np.sqrt(z**2 + 1e-6).sum(), rtol=1e-12)
+        regularizer_value(sums_at(spec, u)), np.sqrt(z**2 + 1e-6).sum(), rtol=1e-12)
     w = update_weights(spec, sums_at(spec, u))
     np.testing.assert_allclose(w, (z**2 + 1e-6) ** (-0.25), rtol=1e-12)
 

@@ -13,7 +13,6 @@ import oracles
 from dyntv.paramselect import ProjectedPair
 from dyntv.regularization import build_D, update_weights
 from dyntv.solver import (
-    SolverState,
     expand_subspace,
     init_state,
     refresh_penalty,
@@ -39,22 +38,6 @@ def blur_problem(dims, sigma_blur, bw, noise_sigma, scene_seed, noise_seed, obje
     gamma, delta = dv.white_noise_model(data - clean)
     return dv.ReconstructionProblem(
         forward=op, data=data, noise_cov_diag=gamma, delta=delta, truth=truth
-    )
-
-
-def manual_state(r_f, r_m, rhs):
-    """State with prescribed projected factors, factored as a refresh would
-    factor them (basis fields are placeholders)."""
-    basis, q_f = np.eye(r_f.shape[1]), np.eye(r_f.shape[0])
-    return SolverState(
-        basis=basis,
-        q_f=q_f,
-        r_f=r_f,
-        rhs_hat=np.asarray(rhs, dtype=float),
-        basis_buf=basis,
-        q_f_buf=q_f,
-        weights=np.ones(r_m.shape[0]),
-        pair=ProjectedPair(r_f, r_m, rhs),
     )
 
 
@@ -105,6 +88,15 @@ def test_seed_zero_data_is_empty_with_breakdown():
     problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(5)), data=np.zeros(5))
     basis, breakdown = seed_subspace(problem, 4)
     assert basis.shape == (5, 0)
+    assert breakdown
+
+
+def test_seed_of_data_in_the_null_space_of_the_adjoint_is_empty_with_breakdown():
+    # b != 0 but Aᵀb = 0: the first Krylov vector is zero, so there is none
+    forward = DenseOperator(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    problem = dv.ReconstructionProblem(forward=forward, data=[1.0, 1.0])
+    basis, breakdown = seed_subspace(problem, 4)
+    assert basis.shape == (2, 0)
     assert breakdown
 
 
@@ -165,6 +157,13 @@ def test_init_state_sizes_the_basis_by_its_byte_budget(monkeypatch):
         assert init_state(problem, np.eye(forward.cols, 1)).max_dim == want
 
 
+@pytest.mark.parametrize("basis", [np.ones(8), np.ones((7, 2))], ids=["vector", "wrong-rows"])
+def test_init_state_rejects_a_basis_of_the_wrong_shape(basis):
+    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(8)), data=np.ones(8))
+    with pytest.raises(ValueError, match="basis must be n x d"):
+        init_state(problem, basis)
+
+
 def test_init_state_rejects_empty_basis():
     # refused up front; accepted, it would fail later inside the stencil of
     # the first penalty refresh
@@ -178,15 +177,13 @@ def test_init_state_rejects_empty_basis():
 
 def test_solve_projected_identity_pair_halves_rhs():
     rhs = np.array([2.0, -4.0, 6.0])
-    state = manual_state(np.eye(3), np.eye(3), rhs)
-    y = solve_projected(state, 1.0)
+    y = solve_projected(ProjectedPair(np.eye(3), np.eye(3), rhs), 1.0)
     np.testing.assert_allclose(y, rhs / 2.0, atol=1e-14)
 
 
 def test_solve_projected_zero_penalty_factor_returns_rhs():
     rhs = np.array([1.0, 3.0])
-    state = manual_state(np.eye(2), np.zeros((2, 2)), rhs)
-    y = solve_projected(state, 1.0)
+    y = solve_projected(ProjectedPair(np.eye(2), np.zeros((2, 2)), rhs), 1.0)
     np.testing.assert_allclose(y, rhs, atol=1e-14)
 
 
@@ -198,7 +195,7 @@ def test_solve_projected_matches_dense_normal_equations():
         r_m = np.linalg.qr(rng.standard_normal((d + 3, d)), mode="r")
         rhs = rng.standard_normal(d)
         lam = float(rng.uniform(0.05, 5.0))
-        y = solve_projected(manual_state(r_f, r_m, rhs), lam)
+        y = solve_projected(ProjectedPair(r_f, r_m, rhs), lam)
         want = np.linalg.solve(r_f.T @ r_f + lam * (r_m.T @ r_m), r_f.T @ rhs)
         np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
 
@@ -206,24 +203,12 @@ def test_solve_projected_matches_dense_normal_equations():
 def test_solve_projected_shared_null_direction_raises():
     # the factorization refuses the pair, before any lam is tried
     with pytest.raises(dv.SingularSystemError):
-        solve_projected(manual_state(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2)), 0.7)
+        solve_projected(ProjectedPair(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2)), 0.7)
 
 
 def test_solve_projected_rejects_negative_lam():
-    state = manual_state(np.eye(2), np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
-        solve_projected(state, -1.0)
-
-
-def test_solve_projected_requires_penalty_factor():
-    rng = np.random.default_rng(12)
-    problem = dv.ReconstructionProblem(
-        forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
-    )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
-    state = init_state(problem, np.eye(8)[:, :3])
-    with pytest.raises(ValueError):
-        solve_projected(state, 1.0)
+        solve_projected(ProjectedPair(np.eye(2), np.eye(2), np.ones(2)), -1.0)
 
 
 def test_projected_pair_pads_wide_factor_square():
@@ -233,11 +218,11 @@ def test_projected_pair_pads_wide_factor_square():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     state = init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0])
-    refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
+    _, pair = refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
     # the refresh factors the 2 x 3 R_F, padded square inside the pair
-    r_f, r_m, rhs = state.r_f, state.pair.r_m, state.rhs_hat
-    assert r_f.shape == (2, 3) and r_m.shape == (3, 3) and state.pair.dim == 3
-    y = solve_projected(state, 0.5)
+    r_f, r_m, rhs = state.r_f, pair.r_m, state.rhs_hat
+    assert r_f.shape == (2, 3) and r_m.shape == (3, 3) and pair.dim == 3
+    y = solve_projected(pair, 0.5)
     want = np.linalg.solve(r_f.T @ r_f + 0.5 * (r_m.T @ r_m), r_f.T @ rhs)
     np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
 
@@ -311,8 +296,8 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
         forward=random_forward(rng, 60, spec.n), data=rng.standard_normal(60)
     )
     state = init_state(problem, np.eye(spec.n))
-    refresh_penalty(state, spec, oracles.sums_at(spec, u))
-    np.testing.assert_array_equal(state.pair.r_m, want)
+    _, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u))
+    np.testing.assert_array_equal(pair.r_m, want)
 
 
 def test_refresh_penalty_duplicate_column_falls_back_to_householder():
@@ -333,9 +318,9 @@ def test_expand_full_basis_returns_false():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     d_op = build_D(spec)
     state = init_state(problem, np.eye(8))
-    refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
-    solve_projected(state, 0.5)
-    assert not oracles.expand_at_solve(state, problem, d_op, 0.5)
+    weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
+    y = solve_projected(pair, 0.5)
+    assert not oracles.expand_at_solve(state, problem, d_op, weights, 0.5, y)
     assert state.dim == 8
 
 
@@ -350,10 +335,10 @@ def test_expand_stalls_when_solution_is_in_span():
     basis, breakdown = seed_subspace(problem, 5)
     assert breakdown and basis.shape == (n, 1)
     state = init_state(problem, basis)
-    refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
-    y = solve_projected(state, 1e-3)
+    weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
+    y = solve_projected(pair, 1e-3)
     np.testing.assert_allclose(state.basis @ y, problem.data, rtol=1e-12)
-    assert not oracles.expand_at_solve(state, problem, d_op, 1e-3)
+    assert not oracles.expand_at_solve(state, problem, d_op, weights, 1e-3, y)
     assert state.dim == 1
 
 
@@ -379,9 +364,10 @@ def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
     assert state.max_dim == max_dim and first_q_f.shape == (rows, 3)
     u = np.zeros(n)
     for d in range(4, max_dim + 2):
-        refresh_penalty(state, spec, oracles.sums_at(spec, u))
-        u = state.basis @ solve_projected(state, lam)
-        assert oracles.expand_at_solve(state, problem, d_op, lam) == (d <= max_dim)
+        weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u))
+        y = solve_projected(pair, lam)
+        u = state.basis @ y
+        assert oracles.expand_at_solve(state, problem, d_op, weights, lam, y) == (d <= max_dim)
         assert state.dim == min(d, max_dim)
         assert np.shares_memory(state.basis, first_basis)
         assert np.shares_memory(state.q_f, first_q_f)
@@ -409,10 +395,10 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     state = init_state(problem, basis)
     u = np.zeros(n)
     for _ in range(n_expand):
-        refresh_penalty(state, spec, oracles.sums_at(spec, u))
-        y = solve_projected(state, 0.3)
+        weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u))
+        y = solve_projected(pair, 0.3)
         u = state.basis @ y
-        assert oracles.expand_at_solve(state, problem, d_op, 0.3)
+        assert oracles.expand_at_solve(state, problem, d_op, weights, 0.3, y)
     d = 4 + n_expand
     assert state.dim == d
     np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(d), atol=1e-10)
@@ -435,29 +421,15 @@ def test_expand_appends_dense_normal_equations_residual(monkeypatch):
     d_op = build_D(spec)
     basis, _ = seed_subspace(problem, 4)
     state = init_state(problem, basis)
-    refresh_penalty(state, spec, oracles.sums_at(spec, rng.standard_normal(n)))
-    y = solve_projected(state, lam)
-    assert oracles.expand_at_solve(state, problem, d_op, lam)
+    weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, rng.standard_normal(n)))
+    y = solve_projected(pair, lam)
+    assert oracles.expand_at_solve(state, problem, d_op, weights, lam, y)
 
     a, d = oracles.dense(problem.forward), oracles.dense(d_op)
     u = basis @ y
-    r = a.T @ ((a @ u - problem.data) / gamma) + lam * d.T @ (state.weights**2 * (d @ u))
+    r = a.T @ ((a @ u - problem.data) / gamma) + lam * d.T @ (weights**2 * (d @ u))
     r -= basis @ (basis.T @ r)
     np.testing.assert_allclose(state.basis[:, -1], r / np.linalg.norm(r), rtol=0, atol=1e-10)
-
-
-def test_expand_requires_solved_state():
-    rng = np.random.default_rng(24)
-    problem = dv.ReconstructionProblem(
-        forward=random_forward(rng, 10, 8), data=rng.standard_normal(10)
-    )
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
-    d_op = build_D(spec)
-    state = init_state(problem, np.eye(8)[:, :2])
-    with pytest.raises(ValueError, match="needs a solved state"):
-        expand_subspace(
-            state, problem, d_op, 0.5, np.zeros(8), np.zeros(10), np.zeros(d_op.rows)
-        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -471,6 +443,22 @@ def test_problem_rejects_non_finite_data_and_covariance(bad):
         dv.ReconstructionProblem(
             forward=DenseOperator(np.eye(3)), data=np.ones(3), noise_cov_diag=cov
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("data", np.ones(4), "data length 4 does not match operator rows 3"),
+        ("noise_cov_diag", np.ones(2), "covariance diagonal must match the data length"),
+        ("noise_cov_diag", np.array([1.0, 0.0, 2.0]), "covariance diagonal must be strictly"),
+        ("truth", np.ones(4), "truth length must match operator columns"),
+    ],
+    ids=["data-length", "covariance-length", "zero-covariance", "truth-length"],
+)
+def test_problem_rejects_inputs_that_do_not_fit_the_forward(field, value, message):
+    fields = {"forward": DenseOperator(np.eye(3)), "data": np.ones(3), field: value}
+    with pytest.raises(ValueError, match=message):
+        dv.ReconstructionProblem(**fields)
 
 
 def test_problem_rejects_a_forward_that_is_not_an_operator():
@@ -670,11 +658,14 @@ def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypa
         return state
 
     def restart(state, problem, iterates):
-        x = state.basis @ state.y
+        # the current iterate's coefficients come last
+        x = state.basis @ iterates[-1]
         kept = [state.basis[:, : y.size] @ y for y in iterates]
         restart_fn(state, problem, iterates)
         restarts.append(state.dim)
-        np.testing.assert_allclose(state.basis @ state.y, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+        np.testing.assert_allclose(
+            state.basis @ iterates[-1], x, rtol=0, atol=1e-12 * np.linalg.norm(x)
+        )
         for x_j in kept:
             in_span = state.basis @ (state.basis.T @ x_j)
             np.testing.assert_allclose(in_span, x_j, rtol=0, atol=1e-12 * np.linalg.norm(x_j))
@@ -683,7 +674,6 @@ def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypa
         np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-12 * np.linalg.norm(aw))
         for name, view in first.items():
             assert np.shares_memory(getattr(state, name), view)
-        assert state.pair is None
 
     monkeypatch.setattr(dv.solver, "init_state", init_state)
     monkeypatch.setattr(dv.solver, "_restart", restart)
@@ -804,13 +794,12 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims)
     d_op = build_D(spec)
     state = init_state(problem, np.linalg.qr(rng.standard_normal((n, 5)))[0])
-    refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
-    solve_projected(state, 0.5)
+    weights, _ = refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
     basis, q_f = state.basis.copy(), state.q_f.copy()
     nearly_in_span = basis @ rng.standard_normal(5) + 1e-8 * rng.standard_normal(n)
     # under the identity and with D x = 0 the expansion's residual is res_w itself
     assert expand_subspace(
-        state, problem, d_op, 0.5, np.zeros(n), nearly_in_span, np.zeros(d_op.rows)
+        state, problem, d_op, weights, 0.5, np.zeros(n), nearly_in_span, np.zeros(d_op.rows)
     )
     v_new = state.basis[:, -1]
     assert np.abs(basis.T @ v_new).max() <= 1e-14
