@@ -116,13 +116,7 @@ def select_lambda(pair, grid):
     on the whole grid.
     """
     grid = np.asarray(grid, dtype=float)
-    with np.errstate(over="ignore"):
-        scaled = np.ldexp(grid, pair.shift)
-    if np.isinf(scaled).any():  # GCV would pick from the finite part alone
-        raise SingularSystemError(
-            f"GCV grid overflows on the balanced projected pair, whose lambda scale is "
-            f"2^{pair.shift}; rescale the scene intensities"
-        )
+    scaled = _scaled_grid(pair, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = _gcv(*pair.factors, scaled[:, None])
     finite = np.isfinite(values)
@@ -142,6 +136,23 @@ def select_lambda(pair, grid):
     if np.isfinite(cand_value) and cand_value < best_value:
         return float(np.ldexp(np.exp(cand), -pair.shift))
     return best_grid
+
+
+def _scaled_grid(pair, grid):
+    """``grid`` on the balanced pair's scale, lam * 2^shift.
+
+    Raises SingularSystemError when a point overflows: GCV would pick from
+    the finite part alone, and a fixed lam on such a pair, however finite
+    its own scaled value, moves the solve nowhere.
+    """
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(grid, pair.shift)
+    if np.isinf(scaled).any():
+        raise SingularSystemError(
+            f"GCV grid overflows on the balanced projected pair, whose lambda scale is "
+            f"2^{pair.shift}; rescale the scene intensities"
+        )
+    return scaled
 
 
 def _golden_section(f, a, b):

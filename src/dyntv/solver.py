@@ -25,24 +25,22 @@ the projected operators keep every inner step at the cost of small dense linear
 algebra.  Each refresh factors the projected pair once, by its generalized SVD
 (``paramselect.ProjectedPair``), and both the GCV search for lam and the
 projected solve read that one factorization; a fixed lam takes the same path.
-The whitened forward applied to the basis, A V, enters only through its thin QR
-factors Q_F, R_F and is not kept; the factors grow by one column at a time,
-since the noise covariance is fixed.  The penalty factor is
-refactored every iteration, because the weights change, by Gram sweeps over row
-blocks of the weighted block W D V.  D V is never stored: each sweep applies
-the stencil of D to the basis one frame range at a time, so no array with a row
-per row of D and a column per basis vector outlives a block; only the
-Householder fallback stacks the blocks.  One sweep (Cholesky of the Gram
-matrix) suffices while its factor has condition number at most 1e3, since the
-factor enters every later step only through RᵀR; up to 1e7 a second sweep makes
-it CholeskyQR2; a wide, rank deficient or more ill conditioned block falls back
-to Householder QR.  The two arrays that grow with the basis, the basis V and
-the forward factor Q_F, are written one column at a time into column-major
-buffers that ``init_state`` alone sizes, once, at the cap.
-The seed is copied into the basis buffer once; a restart writes V C and Q_F Q'
-over the first columns of the same buffers one row block at a time, with no
-temporary as tall as a column; the state's public fields are views of their
-filled columns, and no buffer is ever regrown.
+The penalty factor is refactored every iteration, because the weights change,
+by Gram sweeps over row blocks of the weighted block W D V.  D V is never
+stored: each sweep applies the stencil of D to the basis one frame range at a
+time, so no array with a row per row of D and a column per basis vector
+outlives a block; only the Householder fallback stacks the blocks.  One sweep
+(Cholesky of the Gram matrix) suffices while its factor has condition number
+at most 1e3, since the factor enters every later step only through RᵀR; up to
+1e7 a second sweep makes it CholeskyQR2; a wide, rank deficient or more ill
+conditioned block falls back to Householder QR.  A V is not kept either: it
+enters only through its thin QR factors Q_F, R_F, which grow a column at a
+time, since the noise covariance is fixed.  V, Q_F, R_F and Q_Fᵀb live in
+buffers that ``init_state`` alone sizes, once, at the cap, and every column
+enters them by one append: the seed's, after one forward apply to the whole
+seed, and each expansion's.  A restart writes the kept prefix of all four, V C
+and Q_F Q' one row block at a time, with no temporary as tall as a column; the
+state's fields view the filled parts, and no buffer is ever regrown.
 
 Each iterate u = V y is the minimizer of its projected majorant and is reported
 as it is, so every step is a majorize-minimize step.  It is formed once, and so
@@ -69,7 +67,7 @@ import numpy as np
 from .exceptions import SolverError
 from .metrics import rre
 from .operators import LinearOperator
-from .paramselect import ProjectedPair, select_lambda
+from .paramselect import ProjectedPair, _scaled_grid, select_lambda
 from .regularization import (RegularizerSpec, as_float, as_int, build_D, penalty_sums,
                              regularizer_value, update_weights)
 
@@ -217,26 +215,39 @@ class SolverConfig:
 class SolverState:
     """Basis V and the thin QR of A V: all that one iteration hands the next.
 
-    The weights, the projected pair and y are rebuilt from it every iteration.
+    Buffers sized once by ``init_state``, at the cap: V (n x cap) and Q_F
+    (m x min(m, cap)), column-major, R_F (min(m, cap) x cap) and Q_Fᵀb.
+    ``dim`` columns of V are filled, and min(m, dim) of Q_F; ``basis``,
+    ``q_f``, ``r_f`` and ``rhs_hat`` view the filled parts.  A V is not kept,
+    and the weights, the projected pair and y are rebuilt every iteration.
     """
 
-    basis: np.ndarray  # n x d, orthonormal columns
-    q_f: np.ndarray  # thin Q of the whitened forward applied to the basis, m x min(m, d)
-    r_f: np.ndarray  # thin R of the same, min(m, d) x d; A V itself is not kept
-    rhs_hat: np.ndarray  # q_f^T (whitened data)
-    # the column-major buffers whose first columns basis and q_f view, sized
-    # once by init_state
     basis_buf: np.ndarray
     q_f_buf: np.ndarray
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
+    r_f_buf: np.ndarray
+    rhs_buf: np.ndarray
+    dim: int = 0
 
     @property
     def max_dim(self):
         """Columns the basis can grow to: the width of its buffer."""
         return self.basis_buf.shape[1]
+
+    @property
+    def basis(self):  # n x dim, orthonormal columns
+        return self.basis_buf[:, : self.dim]
+
+    @property
+    def q_f(self):  # m x min(m, dim), orthonormal columns
+        return self.q_f_buf[:, : min(self.q_f_buf.shape[0], self.dim)]
+
+    @property
+    def r_f(self):  # min(m, dim) x dim, upper triangular
+        return self.r_f_buf[: self.q_f.shape[1], : self.dim]
+
+    @property
+    def rhs_hat(self):  # q_f^T (whitened data)
+        return self.rhs_buf[: self.q_f.shape[1]]
 
 
 @dataclass(frozen=True)
@@ -264,8 +275,8 @@ def seed_subspace(problem, n_steps):
     """Golub-Kahan bidiagonalization basis for the whitened normal equations.
 
     Returns ``(V, breakdown)``: up to ``n_steps`` orthonormal columns spanning
-    the Krylov space generated by F^T Gamma^{-1} d, with one
-    reorthogonalization pass per step.  ``breakdown`` flags an early stop
+    the Krylov space generated by F^T Gamma^{-1} d, each step reorthogonalized
+    by ``_orthogonalize``, as an expansion is.  ``breakdown`` flags an early stop
     (the space is invariant before ``n_steps`` vectors were produced).  V is
     column-major, the filled columns of one array of min(n, n_steps) columns,
     each written in place as its step makes it.
@@ -292,8 +303,7 @@ def seed_subspace(problem, n_steps):
             return basis[:, :j], True
         u = p / beta
         w = problem.whiten_adjoint(u) - beta * v
-        w -= basis[:, :j] @ (basis[:, :j].T @ w)
-        alpha = np.linalg.norm(w)
+        _, alpha = _orthogonalize(basis[:, :j], w)
         if alpha <= tol:
             return basis[:, :j], True
         basis[:, j] = w / alpha
@@ -303,17 +313,17 @@ def seed_subspace(problem, n_steps):
 def init_state(problem, basis):
     """Project the whitened forward operator onto a basis; only the thin QR of A V is kept.
 
-    The basis can hold as many columns as its n rows and Q_F's m rows fit
-    in ``_BASIS_BYTES`` (16 MiB), clamped to
-    ``_MIN_BASIS_COLS``-``_MAX_BASIS_COLS`` (8-30; n if fewer, d if more):
-    30 for every n + m up to 69,905, 8 from 233,017 on.  The basis and Q_F
-    live in column-major buffers of that many columns (at most m for Q_F),
-    which expansions fill in place.  Both are allocated here and the basis
-    and Q_F copied in once, so an iterate does not depend on how far the run
-    may grow, and the caller's basis is never written.  Columns an
-    early-stopping run never fills are never written, so they never become
-    resident; numpy's huge-page advice adds at most one partly filled 2 MB
-    page per buffer.
+    The basis can hold as many columns as its n rows and Q_F's m rows fit in
+    ``_BASIS_BYTES`` (16 MiB), clamped to ``_MIN_BASIS_COLS``-``_MAX_BASIS_COLS``
+    (8-30; n if fewer, d if more): 30 for every n + m up to 69,905, 8 from
+    233,017 on.  The state's four buffers are allocated here at that width
+    (at most m for Q_F) and the basis copied in once, so an iterate does not
+    depend on how far the run may grow and the caller's basis is never
+    written.  The forward is applied to the whole basis once; each column of
+    A V then enters by the append that expansions take, orthogonalized in
+    place.  Columns an early-stopping run never fills are never written, so
+    never resident; numpy's huge-page advice adds at most one partly filled
+    2 MB page per buffer.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
@@ -324,21 +334,14 @@ def init_state(problem, basis):
     m = problem.forward.rows
     cols = min(_MAX_BASIS_COLS, max(_MIN_BASIS_COLS, _BASIS_BYTES // (8 * (n + m))))
     max_dim = max(d, min(n, cols))
-    q_f, r_f = np.linalg.qr(problem.whiten_apply(basis), mode="reduced")
-    rhs_hat = q_f.T @ problem.whitened_data
-    basis_buf = _buffer(basis, max_dim)
-    q_f_buf = _buffer(q_f, min(q_f.shape[0], max_dim))
-    return SolverState(
-        basis=basis_buf[:, :d], q_f=q_f_buf[:, : q_f.shape[1]], r_f=r_f, rhs_hat=rhs_hat,
-        basis_buf=basis_buf, q_f_buf=q_f_buf,
-    )
-
-
-def _buffer(a, cols):
-    """A column-major array of a's rows and `cols` columns that starts with a."""
-    buf = np.empty((a.shape[0], cols), order="F")
-    buf[:, : a.shape[1]] = a
-    return buf
+    p = min(m, max_dim)
+    av = problem.whiten_apply(basis)  # first: the forward's temporaries go before the buffers
+    state = SolverState(np.empty((n, max_dim), order="F"), np.empty((m, p), order="F"),
+                        np.empty((p, max_dim), order="F"), np.empty(p))
+    state.basis_buf[:, :d] = basis
+    for j in range(d):
+        _append_forward_qr(state, problem, av[:, j])
+    return state
 
 
 def refresh_penalty(state, spec, sums):
@@ -388,7 +391,6 @@ def expand_subspace(state, problem, d_op, weights, lam, x, res_w, dx):
         return False
     r /= norm
     state.basis_buf[:, state.dim] = r
-    state.basis = state.basis_buf[:, : state.dim + 1]
     _append_forward_qr(state, problem, problem.whiten_apply(r))
     return True
 
@@ -425,6 +427,7 @@ def mm_gks_solve(problem, config):
         for k in range(1, config.max_iters + 1):
             weights = None  # the old weights are not read again; free them first
             weights, pair = refresh_penalty(state, spec, sums)
+            _scaled_grid(pair, _LAMBDA_GRID)  # a scale GCV refuses, a fixed lam cannot take
             lam = config.lam if config.lam is not None else select_lambda(pair, _LAMBDA_GRID)
             y = solve_projected(pair, lam)
             u = state.basis @ y
@@ -448,12 +451,8 @@ def mm_gks_solve(problem, config):
             if problem.delta > 0 and dp_residual <= config.eta * problem.delta:
                 stop_reason = "discrepancy"
                 break
-            norm_prev = np.linalg.norm(u_prev)
-            if (
-                k > 1
-                and norm_prev > 0
-                and np.linalg.norm(u - u_prev) < config.rel_change_tol * norm_prev
-            ):
+            norm_prev = np.linalg.norm(u_prev)  # 0 at k = 1, where u_prev is 0
+            if norm_prev > 0 and np.linalg.norm(u - u_prev) < config.rel_change_tol * norm_prev:
                 stop_reason = "rel_change"
                 break
             u_prev = u
@@ -565,22 +564,23 @@ def _restart(state, problem, iterates):
     current one last, each as long as the basis was when it was solved; C is
     the thin Q of them, zero-padded to the basis's d columns.  V C replaces
     V and, since A V C = Q_F (R_F C), the QR Q'R' of R_F C gives the forward
-    factors Q_F Q' and R' without a forward apply.  Both products are written
-    over the first columns of their own buffers one row block of at most
+    factors Q_F Q' and R' without a forward apply.  All four are written over
+    the prefixes of their buffers, V C and Q_F Q' one row block of at most
     ``_GRAM_BLOCK_ELEMS`` read elements at a time, so no temporary of a full
-    column's length is made.  The kept coefficients,
-    the current y among them, become Cᵀ y_j: every iterate V y_j stays in
-    the span, so under a fixed λ the next majorant cannot raise the
-    objective.
+    column's length is made.  The kept coefficients, the current y among
+    them, become Cᵀ y_j: every iterate V y_j stays in the span, so under a
+    fixed λ the next majorant cannot raise the objective.
     """
     ys = np.zeros((state.dim, len(iterates)))
     for j, y in enumerate(iterates):
         ys[: y.size, j] = y
     c = np.linalg.qr(ys)[0]
-    q, state.r_f = np.linalg.qr(state.r_f @ c)
-    state.basis = _write_product(state.basis_buf, state.basis, c)
-    state.q_f = _write_product(state.q_f_buf, state.q_f, q)
-    state.rhs_hat = state.q_f.T @ problem.whitened_data
+    q, r = np.linalg.qr(state.r_f @ c)
+    _write_product(state.basis_buf, state.basis, c)
+    _write_product(state.q_f_buf, state.q_f, q)
+    state.r_f_buf[: r.shape[0], : r.shape[1]] = r
+    state.dim = c.shape[1]
+    state.rhs_buf[: r.shape[0]] = state.q_f.T @ problem.whitened_data
     kept = c.T @ ys
     iterates.clear()
     iterates.extend(kept.T)
@@ -590,13 +590,12 @@ def _write_product(buf, old, right):
     """Write old @ right over the first columns of buf, whose first columns old views.
 
     A row block of the product reads only its own rows, so each block is
-    written over the rows it was formed from.  Returns the written columns.
+    written over the rows it was formed from.
     """
     k = right.shape[1]
     step = max(1, _GRAM_BLOCK_ELEMS // old.shape[1])
     for first in range(0, old.shape[0], step):
         buf[first : first + step, :k] = old[first : first + step] @ right
-    return buf[:, :k]
 
 
 def _orthogonalize(q, a):
@@ -620,20 +619,20 @@ def _orthogonalize(q, a):
 
 
 def _append_forward_qr(state, problem, a):
-    """Grow the thin QR of the projected whitened forward by its new column `a` (overwritten)."""
-    m, p = state.q_f.shape
-    if p < m:
+    """Take in basis column ``state.dim``, already written, whose A v is `a` (overwritten).
+
+    Below m columns, `a` is orthogonalized in place into Q_F's next column,
+    and R_F gains a column and a row, Q_Fᵀb an entry; once Q_F spans the data
+    space, R_F gains the column Q_Fᵀa alone.
+    """
+    d, p = state.dim, state.q_f.shape[1]
+    if p < state.q_f_buf.shape[0]:
         col, rho = _orthogonalize(state.q_f, a)
-        q = a / rho if rho > 0 else np.zeros_like(a)
-        state.q_f_buf[:, p] = q
-        state.q_f = state.q_f_buf[:, : p + 1]
-        state.r_f = np.block(
-            [[state.r_f, col[:, None]], [np.zeros((1, state.r_f.shape[1])), rho]]
-        )
-        state.rhs_hat = np.concatenate(
-            [state.rhs_hat, [q @ problem.whitened_data]]
-        )
+        q = np.divide(a, rho or 1.0, out=state.q_f_buf[:, p])  # rho is 0 only for a zero a
+        state.r_f_buf[:p, d] = col
+        state.r_f_buf[p, :d] = 0.0
+        state.r_f_buf[p, d] = rho
+        state.rhs_buf[p] = q @ problem.whitened_data
     else:
-        # q_f already spans the data space; the new column only adds
-        # coefficients, not a new left direction
-        state.r_f = np.column_stack([state.r_f, state.q_f.T @ a])
+        state.r_f_buf[:, d] = state.q_f.T @ a
+    state.dim = d + 1

@@ -645,15 +645,18 @@ def test_singular_system_exit_1_flushes_partial_history(tmp_path, capsys, monkey
     assert not (out / "summary.json").exists()
 
 
-def test_grid_overflow_exit_1_with_the_scale_message(tmp_path, capsys):
+@pytest.mark.parametrize("solver", [{}, {"lambda": 0.05}], ids=["gcv", "fixed-lambda"])
+def test_grid_overflow_exit_1_with_the_scale_message(tmp_path, capsys, solver):
     # a disk of intensity 1e153 under noise 0.5 scales GCV's balanced grid
     # by 2^1024, past the float range: the run used to exit 0 after 2
-    # iterations at RRE 1.00000, with an overflow warning
+    # iterations at RRE 1.00000, with an overflow warning, and a fixed λ,
+    # whose λ·2^1024 is still finite, did so silently
     cfg = {
         "experiment": "deblur",
         "scene": {"n_v": 12, "n_h": 12, "n_t": 2, "objects": [
             {"centers": [[6, 6], [6, 7]], "radii": [3, 3], "intensity": 1e153}]},
         "noise": {"sigma": 0.5, "seed": 1},
+        "solver": solver,
     }
     out = tmp_path / "fail"
     assert cli.main_reconstruct(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1

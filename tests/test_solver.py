@@ -343,9 +343,10 @@ def test_expand_stalls_when_solution_is_in_span():
 
 
 def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
-    # init_state sizes the basis and q_f buffers once, at the cap (lowered
-    # here to max_dim columns); every expansion writes into them, so the
-    # fields keep sharing memory with the first views, and a full basis
+    # init_state sizes the buffers of V, Q_F, R_F and Q_Fᵀb once, at the cap
+    # (lowered here to max_dim columns), and appends the seed's columns of
+    # A V one at a time; every expansion writes into the same buffers, so
+    # the fields keep sharing memory with the first views, and a full basis
     # stops growing.  Five data rows: q_f fills its five columns after two
     # expansions and then stays put.
     rng = np.random.default_rng(26)
@@ -360,8 +361,13 @@ def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
     assert basis.shape == (n, 3)
     monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", max_dim)
     state = init_state(problem, basis)
-    first_basis, first_q_f = state.basis, state.q_f
-    assert state.max_dim == max_dim and first_q_f.shape == (rows, 3)
+    names = ("basis", "q_f", "r_f", "rhs_hat")
+    first = {name: getattr(state, name) for name in names}
+    assert state.max_dim == max_dim and first["q_f"].shape == (rows, 3)
+    np.testing.assert_allclose(state.q_f.T @ state.q_f, np.eye(3), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        state.q_f @ state.r_f, problem.whiten_apply(basis), rtol=0, atol=1e-12
+    )
     u = np.zeros(n)
     for d in range(4, max_dim + 2):
         weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u))
@@ -369,8 +375,8 @@ def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
         u = state.basis @ y
         assert oracles.expand_at_solve(state, problem, d_op, weights, lam, y) == (d <= max_dim)
         assert state.dim == min(d, max_dim)
-        assert np.shares_memory(state.basis, first_basis)
-        assert np.shares_memory(state.q_f, first_q_f)
+        for name in names:
+            assert np.shares_memory(getattr(state, name), first[name]), name
     assert state.q_f.shape == (rows, rows)
     np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(max_dim), atol=1e-10)
     np.testing.assert_allclose(
@@ -646,15 +652,15 @@ def test_restart_bounds_the_basis_and_the_objective_keeps_descending():
 
 
 def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypatch):
-    # V C and Q_F Q' are written into the buffers init_state allocated; the
-    # iterate V y is unchanged, the last iterates stay in the span, V stays
-    # orthonormal and Q_F R_F = A V holds without a forward apply
+    # V C, Q_F Q', R' and (Q_F Q')ᵀb are written into the buffers init_state
+    # allocated; the iterate V y is unchanged, the last iterates stay in the
+    # span, V stays orthonormal and Q_F R_F = A V holds without a forward apply
     first, restarts = {}, []
     init_state_fn, restart_fn = dv.solver.init_state, dv.solver._restart
 
     def init_state(*args):
         state = init_state_fn(*args)
-        first.update(basis=state.basis, q_f=state.q_f)
+        first.update(basis=state.basis, q_f=state.q_f, r_f=state.r_f, rhs_hat=state.rhs_hat)
         return state
 
     def restart(state, problem, iterates):
@@ -673,7 +679,7 @@ def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypa
         aw = problem.whiten_apply(state.basis)
         np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-12 * np.linalg.norm(aw))
         for name, view in first.items():
-            assert np.shares_memory(getattr(state, name), view)
+            assert np.shares_memory(getattr(state, name), view), name
 
     monkeypatch.setattr(dv.solver, "init_state", init_state)
     monkeypatch.setattr(dv.solver, "_restart", restart)
