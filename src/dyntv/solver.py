@@ -8,14 +8,15 @@ by repeatedly solving the quadratic majorant's normal equations
 
     (F^T Gamma^{-1} F + lam * M^T M) u = F^T Gamma^{-1} d,     M = W(u_k) D,
 
-restricted to a low-dimensional search space.  The space is seeded with 5
-Golub-Kahan bidiagonalization steps of the whitened operator and grows by one
-direction per iteration: the normal-equations residual of the current iterate,
-orthogonalized against the basis, with a second Gram-Schmidt pass only where
-the first cancels most of it.  Where n allows, the basis is capped at as many
-columns as V and Q_F fit in 16 MiB, at least 8 and at most 30, so a small
-problem keeps 30 and a 128x128x8 deblur gets 8: an expansion that would pass
-the cap first restarts the basis on the span of the last 3 iterates, the
+restricted to a low-dimensional search space.  The space grows by one rule: a
+normal-equations residual, orthogonalized against the basis with a second
+Gram-Schmidt pass only where the first cancels most of it.  The 5 seed columns
+take it at lam = 0, where the least-squares residual on the span is the next
+Golub-Kahan direction (Paige & Saunders 1982), and each iteration at its
+iterate.  Where n allows, the basis is capped at as many columns as V and Q_F
+fit in 16 MiB, at least 8 and at most 30, so a small problem keeps 30 and a
+128x128x8 deblur gets 8: an expansion that would pass the cap first restarts
+the basis on the span of the last 3 iterates, the
 current one included, as in the limited-memory restarted and recycled GKS of
 Buccini & Reichel (2023) and Pasha, de Sturler & Kilmer (2023), so the
 subspace drops to 4 columns and grows again.  The current iterate stays in
@@ -36,9 +37,9 @@ at most 1e3, since the factor enters every later step only through RᵀR; up to
 conditioned block falls back to Householder QR.  A V is not kept either: it
 enters only through its thin QR factors Q_F, R_F, which grow a column at a
 time, since the noise covariance is fixed.  V, Q_F, R_F and Q_Fᵀb live in
-buffers that ``init_state`` alone sizes, once, at the cap, and every column
-enters them by one append: the seed's, after one forward apply to the whole
-seed, and each expansion's.  A restart writes the kept prefix of all four, V C
+buffers that ``init_state`` alone sizes, once, at the cap, and every column,
+the seed's and each expansion's, enters them by one append after one forward
+apply to that column alone.  A restart writes the kept prefix of all four, V C
 and Q_F Q' one row block at a time, with no temporary as tall as a column; the
 state's fields view the filled parts, and no buffer is ever regrown.
 
@@ -49,11 +50,11 @@ from the kept factors as Q_F R_F y - b, without a forward apply, and serves the
 discrepancy test, the objective and the expansion.  z = D u serves the
 expansion and the penalty sums, the smoothed squared group norms that give both
 R_eps(u) for the objective and the next refresh's weights; the first weights,
-at u = 0, take the sums of a zero z.  Past the seed, the forward is thus
-applied once per expansion and D once per iterate, besides the stencil passes
-of the Gram sweeps.  The weights are formed in place on the sums, the old
-weights are dropped first, and W² D x takes one buffer, so no step holds more
-than one rows(D) temporary besides z, the sums and the weights.
+at u = 0, take the sums of a zero z.  The forward is thus applied once per
+basis column and D once per iterate, besides the stencil passes of the Gram
+sweeps.  The weights are formed in place on the sums, the old weights are
+dropped first, and W² D x takes one buffer, so no step holds more than one
+rows(D) temporary besides z, the sums and the weights.
 """
 
 from __future__ import annotations
@@ -272,42 +273,33 @@ class SolveResult:
 
 
 def seed_subspace(problem, n_steps):
-    """Golub-Kahan bidiagonalization basis for the whitened normal equations.
+    """``(state, breakdown)``: the solver state on the Krylov space K_j(AᵀA, Aᵀb).
 
-    Returns ``(V, breakdown)``: up to ``n_steps`` orthonormal columns spanning
-    the Krylov space generated by F^T Gamma^{-1} d, each step reorthogonalized
-    by ``_orthogonalize``, as an expansion is.  ``breakdown`` flags an early stop
-    (the space is invariant before ``n_steps`` vectors were produced).  V is
-    column-major, the filled columns of one array of min(n, n_steps) columns,
-    each written in place as its step makes it.
+    ``init_state`` sizes it on Aᵀb̂/‖Aᵀb̂‖, b̂ = b/‖b‖ (so that no ‖Aᵀb‖²
+    overflows).  Up to ``n_steps`` and ``max_dim`` columns, each next one is the
+    least-squares residual Aᵀ(Q_F Q_Fᵀb̂ - b̂) on the span so far, read from the
+    kept factors: the next Golub-Kahan direction, added as an expansion's is.
+    ``breakdown`` flags an invariant space of fewer than ``n_steps`` columns;
+    ``state`` is None when b = 0 or Aᵀb = 0.
     """
-    n = problem.forward.cols
     b = problem.whitened_data
     beta = np.linalg.norm(b)
     if beta == 0:
-        return np.zeros((n, 0)), True
-    u = b / beta
-    v = problem.whiten_adjoint(u)
+        return None, True
+    b_hat = b / beta
+    v = problem.whiten_adjoint(b_hat)
     alpha = np.linalg.norm(v)
     tol = 1e-12 * max(alpha, 1e-300)
     if alpha <= tol:
-        return np.zeros((n, 0)), True
-    steps = max(min(int(n_steps), n), 1)
-    basis = np.empty((n, steps), order="F")
-    basis[:, 0] = v / alpha
-    for j in range(1, steps):
-        v = basis[:, j - 1]
-        p = problem.whiten_apply(v) - alpha * u
-        beta = np.linalg.norm(p)
-        if beta <= tol:
-            return basis[:, :j], True
-        u = p / beta
-        w = problem.whiten_adjoint(u) - beta * v
-        _, alpha = _orthogonalize(basis[:, :j], w)
-        if alpha <= tol:
-            return basis[:, :j], True
-        basis[:, j] = w / alpha
-    return basis, False
+        return None, True
+    v /= alpha
+    state = init_state(problem, v[:, None])
+    del v  # the state holds its copy; not kept through the seed's applies
+    while state.dim < min(int(n_steps), state.max_dim):
+        r = problem.whiten_adjoint(state.q_f @ (state.rhs_hat / beta) - b_hat)
+        if not _add_direction(state, problem, r, tol):
+            return state, True
+    return state, False
 
 
 def init_state(problem, basis):
@@ -319,11 +311,12 @@ def init_state(problem, basis):
     233,017 on.  The state's four buffers are allocated here at that width
     (at most m for Q_F) and the basis copied in once, so an iterate does not
     depend on how far the run may grow and the caller's basis is never
-    written.  The forward is applied to the whole basis once; each column of
-    A V then enters by the append that expansions take, orthogonalized in
-    place.  Columns an early-stopping run never fills are never written, so
-    never resident; numpy's huge-page advice adds at most one partly filled
-    2 MB page per buffer.
+    written.  The seed passes one column, but any n x d basis is taken: the
+    forward is applied to all of it once, and each column of A V enters by
+    the append every later column takes, orthogonalized in place.  Columns
+    an early-stopping run never fills are never written, so never resident;
+    numpy's huge-page advice adds at most one partly filled 2 MB page per
+    buffer.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
@@ -386,13 +379,7 @@ def expand_subspace(state, problem, d_op, weights, lam, x, res_w, dx):
     r = lam * d_op.apply_adjoint(w2dx)
     del w2dx  # before the forward's adjoint allocates
     r += problem.whiten_adjoint(res_w)
-    _, norm = _orthogonalize(state.basis, r)
-    if norm <= 1e-14 * max(1.0, float(np.linalg.norm(x))):
-        return False
-    r /= norm
-    state.basis_buf[:, state.dim] = r
-    _append_forward_qr(state, problem, problem.whiten_apply(r))
-    return True
+    return _add_direction(state, problem, r, 1e-14 * max(1.0, float(np.linalg.norm(x))))
 
 
 def mm_gks_solve(problem, config):
@@ -411,11 +398,9 @@ def mm_gks_solve(problem, config):
             f"regularizer dims {spec.dims} do not match operator columns {n}"
         )
     d_op = build_D(spec)
-    basis, _ = seed_subspace(problem, _SEED_STEPS)
-    if basis.shape[1] == 0:
+    state, _ = seed_subspace(problem, _SEED_STEPS)
+    if state is None:
         raise SolverError("seed basis is empty; data has no signal to start from")
-    state = init_state(problem, basis)
-    del basis  # the seed now lives in the state's buffer; do not hold it through the loop
 
     b = problem.whitened_data
     iterates = deque(maxlen=_RESTART_ITERATES)  # coefficients of the last iterates
@@ -488,15 +473,16 @@ _CHOLQR_MAX_COND = 1e7
 # Splitting frames into row ranges was dropped: such a block does not set a
 # solve's peak, and it saved under 1 MB.
 _GRAM_BLOCK_ELEMS = 1 << 15
-# Golub-Kahan steps of the seed, below the cap so that the seed leaves room
-# for an expansion; the budget, floor and ceiling of the columns the basis may
-# reach before a restart (where n is larger): as many as the n-row V and the
-# m-row Q_F fit in the budget, clamped to [floor, ceiling]; the number of last
-# iterates whose span the restart keeps; and the GCV search grid, sorted,
-# positive and finite, which select_lambda uses as it is.  An iteration costs
-# about (n + m + rows(D)) d, so 3 kept iterates rather than 10 lower Σd of a
-# 40-iteration capped run by 14%, while the distance to the minimizer after
-# 200 fixed-λ iterations stays within 2% (keeping 1 took 1.7-2.2x).
+# Columns of the seed, expansions at λ = 0 that span the Krylov space of Aᵀb,
+# below the cap so that the seed leaves room for an expansion; the budget,
+# floor and ceiling of the columns the basis may reach before a restart (where
+# n is larger): as many as the n-row V and the m-row Q_F fit in the budget,
+# clamped to [floor, ceiling]; the number of last iterates whose span the
+# restart keeps; and the GCV search grid, sorted, positive and finite, which
+# select_lambda uses as it is.  An iteration costs about (n + m + rows(D)) d,
+# so 3 kept iterates rather than 10 lower Σd of a 40-iteration capped run by
+# 14%, while the distance to the minimizer after 200 fixed-λ iterations stays
+# within 2% (keeping 1 took 1.7-2.2x).
 # On a large problem the outer MM rate, not d, limits convergence: on the
 # 128x128x8 deblur (n + m = 262,144, which 16 MiB sizes at the floor) 8
 # columns instead of 16 took a 40-iteration fixed-λ solve from 0.98 to 0.73 s
@@ -616,6 +602,17 @@ def _orthogonalize(q, a):
         coef += again
         norm = np.linalg.norm(a)
     return coef, float(norm)
+
+
+def _add_direction(state, problem, r, tol):
+    """Orthogonalize r in place and append it, normalized, unless its norm falls to tol."""
+    _, norm = _orthogonalize(state.basis, r)
+    if norm <= tol:
+        return False
+    r /= norm
+    state.basis_buf[:, state.dim] = r
+    _append_forward_qr(state, problem, problem.whiten_apply(r))
+    return True
 
 
 def _append_forward_qr(state, problem, a):

@@ -366,7 +366,20 @@ def gcv_dense(r_f, r_m, rhs, lam):
     return d * float(resid @ resid) / denom**2
 
 
-# --- penalty factor reference ------------------------------------------------------
+# --- Krylov and penalty factor references ------------------------------------------
+
+
+def krylov_basis(a, b, k):
+    """Orthonormal basis, by Householder QR, of [Aᵀb, (AᵀA)Aᵀb, ...], k columns.
+
+    Each power is normalized before the next, so the columns stay in range.
+    """
+    v, cols = a.T @ b, []
+    for _ in range(k):
+        v = v / np.linalg.norm(v)
+        cols.append(v)
+        v = a.T @ (a @ v)
+    return np.linalg.qr(np.column_stack(cols))[0]
 
 
 def householder_r(mat, d):

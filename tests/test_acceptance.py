@@ -17,7 +17,7 @@ import dyntv as dv
 import oracles
 from dyntv.paramselect import ProjectedPair
 from dyntv.regularization import build_D, regularizer_value
-from dyntv.solver import init_state, refresh_penalty, seed_subspace, solve_projected
+from dyntv.solver import refresh_penalty, seed_subspace, solve_projected
 from oracles import DenseOperator, quadratic_misfit, spec_for
 
 METHODS = list(dv.METHOD_NAMES)
@@ -193,8 +193,7 @@ def test_full_subspace_matches_dense_weighted_solve(monkeypatch):
     for name in METHODS:
         spec = spec_for(name, dims)
         d_op = build_D(spec)
-        basis, _ = seed_subspace(problem, 5)
-        state = init_state(problem, basis)
+        state, _ = seed_subspace(problem, 5)
         u_prev = np.zeros(n)
         for _ in range(200):
             weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u_prev))

@@ -41,13 +41,13 @@ def blur_problem(dims, sigma_blur, bw, noise_sigma, scene_seed, noise_seed, obje
     )
 
 
-# --- Golub-Kahan seeding -----------------------------------------------------------
+# --- Krylov seeding ----------------------------------------------------------------
 
 
 def test_seed_identity_first_unit_vector():
     problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(4)), data=[1.0, 0, 0, 0])
-    basis, breakdown = seed_subspace(problem, 1)
-    np.testing.assert_array_equal(basis, np.array([[1.0], [0.0], [0.0], [0.0]]))
+    state, breakdown = seed_subspace(problem, 1)
+    np.testing.assert_array_equal(state.basis, np.array([[1.0], [0.0], [0.0], [0.0]]))
     assert not breakdown
 
 
@@ -56,22 +56,32 @@ def test_seed_identity_breaks_down_after_one_vector():
     problem = dv.ReconstructionProblem(
         forward=DenseOperator(np.eye(6)), data=rng.standard_normal(6)
     )
-    basis, breakdown = seed_subspace(problem, 3)
-    assert basis.shape == (6, 1)
+    state, breakdown = seed_subspace(problem, 3)
+    assert state.basis.shape == (6, 1)
     assert breakdown
-    np.testing.assert_allclose(np.linalg.norm(basis[:, 0]), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(state.basis[:, 0]), 1.0, rtol=1e-14)
 
 
 def test_seed_random_operator_orthonormal_columns():
+    # each column past the first is the least-squares residual on the span so
+    # far, the next Golub-Kahan direction, so the seed spans the Krylov space
+    # [Aᵀb, AᵀA Aᵀb, ...] of a dense QR; its forward factors are those of A V
     rng = np.random.default_rng(5)
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 20, 12), data=rng.standard_normal(20)
     )
-    basis, breakdown = seed_subspace(problem, 5)
+    state, breakdown = seed_subspace(problem, 5)
+    basis = state.basis
     assert basis.shape == (12, 5)
     assert basis.flags.f_contiguous  # the layout of the solver's basis buffer
     assert not breakdown
     np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-12)
+    krylov = oracles.krylov_basis(oracles.dense(problem.forward), problem.data, 5)
+    np.testing.assert_allclose(basis @ basis.T, krylov @ krylov.T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(state.q_f.T @ state.q_f, np.eye(5), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        state.q_f @ state.r_f, problem.whiten_apply(basis), rtol=0, atol=1e-12
+    )
 
 
 def test_seed_step_count_capped_by_dimension():
@@ -79,15 +89,16 @@ def test_seed_step_count_capped_by_dimension():
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 8, 6), data=rng.standard_normal(8)
     )
-    basis, _ = seed_subspace(problem, 40)
+    state, _ = seed_subspace(problem, 40)
+    basis = state.basis
     assert basis.shape[1] <= 6
     np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
 
 
 def test_seed_zero_data_is_empty_with_breakdown():
     problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(5)), data=np.zeros(5))
-    basis, breakdown = seed_subspace(problem, 4)
-    assert basis.shape == (5, 0)
+    state, breakdown = seed_subspace(problem, 4)
+    assert state is None
     assert breakdown
 
 
@@ -95,8 +106,8 @@ def test_seed_of_data_in_the_null_space_of_the_adjoint_is_empty_with_breakdown()
     # b != 0 but Aᵀb = 0: the first Krylov vector is zero, so there is none
     forward = DenseOperator(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     problem = dv.ReconstructionProblem(forward=forward, data=[1.0, 1.0])
-    basis, breakdown = seed_subspace(problem, 4)
-    assert basis.shape == (2, 0)
+    state, breakdown = seed_subspace(problem, 4)
+    assert state is None
     assert breakdown
 
 
@@ -109,7 +120,8 @@ def test_init_state_copies_the_seed_once_into_its_own_buffer(monkeypatch):
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 20, 12), data=rng.standard_normal(20)
     )
-    basis, breakdown = seed_subspace(problem, 3)
+    seed, breakdown = seed_subspace(problem, 3)
+    basis = seed.basis
     assert basis.shape == (12, 3) and not breakdown
     for cap, want in ((2, 3), (7, 7), (40, 12)):
         monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", cap)
@@ -138,7 +150,7 @@ def test_init_state_sizes_the_basis_by_its_byte_budget(monkeypatch):
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, m, n), data=rng.standard_normal(m)
     )
-    basis, _ = seed_subspace(problem, 3)
+    basis = seed_subspace(problem, 3)[0].basis
     floor, ceiling = dv.solver._MIN_BASIS_COLS, dv.solver._MAX_BASIS_COLS
     column = 8 * (n + m)
     for budget, want in (
@@ -332,9 +344,8 @@ def test_expand_stalls_when_solution_is_in_span():
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     d_op = build_D(spec)
     problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(n)), data=np.ones(n))
-    basis, breakdown = seed_subspace(problem, 5)
-    assert breakdown and basis.shape == (n, 1)
-    state = init_state(problem, basis)
+    state, breakdown = seed_subspace(problem, 5)
+    assert breakdown and state.basis.shape == (n, 1)
     weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
     y = solve_projected(pair, 1e-3)
     np.testing.assert_allclose(state.basis @ y, problem.data, rtol=1e-12)
@@ -357,7 +368,7 @@ def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims)
     d_op = build_D(spec)
-    basis, _ = seed_subspace(problem, 3)
+    basis = seed_subspace(problem, 3)[0].basis
     assert basis.shape == (n, 3)
     monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", max_dim)
     state = init_state(problem, basis)
@@ -397,8 +408,7 @@ def test_expand_keeps_basis_orthonormal_and_factors_consistent(rows, dims, n_exp
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims)
     d_op = build_D(spec)
-    basis, _ = seed_subspace(problem, 4)
-    state = init_state(problem, basis)
+    state, _ = seed_subspace(problem, 4)
     u = np.zeros(n)
     for _ in range(n_expand):
         weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u))
@@ -425,8 +435,8 @@ def test_expand_appends_dense_normal_equations_residual(monkeypatch):
     monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-2)
     spec = dv.RegularizerSpec(method=dv.Method.ISO_TV, dims=dims)
     d_op = build_D(spec)
-    basis, _ = seed_subspace(problem, 4)
-    state = init_state(problem, basis)
+    state, _ = seed_subspace(problem, 4)
+    basis = state.basis
     weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, rng.standard_normal(n)))
     y = solve_projected(pair, lam)
     assert oracles.expand_at_solve(state, problem, d_op, weights, lam, y)
@@ -970,7 +980,7 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters):
 
 
 class CountingOperator:
-    """Proxy that counts the applies, adjoints and row-block passes of an operator."""
+    """Proxy that counts the applies, applied columns, adjoints and row-block passes."""
 
     def __init__(self, op, counts, name):
         self._op, self._counts, self._name = op, counts, name
@@ -980,6 +990,7 @@ class CountingOperator:
 
     def apply(self, x):
         self._counts[self._name + ".apply"] += 1
+        self._counts[self._name + ".cols"] += 1 if np.ndim(x) == 1 else np.shape(x)[1]
         return self._op.apply(x)
 
     def apply_adjoint(self, y):
@@ -992,11 +1003,12 @@ class CountingOperator:
 
 
 def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeypatch):
-    # The residual of u = V y comes from the kept factors Q_F R_F y, so past
-    # the seed and init_state the forward is applied only to each new basis
-    # vector.  z = D u is formed once per iterate and serves the expansion and
-    # the penalty sums, which give the objective and the next weights; the
-    # first weights, at u = 0, take the sums of a zero z, with no D apply.
+    # The residual of u = V y comes from the kept factors Q_F R_F y, and the
+    # seed grows as the expansions do, so the forward is applied once per
+    # basis column, the seed's included, to that column alone.  z = D u is
+    # formed once per iterate and serves the expansion and the penalty sums,
+    # which give the objective and the next weights; the first weights, at
+    # u = 0, take the sums of a zero z, with no D apply.
     # The Gram sweeps of the refresh reach D through row_blocks, counted apart.
     counts = Counter()
     build_d, sums = dv.regularization.build_D, dv.solver.penalty_sums
@@ -1020,7 +1032,7 @@ def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeyp
     expansions = iters - 1
     assert result.iterations == iters
     assert result.history[-1].subspace_dim == seed + expansions
-    assert counts["F.apply"] == (seed - 1) + 1 + expansions  # seed, init_state, expansions
+    assert counts["F.cols"] == counts["F.apply"] == seed + expansions
     assert counts["F.adjoint"] == seed + expansions
     assert counts["D.apply"] == iters
     assert counts["sums"] == iters + 1  # at u = 0 and at each iterate
