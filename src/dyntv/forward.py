@@ -87,8 +87,11 @@ def build_blur_operator(model, n_v, n_h):
 class _SeparableBlur(LinearOperator):
     """(A_h (x) A_v) vec(X) = vec(A_v X A_h^T) for an (n_v, n_h) frame X.
 
-    A_v acts along v on the (n_v, n_h k) reshape of k frames, then A_h along
-    h on the (n_h, n_v k) transpose: one GEMM per factor for all k columns.
+    The k columns of a column-major x, read as k n_h rows of n_v, are the
+    transposed frames X_jᵀ stacked, without a copy.  A_v acts on all of them
+    from the right in one GEMM, then A_h on each from the left:
+    (A_v X_j A_hᵀ)ᵀ, whose row-major flattening is vec(A_v X_j A_hᵀ).  No
+    array is formed besides the two products.
     """
 
     kind = "blur"
@@ -99,12 +102,9 @@ class _SeparableBlur(LinearOperator):
 
     def _apply(self, x, transpose=False):
         a_h, a_v = (self.a_h.T, self.a_v.T) if transpose else (self.a_h, self.a_v)
-        n_v, n_h, k = a_v.shape[0], a_h.shape[0], x.shape[1]
-        z = a_v @ x.reshape(n_v, n_h * k, order="F")
-        z = z.reshape(n_v, n_h, k, order="F").transpose(1, 0, 2)
-        z = a_h @ z.reshape(n_h, n_v * k, order="F")
-        z = z.reshape(n_h, n_v, k, order="F").transpose(1, 0, 2)
-        return z.reshape(n_v * n_h, k, order="F")
+        k, n_h = x.shape[1], a_h.shape[1]
+        z = x.T.reshape(k * n_h, a_v.shape[1]) @ a_v.T
+        return (a_h @ z.reshape(k, n_h, -1)).reshape(k, -1).T
 
     def _apply_adjoint(self, y):
         return self._apply(y, transpose=True)

@@ -37,11 +37,12 @@ at most 1e3, since the factor enters every later step only through RᵀR; up to
 conditioned block falls back to Householder QR.  A V is not kept either: it
 enters only through its thin QR factors Q_F, R_F, which grow a column at a
 time, since the noise covariance is fixed.  V, Q_F, R_F and Q_Fᵀb live in
-buffers that ``init_state`` alone sizes, once, at the cap, and every column,
-the seed's and each expansion's, enters them by one append after one forward
-apply to that column alone.  A restart writes the kept prefix of all four, V C
-and Q_F Q' one row block at a time, with no temporary as tall as a column; the
-state's fields view the filled parts, and no buffer is ever regrown.
+buffers that ``init_state`` alone sizes, once, at the cap, and leaves empty;
+every column, the seed's first included, enters them by one append,
+``_add_direction``, after one forward apply to that column alone.  A restart
+writes the kept prefix of all four, V C and Q_F Q' one row block at a time,
+with no temporary as tall as a column; the state's fields view the filled
+parts, and no buffer is ever regrown.
 
 Each iterate u = V y is the minimizer of its projected majorant and is reported
 as it is, so every step is a majorize-minimize step.  It is formed once, and so
@@ -218,9 +219,10 @@ class SolverState:
 
     Buffers sized once by ``init_state``, at the cap: V (n x cap) and Q_F
     (m x min(m, cap)), column-major, R_F (min(m, cap) x cap) and Q_Fᵀb.
-    ``dim`` columns of V are filled, and min(m, dim) of Q_F; ``basis``,
-    ``q_f``, ``r_f`` and ``rhs_hat`` view the filled parts.  A V is not kept,
-    and the weights, the projected pair and y are rebuilt every iteration.
+    ``dim`` columns of V are filled, none at first, and min(m, dim) of Q_F,
+    each by ``_add_direction`` or ``_restart``; ``basis``, ``q_f``, ``r_f``
+    and ``rhs_hat`` view the filled parts.  A V is not kept, and the
+    weights, the projected pair and y are rebuilt every iteration.
     """
 
     basis_buf: np.ndarray
@@ -275,66 +277,47 @@ class SolveResult:
 def seed_subspace(problem, n_steps):
     """``(state, breakdown)``: the solver state on the Krylov space K_j(AᵀA, Aᵀb).
 
-    ``init_state`` sizes it on Aᵀb̂/‖Aᵀb̂‖, b̂ = b/‖b‖ (so that no ‖Aᵀb‖²
-    overflows).  Up to ``n_steps`` and ``max_dim`` columns, each next one is the
-    least-squares residual Aᵀ(Q_F Q_Fᵀb̂ - b̂) on the span so far, read from the
-    kept factors: the next Golub-Kahan direction, added as an expansion's is.
-    ``breakdown`` flags an invariant space of fewer than ``n_steps`` columns;
-    ``state`` is None when b = 0 or Aᵀb = 0.
+    ``init_state`` sizes it, and every column enters as an expansion's does:
+    the first is Aᵀb̂, b̂ = b/‖b‖ (so that no ‖Aᵀb‖² overflows), and, up to
+    ``n_steps`` and ``max_dim`` columns, each next one is the least-squares
+    residual Aᵀ(Q_F Q_Fᵀb̂ - b̂) on the span so far, read from the kept
+    factors: the next Golub-Kahan direction.  ``breakdown`` flags an
+    invariant space of fewer than ``n_steps`` columns; ``state`` is None when
+    b = 0 or Aᵀb = 0.
     """
     b = problem.whitened_data
     beta = np.linalg.norm(b)
     if beta == 0:
         return None, True
     b_hat = b / beta
-    v = problem.whiten_adjoint(b_hat)
-    alpha = np.linalg.norm(v)
-    tol = 1e-12 * max(alpha, 1e-300)
-    if alpha <= tol:
-        return None, True
-    v /= alpha
-    state = init_state(problem, v[:, None])
-    del v  # the state holds its copy; not kept through the seed's applies
-    while state.dim < min(int(n_steps), state.max_dim):
+    r = problem.whiten_adjoint(b_hat)
+    tol = 1e-12 * max(np.linalg.norm(r), 1e-300)  # read first: the append normalizes r
+    state = init_state(problem)
+    while _add_direction(state, problem, r, tol):
+        if state.dim >= min(int(n_steps), state.max_dim):
+            return state, False
         r = problem.whiten_adjoint(state.q_f @ (state.rhs_hat / beta) - b_hat)
-        if not _add_direction(state, problem, r, tol):
-            return state, True
-    return state, False
+    return (state if state.dim else None), True
 
 
-def init_state(problem, basis):
-    """Project the whitened forward operator onto a basis; only the thin QR of A V is kept.
+def init_state(problem):
+    """An empty solver state: the buffers of V, Q_F, R_F and Q_Fᵀb, sized once.
 
     The basis can hold as many columns as its n rows and Q_F's m rows fit in
     ``_BASIS_BYTES`` (16 MiB), clamped to ``_MIN_BASIS_COLS``-``_MAX_BASIS_COLS``
-    (8-30; n if fewer, d if more): 30 for every n + m up to 69,905, 8 from
-    233,017 on.  The state's four buffers are allocated here at that width
-    (at most m for Q_F) and the basis copied in once, so an iterate does not
-    depend on how far the run may grow and the caller's basis is never
-    written.  The seed passes one column, but any n x d basis is taken: the
-    forward is applied to all of it once, and each column of A V enters by
-    the append every later column takes, orthogonalized in place.  Columns
-    an early-stopping run never fills are never written, so never resident;
-    numpy's huge-page advice adds at most one partly filled 2 MB page per
-    buffer.
+    (8-30; n if fewer): 30 for every n + m up to 69,905, 8 from 233,017 on.
+    The four buffers are allocated here at that width (at most m for Q_F),
+    so an iterate does not depend on how far the run may grow, and ``dim``
+    is 0: every column enters by ``_add_direction``, the seed's first
+    included.  Columns an early-stopping run never fills are never written,
+    so never resident; numpy's huge-page advice adds at most one partly
+    filled 2 MB page per buffer.
     """
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != problem.forward.cols:
-        raise ValueError("basis must be n x d")
-    n, d = basis.shape
-    if d == 0:
-        raise ValueError("basis must have at least one column")
-    m = problem.forward.rows
-    cols = min(_MAX_BASIS_COLS, max(_MIN_BASIS_COLS, _BASIS_BYTES // (8 * (n + m))))
-    max_dim = max(d, min(n, cols))
+    n, m = problem.forward.cols, problem.forward.rows
+    max_dim = min(n, _MAX_BASIS_COLS, max(_MIN_BASIS_COLS, _BASIS_BYTES // (8 * (n + m))))
     p = min(m, max_dim)
-    av = problem.whiten_apply(basis)  # first: the forward's temporaries go before the buffers
-    state = SolverState(np.empty((n, max_dim), order="F"), np.empty((m, p), order="F"),
-                        np.empty((p, max_dim), order="F"), np.empty(p))
-    state.basis_buf[:, :d] = basis
-    for j in range(d):
-        _append_forward_qr(state, problem, av[:, j])
-    return state
+    return SolverState(np.empty((n, max_dim), order="F"), np.empty((m, p), order="F"),
+                       np.empty((p, max_dim), order="F"), np.empty(p))
 
 
 def refresh_penalty(state, spec, sums):

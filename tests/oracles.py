@@ -13,9 +13,10 @@ the majorant helpers evaluate Q and J_eps from the package's D, weights and
 penalty, which ``sums_at`` takes at an iterate, so that the tests can check
 the majorization conditions the solver relies on (``quadratic_misfit`` gives
 them a dense misfit), and ``expand_at_solve`` hands the solver's expansion
-the inputs its outer loop would.  ``full_space_mm_iterates`` runs the
-solver's steps on the identity basis, where every projected solve is exact,
-and ``gcv_curve`` evaluates G from the factors of a package ``ProjectedPair``.
+the inputs its outer loop would.  ``state_on`` builds a solver state on any
+orthonormal basis, and ``full_space_mm_iterates`` runs the solver's steps on
+the identity basis, where every projected solve is exact, and ``gcv_curve``
+evaluates G from the factors of a package ``ProjectedPair``.
 ``newton_minimizer`` finds the minimizer of J_eps by damped Newton on the
 dense D of ``d_matrix``, grouped by ``penalty_groups``.  ``check_dp``
 states the discrepancy principle on a package problem, and ``read_pgm16``
@@ -31,7 +32,8 @@ import dyntv as dv
 from dyntv import paramselect
 from dyntv.operators import SparseOperator
 from dyntv.regularization import build_D, penalty_sums, regularizer_value, update_weights
-from dyntv.solver import expand_subspace, init_state, refresh_penalty, solve_projected
+from dyntv.solver import (SolverState, _append_forward_qr, expand_subspace, refresh_penalty,
+                          solve_projected)
 
 
 # --- dense operators ------------------------------------------------------------
@@ -318,6 +320,23 @@ def expand_at_solve(state, problem, d_op, weights, lam, y):
     return expand_subspace(state, problem, d_op, weights, lam, x, res_w, d_op.apply(x))
 
 
+def state_on(problem, basis):
+    """A solver state on the orthonormal columns of `basis`, as wide as it is.
+
+    Unlike the solver's own states it may pass the cap, up to the full space;
+    A V is formed at once and each column enters by the solver's append.
+    """
+    n, d = basis.shape
+    m = problem.forward.rows
+    p = min(m, d)
+    state = SolverState(np.array(basis, dtype=float, order="F"), np.empty((m, p), order="F"),
+                        np.empty((p, d), order="F"), np.empty(p))
+    av = problem.whiten_apply(basis)
+    for j in range(d):
+        _append_forward_qr(state, problem, av[:, j])
+    return state
+
+
 def full_space_mm_iterates(problem, spec, lam, n_iters):
     """The solver's MM iterates at fixed lam on the identity basis.
 
@@ -326,7 +345,7 @@ def full_space_mm_iterates(problem, spec, lam, n_iters):
     takes its weights at the last iterate, as ``mm_gks_solve`` does.
     """
     n = problem.forward.cols
-    state = init_state(problem, np.eye(n, order="F"))
+    state = state_on(problem, np.eye(n))
     u = np.zeros(n)
     iterates = []
     for _ in range(n_iters):

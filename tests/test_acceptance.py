@@ -4,10 +4,13 @@ Run with `pytest -s tests/test_acceptance.py` to see the scoreboard:
 majorization conditions, dense-solve equivalence at full subspace dimension,
 monotone descent, the two scaled reconstruction studies (moving-scene
 deblurring and limited-angle tomography), GCV agreement and selection range,
-the operator-algebra identities, and the distance of the restarted solver's
-iterate to the minimizer of J_eps, found by dense Newton.
+the operator-algebra identities, the distance of the restarted solver's
+iterate to the minimizer of J_eps, found by dense Newton, and the solve's
+commuting with the symmetries of the blur.
 """
 
+import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -481,3 +484,46 @@ def test_restarted_solver_reaches_the_newton_minimizer(monkeypatch):
         + ", ".join(f"{name} {d[0]:.1e}|{d[1]:.1e}" for name, d in dist.items())
         + " (bounds in NEWTON_BOUNDS)",
     )
+
+
+# --- 10: the solve commutes with the symmetries of the blur -------------------------
+
+# One symmetric, periodic, separable kernel blurs every frame, so reversing
+# time, transposing v and h and flipping v map the data of a scene to those of
+# the mapped scene, and the anisotropic penalties to themselves: the solve
+# commutes with each map up to rounding, which the projected solves amplify.
+# The bounds are about 100x the relative differences measured under GCV and DP:
+# 1.0e-12 (AnisoTV, TVplusTikhonov, IsoTV, Iso3DTV), 1.2e-8 (GS) and 5.3e-7
+# (Aniso3DTV, whose wide null space leaves lam at the grid floor).  The
+# isotropic penalties group the differences of one voxel, which a reflection
+# pairs differently (Condat 2017): IsoTV and Iso3DTV under a v flip and Iso3DTV
+# under time reversal moved by 7e-3 to 5e-2, and are left out.
+SYMMETRIES = {"time-reversal": lambda v: v[:, :, ::-1], "v-flip": lambda v: v[::-1],
+              "transpose": lambda v: v.transpose(1, 0, 2)}
+SYMMETRY_BOUNDS = {"GS": 1e-6, "Aniso3DTV": 5e-5}
+BROKEN = {("IsoTV", "v-flip"), ("Iso3DTV", "v-flip"), ("Iso3DTV", "time-reversal")}
+
+
+@functools.lru_cache(maxsize=None)
+def mapped_blur_solve(name, symmetry):
+    """u of the 24x24x5 blur solve on the data mapped by `symmetry`, mapped back."""
+    dims, flip = (24, 24, 5), SYMMETRIES.get(symmetry, lambda v: v)  # each its own inverse
+    blur = dv.build_blur_operator(dv.BlurModel(sigma_psf=1.5, bandwidth=4), 24, 24)
+    truth = dv.vec(dv.render_scene(dv.moving_disks_scene(*dims, n_objects=4, seed=3)))
+    problem, data, _, _ = whitened_problem(dv.assemble_dynamic_forward(blur, 5), truth, 0.01, 0)
+    mapped = lambda x: flip(x.reshape(dims, order="F")).ravel(order="F")
+    problem = dataclasses.replace(problem, data=mapped(data), truth=None)
+    config = dv.SolverConfig(regularizer=spec_for(name, dims), max_iters=60)
+    return mapped(dv.mm_gks_solve(problem, config).u)
+
+
+@pytest.mark.parametrize("name, symmetry", [
+    (name, symmetry) for name in METHODS for symmetry in SYMMETRIES
+    if (name, symmetry) not in BROKEN
+])
+def test_solve_commutes_with_the_symmetries_of_the_blur(name, symmetry):
+    base, mapped = mapped_blur_solve(name, None), mapped_blur_solve(name, symmetry)
+    err = np.linalg.norm(mapped - base) / np.linalg.norm(base)
+    bound = SYMMETRY_BOUNDS.get(name, 1e-10)
+    verdict(10, err <= bound, f"24x24x5 blur, {name} under {symmetry}: "
+            f"relative difference {err:.1e} (<= {bound:.0e})")

@@ -93,6 +93,24 @@ def test_blur_adjoint_identity():
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
+def test_blur_stack_apply_holds_two_columns():
+    # the frames enter the first product as a view of the column, and its
+    # result and the second product are all that is formed: 2 columns above
+    # entry, where reshaping the stack between the factors took 3
+    blur = dv.build_blur_operator(dv.BlurModel(sigma_psf=1.0, bandwidth=2), 64, 64)
+    op = dv.assemble_dynamic_forward(blur, 8)
+    x = np.random.default_rng(19).standard_normal(op.cols)
+    for apply in (op.apply, op.apply_adjoint):
+        apply(x)  # outside the trace: any first-call allocation
+        tracemalloc.start()
+        try:
+            apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * x.nbytes
+
+
 # --- parallel-beam Radon -----------------------------------------------------------
 
 

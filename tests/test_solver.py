@@ -1,5 +1,6 @@
 """Subspace seeding, projected solves, expansion, stopping rules, outer loop."""
 
+import copy
 import dataclasses
 import functools
 import tracemalloc
@@ -111,34 +112,26 @@ def test_seed_of_data_in_the_null_space_of_the_adjoint_is_empty_with_breakdown()
     assert breakdown
 
 
-def test_init_state_copies_the_seed_once_into_its_own_buffer(monkeypatch):
-    # init_state alone sizes the basis buffer, min(n, cap) columns, or the
-    # basis's own width if wider, and copies the seed into it once; a basis
-    # already that wide, column-major or not, is copied too, so the caller's
-    # array is never written
+def test_init_state_only_sizes_the_buffers(monkeypatch):
+    # init_state allocates the four buffers at the cap, min(n, cap) columns
+    # (at most m for Q_F), column-major, and fills none of them: dim is 0 and
+    # the forward is not applied, since every column enters by _add_direction
     rng = np.random.default_rng(7)
-    problem = dv.ReconstructionProblem(
-        forward=random_forward(rng, 20, 12), data=rng.standard_normal(20)
-    )
-    seed, breakdown = seed_subspace(problem, 3)
-    basis = seed.basis
-    assert basis.shape == (12, 3) and not breakdown
-    for cap, want in ((2, 3), (7, 7), (40, 12)):
+    counts = Counter()
+    for rows, cap, want in ((20, 2, 2), (20, 7, 7), (20, 40, 12), (5, 7, 7)):
+        problem = dv.ReconstructionProblem(
+            forward=random_forward(rng, rows, 12), data=rng.standard_normal(rows)
+        )
+        problem.forward = CountingOperator(problem.forward, counts, "F")  # past the type check
         monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", cap)
-        state = init_state(problem, basis)
-        assert not np.shares_memory(state.basis, basis)
-        assert state.max_dim == want and state.basis_buf.flags.f_contiguous
-        assert state.q_f_buf.shape == (20, want) and state.q_f_buf.flags.f_contiguous
-        np.testing.assert_array_equal(state.basis, basis)
-        assert state.basis.strides == basis.strides
-    full = np.asfortranarray(np.linalg.qr(rng.standard_normal((12, 12)))[0])
-    for wide in (full, np.ascontiguousarray(full)):
-        for cap in (7, 40):
-            monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", cap)
-            state = init_state(problem, wide)
-            assert not np.shares_memory(state.basis, wide)
-            assert state.max_dim == 12 and state.basis_buf.flags.f_contiguous
-            np.testing.assert_array_equal(state.basis, wide)
+        state = init_state(problem)
+        p = min(rows, want)
+        assert state.dim == 0 and state.max_dim == want
+        for buf, shape in ((state.basis_buf, (12, want)), (state.q_f_buf, (rows, p)),
+                           (state.r_f_buf, (p, want)), (state.rhs_buf, (p,))):
+            assert buf.shape == shape and buf.flags.f_contiguous
+        assert state.basis.shape == (12, 0) and state.q_f.shape == (rows, 0)
+    assert not counts
 
 
 def test_init_state_sizes_the_basis_by_its_byte_budget(monkeypatch):
@@ -150,14 +143,13 @@ def test_init_state_sizes_the_basis_by_its_byte_budget(monkeypatch):
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, m, n), data=rng.standard_normal(m)
     )
-    basis = seed_subspace(problem, 3)[0].basis
     floor, ceiling = dv.solver._MIN_BASIS_COLS, dv.solver._MAX_BASIS_COLS
     column = 8 * (n + m)
     for budget, want in (
         (20 * column, 20), (21 * column - 1, 20), (5 * column, floor), (100 * column, ceiling),
     ):
         monkeypatch.setattr(dv.solver, "_BASIS_BYTES", budget)
-        state = init_state(problem, basis)
+        state = init_state(problem)
         assert state.max_dim == want and state.q_f_buf.shape == (m, want)
     # at the real budget a 128x128x8 deblur (n + m = 262,144) restarts at 8
     # columns, and a 64x64x8 one, the largest the other tests solve, at 30
@@ -166,22 +158,7 @@ def test_init_state_sizes_the_basis_by_its_byte_budget(monkeypatch):
         blur = dv.build_blur_operator(dv.BlurModel(sigma_psf=1.0, bandwidth=2), side, side)
         forward = dv.assemble_dynamic_forward(blur, 8)
         problem = dv.ReconstructionProblem(forward=forward, data=np.ones(forward.rows))
-        assert init_state(problem, np.eye(forward.cols, 1)).max_dim == want
-
-
-@pytest.mark.parametrize("basis", [np.ones(8), np.ones((7, 2))], ids=["vector", "wrong-rows"])
-def test_init_state_rejects_a_basis_of_the_wrong_shape(basis):
-    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(8)), data=np.ones(8))
-    with pytest.raises(ValueError, match="basis must be n x d"):
-        init_state(problem, basis)
-
-
-def test_init_state_rejects_empty_basis():
-    # refused up front; accepted, it would fail later inside the stencil of
-    # the first penalty refresh
-    problem = dv.ReconstructionProblem(forward=DenseOperator(np.eye(8)), data=np.ones(8))
-    with pytest.raises(ValueError, match="at least one column"):
-        init_state(problem, np.zeros((8, 0)))
+        assert init_state(problem).max_dim == want
 
 
 # --- projected solves --------------------------------------------------------------
@@ -229,7 +206,7 @@ def test_projected_pair_pads_wide_factor_square():
         forward=random_forward(rng, 2, 8), data=rng.standard_normal(2)
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
-    state = init_state(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0])
+    state = oracles.state_on(problem, np.linalg.qr(rng.standard_normal((8, 3)))[0])
     _, pair = refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
     # the refresh factors the 2 x 3 R_F, padded square inside the pair
     r_f, r_m, rhs = state.r_f, pair.r_m, state.rhs_hat
@@ -307,7 +284,7 @@ def test_refresh_penalty_rank_deficient_block_falls_back_to_householder(method):
     problem = dv.ReconstructionProblem(
         forward=random_forward(rng, 60, spec.n), data=rng.standard_normal(60)
     )
-    state = init_state(problem, np.eye(spec.n))
+    state = oracles.state_on(problem, np.eye(spec.n))
     _, pair = refresh_penalty(state, spec, oracles.sums_at(spec, u))
     np.testing.assert_array_equal(pair.r_m, want)
 
@@ -329,7 +306,7 @@ def test_expand_full_basis_returns_false():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(2, 2, 2))
     d_op = build_D(spec)
-    state = init_state(problem, np.eye(8))
+    state = oracles.state_on(problem, np.eye(8))
     weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(8)))
     y = solve_projected(pair, 0.5)
     assert not oracles.expand_at_solve(state, problem, d_op, weights, 0.5, y)
@@ -355,8 +332,8 @@ def test_expand_stalls_when_solution_is_in_span():
 
 def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
     # init_state sizes the buffers of V, Q_F, R_F and Q_Fᵀb once, at the cap
-    # (lowered here to max_dim columns), and appends the seed's columns of
-    # A V one at a time; every expansion writes into the same buffers, so
+    # (lowered here to max_dim columns), and the seed appends its columns
+    # one at a time; every expansion writes into the same buffers, so
     # the fields keep sharing memory with the first views, and a full basis
     # stops growing.  Five data rows: q_f fills its five columns after two
     # expansions and then stays put.
@@ -368,16 +345,14 @@ def test_expansions_fill_the_buffers_init_state_allocated(monkeypatch):
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims)
     d_op = build_D(spec)
-    basis = seed_subspace(problem, 3)[0].basis
-    assert basis.shape == (n, 3)
     monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", max_dim)
-    state = init_state(problem, basis)
+    state, _ = seed_subspace(problem, 3)
     names = ("basis", "q_f", "r_f", "rhs_hat")
     first = {name: getattr(state, name) for name in names}
     assert state.max_dim == max_dim and first["q_f"].shape == (rows, 3)
     np.testing.assert_allclose(state.q_f.T @ state.q_f, np.eye(3), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        state.q_f @ state.r_f, problem.whiten_apply(basis), rtol=0, atol=1e-12
+        state.q_f @ state.r_f, problem.whiten_apply(state.basis), rtol=0, atol=1e-12
     )
     u = np.zeros(n)
     for d in range(4, max_dim + 2):
@@ -516,7 +491,7 @@ def test_problem_rejects_data_whose_squared_norm_overflows():
 
 
 def test_whitened_data_is_formed_once_and_read_only():
-    # every expansion, the seed, init_state and residual_norm read b; it is
+    # every append, the seed, the expansions and residual_norm read b; it is
     # the one array formed at construction, with the values of Γ^{-1/2} d
     rng = np.random.default_rng(27)
     data, cov = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
@@ -662,7 +637,7 @@ def test_restart_bounds_the_basis_and_the_objective_keeps_descending():
 
 
 def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypatch):
-    # V C, Q_F Q', R' and (Q_F Q')ᵀb are written into the buffers init_state
+    # V C, Q_F Q', R' and (Q_F Q')ᵀb are written over the buffers init_state
     # allocated; the iterate V y is unchanged, the last iterates stay in the
     # span, V stays orthonormal and Q_F R_F = A V holds without a forward apply
     first, restarts = {}, []
@@ -670,7 +645,8 @@ def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypa
 
     def init_state(*args):
         state = init_state_fn(*args)
-        first.update(basis=state.basis, q_f=state.q_f, r_f=state.r_f, rhs_hat=state.rhs_hat)
+        first.update(basis=state.basis_buf, q_f=state.q_f_buf, r_f=state.r_f_buf,
+                     rhs_hat=state.rhs_buf)
         return state
 
     def restart(state, problem, iterates):
@@ -688,8 +664,8 @@ def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypa
         np.testing.assert_allclose(state.basis.T @ state.basis, np.eye(state.dim), atol=1e-12)
         aw = problem.whiten_apply(state.basis)
         np.testing.assert_allclose(state.q_f @ state.r_f, aw, atol=1e-12 * np.linalg.norm(aw))
-        for name, view in first.items():
-            assert np.shares_memory(getattr(state, name), view), name
+        for name, buf in first.items():
+            assert np.shares_memory(getattr(state, name), buf), name
 
     monkeypatch.setattr(dv.solver, "init_state", init_state)
     monkeypatch.setattr(dv.solver, "_restart", restart)
@@ -809,7 +785,10 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     )
     spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=dims)
     d_op = build_D(spec)
-    state = init_state(problem, np.linalg.qr(rng.standard_normal((n, 5)))[0])
+    state = init_state(problem)
+    for v in rng.standard_normal((5, n)):
+        assert dv.solver._add_direction(state, problem, v, 0.0)
+    spare = copy.deepcopy(state)  # five columns, for the Q_F append below
     weights, _ = refresh_penalty(state, spec, oracles.sums_at(spec, np.zeros(n)))
     basis, q_f = state.basis.copy(), state.q_f.copy()
     nearly_in_span = basis @ rng.standard_normal(5) + 1e-8 * rng.standard_normal(n)
@@ -822,10 +801,9 @@ def test_orthogonalization_takes_the_second_pass_when_the_first_cancels():
     assert abs(np.linalg.norm(v_new) - 1) <= 1e-14
 
     a = q_f @ rng.standard_normal(5) + 1e-8 * rng.standard_normal(n)
-    state = init_state(problem, basis)
-    dv.solver._append_forward_qr(state, problem, a.copy())
-    assert np.abs(q_f.T @ state.q_f[:, -1]).max() <= 1e-14
-    np.testing.assert_allclose(state.q_f @ state.r_f[:, -1], a, rtol=0, atol=1e-15)
+    dv.solver._append_forward_qr(spare, problem, a.copy())
+    assert np.abs(q_f.T @ spare.q_f[:, -1]).max() <= 1e-14
+    np.testing.assert_allclose(spare.q_f @ spare.r_f[:, -1], a, rtol=0, atol=1e-15)
 
 
 def test_full_space_matches_dense_mm_iterates(monkeypatch):
@@ -1003,15 +981,17 @@ class CountingOperator:
 
 
 def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeypatch):
-    # The residual of u = V y comes from the kept factors Q_F R_F y, and the
-    # seed grows as the expansions do, so the forward is applied once per
-    # basis column, the seed's included, to that column alone.  z = D u is
+    # The residual of u = V y comes from the kept factors Q_F R_F y, and
+    # init_state only sizes the buffers, so every basis column, the seed's
+    # first included, enters by _add_direction (this run never restarts), and
+    # each that it adds takes one forward apply, to it alone.  z = D u is
     # formed once per iterate and serves the expansion and the penalty sums,
     # which give the objective and the next weights; the first weights, at
     # u = 0, take the sums of a zero z, with no D apply.
     # The Gram sweeps of the refresh reach D through row_blocks, counted apart.
     counts = Counter()
     build_d, sums = dv.regularization.build_D, dv.solver.penalty_sums
+    add_direction = dv.solver._add_direction
     for module in (dv.solver, dv.regularization):
         monkeypatch.setattr(
             module, "build_D", lambda spec: CountingOperator(build_d(spec), counts, "D")
@@ -1021,7 +1001,13 @@ def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeyp
         counts["sums"] += 1
         return sums(spec, z)
 
+    def counted_add(*args):
+        added = add_direction(*args)
+        counts["added"] += added
+        return added
+
     monkeypatch.setattr(dv.solver, "penalty_sums", counted_sums)
+    monkeypatch.setattr(dv.solver, "_add_direction", counted_add)
     blurred = blur_problem((8, 8, 2), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
     problem = dv.ReconstructionProblem(forward=blurred.forward, data=blurred.data)
     problem.forward = CountingOperator(blurred.forward, counts, "F")  # past the type check
@@ -1032,7 +1018,7 @@ def test_solve_applies_forward_once_per_expansion_and_d_once_per_iterate(monkeyp
     expansions = iters - 1
     assert result.iterations == iters
     assert result.history[-1].subspace_dim == seed + expansions
-    assert counts["F.cols"] == counts["F.apply"] == seed + expansions
+    assert counts["added"] == counts["F.cols"] == counts["F.apply"] == seed + expansions
     assert counts["F.adjoint"] == seed + expansions
     assert counts["D.apply"] == iters
     assert counts["sums"] == iters + 1  # at u = 0 and at each iterate
