@@ -40,9 +40,9 @@ time, since the noise covariance is fixed.  V, Q_F, R_F and Q_Fᵀb live in
 buffers that ``init_state`` alone sizes, once, at the cap, and leaves empty;
 every column, the seed's first included, enters them by one append,
 ``_add_direction``, after one forward apply to that column alone.  A restart
-writes the kept prefix of all four, V C and Q_F Q' one row block at a time,
-with no temporary as tall as a column; the state's fields view the filled
-parts, and no buffer is ever regrown.
+writes the kept prefix of all four, V C and Q_F Q' formed whole first: n x 3
+and m x 3 values, less than the expansion that follows it holds.  The
+state's fields view the filled parts, and no buffer is ever regrown.
 
 Each iterate u = V y is the minimizer of its projected majorant and is reported
 as it is, so every step is a majorize-minimize step.  It is formed once, and so
@@ -448,7 +448,7 @@ def mm_gks_solve(problem, config):
 # directions and Householder takes over.
 _ONE_PASS_MAX_COND = 1e3
 _CHOLQR_MAX_COND = 1e7
-# Elements per row block of the Gram sweeps and the restart (256 KB).  A Gram
+# Elements per row block of the Gram sweeps (256 KB).  A Gram
 # row block holds the rows of one block of D for as many whole frames as fit,
 # so W D V is never held at full size, but never less than one frame, so this
 # is no bound on it: one frame of the v block at 128x128 is 16,256 x 8 values,
@@ -534,37 +534,25 @@ def _restart(state, problem, iterates):
     the thin Q of them, zero-padded to the basis's d columns.  V C replaces
     V and, since A V C = Q_F (R_F C), the QR Q'R' of R_F C gives the forward
     factors Q_F Q' and R' without a forward apply.  All four are written over
-    the prefixes of their buffers, V C and Q_F Q' one row block of at most
-    ``_GRAM_BLOCK_ELEMS`` read elements at a time, so no temporary of a full
-    column's length is made.  The kept coefficients, the current y among
-    them, become Cᵀ y_j: every iterate V y_j stays in the span, so under a
-    fixed λ the next majorant cannot raise the objective.
+    the prefixes of their buffers; numpy forms V C and Q_F Q' whole before
+    it writes them, n x 3 and m x 3 values one after the other, which peaks
+    at least one n-vector below the expansion that follows.  The kept coefficients, the
+    current y among them, become Cᵀ y_j: every iterate V y_j stays in the
+    span, so under a fixed λ the next majorant cannot raise the objective.
     """
     ys = np.zeros((state.dim, len(iterates)))
     for j, y in enumerate(iterates):
         ys[: y.size, j] = y
     c = np.linalg.qr(ys)[0]
     q, r = np.linalg.qr(state.r_f @ c)
-    _write_product(state.basis_buf, state.basis, c)
-    _write_product(state.q_f_buf, state.q_f, q)
+    state.basis_buf[:, : c.shape[1]] = state.basis @ c
+    state.q_f_buf[:, : q.shape[1]] = state.q_f @ q
     state.r_f_buf[: r.shape[0], : r.shape[1]] = r
     state.dim = c.shape[1]
     state.rhs_buf[: r.shape[0]] = state.q_f.T @ problem.whitened_data
     kept = c.T @ ys
     iterates.clear()
     iterates.extend(kept.T)
-
-
-def _write_product(buf, old, right):
-    """Write old @ right over the first columns of buf, whose first columns old views.
-
-    A row block of the product reads only its own rows, so each block is
-    written over the rows it was formed from.
-    """
-    k = right.shape[1]
-    step = max(1, _GRAM_BLOCK_ELEMS // old.shape[1])
-    for first in range(0, old.shape[0], step):
-        buf[first : first + step, :k] = old[first : first + step] @ right
 
 
 def _orthogonalize(q, a):

@@ -673,29 +673,41 @@ def test_restart_keeps_the_iterate_and_the_factors_in_the_first_buffers(monkeypa
     assert restarts == [dv.solver._RESTART_ITERATES] * 2
 
 
-def test_restart_writes_its_products_one_row_block_at_a_time(monkeypatch):
-    # V C and Q_F Q' are formed a row block of at most _GRAM_BLOCK_ELEMS read
-    # elements at a time and written over the rows they were read from, so the
-    # restart allocates a fraction of one n x keep product; on this 32x32x4
-    # deblur the 30-column basis splits into four row blocks
-    problem = blur_problem((32, 32, 4), 1.0, 3, 0.0, scene_seed=5, noise_seed=0)
-    spec = dv.RegularizerSpec(method=dv.Method.ANISO_TV, dims=(32, 32, 4))
-    config = dv.SolverConfig(regularizer=spec, lam=0.2, max_iters=27, rel_change_tol=0.0)
-    peaks, restart_fn = [], dv.solver._restart
+@pytest.mark.parametrize("method", list(dv.Method))
+def test_restart_peaks_below_the_expansion_that_follows(method, monkeypatch):
+    # the restart forms V C whole, n x 3 values, and writes it over the first
+    # columns of its buffer before it forms Q_F Q', m x 3; the expansion that
+    # follows holds more (W² D x, its image under Dᵀ, the forward's adjoint
+    # of the residual), so the restart never sets a solve's peak.  On this
+    # 64x64x8 blur (m = n), whose 8-column cap restarts it twice in 14
+    # iterations, the margin is at least one n-vector for every method; a
+    # restart that formed both products before writing either would hold 6
+    # n-vectors and pass every expansion
+    problem = blur_problem((64, 64, 8), 1.0, 2, 0.0, scene_seed=1, noise_seed=0)
+    spec = dv.RegularizerSpec(method=method, dims=(64, 64, 8))
+    config = dv.SolverConfig(regularizer=spec, lam=1.0, max_iters=14, rel_change_tol=0.0)
+    build_D(spec)  # the cached stencil, built outside the traces
+    monkeypatch.setattr(dv.solver, "_MAX_BASIS_COLS", 8)
+    peaks = {"_restart": [], "expand_subspace": []}
 
-    def restart(state, problem, iterates):
-        tracemalloc.start()
-        try:
-            restart_fn(state, problem, iterates)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    def traced(name):
+        fn = getattr(dv.solver, name)
 
-    monkeypatch.setattr(dv.solver, "_restart", restart)
+        def wrapper(*args):
+            tracemalloc.start()
+            try:
+                return fn(*args)
+            finally:
+                peaks[name].append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(dv.solver, name, wrapper)
+
+    traced("_restart")
+    traced("expand_subspace")
     dv.mm_gks_solve(problem, config)
-    n, keep = problem.forward.cols, dv.solver._RESTART_ITERATES
-    assert n > 3 * (dv.solver._GRAM_BLOCK_ELEMS // dv.solver._MAX_BASIS_COLS)
-    assert len(peaks) == 1 and peaks[0] <= 8 * n * keep // 2
+    assert len(peaks["_restart"]) == 2 and len(peaks["expand_subspace"]) == 13
+    assert max(peaks["_restart"]) < min(peaks["expand_subspace"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -917,12 +929,14 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters):
     # this iterate and, while it forms, of the last; the weights; the penalty
     # sums, held from the objective to the next refresh; W² D x) and the
     # one-frame row blocks of the Gram sweep: 6.5 rows(D) values leave room
-    # for them, and the peaks sit at 5.2 (tomography) and 5.5 (blur).  A
-    # value, weight or expansion step that kept two more temporaries, or a
-    # restart that formed its products whole, does not fit: those took the
-    # excess to 7.4 and 10.8.  A second copy of the basis buffer fits even
-    # less: it would take the peaks of 12.7 MB (tomography, bound 13.6 MB) and
-    # 19.9 MB (blur, bound 20.6 MB) to 20.5 and 27.7 MB.
+    # for them, and the peaks sit at 5.2 (tomography) and 5.5 (blur).  The
+    # restart's n x 3 and m x 3 products stay below the expansion's peak
+    # (test_restart_peaks_below_the_expansion_that_follows).  An expansion
+    # that kept W² D x and two copies of it through the forward's adjoint
+    # does not fit: it takes the excess to 7.9 and 8.2.  A second copy of
+    # the basis buffer fits even less: it would take the peaks of 12.7 MB
+    # (tomography, bound 13.6 MB) and 19.9 MB (blur, bound 20.6 MB) to 20.5
+    # and 27.7 MB.
     n_v, n_t = 64, 8
     if experiment == "tomography":
         model = dv.RadonModel(image_side=n_v, n_time_steps=n_t, n_angles_per_step=5)
