@@ -33,7 +33,7 @@ method with no block left there (``Aniso3DTV``) is refused.  Only R_eps is
 evaluated here, from the ``penalty_sums`` of z; R, at eps = 0, is a test oracle.
 
 For the iteratively reweighted scheme the diagonal weights W(u_k) are each
-group's smoothed squared norm at power -1/4, repeated on the group's rows,
+group's smoothed norm at power -1/2, repeated on the group's rows,
 and 1 on the quadratic rows, so that M = W D gives the quadratic tangent
 majorant
 
@@ -291,7 +291,7 @@ def build_D(spec):
 
 
 def penalty_sums(spec, z):
-    """Smoothed squared group norms ||z_g||^2 + eps^2 of z = D u, and (1/2)||z_quad||^2."""
+    """Smoothed group norms sqrt(||z_g||^2 + eps^2) of z = D u, and (1/2)||z_quad||^2."""
     d_op, group, n_quad = _penalty(spec.method, spec.dims)
     if z.shape != (d_op.rows,):
         raise ValueError(f"z of shape {z.shape} is not D u for dims {spec.dims}")
@@ -300,19 +300,21 @@ def penalty_sums(spec, z):
     if group is not None:
         s = np.bincount(group, s)
     s += spec.epsilon**2  # s is a new array, so in place
+    np.sqrt(s, out=s)
     # not z[m:] itself: that view would keep all of z alive in the caller
     return s, 0.5 * (z[m:] @ z[m:])
 
 
 def regularizer_value(sums):
     """R_eps(u) from the ``penalty_sums`` at u, which it leaves as they are."""
-    return float(np.sum(np.sqrt(sums[0])) + sums[1])
+    return float(np.sum(sums[0]) + sums[1])
 
 
 def update_weights(spec, sums):
     """Diagonal of W(u_k), one entry per row of D, from (and in) the ``penalty_sums`` at u_k."""
     _, group, n_quad = _penalty(spec.method, spec.dims)
-    w = np.power(sums[0], -0.25, out=sums[0])
+    w = np.sqrt(sums[0], out=sums[0])
+    np.divide(1.0, w, out=w)
     if group is not None:
         w = w[group]
     if n_quad:

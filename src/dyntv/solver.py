@@ -49,13 +49,13 @@ as it is, so every step is a majorize-minimize step.  It is formed once, and so
 are the vectors that several steps share.  Its whitened residual A u - b comes
 from the kept factors as Q_F R_F y - b, without a forward apply, and serves the
 discrepancy test, the objective and the expansion.  z = D u serves the
-expansion and the penalty sums, the smoothed squared group norms that give both
+expansion and the penalty sums, the smoothed group norms that give both
 R_eps(u) for the objective and the next refresh's weights; the first weights,
 at u = 0, take the sums of a zero z.  The forward is thus applied once per
 basis column and D once per iterate, besides the stencil passes of the Gram
 sweeps.  The weights are formed in place on the sums, the old weights are
-dropped first, and W² D x takes one buffer, so no step holds more than one
-rows(D) temporary besides z, the sums and the weights.
+dropped first, and W² D x is formed in the spent weights, so no step holds
+more than one rows(D) temporary besides z, the sums and the weights.
 """
 
 from __future__ import annotations
@@ -351,16 +351,17 @@ def expand_subspace(state, problem, d_op, weights, lam, x, res_w, dx):
     x = V y is the iterate of the last projected solve, ``weights`` the
     diagonal of W that its majorant was refreshed with, ``res_w`` its whitened
     residual A x - b and ``dx`` = D x, all as the outer loop already holds
-    them.  Returns True when a direction was added; False when the basis
-    already has ``state.max_dim`` columns (at most n) or the residual has
-    converged to zero.
+    them; the weights are spent, since W² D x is formed in them.  Returns
+    True when a direction was added; False when the basis already has
+    ``state.max_dim`` columns (at most n) or the residual has converged to
+    zero.
     """
     if state.dim >= state.max_dim:
         return False
-    w2dx = np.square(weights)  # W² D x in one rows(D) buffer
+    w2dx = np.square(weights, out=weights)  # W² D x in the spent weights
     w2dx *= dx
-    r = lam * d_op.apply_adjoint(w2dx)
-    del w2dx  # before the forward's adjoint allocates
+    r = d_op.apply_adjoint(w2dx)
+    r *= lam
     r += problem.whiten_adjoint(res_w)
     return _add_direction(state, problem, r, 1e-14 * max(1.0, float(np.linalg.norm(x))))
 
@@ -448,11 +449,11 @@ def mm_gks_solve(problem, config):
 # directions and Householder takes over.
 _ONE_PASS_MAX_COND = 1e3
 _CHOLQR_MAX_COND = 1e7
-# Elements per row block of the Gram sweeps (256 KB).  A Gram
-# row block holds the rows of one block of D for as many whole frames as fit,
-# so W D V is never held at full size, but never less than one frame, so this
-# is no bound on it: one frame of the v block at 128x128 is 16,256 x 8 values,
-# 1.0 MB, at the 8 columns a 128x128x8 deblur reaches, and 3.9 MB at d = 30.
+# Elements per row block of the Gram sweeps (256 KB).  A row block holds the
+# rows of one block of D for as many whole frames as fit, so W D V is never
+# held at full size, but never less than one frame, so this is no bound on
+# it: one frame of the v block at 128x128 is 16,256 x 8 values, 1.0 MB, at
+# the 8 columns a 128x128x8 deblur reaches, and 3.9 MB at d = 30.
 # Splitting frames into row ranges was dropped: such a block does not set a
 # solve's peak, and it saved under 1 MB.
 _GRAM_BLOCK_ELEMS = 1 << 15
@@ -535,8 +536,8 @@ def _restart(state, problem, iterates):
     V and, since A V C = Q_F (R_F C), the QR Q'R' of R_F C gives the forward
     factors Q_F Q' and R' without a forward apply.  All four are written over
     the prefixes of their buffers; numpy forms V C and Q_F Q' whole before
-    it writes them, n x 3 and m x 3 values one after the other, which peaks
-    at least one n-vector below the expansion that follows.  The kept coefficients, the
+    it writes them, n x 3 and m x 3 values one after the other, which stays
+    below the peak of the expansion that follows.  The kept coefficients, the
     current y among them, become Cᵀ y_j: every iterate V y_j stays in the
     span, so under a fixed λ the next majorant cannot raise the objective.
     """

@@ -313,7 +313,7 @@ def expand_at_solve(state, problem, d_op, weights, lam, y):
     Forms x, its whitened residual from the kept factors and D x as the
     outer loop of ``mm_gks_solve`` does, for tests that drive the solver's
     steps one by one; ``weights`` are those the refresh before that solve
-    returned.
+    returned, which the expansion spends.
     """
     x = state.basis @ y
     res_w = state.q_f @ (state.r_f @ y) - problem.whitened_data

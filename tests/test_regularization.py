@@ -79,12 +79,13 @@ def test_build_d_rejects_wrong_length():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_regularizer_value_zero_at_zero(method, monkeypatch):
-    # R(0) = 0: every group norm of D 0 is zero, so the sums hold eps² alone
-    # and R_eps(0) is the smoothing floor, eps per group (exact at eps = 0.5)
+    # R(0) = 0: every group norm of D 0 is zero, so the smoothed norms are
+    # eps alone and R_eps(0) is the smoothing floor, eps per group (exact at
+    # eps = 0.5)
     monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 0.5)
     spec = spec_for(method, (3, 3, 2))
     s, quad = sums_at(spec, np.zeros(18))
-    assert quad == 0.0 and np.all(s == 0.25)
+    assert quad == 0.0 and np.all(s == 0.5)
     assert regularizer_value((s, quad)) == 0.5 * s.size
 
 
@@ -232,13 +233,14 @@ def traced_peak(fn, *args, **kwargs):
 @pytest.mark.parametrize("smoothed", [False, True], ids=["plain", "smoothed"])
 @pytest.mark.parametrize("method", METHODS)
 def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed, monkeypatch):
-    # the sums add eps² to the squared group norms s in place; the value
-    # sum sqrt(s + eps²) leaves them as they are, since the next weights read
-    # them, and the weights (s + eps²)^(-1/4) are formed in place on them.  Both
-    # are bitwise those of the out-of-place formulas, the caller's z = D u is
-    # left as it was, and neither allocates more than the group sums
-    # themselves and the weights.  The plain case runs at eps = 1e-150, whose
-    # square is below half an ulp of every s here, so R_eps is bitwise R
+    # the sums are the smoothed group norms sqrt(s + eps²), formed in place on
+    # the squared group norms s; the value, their sum, leaves them as they
+    # are, since the next weights read them, and the weights, their inverse
+    # square roots, are formed in place on them.  Both are bitwise those of
+    # the out-of-place formulas, the caller's z = D u is left as it was, and
+    # neither allocates more than the group sums themselves and the weights.
+    # The plain case runs at eps = 1e-150, whose square is below half an ulp
+    # of every s here, so R_eps is bitwise R
     if not smoothed:
         monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-150)
     spec = spec_for(method, (32, 32, 4))
@@ -252,7 +254,7 @@ def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed, mon
         s = np.bincount(group, s)
     eps2 = spec.epsilon**2
     want_value = float(np.sum(np.sqrt(s + (eps2 if smoothed else 0.0))) + 0.5 * (z[m:] @ z[m:]))
-    want_w = (s + eps2) ** -0.25
+    want_w = 1.0 / np.sqrt(np.sqrt(s + eps2))
     if group is not None:
         want_w = want_w[group]
     want_w = np.concatenate([want_w, np.ones(n_quad)])

@@ -414,11 +414,12 @@ def test_expand_appends_dense_normal_equations_residual(monkeypatch):
     basis = state.basis
     weights, pair = refresh_penalty(state, spec, oracles.sums_at(spec, rng.standard_normal(n)))
     y = solve_projected(pair, lam)
+    w = weights.copy()  # the expansion forms W² D u in the weights
     assert oracles.expand_at_solve(state, problem, d_op, weights, lam, y)
 
     a, d = oracles.dense(problem.forward), oracles.dense(d_op)
     u = basis @ y
-    r = a.T @ ((a @ u - problem.data) / gamma) + lam * d.T @ (weights**2 * (d @ u))
+    r = a.T @ ((a @ u - problem.data) / gamma) + lam * d.T @ (w**2 * (d @ u))
     r -= basis @ (basis.T @ r)
     np.testing.assert_allclose(state.basis[:, -1], r / np.linalg.norm(r), rtol=0, atol=1e-10)
 
@@ -680,8 +681,8 @@ def test_restart_peaks_below_the_expansion_that_follows(method, monkeypatch):
     # follows holds more (W² D x, its image under Dᵀ, the forward's adjoint
     # of the residual), so the restart never sets a solve's peak.  On this
     # 64x64x8 blur (m = n), whose 8-column cap restarts it twice in 14
-    # iterations, the margin is at least one n-vector for every method; a
-    # restart that formed both products before writing either would hold 6
+    # iterations, the margin is one n-vector for every method; a restart
+    # that formed both products before writing either would hold 6
     # n-vectors and pass every expansion
     problem = blur_problem((64, 64, 8), 1.0, 2, 0.0, scene_seed=1, noise_seed=0)
     spec = dv.RegularizerSpec(method=method, dims=(64, 64, 8))
@@ -926,17 +927,17 @@ def test_solve_peak_memory_holds_no_copy_of_d_v(experiment, max_iters):
     # never copied: (n + m) 30 values.  Both runs pass the cap once, so the
     # restart shrinks the basis to the kept iterates and d ends below it.  The
     # refresh, the objective and the expansion add rows(D)-vectors (D u of
-    # this iterate and, while it forms, of the last; the weights; the penalty
-    # sums, held from the objective to the next refresh; W² D x) and the
-    # one-frame row blocks of the Gram sweep: 6.5 rows(D) values leave room
-    # for them, and the peaks sit at 5.2 (tomography) and 5.5 (blur).  The
-    # restart's n x 3 and m x 3 products stay below the expansion's peak
+    # this iterate and, while it forms, of the last; the weights, which the
+    # expansion turns into W² D x; the penalty sums, held from the objective
+    # to the next refresh) and the one-frame row blocks of the Gram sweep:
+    # 6.5 rows(D) values leave room for them, and the peaks sit at 4.9
+    # (tomography) and 5.2 (blur).  The restart's n x 3 and m x 3 products
+    # stay below the expansion's peak
     # (test_restart_peaks_below_the_expansion_that_follows).  An expansion
-    # that kept W² D x and two copies of it through the forward's adjoint
-    # does not fit: it takes the excess to 7.9 and 8.2.  A second copy of
-    # the basis buffer fits even less: it would take the peaks of 12.7 MB
-    # (tomography, bound 13.6 MB) and 19.9 MB (blur, bound 20.6 MB) to 20.5
-    # and 27.7 MB.
+    # that kept two copies of W² D x through the forward's adjoint does not
+    # fit: it takes the excess to 6.9 and 7.2.  A second copy of the basis
+    # buffer fits even less: it would take the peaks of 12.4 MB (tomography,
+    # bound 13.6 MB) and 19.6 MB (blur, bound 20.6 MB) to 20.2 and 27.5 MB.
     n_v, n_t = 64, 8
     if experiment == "tomography":
         model = dv.RadonModel(image_side=n_v, n_time_steps=n_t, n_angles_per_step=5)
