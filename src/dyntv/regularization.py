@@ -12,10 +12,11 @@ built.  A block takes first differences along the axes it names (several
 axes: the mixed difference) and groups its rows one way:
 
 - ``row``    each row is its own group,
-- ``voxel``  the block is padded to n rows and row i joins group i, so the
-             directions at one voxel share a norm,
-- ``pixel``  the spatial gradient of every frame; its row i in each frame
-             joins group i, so one gradient pixel is grouped across time,
+- ``voxel``  each row joins the group of the voxel it takes its difference
+             at, so the directions at one voxel share a norm (a voxel on
+             the far edge of every block has no row; its norm is zero),
+- ``pixel``  each row joins the group of the same row in every other frame,
+             so one difference pixel is grouped across time,
 - ``quad``   the rows join no group and enter quadratically (listed last).
 
 The six methods:
@@ -25,7 +26,7 @@ The six methods:
 - ``Aniso3DTV``        the mixed vht difference, one row per space-time corner,
 - ``Iso3DTV``          v, h and t differences grouped per voxel,
 - ``IsoTV``            v and h grouped per voxel, t rows each their own group,
-- ``GS``               the spatial gradient grouped per pixel across time.
+- ``GS``               v and h differences, each grouped per pixel across time.
 
 An axis of extent 1 contributes no block, so ``AnisoTV`` on dims
 (n_v, n_h, 1) is the spatial TV of one frame, the per-frame baseline; a
@@ -45,11 +46,12 @@ everywhere.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,7 +109,7 @@ _BLOCKS = {
     Method.ANISO_3D_TV: (("vht", "row"),),
     Method.ISO_3D_TV: (("v", "voxel"), ("h", "voxel"), ("t", "voxel")),
     Method.ISO_TV: (("v", "voxel"), ("h", "voxel"), ("t", "row")),
-    Method.GROUP_SPARSITY: (("vh", "pixel"),),
+    Method.GROUP_SPARSITY: (("v", "pixel"), ("h", "pixel")),
 }
 
 
@@ -145,33 +147,25 @@ class RegularizerSpec:
 class _Stencil(LinearOperator):
     """D as first differences of slices of the (n_v, n_h, n_t, k) volume.
 
-    A block is one part, or for ``pixel`` one part per spatial axis.  A part
-    takes x[:-1] - x[1:] along each of its axes in the order v, h, t, as
-    kron3(t, h, v) does, so mixed differences round the same way; a
-    ``voxel`` part is padded back to full extent with a zero slice.  A
-    block's rows hold its parts frame by frame, each column-major, which is
-    the row order of the Kronecker form.  ``apply`` is ``row_blocks`` over
-    whole blocks.  The adjoint sums parts in order.
+    Each block takes x[:-1] - x[1:] along each of its axes in the order v,
+    h, t, as kron3(t, h, v) does, so mixed differences round the same way.
+    A block's rows hold its differences frame by frame, each column-major,
+    which is the row order of the Kronecker form.  ``apply`` is
+    ``row_blocks`` over whole blocks.  The adjoint sums blocks in order.
     """
 
     kind = "stencil"
 
     def __init__(self, blocks, dims):
         self.dims = dims
-        self.blocks = []  # (first row, last row + 1, parts) per block of `blocks`
+        self.blocks = []  # (first row, differenced axes as 0 = v .. 2 = t, shape) per block
         rows = 0
-        for axes, grouping in blocks:
-            parts, offset = [], 0
-            padded = grouping == "voxel"
-            for part_axes in axes if grouping == "pixel" else (axes,):
-                part_axes = tuple("vht".index(a) for a in part_axes)
-                shape = tuple(n - (i in part_axes and not padded) for i, n in enumerate(dims))
-                parts.append(_Part(part_axes, padded, shape, offset))
-                offset += shape[0] * shape[1]
-            size = offset * parts[0].shape[2]
-            self.blocks.append((rows, rows + size, parts))
-            rows += size
-        super().__init__(rows, dims[0] * dims[1] * dims[2])
+        for axes in blocks:
+            axes = tuple("vht".index(a) for a in axes)
+            shape = tuple(n - (i in axes) for i, n in enumerate(dims))
+            self.blocks.append((rows, axes, shape))
+            rows += math.prod(shape)
+        super().__init__(rows, math.prod(dims))
 
     def row_blocks(self, x, elems=None, out=None):
         """Yield (first row, D[rows] @ x) for consecutive frame ranges of each block.
@@ -182,23 +176,19 @@ class _Stencil(LinearOperator):
         """
         k = x.shape[1]
         vol = x.reshape(self.dims + (k,), order="F")
-        for start, stop, parts in self.blocks:
-            n_t = parts[0].shape[2]
-            per_frame = (stop - start) // n_t
-            step = n_t if elems is None else max(1, elems // (per_frame * k))
-            for t0 in range(0, n_t, step):
-                t1 = min(t0 + step, n_t)
+        for start, axes, shape in self.blocks:
+            per_frame = shape[0] * shape[1]
+            step = shape[2] if elems is None else max(1, elems // (per_frame * k))
+            for t0 in range(0, shape[2], step):
+                t1 = min(t0 + step, shape[2])
                 first, last = start + t0 * per_frame, start + t1 * per_frame
                 z = np.empty((last - first, k), order="F") if out is None else out[first:last]
-                for p, view in _part_views(z, parts, t1 - t0):
-                    src = vol[:, :, t0 : t1 + (2 in p.axes)]
-                    for a in p.axes[:-1]:
-                        src = _cut(src, a, slice(-1)) - _cut(src, a, slice(1, None))
-                    a = p.axes[-1]
-                    if view.shape[a] == src.shape[a]:  # padded: the last slice is zero
-                        _cut(view, a, -1)[...] = 0.0
-                        view = _cut(view, a, slice(-1))
-                    np.subtract(_cut(src, a, slice(-1)), _cut(src, a, slice(1, None)), out=view)
+                src = vol[:, :, t0 : t1 + (2 in axes)]
+                for a in axes[:-1]:
+                    src = _cut(src, a, slice(-1)) - _cut(src, a, slice(1, None))
+                a = axes[-1]
+                np.subtract(_cut(src, a, slice(-1)), _cut(src, a, slice(1, None)),
+                            out=z.reshape(shape[:2] + (t1 - t0, k), order="F"))
                 yield first, z
 
     def _apply(self, x):
@@ -209,29 +199,12 @@ class _Stencil(LinearOperator):
 
     def _apply_adjoint(self, y):
         total = None
-        for start, stop, parts in self.blocks:
-            for p, z in _part_views(y[start:stop], parts, parts[0].shape[2]):
-                if p.padded:
-                    z = _cut(z, p.axes[0], slice(-1))
-                for a in p.axes:
-                    z = _difference_adjoint(z, a)
-                total = z if total is None else np.add(total, z, out=total)
+        for start, axes, shape in self.blocks:
+            z = y[start : start + math.prod(shape)].reshape(shape + (-1,), order="F")
+            for a in axes:
+                z = _difference_adjoint(z, a)
+            total = z if total is None else np.add(total, z, out=total)
         return total.reshape(self.cols, -1, order="F")
-
-
-class _Part(NamedTuple):
-    axes: tuple  # differenced axes (0 = v, 1 = h, 2 = t), in order
-    padded: bool
-    shape: tuple  # (n_v', n_h', n_t') of the part's array
-    offset: int  # first row of the part within a frame of its block
-
-
-def _part_views(z, parts, n_frames):
-    """Each part's (n_v', n_h', n_frames, k) view of rows z, n_frames frames of a block."""
-    frames = z.reshape((-1, n_frames, z.shape[1]), order="F")
-    for p in parts:
-        rows = frames[p.offset : p.offset + p.shape[0] * p.shape[1]]
-        yield p, rows.reshape(p.shape[:2] + rows.shape[1:], order="F")
 
 
 def _cut(z, axis, part):
@@ -254,28 +227,31 @@ def _difference_adjoint(y, axis):
 
 @lru_cache(maxsize=None)
 def _penalty(method, dims):
-    """D of the method, the group of each non-quadratic row, the quadratic row count.
+    """D of the method, the group of each non-quadratic row, the group and quadratic row counts.
 
-    The group index is None when every row is its own group.
+    The group index is None when it is the identity, every row its own group.
     """
-    extent = dict(zip("vht", dims))
     blocks = _kept_blocks(method, dims)
-    d_op = _Stencil(blocks, dims)
-    groups, shared, n_groups, n_quad = [], {}, 0, 0
-    for (_, grouping), (start, stop, _) in zip(blocks, d_op.blocks):
+    d_op = _Stencil([axes for axes, _ in blocks], dims)
+    voxels = np.arange(d_op.cols).reshape(dims, order="F")
+    groups, n_groups, n_quad, first_voxel = [], 0, 0, None
+    for (_, grouping), (_, _, shape) in zip(blocks, d_op.blocks):
         if grouping == "quad":
-            n_quad += stop - start
+            n_quad += math.prod(shape)
             continue
-        local = np.arange(stop - start)
+        if grouping == "voxel":  # one group per voxel, which every voxel block shares
+            if first_voxel is None:
+                first_voxel, n_groups = n_groups, n_groups + voxels.size
+            groups.append(first_voxel + voxels[tuple(map(slice, shape))].ravel(order="F"))
+            continue
+        local = np.arange(math.prod(shape))
         if grouping == "pixel":
-            local %= (stop - start) // extent["t"]
-        # blocks of one voxel or pixel grouping share groups; row blocks do not
-        if grouping == "row" or grouping not in shared:
-            shared[grouping] = n_groups
-            n_groups += int(local.max()) + 1
-        groups.append(shared[grouping] + local)
+            local %= shape[0] * shape[1]
+        groups.append(n_groups + local)
+        n_groups += int(local.max()) + 1
     group = np.concatenate(groups)
-    return d_op, (None if n_groups == group.size else group), n_quad
+    identity = np.array_equal(group, np.arange(group.size))
+    return d_op, (None if identity else group), n_groups, n_quad
 
 
 def _kept_blocks(method, dims):
@@ -292,13 +268,13 @@ def build_D(spec):
 
 def penalty_sums(spec, z):
     """Smoothed group norms sqrt(||z_g||^2 + eps^2) of z = D u, and (1/2)||z_quad||^2."""
-    d_op, group, n_quad = _penalty(spec.method, spec.dims)
+    d_op, group, n_groups, n_quad = _penalty(spec.method, spec.dims)
     if z.shape != (d_op.rows,):
         raise ValueError(f"z of shape {z.shape} is not D u for dims {spec.dims}")
     m = z.size - n_quad
     s = z[:m] ** 2
     if group is not None:
-        s = np.bincount(group, s)
+        s = np.bincount(group, s, minlength=n_groups)  # a voxel may have no row
     s += spec.epsilon**2  # s is a new array, so in place
     np.sqrt(s, out=s)
     # not z[m:] itself: that view would keep all of z alive in the caller
@@ -312,7 +288,7 @@ def regularizer_value(sums):
 
 def update_weights(spec, sums):
     """Diagonal of W(u_k), one entry per row of D, from (and in) the ``penalty_sums`` at u_k."""
-    _, group, n_quad = _penalty(spec.method, spec.dims)
+    _, group, _, n_quad = _penalty(spec.method, spec.dims)
     w = np.sqrt(sums[0], out=sums[0])
     np.divide(1.0, w, out=w)
     if group is not None:

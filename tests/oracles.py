@@ -84,11 +84,8 @@ class DenseOperator(dv.LinearOperator):
         return self.mat.T @ y
 
 
-def diff_matrix(n, padded=False):
-    d = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
-    if padded:
-        d = np.vstack([d, np.zeros(n)])
-    return d
+def diff_matrix(n):
+    return np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
 
 
 def kron3(a, b, c):
@@ -105,28 +102,17 @@ def ls_matrix(n_v, n_h):
 
 
 def d_matrix(method, dims):
+    """Dense D: the v, h and t differences (GS's the first two), or the mixed one."""
     n_v, n_h, n_t = dims
     i_v, i_h, i_t = np.eye(n_v), np.eye(n_h), np.eye(n_t)
     l_v, l_h, l_t = diff_matrix(n_v), diff_matrix(n_h), diff_matrix(n_t)
-    l_v0, l_h0, l_t0 = (
-        diff_matrix(n_v, padded=True),
-        diff_matrix(n_h, padded=True),
-        diff_matrix(n_t, padded=True),
-    )
-    if method in ("AnisoTV", "TVplusTikhonov"):
-        return np.vstack([kron3(i_t, i_h, l_v), kron3(i_t, l_h, i_v), kron3(l_t, i_h, i_v)])
     if method == "Aniso3DTV":
         return kron3(l_t, l_h, l_v)
-    if method == "Iso3DTV":
-        return np.vstack(
-            [kron3(i_t, i_h, l_v0), kron3(i_t, l_h0, i_v), kron3(l_t0, i_h, i_v)]
-        )
-    if method == "IsoTV":
-        return np.vstack(
-            [kron3(i_t, i_h, l_v0), kron3(i_t, l_h0, i_v), kron3(l_t, i_h, i_v)]
-        )
+    blocks = [kron3(i_t, i_h, l_v), kron3(i_t, l_h, i_v), kron3(l_t, i_h, i_v)]
     if method == "GS":
-        return np.kron(i_t, ls_matrix(n_v, n_h))
+        return np.vstack(blocks[:2])
+    if method in ("AnisoTV", "TVplusTikhonov", "Iso3DTV", "IsoTV"):
+        return np.vstack(blocks)
     raise ValueError(method)
 
 
@@ -240,22 +226,19 @@ def weights_vec(method, dims, eps, u):
     if method == "Aniso3DTV":
         z = zv[:, :-1, :-1] - zv[:, 1:, :-1] - (zv[:, :-1, 1:] - zv[:, 1:, 1:])
         return (flat(z) ** 2 + e2) ** -0.25
+    # the isotropic weight of each voxel, gathered by the rows that difference at it
     if method == "Iso3DTV":
         pv, ph, pt = (_pad(z, dims) for z in (zv, zh, zt))
-        core = (flat(pv) ** 2 + flat(ph) ** 2 + flat(pt) ** 2 + e2) ** -0.25
-        return np.tile(core, 3)
+        w = (pv**2 + ph**2 + pt**2 + e2) ** -0.25
+        return np.concatenate([flat(w[:-1]), flat(w[:, :-1]), flat(w[:, :, :-1])])
     if method == "IsoTV":
         pv, ph = _pad(zv, dims), _pad(zh, dims)
-        w_s = (flat(pv) ** 2 + flat(ph) ** 2 + e2) ** -0.25
-        w_t = (flat(zt) ** 2 + e2) ** -0.25
-        return np.concatenate([w_s, w_s, w_t])
+        w = (pv**2 + ph**2 + e2) ** -0.25
+        return np.concatenate([flat(w[:-1]), flat(w[:, :-1]), (flat(zt) ** 2 + e2) ** -0.25])
     if method == "GS":
-        gv = np.sum(zv**2, axis=2)
-        gh = np.sum(zh**2, axis=2)
-        g = np.concatenate(
-            [gv.reshape(-1, order="F"), gh.reshape(-1, order="F")]
-        )
-        return np.tile((g + e2) ** -0.25, dims[2])
+        w_v = (np.sum(zv**2, axis=2) + e2) ** -0.25
+        w_h = (np.sum(zh**2, axis=2) + e2) ** -0.25
+        return np.concatenate([np.tile(flat(w_v), dims[2]), np.tile(flat(w_h), dims[2])])
     raise ValueError(method)
 
 
@@ -432,21 +415,28 @@ def dense_mm_iterates(f_dense, data, gamma_diag, method, dims, eps, lam, n_iters
 
 
 def penalty_groups(method, dims):
-    """Group of each row of ``d_matrix(method, dims)``; -1 marks a quadratic row."""
+    """Group of each row of ``d_matrix(method, dims)``, -1 for a quadratic row; group count.
+
+    An isotropic row's group is the voxel it differences at, the column of
+    its +1 entry; a voxel on the far edge of every block has a group but no row.
+    """
     n_v, n_h, n_t = dims
     n = n_v * n_h * n_t
     rows_v, rows_h = (n_v - 1) * n_h * n_t, n_v * (n_h - 1) * n_t
     rows_t = n_v * n_h * (n_t - 1)
+    voxel = np.argmax(d_matrix(method, dims) == 1, axis=1)
     if method in ("AnisoTV", "Aniso3DTV"):
-        return np.arange(d_matrix(method, dims).shape[0])
+        return np.arange(voxel.size), voxel.size
     if method == "TVplusTikhonov":
-        return np.concatenate([np.arange(rows_v + rows_h), np.full(rows_t, -1)])
+        return np.concatenate([np.arange(rows_v + rows_h), np.full(rows_t, -1)]), rows_v + rows_h
     if method == "Iso3DTV":
-        return np.tile(np.arange(n), 3)
+        return voxel, n
     if method == "IsoTV":
-        return np.concatenate([np.tile(np.arange(n), 2), n + np.arange(rows_t)])
+        return np.concatenate([voxel[: rows_v + rows_h], n + np.arange(rows_t)]), n + rows_t
     if method == "GS":
-        return np.tile(np.arange((rows_v + rows_h) // n_t), n_t)
+        pix_v, pix_h = rows_v // n_t, rows_h // n_t
+        v, h = np.tile(np.arange(pix_v), n_t), pix_v + np.tile(np.arange(pix_h), n_t)
+        return np.concatenate([v, h]), pix_v + pix_h
     raise ValueError(method)
 
 
@@ -462,13 +452,13 @@ def newton_minimizer(f_dense, data, gamma_diag, method, dims, eps, lam):
     inv_sqrt = 1.0 / np.sqrt(gamma_diag)
     a, b = inv_sqrt[:, None] * f_dense, inv_sqrt * data
     d = d_matrix(method, dims)
-    group = penalty_groups(method, dims)
+    group, n_groups = penalty_groups(method, dims)
     quad = group < 0
     same = (group[:, None] == group[None, :]) & ~quad[:, None]
 
     def at(u):
         z, r = d @ u, a @ u - b
-        s = np.bincount(group[~quad], z[~quad] ** 2) + eps**2
+        s = np.bincount(group[~quad], z[~quad] ** 2, minlength=n_groups) + eps**2
         value = 0.5 * r @ r + lam * (np.sum(np.sqrt(s)) + 0.5 * z[quad] @ z[quad])
         return value, z, np.where(quad, 1.0, s[np.maximum(group, 0)]), r
 

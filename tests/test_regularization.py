@@ -18,7 +18,7 @@ def test_build_d_shapes_2x2x2():
     assert build_D(spec_for("AnisoTV", (2, 2, 2))).shape == (12, 8)
     assert build_D(spec_for("TVplusTikhonov", (2, 2, 2))).shape == (12, 8)
     assert build_D(spec_for("Aniso3DTV", (2, 2, 2))).shape == (1, 8)
-    assert build_D(spec_for("Iso3DTV", (2, 2, 2))).shape == (24, 8)
+    assert build_D(spec_for("Iso3DTV", (2, 2, 2))).shape == (12, 8)
 
 
 def test_build_d_rejects_short_axis():
@@ -46,7 +46,7 @@ def test_build_d_matches_dense_oracle(method, dims):
 
 
 # frames per range: one (budget 1), all (None), and two on (16, 16, 4) for
-# every block but GS's at 1600 elements of k = 3 columns
+# every block at 1600 elements of k = 3 columns
 @pytest.mark.parametrize("elems", [1, 1600, None], ids=["one-frame", "some-frames", "whole"])
 @pytest.mark.parametrize("dims", [(8, 3, 2), (5, 2, 3), (2, 2, 2), (16, 16, 4)])
 @pytest.mark.parametrize("method", METHODS + ["static"])
@@ -58,8 +58,17 @@ def test_row_blocks_concatenate_to_apply(method, dims, elems):
     assert firsts == tuple(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
     np.testing.assert_array_equal(np.concatenate(blocks), op.apply(x))
     if elems == 1:
-        frames = [parts[0].shape[2] for _, _, parts in op.blocks]
+        frames = [shape[2] for _, _, shape in op.blocks]
         assert len(blocks) == sum(frames)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_build_d_has_no_zero_row(method):
+    # every row of D is a first difference, none a zero row padded onto a
+    # block; (3, 5, 1) for each method that keeps a block on one frame
+    for dims in [(4, 3, 3)] + ([(3, 5, 1)] if method != "Aniso3DTV" else []):
+        mat = oracles.dense(build_D(spec_for(method, dims)))
+        assert np.all(np.any(mat != 0, axis=1))
 
 
 def test_build_d_maps_constants_to_zero():
@@ -108,7 +117,8 @@ def test_gs_two_frame_worked_example(monkeypatch):
 @pytest.mark.parametrize("method", METHODS)
 def test_regularizer_value_matches_oracle(method):
     rng = np.random.default_rng(12)
-    for dims in ((3, 4, 2), (4, 3, 3)):
+    # on (2, 2, 3) IsoTV has as many rows as groups, and its groups are not its rows
+    for dims in ((3, 4, 2), (4, 3, 3), (2, 2, 3)):
         n = dims[0] * dims[1] * dims[2]
         spec = spec_for(method, dims)
         for _ in range(3):
@@ -126,9 +136,9 @@ def test_oracle_groups_of_the_dense_d_give_the_tensor_value(method):
     dims = (4, 3, 3)
     u = rng.standard_normal(36)
     z = oracles.d_matrix(method, dims) @ u
-    group = oracles.penalty_groups(method, dims)
+    group, n_groups = oracles.penalty_groups(method, dims)
     quad = group < 0
-    value = np.sum(np.sqrt(np.bincount(group[~quad], z[~quad] ** 2) + 1e-6))
+    value = np.sum(np.sqrt(np.bincount(group[~quad], z[~quad] ** 2, minlength=n_groups) + 1e-6))
     value += 0.5 * z[quad] @ z[quad]
     want = oracles.reg_value(method, dims, 1e-3, u, smoothed=True)
     np.testing.assert_allclose(value, want, rtol=1e-12)
@@ -190,27 +200,26 @@ def test_weights_at_zero_tv_plus_tikhonov():
     np.testing.assert_array_equal(w[n_spatial:], 1.0)
 
 
-def test_iso3dtv_weight_blocks_replicated():
+def test_iso3dtv_rows_of_one_voxel_share_its_weight():
     rng = np.random.default_rng(16)
     dims = (3, 3, 2)
     spec = spec_for("Iso3DTV", dims)
     u = rng.standard_normal(18)
     w = update_weights(spec, sums_at(spec, u))
-    block = len(w) // 3
-    np.testing.assert_array_equal(w[:block], w[block : 2 * block])
-    np.testing.assert_array_equal(w[:block], w[2 * block :])
-    # each entry recomputed from the padded difference vectors directly
-    d4 = oracles.d_matrix("Iso3DTV", dims)
-    z = d4 @ u
-    zv, zh, zt = np.split(z, 3)
+    # the voxel each row differences at: the column of its +1 entry
+    voxel = np.argmax(oracles.d_matrix("Iso3DTV", dims) == 1, axis=1)
+    for v in np.unique(voxel):  # one weight per voxel, bitwise
+        assert np.unique(w[voxel == v]).size == 1
+    # each voxel's weight from its differences, zero past the far edge
+    zv, zh, zt = (oracles._pad(z, dims) for z in oracles._diffs(oracles.tensor(u, dims)))
     want = (zv**2 + zh**2 + zt**2 + 1e-6) ** (-0.25)
-    np.testing.assert_allclose(w[:block], want, rtol=1e-12)
+    np.testing.assert_allclose(w, want.reshape(-1, order="F")[voxel], rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_weights_match_oracle_and_rows(method):
     rng = np.random.default_rng(17)
-    for dims in ((3, 4, 2), (4, 3, 3)):
+    for dims in ((3, 4, 2), (4, 3, 3), (2, 2, 3)):
         n = dims[0] * dims[1] * dims[2]
         u = rng.standard_normal(n)
         spec = spec_for(method, dims)
@@ -244,14 +253,14 @@ def test_value_and_weights_work_in_place_on_the_group_sums(method, smoothed, mon
     if not smoothed:
         monkeypatch.setattr(dv.RegularizerSpec, "epsilon", 1e-150)
     spec = spec_for(method, (32, 32, 4))
-    _, group, n_quad = dv.regularization._penalty(spec.method, spec.dims)
+    _, group, n_groups, n_quad = dv.regularization._penalty(spec.method, spec.dims)
     u = np.random.default_rng(19).standard_normal(spec.n)
     z = build_D(spec).apply(u)
     z_before = z.copy()
     m = z.size - n_quad
     s = z[:m] ** 2
     if group is not None:
-        s = np.bincount(group, s)
+        s = np.bincount(group, s, minlength=n_groups)
     eps2 = spec.epsilon**2
     want_value = float(np.sum(np.sqrt(s + (eps2 if smoothed else 0.0))) + 0.5 * (z[m:] @ z[m:]))
     want_w = 1.0 / np.sqrt(np.sqrt(s + eps2))
